@@ -1,9 +1,10 @@
 """Witt vector arithmetic over concrete rings.
 
 Vectors carry their family, index set, coefficient ring and q binding;
-all arithmetic evaluates the derived polynomials exactly.  The ghost map
-is the oracle: over a torsion-free ring it is injective and invertible
-whenever the componentwise divisibilities work out.
+all arithmetic is exact and runs through the ghost map: over a
+torsion-free ring it is injective and invertible whenever the
+componentwise divisibilities work out, and over Z/m the same steps run
+on integer lifts.
 """
 
 import random

@@ -4,8 +4,8 @@ inductive-system operations, and the verification suites.
 
 Standard output is pure JSON; diagnostics go to standard error.  Exit
 codes: 0 on success, 1 on domain errors (failed divisions, tuples outside
-a ghost image, broken congruences, failed verifications), 2 on usage
-errors.
+a ghost image, broken congruences, failed verifications) and on internal
+errors, which are reported as such, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -47,11 +47,23 @@ def parse_family(text: str) -> Family:
     raise ValueError(f"unknown family {text!r}")
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(sys.stdin)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("the input must be a JSON object")
+    return data
+
+
+def _vector_field(data: dict, field: str):
+    """The input vector ``field``; a lone ``a`` may be the whole input."""
+    payload = data.get(field, data if field == "a" else None)
+    if payload is None:
+        raise ValueError(f"input is missing the {field!r} vector")
+    return payload
 
 
 def _parse_q(ring: Ring, text: str | None):
@@ -92,10 +104,6 @@ def cmd_polys(args) -> int:
     return 0
 
 
-def _vec_in(family, tset, ring, data, q):
-    return witt.vector_from_json(family, tset, ring, data, q)
-
-
 def cmd_eval(args) -> int:
     family = parse_family(args.family)
     tset = TruncationSet.parse(args.set)
@@ -105,10 +113,7 @@ def cmd_eval(args) -> int:
     data = _read_json(args.infile) if args.infile else {}
 
     def vec(field="a", t=tset):
-        payload = data.get(field, data if field == "a" else None)
-        if payload is None:
-            raise ValueError(f"input is missing the {field!r} vector")
-        return _vec_in(family, t, ring, payload, q)
+        return witt.vector_from_json(family, t, ring, _vector_field(data, field), q)
 
     if op == "add" or op == "mul":
         a, b = vec("a"), vec("b")
@@ -127,14 +132,15 @@ def cmd_eval(args) -> int:
         sub = TruncationSet.parse(op.split(":", 1)[1])
         _emit(witt.vector_to_json(witt.project(vec(), sub)))
     elif op == "teich":
+        if "value" not in data:
+            raise ValueError("input is missing the 'value' field")
         value = ring.from_json(data["value"])
         _emit(witt.vector_to_json(witt.teichmuller(family, tset, ring, value, q)))
     elif op == "ghost":
         gh = witt.ghost(vec())
         _emit({"ghost": {str(n): ring.to_json(x) for n, x in zip(tset, gh)}})
     elif op == "unghost":
-        got = data["ghost"]
-        xs = [ring.from_json(got[str(n)]) for n in tset]
+        xs = witt.indexed_from_json(data, "ghost", tset, lambda n: ring)
         _emit(witt.vector_to_json(witt.unghost(family, tset, ring, xs, q)))
     else:
         raise ValueError(f"unknown op {op!r}")
@@ -146,10 +152,11 @@ def cmd_deform(args) -> int:
         tset = TruncationSet.make([args.p])
         data = _read_json(args.infile)
         if args.inverse:
-            a = _vec_in(Family.classical(), tset, Z, data.get("a", data), None)
+            a = witt.vector_from_json(Family.classical(), tset, Z, data.get("a", data))
             out = qdeform.lenart_iso_inverse(args.p, args.q, a)
         else:
-            a = _vec_in(Family.lenart(args.q), tset, Z, data.get("a", data), None)
+            family = Family.lenart(args.q)
+            a = witt.vector_from_json(family, tset, Z, data.get("a", data))
             out = qdeform.lenart_iso(args.p, args.q, a)
         _emit(witt.vector_to_json(out))
         return 0
@@ -255,8 +262,7 @@ def _ind_vec_json(v: indwitt.IndVector) -> dict:
 
 
 def _ind_vec_in(sys_obj: indwitt.IndSystem, data) -> indwitt.IndVector:
-    got = data["coords"]
-    coords = [sys_obj.ring(n).from_json(got[str(n)]) for n in sys_obj.tset]
+    coords = witt.indexed_from_json(data, "coords", sys_obj.tset, sys_obj.ring)
     return indwitt.make(sys_obj, coords)
 
 
@@ -267,7 +273,7 @@ def cmd_indwitt(args) -> int:
     data = _read_json(args.infile) if args.infile else {}
 
     def vec(field="a", system=sys_obj):
-        return _ind_vec_in(system, data.get(field, data if field == "a" else None))
+        return _ind_vec_in(system, _vector_field(data, field))
 
     if op in ("add", "mul"):
         fn = indwitt.ind_add if op == "add" else indwitt.ind_mul
@@ -292,12 +298,10 @@ def cmd_indwitt(args) -> int:
         sub = sys_obj.restrict(tset.quotient(n))
         _emit(_ind_vec_json(indwitt.ind_verschiebung(sys_obj, vec("a", sub), n)))
     elif op == "dwork-test":
-        got = data["ghost"]
-        xs = [sys_obj.ring(n).from_json(got[str(n)]) for n in tset]
+        xs = witt.indexed_from_json(data, "ghost", tset, sys_obj.ring)
         _emit({"in_image": indwitt.dwork_test(sys_obj, xs)})
     elif op == "dwork-invert":
-        got = data["ghost"]
-        xs = [sys_obj.ring(n).from_json(got[str(n)]) for n in tset]
+        xs = witt.indexed_from_json(data, "ghost", tset, sys_obj.ring)
         _emit(_ind_vec_json(indwitt.dwork_invert(sys_obj, xs)))
     elif op == "lambda":
         if args.n is None or args.elem is None:
@@ -439,9 +443,12 @@ def main(argv=None) -> int:
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in qwitt itself, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 An inductive system assigns a ring A_n to every member of a truncation
 set, with transition homomorphisms pi_{d,n} : A_d -> A_n for d | n.  The
 Witt construction generalizes verbatim: coordinates live in different
-rings, the ghost map pushes everything up before summing, and the
-classical structure polynomials act on transition-pushed coordinates.
+rings, and the ghost map pushes everything up before summing.  Coordinate
+n of a sum, product, negative or Frobenius image is coordinate n of the
+classical operation on W_{div(n)}(A_n) at the coordinates pushed into
+A_n, computed by the ghost-route engine of :mod:`qwitt.witt`.
 
 On top of the ring structure this module implements Frobenius into the
 index-shifted system, Verschiebung from the index-restricted one, the
@@ -22,9 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import universal
+from . import witt
 from .errors import CrossRingError, NotInImage, UnsupportedRingOperation
-from .mpoly import xvar, yvar
 from .rings import Ring, Z, ZQ, zp_from_int, zp_subst_qpow
 from .truncset import TruncationSet, divisors, factorization, prime_factors, v_p
 from .universal import Family
@@ -155,7 +156,7 @@ class TrivialIndSystem(IndSystem):
     Its Witt ring is the product of the integer-twisted rings: addition is
     coordinatewise and (a*b)_v = v * a_v * b_v; Frobenius sends (a_v) to
     (n * a_{n*v}).  Both identities are verified in the test suite against
-    the generic polynomial evaluation rather than assumed.
+    the generic operations rather than assumed.
     """
 
     def __init__(self, ring: Ring, tset: TruncationSet):
@@ -279,17 +280,26 @@ def ind_ghost(v: IndVector) -> tuple:
     return tuple(out)
 
 
+def _div_law(sys: IndSystem, n: int):
+    """The classical engine on W_{div(n)}(A_n)."""
+    return witt._law(_CLASSICAL, TruncationSet.make([n]), sys.ring(n), None)
+
+
+def _pushed(v: IndVector, n: int) -> tuple:
+    """The coordinates of ``v`` at the divisors of n, pushed into A_n."""
+    sys = v.system
+    return tuple(sys.push(d, n, v.coord(d)) for d in divisors(n))
+
+
 def _binary_op(v: IndVector, w: IndVector, kind: str) -> IndVector:
+    # coordinate n of the classical op on the pushed coordinates; it comes
+    # last, as n is the largest divisor of n
     _same(v, w)
     sys = v.system
-    polys = universal.derive(_CLASSICAL, sys.tset).law(kind)
-    coords = []
-    for n in sys.tset:
-        assign = {}
-        for d in divisors(n):
-            assign[xvar(d)] = sys.push(d, n, v.coord(d))
-            assign[yvar(d)] = sys.push(d, n, w.coord(d))
-        coords.append(polys[n].eval(sys.ring(n), assign))
+    coords = [
+        getattr(_div_law(sys, n), kind)(_pushed(v, n), _pushed(w, n))[-1]
+        for n in sys.tset
+    ]
     return IndVector(sys, tuple(coords))
 
 
@@ -303,11 +313,7 @@ def ind_mul(v: IndVector, w: IndVector) -> IndVector:
 
 def ind_neg(v: IndVector) -> IndVector:
     sys = v.system
-    polys = universal.derive(_CLASSICAL, sys.tset).neg
-    coords = []
-    for n in sys.tset:
-        assign = {xvar(d): sys.push(d, n, v.coord(d)) for d in divisors(n)}
-        coords.append(polys[n].eval(sys.ring(n), assign))
+    coords = [_div_law(sys, n).neg(_pushed(v, n))[-1] for n in sys.tset]
     return IndVector(sys, tuple(coords))
 
 
@@ -334,16 +340,11 @@ def ind_frobenius(v: IndVector, n: int) -> IndVector:
     sys = v.system
     if n not in sys.tset:
         raise CrossRingError(f"{n} is not in {sys.tset}")
-    bank = universal.derive(_CLASSICAL, sys.tset).frob[n]
-    shifted = sys.shift(n)
-    coords = []
-    for nu in sys.tset.quotient(n):
-        ring = sys.ring(n * nu)
-        assign = {
-            xvar(d): sys.push(d, n * nu, v.coord(d)) for d in divisors(n * nu)
-        }
-        coords.append(bank[nu].eval(ring, assign))
-    return IndVector(shifted, tuple(coords))
+    coords = [
+        _div_law(sys, n * nu).frobenius(n, _pushed(v, n * nu))[-1]
+        for nu in sys.tset.quotient(n)
+    ]
+    return IndVector(sys.shift(n), tuple(coords))
 
 
 def ind_verschiebung(sys: IndSystem, v: IndVector, n: int) -> IndVector:

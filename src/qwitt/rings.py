@@ -19,6 +19,7 @@ front instead of failing deep inside a recursion.
 from __future__ import annotations
 
 import math
+import operator
 
 from . import exprs
 from .errors import NonUniqueQuotient, UnsupportedRingOperation
@@ -232,6 +233,13 @@ class Ring:
     def enumerate(self):
         raise UnsupportedRingOperation(f"{self.descriptor} is not enumerable")
 
+    def cover(self):
+        """A torsion-free ring whose elements include this one's, and the
+        reduction homomorphism onto this ring (None for a torsion-free ring)."""
+        if self.torsion_free:
+            return self, None
+        raise UnsupportedRingOperation(f"{self.descriptor} has no torsion-free cover")
+
     # --- plumbing -------------------------------------------------------
     def check(self, a):
         """Validate and normalize an element value; raises ValueError."""
@@ -305,26 +313,16 @@ class ZRing(Ring):
     def from_int(self, k):
         return k
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def int_scale(self, k, a):
-        return k * a
-
-    def pow(self, a, e):
-        return a**e
+    add = operator.add
+    sub = operator.sub
+    neg = operator.neg
+    mul = operator.mul
+    int_scale = operator.mul
+    pow = operator.pow
+    eq = operator.eq
 
     def is_zero(self, a):
         return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def try_div_int(self, a, k):
         q, r = divmod(a, k)
@@ -413,6 +411,9 @@ class ZModRing(Ring):
 
     def enumerate(self):
         return range(self.m)
+
+    def cover(self):
+        return Z, self.m.__rmod__
 
     def check(self, a):
         if not isinstance(a, int):
@@ -643,6 +644,10 @@ class TwistedRing(Ring):
 
     def enumerate(self):
         return self.base.enumerate()
+
+    def cover(self):
+        base, reduce = self.base.cover()
+        return (self, None) if reduce is None else (TwistedRing(base, self.r), reduce)
 
     def check(self, a):
         return self.base.check(a)

@@ -2,11 +2,16 @@
 
 A :class:`WittVector` is a family tag, a truncation set, a coefficient
 ring, an optional binding for the deformation parameter q, and one
-coordinate per set member.  All operations evaluate the universal
-structure polynomials exactly; Frobenius uses the derived polynomials
-(so it works over rings with torsion), Verschiebung is the certified
-coordinate shift, and the ghost map and its inverse provide the oracle
-route over torsion-free rings.
+coordinate per set member.  Addition, multiplication, negation and
+Frobenius take the ghost route: apply the family's ghost map, act
+componentwise on the ghost side (the product carries the family's twist),
+then invert the ghost map recursively, asserting every division.  Over a
+ring with torsion (``zmod``, and twisted or Witt rings built on it) the
+same steps run on a torsion-free cover of the ring and each coordinate is
+reduced at the end.  The result is what the universal structure
+polynomials of :mod:`qwitt.universal` give, because they have integer
+coefficients; they are never evaluated here and stay the independent
+oracle of the tests.  Verschiebung is the certified coordinate shift.
 
 Rings of Witt vectors can themselves serve as coefficient rings through
 :class:`WittCoeffRing`; that is what the nesting isomorphism consumes.
@@ -14,19 +19,20 @@ Rings of Witt vectors can themselves serve as coefficient rings through
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from threading import Lock
 
-from . import universal
 from .errors import (
     BudgetExceeded,
     CrossRingError,
     NotInGhostImage,
     UnsupportedRingOperation,
 )
-from .mpoly import MPoly, xvar
-from .rings import Ring, ZModRing, ZRing, ZqRing, ZP_Q
+from .mpoly import MPoly
+from .rings import Ring, ZqRing, ZP_Q
 from .truncset import TruncationSet, divisors
 from .universal import Family
 
@@ -93,141 +99,140 @@ def random_vector(family, tset, ring, rng, q=None) -> WittVector:
 
 
 # ----------------------------------------------------------------------
-# Compiled evaluation.  A _Law binds one polynomial set to one (ring, q)
-# context; each polynomial becomes a closure over a prepared monomial
-# list.  Integer rings get a branch without per-element ring calls.
+# The evaluation engine.  A _Law holds, for one (family, S, ring, q)
+# context, the ghost rows of S and of each S/m; a row serves both the
+# ghost map and its inverse.  Every operation applies the ghost map, acts
+# componentwise on the ghost side (twisted by the family's product twist
+# for mul) and inverts recursively, asserting each division.  A ring with
+# torsion runs these steps on its torsion-free cover and reduces the
+# coordinates at the end; that is valid because every structure
+# polynomial has integer coefficients.
 
 
-def _prepare(poly: MPoly, tset: TruncationSet):
-    mons = []
+def _scaler(ring: Ring, poly: MPoly, qval):
+    """The map x -> p(q)*x on ``ring`` for a polynomial p in q alone.
+
+    None when p = 1.  Only the Z-action and the product of the ring are
+    used, so the map exists in non-unital rings too.
+    """
+    c0, w = 0, None  # the constant term, and the rest of p(q) in the ring
     for key, c in poly.terms():
-        qexp = 0
-        factors = []
-        for (kind, idx), e in key:
-            if kind == "q":
-                qexp = e
-            else:
-                factors.append((0 if kind == "x" else 1, tset.index(idx), e))
-        mons.append((c, qexp, tuple(factors)))
-    return mons
+        if not key:
+            c0 = c
+            continue
+        term = ring.int_scale(c, ring.pow(qval, key[0][1]))
+        w = term if w is None else ring.add(w, term)
+    if w is None:
+        return None if c0 == 1 else partial(ring.int_scale, c0)
+    if c0 and ring.unital:  # fold the constant in: one product per use
+        w, c0 = ring.add(w, ring.from_int(c0)), 0
+    if not c0:
+        return partial(ring.mul, w)
+    add, mul, scale = ring.add, ring.mul, ring.int_scale
+    return lambda x: add(scale(c0, x), mul(w, x))
 
 
-def _compile(poly: MPoly, tset: TruncationSet, ring: Ring, qval):
-    mons = _prepare(poly, tset)
-    if isinstance(ring, (ZRing, ZModRing)) and (qval is None or isinstance(qval, int)):
-        modulus = ring.m if isinstance(ring, ZModRing) else None
-        folded = []
-        for c, qexp, factors in mons:
-            if qexp:
-                c *= (qval if modulus is None else qval % modulus) ** qexp
-            if modulus is not None:
-                c %= modulus
-                if c == 0:
-                    continue
-            folded.append((c, factors))
+def _ghost_rows(family: Family, tset: TruncationSet, ring: Ring, qval) -> list:
+    """Per n in S: its index, n, and the off-diagonal ghost terms.
 
-        def run_int(xs, ys=None):
-            acc = 0
-            for c, factors in folded:
-                t = c
-                for bank, pos, e in factors:
-                    v = xs[pos] if bank == 0 else ys[pos]
-                    t *= v**e
-                acc += t
-            return acc if modulus is None else acc % modulus
-
-        return run_int
-
-    if isinstance(ring, ZqRing) and isinstance(qval, tuple):
-        from .rings import zp_mul, zp_pow, zp_scale, zp_trim
-
-        folded = []
-        for c, qexp, factors in mons:
-            czp = zp_scale(c, zp_pow(qval, qexp)) if qexp else (c,)
-            if czp:
-                folded.append((czp, factors))
-
-        def run_zq(xs, ys=None):
-            acc: list[int] = []
-            cache = {}
-            for czp, factors in folded:
-                val = czp
-                for fkey in factors:
-                    v = cache.get(fkey)
-                    if v is None:
-                        bank, pos, e = fkey
-                        base = xs[pos] if bank == 0 else ys[pos]
-                        v = zp_pow(base, e)
-                        cache[fkey] = v
-                    val = zp_mul(val, v)
-                if len(val) > len(acc):
-                    acc.extend([0] * (len(val) - len(acc)))
-                for i, coeff in enumerate(val):
-                    acc[i] += coeff
-            return zp_trim(acc)
-
-        return run_zq
-
-    max_q = max((qexp for _, qexp, _ in mons), default=0)
-    qpows = [None] * (max_q + 1)
-    if max_q:
-        qpows[1] = qval
-        for e in range(2, max_q + 1):
-            qpows[e] = ring.mul(qpows[e - 1], qval)
-    ring_zero = ring.zero()
-
-    def run(xs, ys=None):
-        acc = ring_zero
-        cache = {}
-        for c, qexp, factors in mons:
-            val = None
-            for fkey in factors:
-                v = cache.get(fkey)
-                if v is None:
-                    bank, pos, e = fkey
-                    base = xs[pos] if bank == 0 else ys[pos]
-                    v = ring.pow(base, e)
-                    cache[fkey] = v
-                val = v if val is None else ring.mul(val, v)
-            if qexp:
-                qv = qpows[qexp]
-                val = qv if val is None else ring.mul(val, qv)
-            if val is None:
-                val = ring.one()  # constant term; unital rings only
-            acc = ring.add(acc, ring.int_scale(c, val))
-        return acc
-
-    return run
+    The terms w(n,d) * a_d^(n/d) for d | n, d < n, are (index of d, n/d,
+    scaler).  The diagonal weight w(n,n) is n in every family, so the
+    ghost is n*a_n plus the terms, and the inverse peels them off and
+    divides by n.
+    """
+    return [
+        (i, n, [
+            (tset.index(d), n // d, _scaler(ring, family.ghost_weight(n, d), qval))
+            for d in divisors(n)[:-1]
+        ])
+        for i, n in enumerate(tset)
+    ]
 
 
 class _Law:
-    """All structure polynomials of one context, compiled."""
+    """The ghost-route engine of one (family, S, ring, q) context.
+
+    Its methods take and return coordinate tuples in the order of S.
+    """
 
     def __init__(self, family: Family, tset: TruncationSet, ring: Ring, qval):
-        ps = universal.derive(family, tset)
         self.family, self.tset, self.ring, self.qval = family, tset, ring, qval
-        self.sigma = [_compile(ps.sigma[n], tset, ring, qval) for n in tset]
-        self.pi = [_compile(ps.pi[n], tset, ring, qval) for n in tset]
-        self.neg = [_compile(ps.neg[n], tset, ring, qval) for n in tset]
-        self.frob = {
-            m: [_compile(bank[v], tset, ring, qval) for v in tset.quotient(m)]
-            for m, bank in ps.frob.items()
-        }
-        self.ghost = [
-            _compile(universal.ghost_poly(family, tset, n, "x"), tset, ring, qval)
-            for n in tset
-        ]
-        # per index n: the off-diagonal ghost terms w(n,d) * x_d^(n/d),
-        # used by the recursive ghost inversion
-        self.ghost_tail = {}
-        for n in tset:
-            terms = []
-            for d in divisors(n):
-                if d == n:
-                    continue
-                poly = family.ghost_weight(n, d) * MPoly.var(xvar(d), n // d)
-                terms.append(_compile(poly, tset, ring, qval))
-            self.ghost_tail[n] = terms
+        self.cover, self.reduce = ring.cover()
+        self.rows = _ghost_rows(family, tset, self.cover, qval)
+        self.twist = _scaler(self.cover, family.twist(), qval)
+        # F_m: S/m, the ghost rows of S at m*v, and the rows of S/m to invert
+        self.frob = {}
+        for m in tset:
+            sub = tset.quotient(m)
+            self.frob[m] = (sub, [self.rows[tset.index(m * v)] for v in sub],
+                            _ghost_rows(family, sub, self.cover, qval))
+
+    def _ghost(self, xs, rows) -> list:
+        add, scale, pw = self.cover.add, self.cover.int_scale, self.cover.pow
+        out = []
+        for i, n, terms in rows:
+            g = xs[i] if n == 1 else scale(n, xs[i])
+            for j, e, s in terms:
+                t = xs[j] if e == 1 else pw(xs[j], e)
+                g = add(g, t if s is None else s(t))
+            out.append(g)
+        return out
+
+    def _invert(self, gs, rows) -> tuple:
+        sub, div, pw = self.cover.sub, self.cover.try_div_int, self.cover.pow
+        cs: list = []
+        for g, (_, n, terms) in zip(gs, rows):
+            for j, e, s in terms:
+                t = cs[j] if e == 1 else pw(cs[j], e)
+                g = sub(g, t if s is None else s(t))
+            if n > 1:
+                g = div(g, n)
+                if g is None:
+                    raise NotInGhostImage(
+                        f"component {n} is not reachable: division by {n} failed"
+                    )
+            cs.append(g)
+        return self._reduced(cs)
+
+    def _reduced(self, values) -> tuple:
+        return tuple(map(self.reduce, values)) if self.reduce else tuple(values)
+
+    def add(self, xs, ys) -> tuple:
+        gs = map(self.cover.add, self._ghost(xs, self.rows), self._ghost(ys, self.rows))
+        return self._invert(gs, self.rows)
+
+    def mul(self, xs, ys) -> tuple:
+        gs = map(self.cover.mul, self._ghost(xs, self.rows), self._ghost(ys, self.rows))
+        if self.twist is not None:
+            gs = map(self.twist, gs)
+        return self._invert(gs, self.rows)
+
+    def neg(self, xs) -> tuple:
+        return self._invert(map(self.cover.neg, self._ghost(xs, self.rows)), self.rows)
+
+    def frobenius(self, m: int, xs) -> tuple:
+        """F_m: ghost component m*v of S becomes component v of S/m."""
+        _, rows, inverse = self.frob[m]
+        return self._invert(self._ghost(xs, rows), inverse)
+
+    def ghost(self, xs) -> tuple:
+        return self._reduced(self._ghost(xs, self.rows))
+
+    def unghost(self, gs) -> tuple:
+        return self._invert(gs, self.rows)
+
+    def div_int(self, xs, k: int):
+        """The unique ys with k*ys = xs, or None: divide the ghost, then invert.
+
+        Needs a torsion-free ring with exact integer division.
+        """
+        gs = [self.cover.try_div_int(g, k) for g in self._ghost(xs, self.rows)]
+        if None in gs:
+            return None
+        try:
+            return self._invert(gs, self.rows)
+        except NotInGhostImage:
+            return None
 
 
 _LAW_CACHE: dict = {}
@@ -266,21 +271,18 @@ def _match(a: WittVector, b: WittVector):
 def add(a: WittVector, b: WittVector) -> WittVector:
     _match(a, b)
     law = _law(a.family, a.tset, a.ring, a.qval)
-    coords = tuple(f(a.coords, b.coords) for f in law.sigma)
-    return WittVector(a.family, a.tset, a.ring, a.qval, coords)
+    return WittVector(a.family, a.tset, a.ring, a.qval, law.add(a.coords, b.coords))
 
 
 def mul(a: WittVector, b: WittVector) -> WittVector:
     _match(a, b)
     law = _law(a.family, a.tset, a.ring, a.qval)
-    coords = tuple(f(a.coords, b.coords) for f in law.pi)
-    return WittVector(a.family, a.tset, a.ring, a.qval, coords)
+    return WittVector(a.family, a.tset, a.ring, a.qval, law.mul(a.coords, b.coords))
 
 
 def neg(a: WittVector) -> WittVector:
     law = _law(a.family, a.tset, a.ring, a.qval)
-    coords = tuple(f(a.coords) for f in law.neg)
-    return WittVector(a.family, a.tset, a.ring, a.qval, coords)
+    return WittVector(a.family, a.tset, a.ring, a.qval, law.neg(a.coords))
 
 
 def sub(a: WittVector, b: WittVector) -> WittVector:
@@ -315,8 +317,7 @@ def is_zero(a: WittVector) -> bool:
 
 def ghost(a: WittVector) -> tuple:
     """The ghost coordinates (sum_{d|n} w(n,d) a_d^(n/d))_n."""
-    law = _law(a.family, a.tset, a.ring, a.qval)
-    return tuple(f(a.coords) for f in law.ghost)
+    return _law(a.family, a.tset, a.ring, a.qval).ghost(a.coords)
 
 
 def unghost(family: Family, tset: TruncationSet, ring: Ring, xs, q=None) -> WittVector:
@@ -330,31 +331,20 @@ def unghost(family: Family, tset: TruncationSet, ring: Ring, xs, q=None) -> Witt
             f"{ring.descriptor} cannot invert the ghost map exactly"
         )
     qval = resolve_q(family, ring, q)
-    law = _law(family, tset, ring, qval)
     xs = tuple(ring.check(x) for x in xs)
     if len(xs) != len(tset):
         raise CrossRingError(f"expected {len(tset)} ghost components")
-    coords: list = [ring.zero()] * len(tset)
-    for i, n in enumerate(tset):
-        acc = xs[i]
-        for term in law.ghost_tail[n]:
-            acc = ring.sub(acc, term(coords))
-        c = ring.try_div_int(acc, n)
-        if c is None:
-            raise NotInGhostImage(
-                f"component {n} is not reachable: division by {n} failed"
-            )
-        coords[i] = c
-    return WittVector(family, tset, ring, qval, tuple(coords))
+    coords = _law(family, tset, ring, qval).unghost(xs)
+    return WittVector(family, tset, ring, qval, coords)
 
 
 def frobenius(a: WittVector, m: int) -> WittVector:
-    """F_m into the quotient set S/m, by the derived polynomials."""
+    """F_m into the quotient set S/m."""
     if m not in a.tset:
         raise CrossRingError(f"{m} is not in {a.tset}")
     law = _law(a.family, a.tset, a.ring, a.qval)
-    coords = tuple(f(a.coords) for f in law.frob[m])
-    return WittVector(a.family, a.tset.quotient(m), a.ring, a.qval, coords)
+    coords = law.frobenius(m, a.coords)
+    return WittVector(a.family, law.frob[m][0], a.ring, a.qval, coords)
 
 
 def verschiebung(a: WittVector, m: int, into: TruncationSet) -> WittVector:
@@ -407,17 +397,8 @@ def is_divisible(a: WittVector, p: int, e: int = 1) -> bool:
     """
     ring = a.ring
     if ring.supports_div_int and ring.torsion_free:
-        quotient = []
-        for x in ghost(a):
-            d = ring.try_div_int(x, p**e)
-            if d is None:
-                return False
-            quotient.append(d)
-        try:
-            unghost(a.family, a.tset, ring, quotient, q=a.qval)
-            return True
-        except NotInGhostImage:
-            return False
+        law = _law(a.family, a.tset, ring, a.qval)
+        return law.div_int(a.coords, p**e) is not None
     if ring.finite:
         subgroup = _p_power_subgroup(a.family, a.tset, ring, a.qval, p, e)
         return a.coords in subgroup
@@ -497,17 +478,32 @@ class WittCoeffRing(Ring):
 
     def __init__(self, base: Ring, tset: TruncationSet,
                  family: Family = Family.classical(), q=None):
-        self.base = base
         self.tset = tset
         self.family = family
         self.qval = resolve_q(family, base, q)
-        label = "" if family.tag == "classical" else f"{family.label()}@"
-        self.descriptor = f"witt:{label}{base.descriptor}:{tset}"
+        self.reduced = False  # not needed; stay conservative
+        self._set_base(base)
+
+    def _set_base(self, base: Ring) -> None:
+        self.base = base
+        label = ""
+        if self.family.tag != "classical":
+            bound = "" if self.qval is None else f"(q={base.to_str(self.qval)})"
+            label = f"{self.family.label()}{bound}@"
+        self.descriptor = f"witt:{label}{base.descriptor}:{self.tset}"
         self.torsion_free = base.torsion_free
         self.finite = base.finite
         self.supports_div_int = base.torsion_free and base.supports_div_int
-        self.reduced = False  # not needed; stay conservative
-        self.unital = base.unital and family.tag == "classical"
+        self.unital = base.unital and self.family.tag == "classical"
+
+    def cover(self):
+        base, reduce = self.base.cover()
+        if reduce is None:
+            return self, None
+        # the same Witt ring over the base's cover; elements and q carry over
+        lifted = copy.copy(self)
+        lifted._set_base(base)
+        return lifted, lambda a: tuple(map(reduce, a))
 
     def _wrap(self, coords) -> WittVector:
         return WittVector(self.family, self.tset, self.base, self.qval, tuple(coords))
@@ -529,9 +525,6 @@ class WittCoeffRing(Ring):
     def mul(self, a, b):
         return mul(self._wrap(a), self._wrap(b)).coords
 
-    def int_scale(self, k, a):
-        return int_scale(k, self._wrap(a)).coords
-
     def is_zero(self, a):
         return all(self.base.is_zero(c) for c in a)
 
@@ -543,18 +536,7 @@ class WittCoeffRing(Ring):
             raise UnsupportedRingOperation(
                 f"{self.descriptor} has no exact integer division"
             )
-        quotient = []
-        for x in ghost(self._wrap(a)):
-            d = self.base.try_div_int(x, k)
-            if d is None:
-                return None
-            quotient.append(d)
-        try:
-            return unghost(
-                self.family, self.tset, self.base, quotient, q=self.qval
-            ).coords
-        except NotInGhostImage:
-            return None
+        return _law(self.family, self.tset, self.base, self.qval).div_int(a, k)
 
     def is_divisible_mod(self, a, p, e):
         return is_divisible(self._wrap(a), p, e)
@@ -582,14 +564,7 @@ class WittCoeffRing(Ring):
         }
 
     def from_json(self, value):
-        if not isinstance(value, dict) or "coords" not in value:
-            raise ValueError(f"expected a coords object for {self.descriptor}")
-        got = value["coords"]
-        coords = []
-        for n in self.tset:
-            if str(n) not in got:
-                raise ValueError(f"missing coordinate {n}")
-            coords.append(self.base.from_json(got[str(n)]))
+        coords = indexed_from_json(value, "coords", self.tset, lambda n: self.base)
         return self.check(tuple(coords))
 
 
@@ -601,13 +576,20 @@ def vector_to_json(a: WittVector) -> dict:
     return {"coords": {str(n): a.ring.to_json(c) for n, c in zip(a.tset, a.coords)}}
 
 
-def vector_from_json(family, tset, ring, data, q=None) -> WittVector:
-    if not isinstance(data, dict) or "coords" not in data:
-        raise ValueError("expected an object with a 'coords' field")
-    got = data["coords"]
-    coords = []
+def indexed_from_json(data, field: str, tset: TruncationSet, ring_at) -> list:
+    """The elements data[field][str(n)] of the rings ring_at(n), n in S.
+
+    Raises ValueError when a part is missing.
+    """
+    got = data.get(field) if isinstance(data, dict) else None
+    if not isinstance(got, dict):
+        raise ValueError(f"expected an object with a {field!r} field keyed by index")
     for n in tset:
         if str(n) not in got:
-            raise ValueError(f"missing coordinate {n}")
-        coords.append(ring.from_json(got[str(n)]))
+            raise ValueError(f"the {field!r} field is missing index {n}")
+    return [ring_at(n).from_json(got[str(n)]) for n in tset]
+
+
+def vector_from_json(family, tset, ring, data, q=None) -> WittVector:
+    coords = indexed_from_json(data, "coords", tset, lambda n: ring)
     return make(family, tset, ring, coords, q)

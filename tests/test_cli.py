@@ -223,3 +223,48 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobulate"])
     assert exc.value.code == 2
+
+
+def test_missing_input_fields_are_usage_errors(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"ghost": {"1": "3"}, "coords": {"1": "3"}}))
+    cases = [
+        (["eval", "--family", "classical", "--set", "1,2", "--ring", "z",
+          "--op", "teich", "--in", str(empty)], "'value'"),
+        (["eval", "--family", "classical", "--set", "1,2", "--ring", "z",
+          "--op", "unghost", "--in", str(empty)], "'ghost'"),
+        (["eval", "--family", "classical", "--set", "1,2", "--ring", "z",
+          "--op", "unghost", "--in", str(partial)], "index 2"),
+        (["indwitt", "neg", "--system", "const:z", "--set", "1,2",
+          "--in", str(partial)], "index 2"),
+        (["indwitt", "dwork-test", "--system", "const:z", "--set", "1,2",
+          "--in", str(empty)], "'ghost'"),
+        (["indwitt", "dwork-invert", "--system", "const:z", "--set", "1,2",
+          "--in", str(partial)], "index 2"),
+    ]
+    for argv, field in cases:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and field in err
+
+
+@pytest.mark.parametrize("fault", [KeyError(3), RuntimeError("boom")])
+def test_internal_faults_are_reported_as_internal_errors(tmp_path, monkeypatch,
+                                                         capsys, fault):
+    from qwitt import witt
+
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(witt, "add", broken)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"a": {"coords": {"1": "1"}},
+                                "b": {"coords": {"1": "2"}}}))
+    code = main(["eval", "--family", "classical", "--set", "1", "--ring", "z",
+                 "--op", "add", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"internal error: {type(fault).__name__}: ")
+    assert "Traceback" not in err

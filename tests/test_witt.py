@@ -285,3 +285,18 @@ def test_classical_over_twisted_ring_matches_qdef():
         assert witt.mul(a_tw, b_tw).coords == witt.mul(a_qd, b_qd).coords
         assert witt.add(a_tw, b_tw).coords == witt.add(a_qd, b_qd).coords
         assert witt.frobenius(a_tw, 6).coords == witt.frobenius(a_qd, 6).coords
+
+
+def test_witt_coeff_rings_with_different_q_are_different_rings():
+    # the q binding is part of the ring: two bindings must neither compare
+    # equal nor share cached arithmetic
+    r2 = witt.WittCoeffRing(ZModRing(7), S2, QD, q=2)
+    r3 = witt.WittCoeffRing(ZModRing(7), S2, QD, q=3)
+    assert r2 != r3 and r2.descriptor != r3.descriptor
+
+    def square(ring):
+        a = witt.make(CL, S3, ring, [(1, 1), (1, 1)])
+        return witt.mul(a, a).coords
+
+    assert square(r2) == ((2, 5), (1, 2))
+    assert square(r3) == ((3, 3), (0, 2))
