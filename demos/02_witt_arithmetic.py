@@ -1,7 +1,7 @@
 """Witt vector arithmetic over concrete rings.
 
-Vectors carry their family, index set, coefficient ring and q binding;
-all arithmetic is exact and runs through the ghost map: over a
+A vector is its Witt ring W_S(A) (family, index set, coefficient ring
+and q binding, one interned object) and its coordinates; all arithmetic is exact and runs through the ghost map: over a
 torsion-free ring it is injective and invertible whenever the
 componentwise divisibilities work out, and over Z/m the same steps run
 on integer lifts.

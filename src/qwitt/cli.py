@@ -28,25 +28,6 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def parse_family(text: str) -> Family:
-    if text == "classical":
-        return Family.classical()
-    if text == "qdef":
-        return Family.qdef()
-    if text == "qbar":
-        return Family.qbar()
-    if text.startswith("qbar:"):
-        return Family.qbar(ZQ.from_str(text.split(":", 1)[1]))
-    if text.startswith("lenart:"):
-        return Family.lenart(int(text.split(":", 1)[1]))
-    if text == "lenart":
-        raise ValueError(
-            "the integer-q family needs its integer, e.g. lenart:2 "
-            "(it has no symbolic form)"
-        )
-    raise ValueError(f"unknown family {text!r}")
-
-
 def _read_json(path: str) -> dict:
     if path == "-":
         data = json.load(sys.stdin)
@@ -80,7 +61,7 @@ def _poly_payload(poly, fmt: str):
 
 
 def cmd_polys(args) -> int:
-    family = parse_family(args.family)
+    family = Family.parse(args.family)
     tset = TruncationSet.parse(args.set)
     ps = universal.derive(family, tset)
     law = args.law
@@ -105,7 +86,7 @@ def cmd_polys(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    family = parse_family(args.family)
+    family = Family.parse(args.family)
     tset = TruncationSet.parse(args.set)
     ring = parse_ring(args.ring)
     q = _parse_q(ring, args.q)

@@ -106,22 +106,6 @@ def parse(text: str):
     return node
 
 
-def names(node) -> set[str]:
-    """All NAME atoms appearing in an AST."""
-    tag = node[0]
-    if tag == "var":
-        return {node[1]}
-    if tag == "int":
-        return set()
-    if tag in ("neg",):
-        return names(node[1])
-    if tag in ("add", "mul"):
-        return names(node[1]) | names(node[2])
-    if tag == "pow":
-        return names(node[1])
-    raise ValueError(f"unknown AST node {tag!r}")
-
-
 def evaluate(node, atoms: dict, add, mul, neg, from_int, power):
     """Fold an AST with caller-supplied operations.
 

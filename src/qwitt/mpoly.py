@@ -113,9 +113,6 @@ class MPoly:
     def variables(self) -> set[Var]:
         return {v for key in self._t for v, _ in key}
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in key) for key in self._t), default=0)
-
     def __len__(self) -> int:
         return len(self._t)
 

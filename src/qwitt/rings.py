@@ -91,14 +91,6 @@ def zp_pow(a, e: int):
     return result
 
 
-def zp_compose(a, b):
-    """a(b(q)) by Horner's rule."""
-    result = ZP_ZERO
-    for c in reversed(a):
-        result = zp_add(zp_mul(result, b), zp_from_int(c))
-    return result
-
-
 def zp_subst_qpow(a, p: int):
     """a(q^p): spread coefficients p slots apart."""
     if not a:
@@ -121,11 +113,6 @@ def zp_divexact(a, k: int):
     if any(c % k for c in a):
         return None
     return tuple(c // k for c in a)
-
-
-def zp_degree(a) -> int:
-    """Degree, with the convention deg 0 = -1."""
-    return len(a) - 1
 
 
 def zp_to_str(a) -> str:
@@ -655,8 +642,9 @@ class TwistedRing(Ring):
     def random(self, rng):
         return self.base.random(rng)
 
-    def constants(self):
-        return self.base.constants()
+    def from_str(self, text):
+        # elements are written in the base ring's notation
+        return self.base.from_str(text)
 
     def to_str(self, a):
         return self.base.to_str(a)
@@ -676,8 +664,10 @@ def _factorization(n):
 def parse_ring(text: str) -> Ring:
     """Build a ring from a descriptor string.
 
-    Formats: ``z``, ``zmod:6``, ``zq``, ``dual``, ``twist:<base>:<elem>``,
-    ``witt:<base>:<set>`` (a ring of Witt vectors used as coefficients).
+    Formats: ``z``, ``zmod:6``, ``zq``, ``dual``, ``twist:<base>:<elem>``
+    and ``witt:[<family>[(q=<elem>)]@]<base>:<set>``, a ring of Witt
+    vectors used as coefficients; the family defaults to classical, and
+    elements are written in the base ring's notation.
     """
     if text == "z":
         return Z
@@ -695,9 +685,17 @@ def parse_ring(text: str) -> Ring:
     if text.startswith("witt:"):
         from . import witt
         from .truncset import TruncationSet
+        from .universal import Family
 
-        rest = text[len("witt:"):]
-        base_desc, setpart = rest.rsplit(":", 1)
+        rest, setpart = text[len("witt:"):].rsplit(":", 1)
+        label, base_desc = "", rest
+        if rest.startswith(("qdef", "qbar", "lenart")):
+            label, _, base_desc = rest.partition("@")
+        label, bound, qtext = label.partition("(q=")
+        if bound and not qtext.endswith(")"):
+            raise ValueError(f"unclosed q binding in ring descriptor {text!r}")
+        family = Family.parse(label) if label else Family.classical()
         base = parse_ring(base_desc)
-        return witt.WittCoeffRing(base, TruncationSet.parse(setpart))
+        q = base.from_str(qtext[:-1]) if bound else None
+        return witt.WittCoeffRing(base, TruncationSet.parse(setpart), family, q)
     raise ValueError(f"unknown ring descriptor {text!r}")

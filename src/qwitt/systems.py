@@ -27,18 +27,11 @@ import random
 from . import witt
 from .errors import CrossRingError, UnsupportedRingOperation
 from .report import Report
-from .rings import Ring, TwistedRing, ZP_ONE
+from .mpoly import MPoly, Q
+from .rings import Ring, TwistedRing
 from .truncset import ONE_SET, TruncationSet, factorization
 from .universal import Family
 from .witt import WittCoeffRing, WittVector
-
-
-def _zp_into_ring(zp, ring: Ring, qel):
-    """Evaluate a Z[q] coefficient tuple at a ring element, by Horner."""
-    acc = ring.zero()
-    for c in reversed(zp):
-        acc = ring.add(ring.mul(acc, qel), ring.int_scale(c, ring.one()))
-    return acc
 
 
 class ProjSystem:
@@ -84,40 +77,35 @@ class WittSystem(ProjSystem):
         self.base = base
         self.top = top
         self.family = family
-        self.qval = witt.resolve_q(family, base, q)
-        twist = family.point_twist()
-        if twist == ZP_ONE:
+        self.context = WittCoeffRing(base, top, family, q)
+        twist = family.twist()
+        if twist == MPoly.const(1):
             self._point = base
         else:
-            self._point = TwistedRing(base, _zp_into_ring(twist, base, self.qval))
+            self._point = TwistedRing(base, twist.eval(base, {Q: self.context.qval}))
         self.has_versch = True
         self.label = f"witt:{family.label()}:{base.descriptor}:{top}"
 
     def ring(self, s):
-        if s == ONE_SET:
-            return self._point
-        return WittCoeffRing(self.base, s, self.family, self.qval)
+        return self._point if s == ONE_SET else self.context.on(s)
 
-    def _wrap(self, s, a) -> WittVector:
-        coords = (a,) if s == ONE_SET else tuple(a)
-        return WittVector(self.family, s, self.base, self.qval, coords)
+    def _vec(self, s, a) -> WittVector:
+        return WittVector(self.context.on(s), (a,) if s == ONE_SET else tuple(a))
 
-    def _unwrap(self, s, v: WittVector):
-        return v.coords[0] if s == ONE_SET else v.coords
+    def _unwrap(self, v: WittVector):
+        return v.coords[0] if v.tset == ONE_SET else v.coords
 
     def proj(self, s_from, s_to, a):
-        return self._unwrap(s_to, witt.project(self._wrap(s_from, a), s_to))
+        return self._unwrap(witt.project(self._vec(s_from, a), s_to))
 
     def frob(self, p, s, a):
-        sub = s.quotient(p)
-        return self._unwrap(sub, witt.frobenius(self._wrap(s, a), p))
+        return self._unwrap(witt.frobenius(self._vec(s, a), p))
 
     def versch(self, p, s, a):
-        sub = s.quotient(p)
-        return self._unwrap(s, witt.verschiebung(self._wrap(sub, a), p, s))
+        return self._unwrap(witt.verschiebung(self._vec(s.quotient(p), a), p, s))
 
     def section(self, s_from, s_to, a):
-        return self._unwrap(s_to, witt.section(self._wrap(s_from, a), s_to))
+        return self._unwrap(witt.section(self._vec(s_from, a), s_to))
 
 
 class ConstantSystem(ProjSystem):
@@ -168,7 +156,7 @@ class NestedWittSystem(ProjSystem):
         self.t2 = t2
         self.base = base
         self.family = family
-        self.qval = witt.resolve_q(family, base, q)
+        self.context = WittCoeffRing(base, top.product(t2), family, q)
         self.has_versch = True
         self.label = f"nested:{family.label()}:{base.descriptor}:{top}*{t2}"
 
@@ -176,23 +164,23 @@ class NestedWittSystem(ProjSystem):
         return s.product(self.t2)
 
     def ring(self, s):
-        return WittCoeffRing(self.base, self._bigset(s), self.family, self.qval)
+        return self.context.on(self._bigset(s))
 
-    def _wrap(self, s, a) -> WittVector:
-        return WittVector(self.family, self._bigset(s), self.base, self.qval, tuple(a))
+    def _vec(self, s, a) -> WittVector:
+        return WittVector(self.ring(s), tuple(a))
 
     def proj(self, s_from, s_to, a):
-        return witt.project(self._wrap(s_from, a), self._bigset(s_to)).coords
+        return witt.project(self._vec(s_from, a), self._bigset(s_to)).coords
 
     def frob(self, p, s, a):
-        return witt.frobenius(self._wrap(s, a), p).coords
+        return witt.frobenius(self._vec(s, a), p).coords
 
     def versch(self, p, s, a):
         sub = s.quotient(p)
-        return witt.verschiebung(self._wrap(sub, a), p, self._bigset(s)).coords
+        return witt.verschiebung(self._vec(sub, a), p, self._bigset(s)).coords
 
     def section(self, s_from, s_to, a):
-        return witt.section(self._wrap(s_from, a), self._bigset(s_to)).coords
+        return witt.section(self._vec(s_from, a), self._bigset(s_to)).coords
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +238,7 @@ def alpha_inverse(sys: ProjSystem, s: TruncationSet, w: WittVector):
                 "difference not supported on multiples of the prime; "
                 "the system violates an exactness axiom"
             )
-    shifted = WittVector(
-        w.family, sub, point, w.qval, tuple(diff.coord(p * v) for v in sub)
-    )
+    shifted = WittVector(w.context.on(sub), tuple(diff.coord(p * v) for v in sub))
     b = alpha_inverse(sys, sub, shifted)
     return sys.ring(s).add(a0, sys.versch(p, s, b))
 
@@ -521,8 +507,7 @@ class NestingIso:
     def backward(self, w: WittVector) -> WittVector:
         """From W_{T1}(W_{T2}(A)) back to W_{T1*T2}(A)."""
         coords = alpha_inverse(self.system, self.t1, w)
-        return WittVector(self.family, self.big, self.base,
-                          self.system.qval, tuple(coords))
+        return WittVector(self.system.context, tuple(coords))
 
 
 def auer(t1: TruncationSet, t2: TruncationSet, base: Ring,

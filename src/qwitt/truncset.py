@@ -148,9 +148,6 @@ class TruncationSet:
         except ValueError:
             raise KeyError(f"{n} is not in the truncation set {self}") from None
 
-    def max(self) -> int:
-        return self.elements[-1]
-
     def primes(self) -> list[int]:
         """The prime members, ascending."""
         return [n for n in self.elements if is_prime(n)]

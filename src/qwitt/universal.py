@@ -81,6 +81,23 @@ class Family:
             return f"lenart:{self.q}"
         return self.tag
 
+    @staticmethod
+    def parse(text: str) -> "Family":
+        """The family whose :meth:`label` is ``text``; a bare ``qbar`` is
+        the base case g = 1-q."""
+        if text in ("classical", "qdef", "qbar"):
+            return getattr(Family, text)()
+        if text.startswith("qbar:"):
+            return Family.qbar(rings.ZQ.from_str(text.split(":", 1)[1]))
+        if text.startswith("lenart:"):
+            return Family.lenart(int(text.split(":", 1)[1]))
+        if text == "lenart":
+            raise ValueError(
+                "the integer-q family needs its integer, e.g. lenart:2 "
+                "(it has no symbolic form)"
+            )
+        raise ValueError(f"unknown family {text!r}")
+
     def uses_q(self) -> bool:
         """Whether the derived polynomials mention the parameter q."""
         return self.tag in ("qdef", "qbar")
@@ -117,14 +134,6 @@ class Family:
         if self.tag == "qbar":
             return MPoly.from_zpoly(self._qbar_alpha())
         raise ValueError(f"unknown family tag {self.tag!r}")
-
-    def point_twist(self) -> tuple[int, ...]:
-        """The twist of the one-coordinate component ring, as a Z[q] value."""
-        if self.tag in ("classical", "lenart"):
-            return rings.ZP_ONE
-        if self.tag == "qdef":
-            return rings.ZP_Q
-        return self._qbar_alpha()
 
 
 @dataclass(frozen=True)

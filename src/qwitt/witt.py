@@ -1,25 +1,31 @@
 """Witt vector values and arithmetic over arbitrary coefficient rings.
 
-A :class:`WittVector` is a family tag, a truncation set, a coefficient
-ring, an optional binding for the deformation parameter q, and one
-coordinate per set member.  Addition, multiplication, negation and
-Frobenius take the ghost route: apply the family's ghost map, act
-componentwise on the ghost side (the product carries the family's twist),
-then invert the ghost map recursively, asserting every division.  Over a
-ring with torsion (``zmod``, and twisted or Witt rings built on it) the
-same steps run on a torsion-free cover of the ring and each coordinate is
-reduced at the end.  The result is what the universal structure
-polynomials of :mod:`qwitt.universal` give, because they have integer
-coefficients; they are never evaluated here and stay the independent
-oracle of the tests.  Verschiebung is the certified coordinate shift.
+A context is a family tag, a truncation set S, a coefficient ring A and,
+for the q-families, a binding of q in A.  Its Witt ring W_S(A) is one
+object, :class:`WittCoeffRing`: the evaluation engine and a coefficient
+ring in its own right, whose elements are coordinate tuples in the order
+of S.  Contexts are interned, so naming one twice gives the same object,
+built once; the q binding is resolved where a context is first named and
+travels with it from then on.  A :class:`WittVector` is a context and a
+coordinate tuple.
 
-Rings of Witt vectors can themselves serve as coefficient rings through
-:class:`WittCoeffRing`; that is what the nesting isomorphism consumes.
+Addition, multiplication, negation and Frobenius take the ghost route:
+apply the family's ghost map, act componentwise on the ghost side (the
+product carries the family's twist), then invert the ghost map
+recursively, asserting every division.  Over a ring with torsion
+(``zmod``, and twisted or Witt rings built on it) the same steps run on a
+torsion-free cover of the ring and each coordinate is reduced at the end.
+The result is what the universal structure polynomials of
+:mod:`qwitt.universal` give, because they have integer coefficients; they
+are never evaluated here and stay the independent oracle of the tests.
+Verschiebung is the certified coordinate shift.
+
+Because W_S(A) is a ring, it serves as the coefficient ring of another
+Witt ring; that is what the nesting isomorphism consumes.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from functools import partial
@@ -39,14 +45,28 @@ from .universal import Family
 
 @dataclass(frozen=True)
 class WittVector:
-    family: Family
-    tset: TruncationSet
-    ring: Ring
-    qval: object
+    context: "WittCoeffRing"
     coords: tuple
 
+    @property
+    def family(self) -> Family:
+        return self.context.family
+
+    @property
+    def tset(self) -> TruncationSet:
+        return self.context.tset
+
+    @property
+    def ring(self) -> Ring:
+        """The coefficient ring A."""
+        return self.context.base
+
+    @property
+    def qval(self):
+        return self.context.qval
+
     def coord(self, n: int):
-        return self.coords[self.tset.index(n)]
+        return self.coords[self.context.tset.index(n)]
 
     def __repr__(self):
         body = ", ".join(self.ring.to_str(c) for c in self.coords)
@@ -58,7 +78,10 @@ def resolve_q(family: Family, ring: Ring, q=None):
 
     Families without a free parameter take no binding.  Over the
     polynomial ring the binding defaults to the generator; elsewhere an
-    explicit ring element (or an integer, in a unital ring) is required.
+    explicit ring element is required.  An integer names that element
+    where the ring's elements are integers (``z``, ``zmod`` and their
+    twists) and k times the unit otherwise, so resolving a resolved
+    binding changes nothing.
     """
     if not family.uses_q():
         if q is not None:
@@ -71,7 +94,10 @@ def resolve_q(family: Family, ring: Ring, q=None):
             f"family {family.label()} over {ring.descriptor} needs an explicit q"
         )
     if isinstance(q, int):
-        return ring.from_int(q)
+        try:
+            return ring.check(q)
+        except ValueError:
+            return ring.from_int(q)
     return ring.check(q)
 
 
@@ -81,7 +107,7 @@ def make(family: Family, tset: TruncationSet, ring: Ring, coords, q=None) -> Wit
         raise CrossRingError(
             f"expected {len(tset)} coordinates for {tset}, got {len(coords)}"
         )
-    return WittVector(family, tset, ring, resolve_q(family, ring, q), coords)
+    return WittVector(WittCoeffRing(ring, tset, family, q), coords)
 
 
 def zero(family: Family, tset: TruncationSet, ring: Ring, q=None) -> WittVector:
@@ -99,14 +125,13 @@ def random_vector(family, tset, ring, rng, q=None) -> WittVector:
 
 
 # ----------------------------------------------------------------------
-# The evaluation engine.  A _Law holds, for one (family, S, ring, q)
-# context, the ghost rows of S and of each S/m; a row serves both the
-# ghost map and its inverse.  Every operation applies the ghost map, acts
-# componentwise on the ghost side (twisted by the family's product twist
-# for mul) and inverts recursively, asserting each division.  A ring with
-# torsion runs these steps on its torsion-free cover and reduces the
-# coordinates at the end; that is valid because every structure
-# polynomial has integer coefficients.
+# The evaluation engine.  A context holds the ghost rows of S; a row
+# serves both the ghost map and its inverse.  Every operation applies the
+# ghost map, acts componentwise on the ghost side (twisted by the family's
+# product twist for mul) and inverts recursively, asserting each division.
+# A ring with torsion runs these steps on its torsion-free cover and
+# reduces the coordinates at the end; that is valid because every
+# structure polynomial has integer coefficients.
 
 
 def _scaler(ring: Ring, poly: MPoly, qval):
@@ -149,26 +174,46 @@ def _ghost_rows(family: Family, tset: TruncationSet, ring: Ring, qval) -> list:
     ]
 
 
-class _Law:
-    """The ghost-route engine of one (family, S, ring, q) context.
+class WittCoeffRing(Ring):
+    """W_S(A) of one (family, S, A, q) context: the engine and the ring.
 
-    Its methods take and return coordinate tuples in the order of S.
+    ``WittCoeffRing(base, tset, family, q)`` resolves the q binding and
+    returns the interned context.  Elements are coordinate tuples in the
+    order of S; the engine methods (``ghost``, ``unghost``, ``frobenius``)
+    take and return them too.  Exact integer division is solved through
+    the ghost map (divide the ghost, invert back), which is what the
+    nesting isomorphism needs.
     """
 
-    def __init__(self, family: Family, tset: TruncationSet, ring: Ring, qval):
-        self.family, self.tset, self.ring, self.qval = family, tset, ring, qval
-        self.cover, self.reduce = ring.cover()
-        self.rows = _ghost_rows(family, tset, self.cover, qval)
-        self.twist = _scaler(self.cover, family.twist(), qval)
-        # F_m: S/m, the ghost rows of S at m*v, and the rows of S/m to invert
-        self.frob = {}
-        for m in tset:
-            sub = tset.quotient(m)
-            self.frob[m] = (sub, [self.rows[tset.index(m * v)] for v in sub],
-                            _ghost_rows(family, sub, self.cover, qval))
+    def __new__(cls, base: Ring, tset: TruncationSet,
+                family: Family = Family.classical(), q=None):
+        return _law(family, tset, base, resolve_q(family, base, q))
 
+    def _setup(self, family: Family, tset: TruncationSet, base: Ring, qval) -> None:
+        self.family, self.tset, self.base, self.qval = family, tset, base, qval
+        label = ""
+        if family.tag != "classical":
+            bound = "" if qval is None else f"(q={base.to_str(qval)})"
+            label = f"{family.label()}{bound}@"
+        self.descriptor = f"witt:{label}{base.descriptor}:{tset}"
+        self.torsion_free = base.torsion_free
+        self.finite = base.finite
+        self.supports_div_int = base.torsion_free and base.supports_div_int
+        self.unital = base.unital and family.tag == "classical"
+        # the torsion-free ring the engine runs in, and the reduction onto A
+        self.lift, self.down = base.cover()
+        self.rows = _ghost_rows(family, tset, self.lift, qval)
+        self.twist = _scaler(self.lift, family.twist(), qval)
+        self._frobs = {}  # m -> self._frob(m)
+        self._subgroups = {}  # (p, e) -> the coordinate tuples of p^e * W_S(A)
+
+    def on(self, tset: TruncationSet) -> "WittCoeffRing":
+        """The context with the same family, ring and q on another set."""
+        return _law(self.family, tset, self.base, self.qval)
+
+    # --- the engine ---------------------------------------------------
     def _ghost(self, xs, rows) -> list:
-        add, scale, pw = self.cover.add, self.cover.int_scale, self.cover.pow
+        add, scale, pw = self.lift.add, self.lift.int_scale, self.lift.pow
         out = []
         for i, n, terms in rows:
             g = xs[i] if n == 1 else scale(n, xs[i])
@@ -178,10 +223,12 @@ class _Law:
             out.append(g)
         return out
 
-    def _invert(self, gs, rows) -> tuple:
-        sub, div, pw = self.cover.sub, self.cover.try_div_int, self.cover.pow
+    def unghost(self, gs) -> tuple:
+        """The coordinates whose ghost components are ``gs``; raises
+        NotInGhostImage when an interior division fails."""
+        sub, div, pw = self.lift.sub, self.lift.try_div_int, self.lift.pow
         cs: list = []
-        for g, (_, n, terms) in zip(gs, rows):
+        for g, (_, n, terms) in zip(gs, self.rows):
             for j, e, s in terms:
                 t = cs[j] if e == 1 else pw(cs[j], e)
                 g = sub(g, t if s is None else s(t))
@@ -195,318 +242,79 @@ class _Law:
         return self._reduced(cs)
 
     def _reduced(self, values) -> tuple:
-        return tuple(map(self.reduce, values)) if self.reduce else tuple(values)
+        return tuple(map(self.down, values)) if self.down else tuple(values)
 
-    def add(self, xs, ys) -> tuple:
-        gs = map(self.cover.add, self._ghost(xs, self.rows), self._ghost(ys, self.rows))
-        return self._invert(gs, self.rows)
+    def add(self, a, b) -> tuple:
+        gs = map(self.lift.add, self._ghost(a, self.rows), self._ghost(b, self.rows))
+        return self.unghost(gs)
 
-    def mul(self, xs, ys) -> tuple:
-        gs = map(self.cover.mul, self._ghost(xs, self.rows), self._ghost(ys, self.rows))
+    def mul(self, a, b) -> tuple:
+        gs = map(self.lift.mul, self._ghost(a, self.rows), self._ghost(b, self.rows))
         if self.twist is not None:
             gs = map(self.twist, gs)
-        return self._invert(gs, self.rows)
+        return self.unghost(gs)
 
-    def neg(self, xs) -> tuple:
-        return self._invert(map(self.cover.neg, self._ghost(xs, self.rows)), self.rows)
+    def neg(self, a) -> tuple:
+        return self.unghost(map(self.lift.neg, self._ghost(a, self.rows)))
 
-    def frobenius(self, m: int, xs) -> tuple:
+    def _frob(self, m: int):
+        """The context on S/m, and the ghost rows of S at m*v for v in S/m."""
+        entry = self._frobs.get(m)
+        if entry is None:
+            sub = self.on(self.tset.quotient(m))
+            rows = [self.rows[self.tset.index(m * v)] for v in sub.tset]
+            entry = self._frobs[m] = (sub, rows)
+        return entry
+
+    def frobenius(self, m: int, a) -> tuple:
         """F_m: ghost component m*v of S becomes component v of S/m."""
-        _, rows, inverse = self.frob[m]
-        return self._invert(self._ghost(xs, rows), inverse)
+        sub, rows = self._frob(m)
+        return sub.unghost(self._ghost(a, rows))
 
-    def ghost(self, xs) -> tuple:
-        return self._reduced(self._ghost(xs, self.rows))
+    def ghost(self, a) -> tuple:
+        return self._reduced(self._ghost(a, self.rows))
 
-    def unghost(self, gs) -> tuple:
-        return self._invert(gs, self.rows)
-
-    def div_int(self, xs, k: int):
-        """The unique ys with k*ys = xs, or None: divide the ghost, then invert.
-
-        Needs a torsion-free ring with exact integer division.
-        """
-        gs = [self.cover.try_div_int(g, k) for g in self._ghost(xs, self.rows)]
+    def try_div_int(self, a, k):
+        """The unique b with k*b = a, or None: divide the ghost, then invert."""
+        if not self.supports_div_int:
+            raise UnsupportedRingOperation(
+                f"{self.descriptor} has no exact integer division"
+            )
+        gs = [self.lift.try_div_int(g, k) for g in self._ghost(a, self.rows)]
         if None in gs:
             return None
         try:
-            return self._invert(gs, self.rows)
+            return self.unghost(gs)
         except NotInGhostImage:
             return None
 
+    def is_divisible_mod(self, a, p, e):
+        """Membership in p^e * W_S(A) (not a coordinatewise condition).
 
-_LAW_CACHE: dict = {}
-_LAW_LOCK = Lock()
-
-
-def _qkey(qval):
-    return qval if isinstance(qval, (int, tuple, type(None))) else repr(qval)
-
-
-def _law(family: Family, tset: TruncationSet, ring: Ring, qval) -> _Law:
-    key = (family.key(), tset.elements, ring.descriptor, _qkey(qval))
-    with _LAW_LOCK:
-        law = _LAW_CACHE.get(key)
-    if law is None:
-        law = _Law(family, tset, ring, qval)
-        with _LAW_LOCK:
-            law = _LAW_CACHE.setdefault(key, law)
-    return law
-
-
-def _match(a: WittVector, b: WittVector):
-    if (
-        a.family != b.family
-        or a.tset != b.tset
-        or a.ring != b.ring
-        or _qkey(a.qval) != _qkey(b.qval)
-    ):
-        raise CrossRingError(f"mismatched Witt vectors: {a!r} vs {b!r}")
-
-
-# ----------------------------------------------------------------------
-# Arithmetic.
-
-
-def add(a: WittVector, b: WittVector) -> WittVector:
-    _match(a, b)
-    law = _law(a.family, a.tset, a.ring, a.qval)
-    return WittVector(a.family, a.tset, a.ring, a.qval, law.add(a.coords, b.coords))
-
-
-def mul(a: WittVector, b: WittVector) -> WittVector:
-    _match(a, b)
-    law = _law(a.family, a.tset, a.ring, a.qval)
-    return WittVector(a.family, a.tset, a.ring, a.qval, law.mul(a.coords, b.coords))
-
-
-def neg(a: WittVector) -> WittVector:
-    law = _law(a.family, a.tset, a.ring, a.qval)
-    return WittVector(a.family, a.tset, a.ring, a.qval, law.neg(a.coords))
-
-
-def sub(a: WittVector, b: WittVector) -> WittVector:
-    return add(a, neg(b))
-
-
-def int_scale(k: int, a: WittVector) -> WittVector:
-    """The k-fold sum of ``a`` (Z-action on the additive group)."""
-    if k == 0:
-        return zero(a.family, a.tset, a.ring, a.qval)
-    if k < 0:
-        return neg(int_scale(-k, a))
-    acc = None
-    base = a
-    while k:
-        if k & 1:
-            acc = base if acc is None else add(acc, base)
-        k >>= 1
-        if k:
-            base = add(base, base)
-    return acc
-
-
-def eq(a: WittVector, b: WittVector) -> bool:
-    _match(a, b)
-    return all(a.ring.eq(x, y) for x, y in zip(a.coords, b.coords))
-
-
-def is_zero(a: WittVector) -> bool:
-    return all(a.ring.is_zero(c) for c in a.coords)
-
-
-def ghost(a: WittVector) -> tuple:
-    """The ghost coordinates (sum_{d|n} w(n,d) a_d^(n/d))_n."""
-    return _law(a.family, a.tset, a.ring, a.qval).ghost(a.coords)
-
-
-def unghost(family: Family, tset: TruncationSet, ring: Ring, xs, q=None) -> WittVector:
-    """The unique vector with the given ghost coordinates.
-
-    Needs exact integer division and torsion-freeness in the ring; raises
-    NotInGhostImage when some interior division fails.
-    """
-    if not (ring.supports_div_int and ring.torsion_free):
+        Over torsion-free rings with exact division this is decided
+        through the ghost map; over small finite rings the subgroup is
+        enumerated once per context.
+        """
+        if self.supports_div_int:
+            return self.try_div_int(a, p**e) is not None
+        if self.finite:
+            members = self._subgroups.get((p, e))
+            if members is None:
+                members = {self.int_scale(p**e, w) for w in self._tuples(8192)}
+                self._subgroups[(p, e)] = members
+            return a in members
         raise UnsupportedRingOperation(
-            f"{ring.descriptor} cannot invert the ghost map exactly"
+            f"cannot decide p-power membership over {self.base.descriptor}"
         )
-    qval = resolve_q(family, ring, q)
-    xs = tuple(ring.check(x) for x in xs)
-    if len(xs) != len(tset):
-        raise CrossRingError(f"expected {len(tset)} ghost components")
-    coords = _law(family, tset, ring, qval).unghost(xs)
-    return WittVector(family, tset, ring, qval, coords)
 
-
-def frobenius(a: WittVector, m: int) -> WittVector:
-    """F_m into the quotient set S/m."""
-    if m not in a.tset:
-        raise CrossRingError(f"{m} is not in {a.tset}")
-    law = _law(a.family, a.tset, a.ring, a.qval)
-    coords = law.frobenius(m, a.coords)
-    return WittVector(a.family, law.frob[m][0], a.ring, a.qval, coords)
-
-
-def verschiebung(a: WittVector, m: int, into: TruncationSet) -> WittVector:
-    """V_m from S/m back into S: the certified coordinate shift."""
-    if m not in into:
-        raise CrossRingError(f"{m} is not in {into}")
-    if into.quotient(m) != a.tset:
-        raise CrossRingError(
-            f"vector over {a.tset} is not in the domain of V_{m} into {into}"
-        )
-    z = a.ring.zero()
-    coords = tuple(
-        a.coord(n // m) if n % m == 0 else z for n in into
-    )
-    return WittVector(a.family, into, a.ring, a.qval, coords)
-
-
-def project(a: WittVector, sub: TruncationSet) -> WittVector:
-    """Drop coordinates outside ``sub`` (a ring homomorphism)."""
-    if not sub.is_subset(a.tset):
-        raise CrossRingError(f"{sub} is not a subset of {a.tset}")
-    coords = tuple(a.coord(n) for n in sub)
-    return WittVector(a.family, sub, a.ring, a.qval, coords)
-
-
-def section(a: WittVector, into: TruncationSet) -> WittVector:
-    """Zero-fill the missing coordinates (a map of sets, not rings)."""
-    if not a.tset.is_subset(into):
-        raise CrossRingError(f"{a.tset} is not a subset of {into}")
-    z = a.ring.zero()
-    coords = tuple(a.coord(n) if n in a.tset else z for n in into)
-    return WittVector(a.family, into, a.ring, a.qval, coords)
-
-
-def map_coords(a: WittVector, fn, ring: Ring) -> WittVector:
-    """Apply a coefficient-ring homomorphism coordinatewise."""
-    return WittVector(
-        a.family, a.tset, ring, a.qval if not a.family.uses_q() else fn(a.qval),
-        tuple(ring.check(fn(c)) for c in a.coords),
-    )
-
-
-def is_divisible(a: WittVector, p: int, e: int = 1) -> bool:
-    """Membership of ``a`` in p^e * W_S (not a coordinatewise condition).
-
-    Over torsion-free rings with exact division this is decided through
-    the ghost map: divide every ghost coordinate by p^e and check the
-    quotient tuple inverts integrally.  Over small finite rings the
-    subgroup is enumerated.
-    """
-    ring = a.ring
-    if ring.supports_div_int and ring.torsion_free:
-        law = _law(a.family, a.tset, ring, a.qval)
-        return law.div_int(a.coords, p**e) is not None
-    if ring.finite:
-        subgroup = _p_power_subgroup(a.family, a.tset, ring, a.qval, p, e)
-        return a.coords in subgroup
-    raise UnsupportedRingOperation(
-        f"cannot decide p-power membership over {ring.descriptor}"
-    )
-
-
-_SUBGROUP_CACHE: dict = {}
-
-
-def _p_power_subgroup(family, tset, ring, qval, p, e, budget: int = 8192):
-    key = (family.key(), tset.elements, ring.descriptor, _qkey(qval), p, e)
-    hit = _SUBGROUP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    members = set()
-    for w in enumerate_vectors(family, tset, ring, q=qval, budget=budget):
-        members.add(int_scale(p**e, w).coords)
-    _SUBGROUP_CACHE[key] = members
-    return members
-
-
-def enumerate_vectors(family, tset, ring, q=None, budget: int = 65536):
-    """All Witt vectors over a finite ring (budget-capped)."""
-    elems = list(ring.enumerate())
-    total = len(elems) ** len(tset)
-    if total > budget:
-        raise BudgetExceeded(f"would enumerate {total} vectors (budget {budget})")
-    qval = resolve_q(family, ring, q)
-    for combo in itertools.product(elems, repeat=len(tset)):
-        yield WittVector(family, tset, ring, qval, combo)
-
-
-def exact_sequence_check(
-    tset: TruncationSet,
-    p: int,
-    ring: Ring,
-    family: Family = Family.classical(),
-    q=None,
-    budget: int = 65536,
-) -> bool:
-    """Full-enumeration check of 0 -> W_{S/p} -> W_S -> W_{S(p)} -> 0."""
-    qval = resolve_q(family, ring, q)
-    sub = tset.quotient(p)
-    comp = tset.prime_complement(p)
-    image = set()
-    seen = 0
-    for w in enumerate_vectors(family, sub, ring, q=qval, budget=budget):
-        image.add(verschiebung(w, p, tset).coords)
-        seen += 1
-    if len(image) != seen:
-        return False  # V_p not injective
-    kernel = set()
-    projected = set()
-    for w in enumerate_vectors(family, tset, ring, q=qval, budget=budget):
-        pw = project(w, comp)
-        projected.add(pw.coords)
-        if is_zero(pw):
-            kernel.add(w.coords)
-    full_target = {
-        w.coords for w in enumerate_vectors(family, comp, ring, q=qval, budget=budget)
-    }
-    return kernel == image and projected == full_target
-
-
-# ----------------------------------------------------------------------
-# Witt rings as coefficient rings.
-
-
-class WittCoeffRing(Ring):
-    """W_S(A) packaged as a coefficient ring; elements are coordinate tuples.
-
-    Exact integer division is solved through the ghost map (divide the
-    ghost, invert back), which is what the nesting isomorphism needs.
-    """
-
-    def __init__(self, base: Ring, tset: TruncationSet,
-                 family: Family = Family.classical(), q=None):
-        self.tset = tset
-        self.family = family
-        self.qval = resolve_q(family, base, q)
-        self.reduced = False  # not needed; stay conservative
-        self._set_base(base)
-
-    def _set_base(self, base: Ring) -> None:
-        self.base = base
-        label = ""
-        if self.family.tag != "classical":
-            bound = "" if self.qval is None else f"(q={base.to_str(self.qval)})"
-            label = f"{self.family.label()}{bound}@"
-        self.descriptor = f"witt:{label}{base.descriptor}:{self.tset}"
-        self.torsion_free = base.torsion_free
-        self.finite = base.finite
-        self.supports_div_int = base.torsion_free and base.supports_div_int
-        self.unital = base.unital and self.family.tag == "classical"
-
+    # --- the rest of the ring -----------------------------------------
     def cover(self):
-        base, reduce = self.base.cover()
-        if reduce is None:
+        """W_S over the cover of A, with coordinatewise reduction."""
+        if self.down is None:
             return self, None
-        # the same Witt ring over the base's cover; elements and q carry over
-        lifted = copy.copy(self)
-        lifted._set_base(base)
-        return lifted, lambda a: tuple(map(reduce, a))
-
-    def _wrap(self, coords) -> WittVector:
-        return WittVector(self.family, self.tset, self.base, self.qval, tuple(coords))
+        down = self.down
+        lifted = _law(self.family, self.tset, self.lift, self.qval)
+        return lifted, lambda a: tuple(map(down, a))
 
     def zero(self):
         return (self.base.zero(),) * len(self.tset)
@@ -514,16 +322,7 @@ class WittCoeffRing(Ring):
     def one(self):
         if not self.unital:
             raise UnsupportedRingOperation(f"{self.descriptor} is not unital")
-        return teichmuller(self.family, self.tset, self.base, self.base.one()).coords
-
-    def add(self, a, b):
-        return add(self._wrap(a), self._wrap(b)).coords
-
-    def neg(self, a):
-        return neg(self._wrap(a)).coords
-
-    def mul(self, a, b):
-        return mul(self._wrap(a), self._wrap(b)).coords
+        return (self.base.one(),) + (self.base.zero(),) * (len(self.tset) - 1)
 
     def is_zero(self, a):
         return all(self.base.is_zero(c) for c in a)
@@ -531,19 +330,15 @@ class WittCoeffRing(Ring):
     def eq(self, a, b):
         return all(self.base.eq(x, y) for x, y in zip(a, b))
 
-    def try_div_int(self, a, k):
-        if not self.supports_div_int:
-            raise UnsupportedRingOperation(
-                f"{self.descriptor} has no exact integer division"
-            )
-        return _law(self.family, self.tset, self.base, self.qval).div_int(a, k)
-
-    def is_divisible_mod(self, a, p, e):
-        return is_divisible(self._wrap(a), p, e)
+    def _tuples(self, budget: int):
+        elems = list(self.base.enumerate())
+        total = len(elems) ** len(self.tset)
+        if total > budget:
+            raise BudgetExceeded(f"would enumerate {total} vectors (budget {budget})")
+        return itertools.product(elems, repeat=len(self.tset))
 
     def enumerate(self):
-        for w in enumerate_vectors(self.family, self.tset, self.base, q=self.qval):
-            yield w.coords
+        yield from self._tuples(65536)
 
     def check(self, a):
         if not isinstance(a, tuple) or len(a) != len(self.tset):
@@ -566,6 +361,181 @@ class WittCoeffRing(Ring):
     def from_json(self, value):
         coords = indexed_from_json(value, "coords", self.tset, lambda n: self.base)
         return self.check(tuple(coords))
+
+
+def _Law(family: Family, tset: TruncationSet, ring: Ring, qval) -> WittCoeffRing:
+    """Build the context of a resolved (family, S, ring, q); :func:`_law`
+    interns it."""
+    ctx = object.__new__(WittCoeffRing)
+    ctx._setup(family, tset, ring, qval)
+    return ctx
+
+
+_LAW_CACHE: dict = {}
+_LAW_LOCK = Lock()
+
+
+def _law(family: Family, tset: TruncationSet, ring: Ring, qval) -> WittCoeffRing:
+    """The interned context of a resolved (family, S, ring, q)."""
+    key = (family.key(), tset.elements, ring.descriptor, qval)
+    law = _LAW_CACHE.get(key)  # a single dict read needs no lock
+    if law is None:
+        law = _Law(family, tset, ring, qval)
+        with _LAW_LOCK:
+            law = _LAW_CACHE.setdefault(key, law)
+    return law
+
+
+def _match(a: WittVector, b: WittVector):
+    if a.context != b.context:
+        raise CrossRingError(f"mismatched Witt vectors: {a!r} vs {b!r}")
+
+
+# ----------------------------------------------------------------------
+# Arithmetic.
+
+
+def add(a: WittVector, b: WittVector) -> WittVector:
+    _match(a, b)
+    return WittVector(a.context, a.context.add(a.coords, b.coords))
+
+
+def mul(a: WittVector, b: WittVector) -> WittVector:
+    _match(a, b)
+    return WittVector(a.context, a.context.mul(a.coords, b.coords))
+
+
+def neg(a: WittVector) -> WittVector:
+    return WittVector(a.context, a.context.neg(a.coords))
+
+
+def sub(a: WittVector, b: WittVector) -> WittVector:
+    return add(a, neg(b))
+
+
+def int_scale(k: int, a: WittVector) -> WittVector:
+    """The k-fold sum of ``a`` (Z-action on the additive group)."""
+    return WittVector(a.context, a.context.int_scale(k, a.coords))
+
+
+def eq(a: WittVector, b: WittVector) -> bool:
+    _match(a, b)
+    return a.context.eq(a.coords, b.coords)
+
+
+def is_zero(a: WittVector) -> bool:
+    return a.context.is_zero(a.coords)
+
+
+def ghost(a: WittVector) -> tuple:
+    """The ghost coordinates (sum_{d|n} w(n,d) a_d^(n/d))_n."""
+    return a.context.ghost(a.coords)
+
+
+def unghost(family: Family, tset: TruncationSet, ring: Ring, xs, q=None) -> WittVector:
+    """The unique vector with the given ghost coordinates.
+
+    Needs exact integer division and torsion-freeness in the ring; raises
+    NotInGhostImage when some interior division fails.
+    """
+    if not (ring.supports_div_int and ring.torsion_free):
+        raise UnsupportedRingOperation(
+            f"{ring.descriptor} cannot invert the ghost map exactly"
+        )
+    ctx = WittCoeffRing(ring, tset, family, q)
+    xs = tuple(ring.check(x) for x in xs)
+    if len(xs) != len(tset):
+        raise CrossRingError(f"expected {len(tset)} ghost components")
+    return WittVector(ctx, ctx.unghost(xs))
+
+
+def frobenius(a: WittVector, m: int) -> WittVector:
+    """F_m into the quotient set S/m."""
+    if m not in a.tset:
+        raise CrossRingError(f"{m} is not in {a.tset}")
+    ctx = a.context
+    return WittVector(ctx._frob(m)[0], ctx.frobenius(m, a.coords))
+
+
+def verschiebung(a: WittVector, m: int, into: TruncationSet) -> WittVector:
+    """V_m from S/m back into S: the certified coordinate shift."""
+    if m not in into:
+        raise CrossRingError(f"{m} is not in {into}")
+    if into.quotient(m) != a.tset:
+        raise CrossRingError(
+            f"vector over {a.tset} is not in the domain of V_{m} into {into}"
+        )
+    z = a.ring.zero()
+    coords = tuple(
+        a.coord(n // m) if n % m == 0 else z for n in into
+    )
+    return WittVector(a.context.on(into), coords)
+
+
+def project(a: WittVector, sub: TruncationSet) -> WittVector:
+    """Drop coordinates outside ``sub`` (a ring homomorphism)."""
+    if not sub.is_subset(a.tset):
+        raise CrossRingError(f"{sub} is not a subset of {a.tset}")
+    coords = tuple(a.coord(n) for n in sub)
+    return WittVector(a.context.on(sub), coords)
+
+
+def section(a: WittVector, into: TruncationSet) -> WittVector:
+    """Zero-fill the missing coordinates (a map of sets, not rings)."""
+    if not a.tset.is_subset(into):
+        raise CrossRingError(f"{a.tset} is not a subset of {into}")
+    z = a.ring.zero()
+    coords = tuple(a.coord(n) if n in a.tset else z for n in into)
+    return WittVector(a.context.on(into), coords)
+
+
+def map_coords(a: WittVector, fn, ring: Ring) -> WittVector:
+    """Apply a coefficient-ring homomorphism coordinatewise."""
+    q = fn(a.qval) if a.family.uses_q() else None
+    coords = tuple(ring.check(fn(c)) for c in a.coords)
+    return WittVector(WittCoeffRing(ring, a.tset, a.family, q), coords)
+
+
+def is_divisible(a: WittVector, p: int, e: int = 1) -> bool:
+    """Membership of ``a`` in p^e * W_S (not a coordinatewise condition)."""
+    return a.context.is_divisible_mod(a.coords, p, e)
+
+
+def enumerate_vectors(family, tset, ring, q=None, budget: int = 65536):
+    """All Witt vectors over a finite ring (budget-capped)."""
+    ctx = WittCoeffRing(ring, tset, family, q)
+    for coords in ctx._tuples(budget):
+        yield WittVector(ctx, coords)
+
+
+def exact_sequence_check(
+    tset: TruncationSet,
+    p: int,
+    ring: Ring,
+    family: Family = Family.classical(),
+    q=None,
+    budget: int = 65536,
+) -> bool:
+    """Full-enumeration check of 0 -> W_{S/p} -> W_S -> W_{S(p)} -> 0."""
+    ctx = WittCoeffRing(ring, tset, family, q)
+    sub = ctx.on(tset.quotient(p))
+    comp = tset.prime_complement(p)
+    image = set()
+    seen = 0
+    for w in sub._tuples(budget):
+        image.add(verschiebung(WittVector(sub, w), p, tset).coords)
+        seen += 1
+    if len(image) != seen:
+        return False  # V_p not injective
+    kernel = set()
+    projected = set()
+    for w in ctx._tuples(budget):
+        pw = project(WittVector(ctx, w), comp)
+        projected.add(pw.coords)
+        if is_zero(pw):
+            kernel.add(w)
+    full_target = set(ctx.on(comp)._tuples(budget))
+    return kernel == image and projected == full_target
 
 
 # ----------------------------------------------------------------------

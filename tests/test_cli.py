@@ -4,9 +4,12 @@ import json
 
 import pytest
 
-from qwitt import universal
+from qwitt import universal, witt
 from qwitt.cli import main
 from qwitt.mpoly import MPoly
+from qwitt.rings import parse_ring
+from qwitt.truncset import TruncationSet
+from qwitt.universal import Family
 
 
 @pytest.fixture(autouse=True)
@@ -104,6 +107,39 @@ def test_eval_q_binding_over_zmod(tmp_path, capsys):
     assert code == 0
     # a2 + b2 - q*a1*b1 = -2 = 4 mod 6
     assert data["coords"]["2"] == "4"
+
+
+@pytest.mark.parametrize("family, q", [("classical", None), ("qdef", 2)])
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_eval_over_non_unital_twist(tmp_path, capsys, family, q, op):
+    payload = {
+        "a": {"coords": {"1": "3", "2": "1"}},
+        "b": {"coords": {"1": "2", "2": "-1"}},
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(payload))
+    qarg = [] if q is None else ["--q", str(q)]
+    code, data = run(capsys, "eval", "--family", family, "--set", "1,2",
+                     "--ring", "twist:z:2", *qarg, "--op", op, "--in", str(path))
+    assert code == 0
+    ring, tset = parse_ring("twist:z:2"), TruncationSet.make([2])
+    a = witt.make(Family.parse(family), tset, ring, [3, 1], q)
+    b = witt.make(Family.parse(family), tset, ring, [2, -1], q)
+    assert data == witt.vector_to_json(getattr(witt, op)(a, b))
+
+
+def test_eval_over_a_q_witt_ring(tmp_path, capsys):
+    # the descriptor a q-family Witt ring prints is accepted by --ring
+    el = {"coords": {"1": "1", "2": "1"}}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"a": {"coords": {"1": el, "3": el}},
+                                "b": {"coords": {"1": el, "3": el}}}))
+    code, data = run(capsys, "eval", "--family", "classical", "--set", "1,3",
+                     "--ring", "witt:qdef(q=3)@zmod:7:1,2", "--op", "mul",
+                     "--in", str(path))
+    assert code == 0
+    assert data == {"coords": {"1": {"coords": {"1": "3", "2": "3"}},
+                               "3": {"coords": {"1": "0", "2": "2"}}}}
 
 
 def test_deform_lenart_iso(tmp_path, capsys):

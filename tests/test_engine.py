@@ -28,15 +28,14 @@ FAMILIES = {
     "lenart:2": Family.lenart(2),
 }
 
-# (ring, q binding for the q-families or None where resolve_q refuses
-# every binding, truncation set)
+# (ring, q binding for the q-families, truncation set)
 RINGS = [
     (Z, 2, S12),
     (ZModRing(8), 3, S12),
     (ZQ, None, S12),
     (DUAL, (2, 1), S12),
-    (parse_ring("twist:z:2"), None, S12),
-    (parse_ring("twist:zmod:9:3"), None, S12),
+    (parse_ring("twist:z:2"), 3, S12),  # non-unital, q named by an integer
+    (parse_ring("twist:zmod:9:3"), 2, S12),
     (TwistedRing(ZQ, (2,)), (0, 1), S12),  # non-unital, bound to its element q
     (parse_ring("witt:z:1,2"), 2, S6),
     (parse_ring("witt:zmod:4:1,2"), 3, S6),
@@ -47,8 +46,6 @@ RINGS = [
 def _cases():
     for fname, family in FAMILIES.items():
         for ring, q, tset in RINGS:
-            if family.uses_q() and q is None and ring is not ZQ:
-                continue
             yield pytest.param(family, ring, q if family.uses_q() else None, tset,
                                id=f"{fname}-{ring.descriptor}")
 

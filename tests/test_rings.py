@@ -121,6 +121,21 @@ def test_dual_string_round_trip():
         assert DUAL.from_str(DUAL.to_str(el)) == el
 
 
+def test_twisted_elements_read_back_in_base_notation():
+    # printed in the base ring's notation, so parsed there too; a non-unital
+    # twist reads nonzero integers as well
+    cases = {
+        "twist:z:-1": (5, -3, 0),
+        "twist:zmod:7:3": (2, 6),
+        "twist:z:2": (3, -1),
+        "twist:zq:q": ((1, 2), (0, 0, 3)),
+    }
+    for desc, elems in cases.items():
+        ring = parse_ring(desc)
+        for x in elems:
+            assert ring.from_json(ring.to_json(x)) == x
+
+
 def test_parse_ring_descriptors():
     for desc in ("z", "zq", "dual", "zmod:6", "twist:z:2", "twist:zq:q", "witt:z:1,3"):
         ring = parse_ring(desc)

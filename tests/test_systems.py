@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qwitt.errors import NotInGhostImage
-from qwitt.rings import Z, ZQ, ZModRing, TwistedRing
+from qwitt.rings import Z, ZQ, ZModRing, TwistedRing, parse_ring
 from qwitt.truncset import ONE_SET, TruncationSet
 from qwitt.universal import Family
 from qwitt import systems, witt
@@ -37,6 +37,18 @@ def test_alpha_is_identity_on_witt_system():
     for _ in range(25):
         a = wsq.sample(S6, rng)
         assert systems.alpha(wsq, S6, a).coords == a
+
+
+def test_witt_system_keeps_its_q_binding():
+    # the rings of the system and the vectors made with the same binding
+    # multiply and apply Frobenius at one q
+    base = parse_ring("twist:zmod:9:2")
+    qd = Family.qdef()
+    ws = systems.WittSystem(base, S3, qd, q=2)
+    a, b = witt.make(qd, S3, base, [1, 1], q=2), witt.make(qd, S3, base, [2, 1], q=2)
+    assert ws.ring(S3).mul(a.coords, b.coords) == witt.mul(a, b).coords
+    assert ws.frob(3, S3, a.coords) == witt.frobenius(a, 3).coords[0]
+    assert systems.verify_rfv(ws, budget=60).passed
 
 
 def test_alpha_on_constant_system():

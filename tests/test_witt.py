@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qwitt.errors import CrossRingError, NotInGhostImage
-from qwitt.rings import Z, ZQ, ZModRing, TwistedRing
+from qwitt.rings import Z, ZQ, ZModRing, TwistedRing, parse_ring
 from qwitt.truncset import TruncationSet
 from qwitt.universal import Family
 from qwitt import witt
@@ -300,3 +300,28 @@ def test_witt_coeff_rings_with_different_q_are_different_rings():
 
     assert square(r2) == ((2, 5), (1, 2))
     assert square(r3) == ((3, 3), (0, 2))
+
+
+@pytest.mark.parametrize("base, q", [
+    ("z", 3), ("zmod:7", 3), ("zq", None), ("dual", (2, 1)), ("twist:zmod:9:2", 2),
+])
+def test_parse_ring_reads_back_witt_descriptors(base, q):
+    ring = parse_ring(base)
+    rng = random.Random(42)
+    tset = TruncationSet.make([2, 3])
+    for family in (CL, QD, Family.qbar(), Family.lenart(2)):
+        W = witt.WittCoeffRing(ring, tset, family, q if family.uses_q() else None)
+        back = parse_ring(W.descriptor)
+        assert back == W
+        for _ in range(3):
+            a, b = W.random(rng), W.random(rng)
+            assert back.mul(a, b) == W.mul(a, b)
+
+
+def test_resolving_a_q_binding_twice_changes_nothing():
+    for desc, q in (("twist:zmod:7:3", 2), ("twist:z:2", 2), ("zmod:6", 8),
+                    ("zq", 2), ("dual", 3), ("witt:z:1,2", 2)):
+        ring = parse_ring(desc)
+        once = witt.resolve_q(QD, ring, q)
+        assert witt.resolve_q(QD, ring, once) == once
+    assert witt.resolve_q(QD, parse_ring("twist:zmod:7:3"), 2) == 2
