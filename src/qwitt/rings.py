@@ -27,10 +27,26 @@ from .errors import NonUniqueQuotient, UnsupportedRingOperation
 # ----------------------------------------------------------------------
 # Z[q] elements: dense integer coefficient tuples, lowest degree first,
 # canonical form has no trailing zeros.  () is zero, (1,) is one.
+#
+# Products and powers use Kronecker substitution (Harvey, "Faster
+# polynomial multiplication via multipoint Kronecker substitution", J.
+# Symb. Comput. 2009): a tuple is packed into one Python int by evaluating
+# it at q = 2^s, the product or power is a single big-int ``*`` or ``**``
+# (Karatsuba inside CPython), and the result is read back s bits at a time
+# as signed digits, borrowing one from the next slot whenever a slot holds
+# a negative coefficient.  The read-back is exact when every coefficient c
+# of the result has |c| < 2^(s-1).  The slot width s comes from a bound on
+# those coefficients: max|a| * max|b| * min(len a, len b) for a product,
+# and ||a||_1^e (the sum of the |coefficients|, to the e) for a power.
+# ``zp_pow`` always packs (after taking out the factor q^k of its base, so
+# that a monomial's power costs nothing); ``zp_mul`` keeps the schoolbook
+# loop unless both operands have at least ZP_KRONECKER_MIN_LEN
+# coefficients, below which packing costs more than it saves.
 
 ZP_ZERO: tuple[int, ...] = ()
 ZP_ONE: tuple[int, ...] = (1,)
 ZP_Q: tuple[int, ...] = (0, 1)
+ZP_KRONECKER_MIN_LEN = 8
 
 
 def zp_trim(coeffs) -> tuple[int, ...]:
@@ -67,9 +83,36 @@ def zp_scale(k: int, a):
     return tuple(k * c for c in a)
 
 
+def _zp_pack(a, s: int) -> int:
+    """a(2^s) as one integer; coefficients may be negative."""
+    x = 0
+    for c in reversed(a):
+        x = (x << s) + c
+    return x
+
+
+def _zp_unpack(x: int, s: int, n: int):
+    """The n coefficients of x in base 2^s as signed digits in
+    [-2^(s-1), 2^(s-1)), lowest first, trimmed."""
+    mask, half, full = (1 << s) - 1, 1 << (s - 1), 1 << s
+    out = []
+    for _ in range(n):
+        c = x & mask
+        x >>= s
+        if c >= half:  # a negative digit: borrow one from the next slot
+            c -= full
+            x += 1
+        out.append(c)
+    return zp_trim(out)
+
+
 def zp_mul(a, b):
     if not a or not b:
         return ZP_ZERO
+    if len(a) >= ZP_KRONECKER_MIN_LEN and len(b) >= ZP_KRONECKER_MIN_LEN:
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        s = bound.bit_length() + 1
+        return _zp_unpack(_zp_pack(a, s) * _zp_pack(b, s), s, len(a) + len(b) - 1)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -81,14 +124,17 @@ def zp_mul(a, b):
 def zp_pow(a, e: int):
     if e < 0:
         raise ValueError("negative exponent")
-    result = ZP_ONE
-    base = a
-    while e:
-        if e & 1:
-            result = zp_mul(result, base)
-        base = zp_mul(base, base)
-        e >>= 1
-    return result
+    if e == 0:
+        return ZP_ONE
+    a = zp_trim(a)
+    if e == 1 or not a:
+        return a
+    k = 0  # a = q^k * b with b(0) != 0, and a^e = q^(k*e) * b^e
+    while not a[k]:
+        k += 1
+    b = a[k:]
+    s = e * sum(map(abs, b)).bit_length() + 1
+    return (0,) * (k * e) + _zp_unpack(_zp_pack(b, s) ** e, s, (len(b) - 1) * e + 1)
 
 
 def zp_subst_qpow(a, p: int):

@@ -82,7 +82,13 @@ class WittSystem(ProjSystem):
         if twist == MPoly.const(1):
             self._point = base
         else:
-            self._point = TwistedRing(base, twist.eval(base, {Q: self.context.qval}))
+            # W_{1}(A) multiplies by t through A's own product.  TwistedRing
+            # composes twists through the underlying product instead, so over
+            # A = B^(r) the point ring is B^(r*r*t), not (B^(r))^(t) = B^(r*t).
+            point, t = base, twist.eval(base, {Q: self.context.qval})
+            if isinstance(base, TwistedRing):
+                point, t = base.base, base.mul(base.r, t)
+            self._point = TwistedRing(point, t)
         self.has_versch = True
         self.label = f"witt:{family.label()}:{base.descriptor}:{top}"
 

@@ -331,7 +331,7 @@ def _disk_store(ps: UniversalPolySet) -> None:
         wrapped = {"hash": _payload_hash(payload), "payload": payload}
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(wrapped, fh)
+            fh.write(json.dumps(wrapped))  # one-shot dumps runs the C encoder
         os.replace(tmp, path)
     except OSError:
         pass  # the cache is an accelerator, never a requirement

@@ -353,6 +353,30 @@ class WittCoeffRing(Ring):
     def to_str(self, a):
         return "(" + ", ".join(self.base.to_str(c) for c in a) + ")"
 
+    def from_str(self, text):
+        """Reads what ``to_str`` writes, ``(c_1, ..., c_k)`` with each
+        coordinate in the base ring's notation; any other text is an
+        expression in the ring."""
+        inner = text.strip()
+        if inner[:1] == "(" and inner[-1:] == ")":
+            inner, parts, depth, start = inner[1:-1], [], 0, 0
+            for i, ch in enumerate(inner):
+                depth += (ch == "(") - (ch == ")")
+                if depth < 0:
+                    break  # as in "(a)*(b)": not one parenthesized tuple
+                if ch == "," and depth == 0:
+                    parts.append(inner[start:i])
+                    start = i + 1
+            else:
+                parts.append(inner[start:])
+                if len(parts) != len(self.tset):
+                    raise ValueError(
+                        f"expected {len(self.tset)} coordinates for "
+                        f"{self.descriptor}, got {text!r}"
+                    )
+                return tuple(self.base.from_str(p) for p in parts)
+        return super().from_str(text)
+
     def to_json(self, a):
         return {
             "coords": {str(n): self.base.to_json(c) for n, c in zip(self.tset, a)}

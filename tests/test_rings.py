@@ -3,17 +3,22 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qwitt.errors import NonUniqueQuotient, UnsupportedRingOperation
 from qwitt.rings import (
     DUAL,
     Z,
     ZQ,
+    ZP_KRONECKER_MIN_LEN,
     ZP_ONE,
     TwistedRing,
     ZModRing,
     parse_ring,
+    zp_mul,
+    zp_pow,
     zp_to_str,
+    zp_trim,
 )
 
 INSTANCES = [Z, ZQ, DUAL, ZModRing(6), ZModRing(4), ZModRing(9), TwistedRing(Z, 2)]
@@ -151,3 +156,91 @@ def test_cross_ring_element_rejected():
         ZQ.check([1, 2])
     with pytest.raises(ValueError):
         DUAL.check((1, 2, 3))
+
+
+# --- the Z[q] kernel against the schoolbook oracle --------------------
+
+
+def schoolbook_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return zp_trim(out)
+
+
+def square_and_multiply_pow(a, e):
+    result = ZP_ONE
+    base = a
+    while e:
+        if e & 1:
+            result = schoolbook_mul(result, base)
+        base = schoolbook_mul(base, base)
+        e >>= 1
+    return result
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**65) + 1]),
+)
+
+
+def zq_elements(max_len):
+    # raw tuples: zero, constants, leading negatives and untrimmed zeros
+    return st.lists(COEFFS, max_size=max_len).map(tuple)
+
+
+@PROPERTY
+@given(zq_elements(2 * ZP_KRONECKER_MIN_LEN + 4), zq_elements(2 * ZP_KRONECKER_MIN_LEN + 4))
+@example((), (1, 2))
+@example((5,), (-7,))
+@example((1, -1), (0, 0, -3))
+@example((1,) * ZP_KRONECKER_MIN_LEN, (-(2**64),) * ZP_KRONECKER_MIN_LEN)
+@example((0,) * ZP_KRONECKER_MIN_LEN, (1,) * ZP_KRONECKER_MIN_LEN)
+@example((1,) * (ZP_KRONECKER_MIN_LEN - 1), (-1,) * 40)
+def test_zp_mul_matches_schoolbook(a, b):
+    assert zp_mul(a, b) == schoolbook_mul(a, b)
+    assert zp_mul(b, a) == schoolbook_mul(a, b)
+
+
+@PROPERTY
+@given(zq_elements(12), st.integers(0, 8))
+@example((), 0)
+@example((), 3)
+@example((0, 0), 2)
+@example((-4,), 7)
+@example((0, 0, 1), 8)
+@example((3, 0, -(2**70)), 5)
+def test_zp_pow_matches_square_and_multiply(a, e):
+    assert zp_pow(a, e) == square_and_multiply_pow(a, e)
+
+
+def test_zp_mul_at_the_slot_bound_borrows_correctly():
+    # max|a| * max|b| * min(len) = 15 = 2^4 - 1 fills a 5-bit slot, one
+    # short of where the signed digits would wrap; alternating signs make
+    # every other slot negative, so each one borrows from its neighbour
+    n = 15
+    assert n >= ZP_KRONECKER_MIN_LEN
+    ones, alternating = (1,) * n, tuple((-1) ** i for i in range(n))
+    for a, b, middle in ((ones, ones, 15), (ones, tuple(-c for c in ones), -15),
+                         (alternating, alternating, 15)):
+        product = zp_mul(a, b)
+        assert product == schoolbook_mul(a, b)
+        assert product[n - 1] == middle
+    # the same at 64-bit magnitudes, where the bound is 15 * (2^64 + 1)^2
+    big = 2**64 + 1
+    a, b = tuple(big * c for c in alternating), tuple(-big * c for c in alternating)
+    assert zp_mul(a, b) == schoolbook_mul(a, b)
+    assert zp_mul(a, b)[n - 1] == -15 * big * big
+
+
+def test_zp_pow_of_a_high_monomial_is_instant():
+    # the factor q^k is taken out before packing, so q^100000 packs (1,)
+    assert zp_pow((0, 1), 100_000) == (0,) * 100_000 + (1,)
+    assert zp_pow((0, 0, -2), 3) == (0,) * 6 + (-8,)

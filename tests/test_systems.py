@@ -51,6 +51,31 @@ def test_witt_system_keeps_its_q_binding():
     assert systems.verify_rfv(ws, budget=60).passed
 
 
+def test_point_ring_of_a_twisted_base_multiplies_like_its_context():
+    # over A = twist:z:2 at q = 3, W_{1}(A) scales by 3 through A's product:
+    # x*y = 2*3*(2*x*y) = 12xy, not the 6xy of the flattened twist:z:6
+    ws = systems.WittSystem(parse_ring("twist:z:2"), S3, Family.qdef(), q=3)
+    assert ws.ring(ONE_SET).mul(5, 7) == 12 * 5 * 7
+    rep = systems.alpha_is_iso(ws, S3)
+    assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize("desc, label, q", [
+    ("z", "qdef", 3), ("zq", "qbar", None), ("zmod:9", "qdef", 2),
+    ("twist:z:2", "qdef", 3), ("twist:z:-3", "qbar", 2),
+    ("twist:zmod:9:2", "qdef", 2), ("twist:zq:2", "qdef", (0, 1)),
+    ("dual", "lenart:2", None), ("twist:z:2", "classical", None),
+])
+def test_point_ring_mul_is_the_context_mul_on_one(desc, label, q):
+    base = parse_ring(desc)
+    ws = systems.WittSystem(base, S6, Family.parse(label), q)
+    point, w1 = ws.ring(ONE_SET), ws.context.on(ONE_SET)
+    rng = random.Random(72)
+    for _ in range(20):
+        x, y = base.random(rng), base.random(rng)
+        assert point.mul(x, y) == w1.mul((x,), (y,))[0]
+
+
 def test_alpha_on_constant_system():
     cs = systems.ConstantSystem(Z, S2)
     assert systems.alpha(cs, S2, 2).coords == (2, -1)

@@ -1,5 +1,7 @@
 """Derivation of universal structure polynomials and its certificates."""
 
+import json
+
 import pytest
 
 from qwitt.errors import IntegralityViolation
@@ -207,5 +209,23 @@ def test_disk_cache_round_trip(tmp_path):
         text = open(path).read().replace('"coeff": "2"', '"coeff": "3"', 1)
         open(path, "w").write(text)
         assert universal._disk_load(Family.qdef(), S2) is None
+    finally:
+        universal.set_cache_dir(None)
+
+
+def test_disk_cache_file_is_the_dumps_of_its_wrapped_payload(tmp_path):
+    universal.set_cache_dir(str(tmp_path))
+    try:
+        fresh = universal._derive_uncached(Family.qbar(), S6)
+        universal._disk_store(fresh)
+        payload = universal._polyset_payload(fresh)
+        wrapped = {"hash": universal._payload_hash(payload), "payload": payload}
+        with open(universal._cache_file(Family.qbar(), S6), encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(wrapped)
+        loaded = universal._disk_load(Family.qbar(), S6)
+        assert loaded is not None
+        for kind in ("add", "mul", "neg"):
+            assert loaded.law(kind) == fresh.law(kind)
+        assert loaded.frob == fresh.frob
     finally:
         universal.set_cache_dir(None)

@@ -304,6 +304,7 @@ def test_witt_coeff_rings_with_different_q_are_different_rings():
 
 @pytest.mark.parametrize("base, q", [
     ("z", 3), ("zmod:7", 3), ("zq", None), ("dual", (2, 1)), ("twist:zmod:9:2", 2),
+    ("witt:z:1,2", (2, 5)),
 ])
 def test_parse_ring_reads_back_witt_descriptors(base, q):
     ring = parse_ring(base)
