@@ -176,8 +176,12 @@ class MPoly:
 
     # --- structure operations ---------------------------------------------
     def substitute(self, mapping: dict[Var, "MPoly"]) -> "MPoly":
-        """Replace variables by polynomials; unmapped variables persist."""
-        acc = _ZERO
+        """Replace variables by polynomials; unmapped variables persist.
+
+        The terms accumulate in one dict, in the order repeated ``+``
+        would give them.
+        """
+        out: dict = {}
         cache: dict[tuple[Var, int], MPoly] = {}
         for key, c in self._t.items():
             term = MPoly.const(c)
@@ -191,8 +195,13 @@ class MPoly:
                         factor = sub**e
                         cache[(v, e)] = factor
                 term = term * factor
-            acc = acc + term
-        return acc
+            for k, tc in term._t.items():
+                s = out.get(k, 0) + tc
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return MPoly(out)
 
     def try_div_int(self, k: int) -> "MPoly | None":
         """Exact coefficientwise quotient by ``k``, or None."""

@@ -42,6 +42,10 @@ from .errors import NonUniqueQuotient, UnsupportedRingOperation
 # that a monomial's power costs nothing); ``zp_mul`` keeps the schoolbook
 # loop unless both operands have at least ZP_KRONECKER_MIN_LEN
 # coefficients, below which packing costs more than it saves.
+# ``ZqRing.ghost_row`` packs a whole ghost row the same way, with the bound
+# ||acc||_1 + sum ||w||_1 * ||x||_1^e.  Packing and unpacking skip a run of
+# zero coefficients with one shift, so a sparse tuple of high degree (a
+# power of q^100000, say) costs what its length does, not its square.
 
 ZP_ZERO: tuple[int, ...] = ()
 ZP_ONE: tuple[int, ...] = (1,)
@@ -50,10 +54,11 @@ ZP_KRONECKER_MIN_LEN = 8
 
 
 def zp_trim(coeffs) -> tuple[int, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+    cs = tuple(coeffs)
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return cs[:n]
 
 
 def zp_from_int(k: int) -> tuple[int, ...]:
@@ -63,14 +68,11 @@ def zp_from_int(k: int) -> tuple[int, ...]:
 def zp_add(a, b):
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return zp_trim(out)
+    return zp_trim(tuple(map(operator.add, a, b)) + a[len(b):])
 
 
 def zp_neg(a):
-    return tuple(-c for c in a)
+    return tuple(map(operator.neg, a))
 
 
 def zp_sub(a, b):
@@ -80,29 +82,44 @@ def zp_sub(a, b):
 def zp_scale(k: int, a):
     if k == 0:
         return ZP_ZERO
-    return tuple(k * c for c in a)
+    return tuple(map(k.__mul__, a))
 
 
 def _zp_pack(a, s: int) -> int:
-    """a(2^s) as one integer; coefficients may be negative."""
-    x = 0
+    """a(2^s) as one integer; coefficients may be negative.  A run of zero
+    coefficients costs one shift."""
+    x = gap = 0
     for c in reversed(a):
-        x = (x << s) + c
-    return x
+        gap += s
+        if c:
+            x = (x << gap) + c
+            gap = 0
+    return x << gap
 
 
 def _zp_unpack(x: int, s: int, n: int):
     """The n coefficients of x in base 2^s as signed digits in
-    [-2^(s-1), 2^(s-1)), lowest first, trimmed."""
+    [-2^(s-1), 2^(s-1)), lowest first, trimmed.  A run of zero slots is
+    read with one shift, as in :func:`_zp_pack`."""
     mask, half, full = (1 << s) - 1, 1 << (s - 1), 1 << s
     out = []
-    for _ in range(n):
+    i = 0
+    while i < n:
         c = x & mask
+        if not c:
+            if not x:
+                break
+            run = min(((x & -x).bit_length() - 1) // s, n - i)
+            out += [0] * run
+            x >>= s * run
+            i += run
+            continue
         x >>= s
         if c >= half:  # a negative digit: borrow one from the next slot
             c -= full
             x += 1
         out.append(c)
+        i += 1
     return zp_trim(out)
 
 
@@ -156,9 +173,9 @@ def zp_eval_int(a, x: int) -> int:
 
 def zp_divexact(a, k: int):
     """Coefficientwise exact quotient by ``k``, or None."""
-    if any(c % k for c in a):
+    if any(map(k.__rmod__, a)):
         return None
-    return tuple(c // k for c in a)
+    return tuple(map(k.__rfloordiv__, a))
 
 
 def zp_to_str(a) -> str:
@@ -250,6 +267,25 @@ class Ring:
 
     def from_int(self, k: int):
         return self.int_scale(k, self.one())
+
+    def ghost_row(self, acc, terms, xs, sign: int = 1):
+        """acc + sign * (the sum of w * xs[j]^e over the (j, e, w) of ``terms``).
+
+        One row of a ghost map or of its inverse.  A weight w = (c, u) acts
+        by x -> c*x + u*x, with u an element of this ring or None; only the
+        Z-action and the product are used, so rows exist in non-unital
+        rings too.
+        """
+        step = self.add if sign > 0 else self.sub
+        for j, e, (c, u) in terms:
+            t = xs[j] if e == 1 else self.pow(xs[j], e)
+            if u is not None:
+                ut = self.mul(u, t)
+                t = self.add(self.int_scale(c, t), ut) if c else ut
+            elif c != 1:
+                t = self.int_scale(c, t)
+            acc = step(acc, t)
+        return acc
 
     # --- exactness queries --------------------------------------------
     def try_div_int(self, a, k: int):
@@ -353,6 +389,13 @@ class ZRing(Ring):
     int_scale = operator.mul
     pow = operator.pow
     eq = operator.eq
+
+    def ghost_row(self, acc, terms, xs, sign=1):
+        """The row in plain integer arithmetic, with no ring-op calls."""
+        total = 0
+        for j, e, (c, u) in terms:
+            total += (c if u is None else c + u) * xs[j] ** e
+        return acc + total if sign > 0 else acc - total
 
     def is_zero(self, a):
         return a == 0
@@ -482,20 +525,45 @@ class ZqRing(Ring):
     def generator(self):
         return ZP_Q
 
-    def add(self, a, b):
-        return zp_add(a, b)
-
-    def neg(self, a):
-        return zp_neg(a)
+    add = staticmethod(zp_add)
+    neg = staticmethod(zp_neg)
+    int_scale = staticmethod(zp_scale)
+    pow = staticmethod(zp_pow)
 
     def mul(self, a, b):
-        return zp_mul(a, b)
+        return zp_mul(a, b)  # looked up per call, so a wrapped zp_mul is seen
 
-    def int_scale(self, k, a):
-        return zp_scale(k, a)
+    def ghost_row(self, acc, terms, xs, sign=1):
+        """The row as one Kronecker evaluation at q = 2^s.
 
-    def pow(self, a, e):
-        return zp_pow(a, e)
+        Each coefficient of the result is at most ||acc||_1 + the sum of
+        ||w||_1 * ||x_j||_1^e, so s is one bit more than that bound; the
+        powers, products and sum are then integer arithmetic, and the result
+        is unpacked once.
+        """
+        bound, slots = sum(map(abs, acc)), len(acc)
+        for j, e, (c, u) in terms:  # the bound and the number of slots
+            x = xs[j]
+            if x:
+                if u is None:
+                    bound += abs(c) * sum(map(abs, x)) ** e
+                    n = e * (len(x) - 1) + 1
+                else:
+                    w = zp_add(u, (c,)) if c else u
+                    bound += sum(map(abs, w)) * sum(map(abs, x)) ** e
+                    n = len(w) + e * (len(x) - 1)
+                if n > slots:
+                    slots = n
+        if not slots:
+            return acc
+        s = bound.bit_length() + 1
+        total = 0
+        for j, e, (c, u) in terms:
+            x = xs[j]
+            if x:
+                w = c if u is None else _zp_pack(zp_add(u, (c,)) if c else u, s)
+                total += w * _zp_pack(x, s) ** e
+        return _zp_unpack(_zp_pack(acc, s) + (total if sign > 0 else -total), s, slots)
 
     def is_zero(self, a):
         return not a
@@ -503,8 +571,7 @@ class ZqRing(Ring):
     def eq(self, a, b):
         return a == b
 
-    def try_div_int(self, a, k):
-        return zp_divexact(a, k)
+    try_div_int = staticmethod(zp_divexact)
 
     def is_divisible_mod(self, a, p, e):
         m = p**e

@@ -10,10 +10,12 @@ isomorphism, so they live here, away from any ring arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of ``n``, ascending."""
+@cache
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of ``n``, ascending (computed once per n)."""
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -23,7 +25,7 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     large.reverse()
-    return small + large
+    return tuple(small + large)
 
 
 def prime_factors(n: int) -> list[int]:
@@ -156,7 +158,7 @@ class TruncationSet:
         """The set ``S/n`` of all ``v`` in S with ``v*n`` in S."""
         if n not in self:
             raise ValueError(f"{n} is not in {self}")
-        return TruncationSet(tuple(v for v in self.elements if v * n in self))
+        return _quotient(self.elements, n)
 
     def prime_complement(self, n: int) -> "TruncationSet":
         """The set ``S(n)`` of members not divisible by ``n`` (n > 1)."""
@@ -164,7 +166,7 @@ class TruncationSet:
             raise ValueError("S(1) would be empty; n must exceed 1")
         if n not in self:
             raise ValueError(f"{n} is not in {self}")
-        return TruncationSet(tuple(v for v in self.elements if v % n != 0))
+        return _prime_complement(self.elements, n)
 
     def product(self, other: "TruncationSet") -> "TruncationSet":
         """The coprime product ``{n*m}``; inputs must intersect in {1} only."""
@@ -194,6 +196,20 @@ class TruncationSet:
                 found.append(TruncationSet(tuple(sorted(chosen))))
         found.sort(key=lambda t: (len(t.elements), t.elements))
         return found
+
+
+# The derived sets are built (and validated) once per (elements, n); the
+# sets are immutable, so every caller may share them.
+
+
+@cache
+def _quotient(elements: tuple[int, ...], n: int) -> TruncationSet:
+    return TruncationSet(tuple(v for v in elements if v * n in elements))
+
+
+@cache
+def _prime_complement(elements: tuple[int, ...], n: int) -> TruncationSet:
+    return TruncationSet(tuple(v for v in elements if v % n != 0))
 
 
 ONE_SET = TruncationSet((1,))

@@ -20,6 +20,17 @@ The result is what the universal structure polynomials of
 are never evaluated here and stay the independent oracle of the tests.
 Verschiebung is the certified coordinate shift.
 
+Each ghost component, and each step of the inversion, is one row
+acc +- sum_j w_j * x_j^e_j over the divisors of n.  A context evaluates the
+weights w_j in its cover once and hands every row to the cover's
+:meth:`~qwitt.rings.Ring.ghost_row`: a loop of ring operations in general,
+plain integer arithmetic over Z, and over Z[q] one Kronecker evaluation
+(pack at q = 2^s, integer powers, products and sum, one unpack), with s
+taken from the bound ||acc||_1 + sum ||w_j||_1 * ||x_j||_1^e_j on the
+result's coefficients.  The inversion then divides by n coefficient by
+coefficient; the packed integer is never divided, since it can be
+divisible by n when the polynomial is not.
+
 Because W_S(A) is a ring, it serves as the coefficient ring of another
 Witt ring; that is what the nesting isomorphism consumes.
 """
@@ -134,11 +145,12 @@ def random_vector(family, tset, ring, rng, q=None) -> WittVector:
 # structure polynomial has integer coefficients.
 
 
-def _scaler(ring: Ring, poly: MPoly, qval):
-    """The map x -> p(q)*x on ``ring`` for a polynomial p in q alone.
+def _weight(ring: Ring, poly: MPoly, qval) -> tuple:
+    """p(q) for a polynomial p in q alone, as the weight (c, u) of
+    :meth:`Ring.ghost_row`: the map x -> c*x + u*x, u None when p is constant.
 
-    None when p = 1.  Only the Z-action and the product of the ring are
-    used, so the map exists in non-unital rings too.
+    Only the Z-action and the product of the ring are used, so the weight
+    exists in non-unital rings too.
     """
     c0, w = 0, None  # the constant term, and the rest of p(q) in the ring
     for key, c in poly.terms():
@@ -147,27 +159,33 @@ def _scaler(ring: Ring, poly: MPoly, qval):
             continue
         term = ring.int_scale(c, ring.pow(qval, key[0][1]))
         w = term if w is None else ring.add(w, term)
-    if w is None:
-        return None if c0 == 1 else partial(ring.int_scale, c0)
-    if c0 and ring.unital:  # fold the constant in: one product per use
+    if w is not None and c0 and ring.unital:  # fold the constant in: one product per use
         w, c0 = ring.add(w, ring.from_int(c0)), 0
-    if not c0:
-        return partial(ring.mul, w)
+    return c0, w
+
+
+def _scaler(ring: Ring, weight: tuple):
+    """The map x -> c*x + u*x of a weight (c, u); None when it is the identity."""
+    c, u = weight
+    if u is None:
+        return None if c == 1 else partial(ring.int_scale, c)
+    if not c:
+        return partial(ring.mul, u)
     add, mul, scale = ring.add, ring.mul, ring.int_scale
-    return lambda x: add(scale(c0, x), mul(w, x))
+    return lambda x: add(scale(c, x), mul(u, x))
 
 
 def _ghost_rows(family: Family, tset: TruncationSet, ring: Ring, qval) -> list:
     """Per n in S: its index, n, and the off-diagonal ghost terms.
 
     The terms w(n,d) * a_d^(n/d) for d | n, d < n, are (index of d, n/d,
-    scaler).  The diagonal weight w(n,n) is n in every family, so the
-    ghost is n*a_n plus the terms, and the inverse peels them off and
-    divides by n.
+    weight), ready for :meth:`Ring.ghost_row`.  The diagonal weight w(n,n)
+    is n in every family, so the ghost is n*a_n plus the terms, and the
+    inverse peels them off and divides by n.
     """
     return [
         (i, n, [
-            (tset.index(d), n // d, _scaler(ring, family.ghost_weight(n, d), qval))
+            (tset.index(d), n // d, _weight(ring, family.ghost_weight(n, d), qval))
             for d in divisors(n)[:-1]
         ])
         for i, n in enumerate(tset)
@@ -203,7 +221,7 @@ class WittCoeffRing(Ring):
         # the torsion-free ring the engine runs in, and the reduction onto A
         self.lift, self.down = base.cover()
         self.rows = _ghost_rows(family, tset, self.lift, qval)
-        self.twist = _scaler(self.lift, family.twist(), qval)
+        self.twist = _scaler(self.lift, _weight(self.lift, family.twist(), qval))
         self._frobs = {}  # m -> self._frob(m)
         self._subgroups = {}  # (p, e) -> the coordinate tuples of p^e * W_S(A)
 
@@ -213,25 +231,21 @@ class WittCoeffRing(Ring):
 
     # --- the engine ---------------------------------------------------
     def _ghost(self, xs, rows) -> list:
-        add, scale, pw = self.lift.add, self.lift.int_scale, self.lift.pow
+        row, scale = self.lift.ghost_row, self.lift.int_scale
         out = []
         for i, n, terms in rows:
             g = xs[i] if n == 1 else scale(n, xs[i])
-            for j, e, s in terms:
-                t = xs[j] if e == 1 else pw(xs[j], e)
-                g = add(g, t if s is None else s(t))
-            out.append(g)
+            out.append(row(g, terms, xs) if terms else g)
         return out
 
     def unghost(self, gs) -> tuple:
         """The coordinates whose ghost components are ``gs``; raises
         NotInGhostImage when an interior division fails."""
-        sub, div, pw = self.lift.sub, self.lift.try_div_int, self.lift.pow
+        row, div = self.lift.ghost_row, self.lift.try_div_int
         cs: list = []
         for g, (_, n, terms) in zip(gs, self.rows):
-            for j, e, s in terms:
-                t = cs[j] if e == 1 else pw(cs[j], e)
-                g = sub(g, t if s is None else s(t))
+            if terms:
+                g = row(g, terms, cs, -1)
             if n > 1:
                 g = div(g, n)
                 if g is None:
@@ -411,7 +425,7 @@ def _law(family: Family, tset: TruncationSet, ring: Ring, qval) -> WittCoeffRing
 
 
 def _match(a: WittVector, b: WittVector):
-    if a.context != b.context:
+    if a.context is not b.context and a.context != b.context:  # contexts are interned
         raise CrossRingError(f"mismatched Witt vectors: {a!r} vs {b!r}")
 
 

@@ -7,12 +7,16 @@ integer lift), are the independent oracle they are compared with.
 """
 
 import random
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qwitt import indwitt, universal, witt
+from qwitt import indwitt, rings, universal, witt
+from qwitt.errors import NotInGhostImage
 from qwitt.mpoly import Q, xvar, yvar
-from qwitt.rings import DUAL, Z, ZQ, TwistedRing, ZModRing, parse_ring
+from qwitt.rings import DUAL, Z, ZQ, TwistedRing, ZModRing, ZqRing, parse_ring
 from qwitt.truncset import TruncationSet
 from qwitt.universal import Family
 
@@ -180,3 +184,110 @@ def test_arithmetic_never_derives(monkeypatch):
     assert indwitt.eq(indwitt.ind_add(indwitt.ind_mul(v, w), indwitt.ind_neg(w)),
                       indwitt.ind_add(indwitt.ind_neg(w), indwitt.ind_mul(w, v)))
     assert indwitt.ind_frobenius(v, 3).system.tset == S12.quotient(3)
+
+
+# ----------------------------------------------------------------------
+# The packed Z[q] rows against the generic row loop.  ``generic_row`` is
+# the loop every ring ran before Z[q] evaluated a row as one packed
+# integer; it is kept here as the oracle, and patched in for ``ZqRing`` to
+# get the reference results.
+
+
+def generic_row(ring, acc, terms, xs, sign=1):
+    step = ring.add if sign > 0 else ring.sub
+    for j, e, (c, u) in terms:
+        t = xs[j] if e == 1 else ring.pow(xs[j], e)
+        if u is not None:
+            ut = ring.mul(u, t)
+            t = ring.add(ring.int_scale(c, t), ut) if c else ut
+        elif c != 1:
+            t = ring.int_scale(c, t)
+        acc = step(acc, t)
+    return acc
+
+
+ZQ_FAMILIES = [
+    (Family.classical(), None),
+    (Family.qdef(), None),  # q is the generator
+    (Family.qdef(), (3,)),
+    (Family.qdef(), (-1, 2)),
+    (Family.qbar(), None),
+    (Family.qbar((1, -2, 0, 3)), None),
+    (Family.lenart(2), None),
+]
+COEFF = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+ZQ_ELEMENT = st.lists(COEFF, max_size=5).map(tuple)  # leading negatives included
+
+
+def _engine_results(ctx, a, b):
+    out = [ctx.add(a, b), ctx.mul(a, b), ctx.neg(a), ctx.ghost(a),
+           ctx.unghost(ctx.ghost(b))]
+    out += [ctx.frobenius(m, a) for m in ctx.tset]
+    try:
+        out.append(ctx.unghost(a))
+    except NotInGhostImage as exc:
+        out.append(str(exc))
+    return out
+
+
+@settings(max_examples=120)
+@given(
+    st.sampled_from(range(len(ZQ_FAMILIES))),
+    st.sets(st.integers(1, 12)),
+    st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
+    st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
+)
+# constant coordinates make a row's result equal its slot bound: the ghost
+# rows 2 + 1 = 3 and 6 + 9 = 15 of b, and the unghost rows -1 - 1 = -2 and
+# -3 - 9 = -12 of a
+@example(0, {2}, [(-1,), (-1,)] + [()] * 10, [(1,), (1,)] + [()] * 10)
+@example(0, {2}, [(-3,), (-3,)] + [()] * 10, [(3,), (3,)] + [()] * 10)
+@example(6, {4}, [(1, 1, 1, 1, 1)] * 12, [(-1, 1, -1, 1, -1)] * 12)
+@example(5, {12}, [(2**70, -(2**70))] * 12, [(0, 0, 0, 0, 1)] * 12)
+def test_packed_zq_rows_match_the_generic_loop(fam, picked, xs, ys):
+    family, q = ZQ_FAMILIES[fam]
+    tset = TruncationSet.make(picked | {1})
+    ctx = witt.WittCoeffRing(ZQ, tset, family, q)
+    a = tuple(ZQ.check(x) for x in xs[:len(tset)])
+    b = tuple(ZQ.check(y) for y in ys[:len(tset)])
+    packed = _engine_results(ctx, a, b)
+    with mock.patch.object(ZqRing, "ghost_row", generic_row):
+        assert _engine_results(ctx, a, b) == packed
+
+
+def test_unghost_over_zq_divides_coefficients_not_the_packed_value():
+    # on {1,3}, the ghost vector (1, 2-q) leaves 1-q in row 3; its slot
+    # bound ||2-q||_1 + ||1||_1^3 = 4 gives 4-bit slots, where 1-q packs to
+    # 1 - 16 = -15, a multiple of 3 although 1-q is not
+    s13 = TruncationSet.make([3])
+    assert rings._zp_pack((1, -1), 4) % 3 == 0
+    with pytest.raises(NotInGhostImage):
+        witt.unghost(Family.classical(), s13, ZQ, [(1,), (2, -1)])
+    ctx = witt.WittCoeffRing(ZQ, s13)
+    a = ((3,), (-7, -1))  # ghost (3, 6-3q) = 3 * (1, 2-q)
+    assert ctx.ghost(a) == ((3,), (6, -3))
+    assert ctx.try_div_int(a, 3) is None
+
+
+def _mono(c, k):
+    return (0,) * k + (c,)
+
+
+def test_ghost_and_mul_of_a_high_monomial_stay_fast():
+    # a run of zero coefficients packs and unpacks with one shift, so rows
+    # of degree 400000 cost about what their tuples do
+    k = 100_000
+    s124 = TruncationSet.make([4])
+    a = witt.make(Family.classical(), s124, ZQ, [_mono(1, k), (1,), ()])
+    start = time.perf_counter()
+    ghost = witt.ghost(a)
+    square = witt.mul(a, a).coords
+    elapsed = time.perf_counter() - start
+    add = rings.zp_add
+    assert ghost == (_mono(1, k), add(_mono(1, 2 * k), (2,)), add(_mono(1, 4 * k), (2,)))
+    assert square == (
+        _mono(1, 2 * k),
+        add(_mono(2, 2 * k), (2,)),
+        add(add(_mono(-1, 4 * k), _mono(-4, 2 * k)), (-1,)),
+    )
+    assert elapsed < 20, f"ghost and mul of q^{k} took {elapsed:.1f} s"

@@ -85,6 +85,31 @@ def test_substitute_then_eval_is_composed_assignment():
         assert lhs == rhs
 
 
+def _substitute_by_repeated_addition(p, mapping):
+    # the loop substitute ran before it accumulated in place: the oracle
+    acc = MPoly.zero()
+    for key, c in p.terms():
+        term = MPoly.const(c)
+        for v, e in key:
+            sub = mapping.get(v)
+            term = term * (MPoly({((v, e),): 1}) if sub is None else sub**e)
+        acc = acc + term
+    return acc
+
+
+def test_substitute_keeps_the_terms_and_order_of_repeated_addition():
+    # eval and the ghost weights walk the terms in dict order, so the
+    # in-place accumulation must leave that order as it was
+    rng = random.Random(23)
+    for _ in range(300):
+        p, inner, other = _rand_poly(rng), _rand_poly(rng), _rand_poly(rng)
+        for mapping in ({xvar(1): inner}, {xvar(1): inner, yvar(1): -inner},
+                        {Q: other, xvar(2): MPoly.zero()}):
+            got = p.substitute(mapping)
+            want = _substitute_by_repeated_addition(p, mapping)
+            assert list(got.terms()) == list(want.terms())
+
+
 def test_div_round_trip():
     rng = random.Random(22)
     for _ in range(200):

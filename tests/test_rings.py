@@ -183,7 +183,6 @@ def square_and_multiply_pow(a, e):
     return result
 
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 COEFFS = st.one_of(
     st.integers(-3, 3),
     st.integers(-(2**70), 2**70),
@@ -196,7 +195,7 @@ def zq_elements(max_len):
     return st.lists(COEFFS, max_size=max_len).map(tuple)
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(zq_elements(2 * ZP_KRONECKER_MIN_LEN + 4), zq_elements(2 * ZP_KRONECKER_MIN_LEN + 4))
 @example((), (1, 2))
 @example((5,), (-7,))
@@ -209,7 +208,7 @@ def test_zp_mul_matches_schoolbook(a, b):
     assert zp_mul(b, a) == schoolbook_mul(a, b)
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(zq_elements(12), st.integers(0, 8))
 @example((), 0)
 @example((), 3)

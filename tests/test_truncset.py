@@ -40,6 +40,18 @@ def test_quotient_examples():
         TruncationSet.make([4]).quotient(3)
 
 
+def test_derived_sets_are_built_once_and_shared():
+    s12 = TruncationSet.make([12])
+    assert s12.quotient(2) is TruncationSet.make([12]).quotient(2)
+    assert s12.quotient(2).elements == (1, 2, 3, 6)
+    assert s12.prime_complement(3) is s12.prime_complement(3)
+    assert divisors(12) == (1, 2, 3, 4, 6, 12) and divisors(12) is divisors(12)
+    with pytest.raises(ValueError):
+        s12.quotient(5)
+    with pytest.raises(ValueError):
+        TruncationSet((1, 4))  # validation still runs for every new set
+
+
 def test_prime_complement_examples():
     assert TruncationSet.make([4]).prime_complement(2).elements == (1,)
     assert TruncationSet.make([6]).prime_complement(2).elements == (1, 3)
