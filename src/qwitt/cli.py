@@ -15,12 +15,16 @@ import json
 import sys
 
 from . import indwitt, onedim, qdeform, suites, systems, universal, witt
-from .errors import Error
+from .errors import BudgetExceeded, Error
 from .rings import Ring, Z, ZQ, parse_ring
 from .truncset import TruncationSet
 from .universal import Family
 
 DEFAULT_SEED = 1729
+# the most characters one JSON input or one argument may have: decimal
+# parsing is quadratic in a literal's length, and this keeps a literal's
+# parse well under a second
+INPUT_BUDGET = 1 << 17
 
 
 def _emit(obj) -> None:
@@ -30,10 +34,12 @@ def _emit(obj) -> None:
 
 def _read_json(path: str) -> dict:
     if path == "-":
-        data = json.load(sys.stdin)
+        text = sys.stdin.read(INPUT_BUDGET + 1)
     else:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read(INPUT_BUDGET + 1)
+    _check_size(text, "the input")
+    data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("the input must be a JSON object")
     return data
@@ -415,11 +421,23 @@ def _default_cache_dir() -> str:
     return os.path.join(base, "qwitt")
 
 
+def _check_size(text: str, what: str) -> None:
+    if len(text) > INPUT_BUDGET:
+        raise BudgetExceeded(f"{what} is longer than {INPUT_BUDGET} characters")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     universal.set_cache_dir(args.cache_dir or _default_cache_dir())
+    # results may have integers of any length; inputs are held to INPUT_BUDGET
+    # (a Python without the conversion limit has neither function)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
     try:
+        for arg in sys.argv[1:] if argv is None else argv:
+            _check_size(arg, "an argument")
         return args.fn(args)
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -430,6 +448,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault in qwitt itself, not in the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_limit(digits)
 
 
 if __name__ == "__main__":

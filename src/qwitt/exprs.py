@@ -8,12 +8,18 @@ Grammar (integer literals, named atoms, ``+ - * ^`` and parentheses)::
     atom   := INT | NAME | '(' expr ')'
 
 ``parse`` produces a small AST of nested tuples; what a NAME means and which
-ring the integers land in is the caller's business.
+ring the integers land in is the caller's business.  ``evaluate`` refuses,
+before it computes anything, an expression whose value could outgrow
+MAX_BITS, so that a literal exponent cannot ask for gigabytes.
 """
 
 from __future__ import annotations
 
 import re
+
+from .errors import BudgetExceeded
+
+MAX_BITS = 1 << 24  # the largest estimated size of a value that evaluate builds
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
 
@@ -106,11 +112,53 @@ def parse(text: str):
     return node
 
 
+def _estimate(node) -> tuple[int, int]:
+    """Bounds (degree, log) on the value of ``node``, read as a polynomial
+    in its NAMEs: its total degree, and log2 of the sum of the sizes of its
+    coefficients, which a sum raises by at most one, a product adds and an
+    e-th power multiplies by e."""
+    tag = node[0]
+    if tag == "int":
+        return 0, max(abs(node[1]) - 1, 0).bit_length()
+    if tag == "var":
+        return 1, 0
+    if tag == "neg":
+        return _estimate(node[1])
+    if tag == "pow":
+        degree, log = _estimate(node[1])
+        return node[2] * degree, node[2] * log
+    (d1, l1), (d2, l2) = _estimate(node[1]), _estimate(node[2])
+    if tag == "add":
+        return max(d1, d2), max(l1, l2) + 1
+    return d1 + d2, l1 + l2
+
+
+def _names(node) -> set:
+    tag = node[0]
+    if tag == "int":
+        return set()
+    if tag == "var":
+        return {node[1]}
+    if tag == "pow":
+        return _names(node[1])
+    return set().union(*map(_names, node[1:]))
+
+
 def evaluate(node, atoms: dict, add, mul, neg, from_int, power):
     """Fold an AST with caller-supplied operations.
 
     ``atoms`` maps NAMEs to values; the five callbacks assemble the result.
+    Raises BudgetExceeded, before any callback runs, when the value could
+    take more than MAX_BITS: at most (degree + 1)^k coefficients of
+    log + 1 bits each, for k distinct NAMEs.  No subexpression is larger
+    than the whole by this estimate.
     """
+    degree, log = _estimate(node)
+    size = (degree + 1) ** len(_names(node)) * (log + 1)
+    if size > MAX_BITS:
+        raise BudgetExceeded(
+            f"the expression's value could take {size} bits (budget {MAX_BITS})"
+        )
 
     def walk(n):
         tag = n[0]

@@ -12,6 +12,8 @@ asserted-exact integer division here.
 
 from __future__ import annotations
 
+import re
+
 from .errors import UnsupportedRingOperation
 
 # A variable is a (kind, index) pair; the parameter q is ('q', 0).
@@ -33,11 +35,19 @@ def var_name(v: Var) -> str:
     return "q" if kind == "q" else f"{kind}{idx}"
 
 
+_VAR_NAME = re.compile(r"([xy])([1-9][0-9]*)")
+
+
 def parse_var(name: str) -> Var:
+    """The variable that :func:`var_name` writes as ``name``: ``q``, or x or
+    y and an index in ASCII digits without leading zeros.  Every variable
+    has one name, so no two keys of a monomial's ``exps`` name the same
+    variable."""
     if name == "q":
         return Q
-    if name and name[0] in ("x", "y") and name[1:].isdigit():
-        return (name[0], int(name[1:]))
+    m = _VAR_NAME.fullmatch(name)
+    if m:
+        return (m[1], int(m[2]))
     raise ValueError(f"unknown variable name {name!r}")
 
 

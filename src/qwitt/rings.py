@@ -42,10 +42,11 @@ from .errors import NonUniqueQuotient, UnsupportedRingOperation
 # that a monomial's power costs nothing); ``zp_mul`` keeps the schoolbook
 # loop unless both operands have at least ZP_KRONECKER_MIN_LEN
 # coefficients, below which packing costs more than it saves.
-# ``ZqRing.ghost_row`` packs a whole ghost row the same way, with the bound
-# ||acc||_1 + sum ||w||_1 * ||x||_1^e.  Packing and unpacking skip a run of
-# zero coefficients with one shift, so a sparse tuple of high degree (a
-# power of q^100000, say) costs what its length does, not its square.
+# Witt arithmetic over Z[q] packs a whole operation the same way, once
+# (``qwitt.witt.WittCoeffRing``), and runs the integer rows of
+# ``ZRing.ghost_row`` on the packed values.  Packing and unpacking skip a
+# run of zero coefficients with one shift, so a sparse tuple of high degree
+# (a power of q^100000, say) costs what its length does, not its square.
 
 ZP_ZERO: tuple[int, ...] = ()
 ZP_ONE: tuple[int, ...] = (1,)
@@ -532,38 +533,6 @@ class ZqRing(Ring):
 
     def mul(self, a, b):
         return zp_mul(a, b)  # looked up per call, so a wrapped zp_mul is seen
-
-    def ghost_row(self, acc, terms, xs, sign=1):
-        """The row as one Kronecker evaluation at q = 2^s.
-
-        Each coefficient of the result is at most ||acc||_1 + the sum of
-        ||w||_1 * ||x_j||_1^e, so s is one bit more than that bound; the
-        powers, products and sum are then integer arithmetic, and the result
-        is unpacked once.
-        """
-        bound, slots = sum(map(abs, acc)), len(acc)
-        for j, e, (c, u) in terms:  # the bound and the number of slots
-            x = xs[j]
-            if x:
-                if u is None:
-                    bound += abs(c) * sum(map(abs, x)) ** e
-                    n = e * (len(x) - 1) + 1
-                else:
-                    w = zp_add(u, (c,)) if c else u
-                    bound += sum(map(abs, w)) * sum(map(abs, x)) ** e
-                    n = len(w) + e * (len(x) - 1)
-                if n > slots:
-                    slots = n
-        if not slots:
-            return acc
-        s = bound.bit_length() + 1
-        total = 0
-        for j, e, (c, u) in terms:
-            x = xs[j]
-            if x:
-                w = c if u is None else _zp_pack(zp_add(u, (c,)) if c else u, s)
-                total += w * _zp_pack(x, s) ** e
-        return _zp_unpack(_zp_pack(acc, s) + (total if sign > 0 else -total), s, slots)
 
     def is_zero(self, a):
         return not a

@@ -24,12 +24,13 @@ Each ghost component, and each step of the inversion, is one row
 acc +- sum_j w_j * x_j^e_j over the divisors of n.  A context evaluates the
 weights w_j in its cover once and hands every row to the cover's
 :meth:`~qwitt.rings.Ring.ghost_row`: a loop of ring operations in general,
-plain integer arithmetic over Z, and over Z[q] one Kronecker evaluation
-(pack at q = 2^s, integer powers, products and sum, one unpack), with s
-taken from the bound ||acc||_1 + sum ||w_j||_1 * ||x_j||_1^e_j on the
-result's coefficients.  The inversion then divides by n coefficient by
-coefficient; the packed integer is never divided, since it can be
-divisible by n when the polynomial is not.
+plain integer arithmetic over Z.  Over Z[q] a whole operation is packed
+once: every input coordinate is evaluated at q = 2^s, the rows and the
+integer divisions of W_S(Z) run on those integers, and each result
+coordinate is unpacked once, with s from 1-norm bounds on everything the
+op computes.  Every quotient's digits are checked, since the packed
+integer can be divisible by n when the polynomial is not;
+:class:`ZqWittRing` proves that the check catches exactly those cases.
 
 Because W_S(A) is a ring, it serves as the coefficient ring of another
 Witt ring; that is what the nesting isomorphism consumes.
@@ -38,6 +39,7 @@ Witt ring; that is what the nesting isomorphism consumes.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import partial
 from threading import Lock
@@ -49,7 +51,7 @@ from .errors import (
     UnsupportedRingOperation,
 )
 from .mpoly import MPoly
-from .rings import Ring, ZqRing, ZP_Q
+from .rings import Z, Ring, ZqRing, ZP_Q, _zp_pack, _zp_unpack, zp_add
 from .truncset import TruncationSet, divisors
 from .universal import Family
 
@@ -192,6 +194,51 @@ def _ghost_rows(family: Family, tset: TruncationSet, ring: Ring, qval) -> list:
     ]
 
 
+def _ghost(ring: Ring, rows, xs) -> list:
+    """The ghost components n*x_n + sum w * x_d^(n/d) at ``rows``."""
+    row, scale = ring.ghost_row, ring.int_scale
+    out = []
+    for i, n, terms in rows:
+        g = xs[i] if n == 1 else scale(n, xs[i])
+        out.append(row(g, terms, xs) if terms else g)
+    return out
+
+
+def _invert(ring: Ring, rows, gs, div, cs: list) -> list:
+    """Appends to ``cs`` the coordinates c_n = (g_n - sum w * c_d^(n/d)) / n
+    in the order of the rows; NotInGhostImage at the first n whose division
+    ``div`` fails."""
+    row = ring.ghost_row
+    for g, (_, n, terms) in zip(gs, rows):
+        if terms:
+            g = row(g, terms, cs, -1)
+        if n > 1:
+            g = div(g, n)
+            if g is None:
+                raise _unreachable(n)
+        cs.append(g)
+    return cs
+
+
+def _unreachable(n: int) -> NotInGhostImage:
+    return NotInGhostImage(f"component {n} is not reachable: division by {n} failed")
+
+
+def _norm(weight) -> int:
+    """||c + u||_1 of a Z[q] weight (c, u)."""
+    c, u = weight
+    return abs(c) if u is None else sum(map(abs, zp_add(u, (c,))))
+
+
+def _digits(x: int, s: int) -> tuple:
+    """All balanced base-2^s digits of x, lowest first: the Z[q] element
+    that x packs when its coefficients are below 2^(s-1) in size."""
+    return _zp_unpack(x, s, x.bit_length() // s + 1)
+
+
+_PACKED_WIDTHS = 64  # the packed q values whose rows a Z[q] context keeps
+
+
 class WittCoeffRing(Ring):
     """W_S(A) of one (family, S, A, q) context: the engine and the ring.
 
@@ -200,7 +247,8 @@ class WittCoeffRing(Ring):
     order of S; the engine methods (``ghost``, ``unghost``, ``frobenius``)
     take and return them too.  Exact integer division is solved through
     the ghost map (divide the ghost, invert back), which is what the
-    nesting isomorphism needs.
+    nesting isomorphism needs.  Over Z[q] the context is a
+    :class:`ZqWittRing`.
     """
 
     def __new__(cls, base: Ring, tset: TruncationSet,
@@ -221,7 +269,8 @@ class WittCoeffRing(Ring):
         # the torsion-free ring the engine runs in, and the reduction onto A
         self.lift, self.down = base.cover()
         self.rows = _ghost_rows(family, tset, self.lift, qval)
-        self.twist = _scaler(self.lift, _weight(self.lift, family.twist(), qval))
+        self._twist = _weight(self.lift, family.twist(), qval)
+        self.twist = _scaler(self.lift, self._twist)
         self._frobs = {}  # m -> self._frob(m)
         self._subgroups = {}  # (p, e) -> the coordinate tuples of p^e * W_S(A)
 
@@ -230,46 +279,27 @@ class WittCoeffRing(Ring):
         return _law(self.family, tset, self.base, self.qval)
 
     # --- the engine ---------------------------------------------------
-    def _ghost(self, xs, rows) -> list:
-        row, scale = self.lift.ghost_row, self.lift.int_scale
-        out = []
-        for i, n, terms in rows:
-            g = xs[i] if n == 1 else scale(n, xs[i])
-            out.append(row(g, terms, xs) if terms else g)
-        return out
-
     def unghost(self, gs) -> tuple:
         """The coordinates whose ghost components are ``gs``; raises
         NotInGhostImage when an interior division fails."""
-        row, div = self.lift.ghost_row, self.lift.try_div_int
-        cs: list = []
-        for g, (_, n, terms) in zip(gs, self.rows):
-            if terms:
-                g = row(g, terms, cs, -1)
-            if n > 1:
-                g = div(g, n)
-                if g is None:
-                    raise NotInGhostImage(
-                        f"component {n} is not reachable: division by {n} failed"
-                    )
-            cs.append(g)
-        return self._reduced(cs)
+        return self._reduced(_invert(self.lift, self.rows, gs, self.lift.try_div_int, []))
 
     def _reduced(self, values) -> tuple:
         return tuple(map(self.down, values)) if self.down else tuple(values)
 
     def add(self, a, b) -> tuple:
-        gs = map(self.lift.add, self._ghost(a, self.rows), self._ghost(b, self.rows))
-        return self.unghost(gs)
+        lift, rows = self.lift, self.rows
+        return self.unghost(map(lift.add, _ghost(lift, rows, a), _ghost(lift, rows, b)))
 
     def mul(self, a, b) -> tuple:
-        gs = map(self.lift.mul, self._ghost(a, self.rows), self._ghost(b, self.rows))
+        lift, rows = self.lift, self.rows
+        gs = map(lift.mul, _ghost(lift, rows, a), _ghost(lift, rows, b))
         if self.twist is not None:
             gs = map(self.twist, gs)
         return self.unghost(gs)
 
     def neg(self, a) -> tuple:
-        return self.unghost(map(self.lift.neg, self._ghost(a, self.rows)))
+        return self.unghost(map(self.lift.neg, _ghost(self.lift, self.rows, a)))
 
     def _frob(self, m: int):
         """The context on S/m, and the ghost rows of S at m*v for v in S/m."""
@@ -283,10 +313,10 @@ class WittCoeffRing(Ring):
     def frobenius(self, m: int, a) -> tuple:
         """F_m: ghost component m*v of S becomes component v of S/m."""
         sub, rows = self._frob(m)
-        return sub.unghost(self._ghost(a, rows))
+        return sub.unghost(_ghost(self.lift, rows, a))
 
     def ghost(self, a) -> tuple:
-        return self._reduced(self._ghost(a, self.rows))
+        return self._reduced(_ghost(self.lift, self.rows, a))
 
     def try_div_int(self, a, k):
         """The unique b with k*b = a, or None: divide the ghost, then invert."""
@@ -294,7 +324,7 @@ class WittCoeffRing(Ring):
             raise UnsupportedRingOperation(
                 f"{self.descriptor} has no exact integer division"
             )
-        gs = [self.lift.try_div_int(g, k) for g in self._ghost(a, self.rows)]
+        gs = [self.lift.try_div_int(g, k) for g in self.ghost(a)]  # A has no torsion
         if None in gs:
             return None
         try:
@@ -401,10 +431,137 @@ class WittCoeffRing(Ring):
         return self.check(tuple(coords))
 
 
+class ZqWittRing(WittCoeffRing):
+    """W_S(Z[q]), with each op packed once.
+
+    An op packs its inputs once at q = 2^s, a ring homomorphism
+    Z[q] -> Z, runs the rows of W_S(Z) and ``divmod`` on the integers and
+    unpacks each result coordinate once.  The slot width comes from 1-norm
+    bounds: ||g_n||_1 <= G_n = n*||x_n||_1 + sum ||w||_1 * ||x_d||_1^(n/d)
+    for the ghost, combined as the op combines ghosts (G_a + G_b for add,
+    ||twist||_1 * G_a * G_b for mul, the rows at m*v for F_m), and in the
+    inversion ||acc_n||_1 <= A_n = G_n + sum ||w||_1 * C_d^(n/d), with
+    C_d = A_d // d >= ||c_d||_1.  s = max A_n.bit_length() + 1 puts every
+    coefficient of acc_n below 2^(s-1) in size, so the balanced base-2^s
+    digits of the packed acc_n are its coefficients, because such
+    expansions are unique.
+
+    The packed acc_n can be divisible by n when acc_n is not (1 - q packs
+    to -15 at s = 4), so each digit d of each quotient is checked:
+    |n*d| < 2^(s-1).  If n divides acc_n, the quotient packs acc_n / n and
+    each n*d is a coefficient of acc_n, so the check passes.  If the check
+    passes, the n*d are balanced digits of the packed acc_n, hence its
+    coefficients, so n divides acc_n.  The first n where the division or
+    the check fails is thus the first where the coefficientwise division
+    fails, and NotInGhostImage names it, as over any other ring.
+    """
+
+    def _setup(self, family: Family, tset: TruncationSet, base: Ring, qval) -> None:
+        super()._setup(family, tset, base, qval)
+        # the 1-norms of the weights, for the slot widths
+        self._norm_rows = [(i, n, [(j, e, (_norm(w), None)) for j, e, w in terms])
+                           for i, n, terms in self.rows]
+        self._twist_norm = _norm(self._twist)
+        self._packed = {}  # the packed q -> self._at(s)
+
+    def unghost(self, gs) -> tuple:
+        gs = list(gs)
+        s = self._width([sum(map(abs, g)) for g in gs])
+        return self._inverted([_zp_pack(g, s) for g in gs], s)
+
+    def add(self, a, b) -> tuple:
+        s = self._width(list(map(operator.add, self._bound(a), self._bound(b))))
+        rows = self._at(s)[0]
+        return self._inverted(
+            map(operator.add, self._ghost_at(a, rows, s), self._ghost_at(b, rows, s)), s)
+
+    def mul(self, a, b) -> tuple:
+        t = self._twist_norm
+        s = self._width([t * x * y for x, y in zip(self._bound(a), self._bound(b))])
+        rows, t = self._at(s)
+        gs = zip(self._ghost_at(a, rows, s), self._ghost_at(b, rows, s))
+        return self._inverted([t * x * y for x, y in gs], s)
+
+    def neg(self, a) -> tuple:
+        s = self._width(self._bound(a))
+        return self._inverted(map(operator.neg, self._ghost_at(a, self._at(s)[0], s)), s)
+
+    def frobenius(self, m: int, a) -> tuple:
+        sub, rows = self._frob(m)
+        s = sub._width(self._bound(a, rows))
+        packed = self._at(s)[0]
+        return sub._inverted(self._ghost_at(a, [packed[i] for i, _, _ in rows], s), s)
+
+    def ghost(self, a) -> tuple:
+        s = max(self._bound(a), default=0).bit_length() + 1
+        return tuple(_digits(g, s) for g in self._ghost_at(a, self._at(s)[0], s))
+
+    def _bound(self, a, rows=None) -> list:
+        """The bounds G_n on the 1-norms of a's ghost components, at the
+        given rows of S (all by default)."""
+        norm_rows = self._norm_rows
+        if rows is not None:
+            norm_rows = [norm_rows[i] for i, _, _ in rows]
+        return _ghost(Z, norm_rows, [sum(map(abs, x)) for x in a])
+
+    def _width(self, bounds) -> int:
+        """The slot width s = max A_n.bit_length() + 1 for inverting ghost
+        components whose 1-norms are at most ``bounds``."""
+        row, top, cs = Z.ghost_row, 0, []
+        for g, (_, n, terms) in zip(bounds, self._norm_rows):
+            if terms:
+                g = row(g, terms, cs)
+            if g > top:
+                top = g
+            cs.append(g // n)
+        return top.bit_length() + 1
+
+    def _at(self, s: int):
+        """The ghost rows and the twist factor packed at q = 2^s.  A packed
+        weight w(q)(2^s) is w at the packed q, so the packed q keys them."""
+        q = None if self.qval is None else _zp_pack(self.qval, s)
+        got = self._packed.get(q)
+        if got is None:
+            if len(self._packed) >= _PACKED_WIDTHS:
+                self._packed.clear()
+
+            def pack(weight):
+                c, u = weight
+                return (c if u is None else c + _zp_pack(u, s), None)
+
+            rows = [(i, n, [(j, e, pack(w)) for j, e, w in terms])
+                    for i, n, terms in self.rows]
+            got = self._packed[q] = (rows, pack(self._twist)[0])
+        return got
+
+    def _ghost_at(self, a, rows, s: int) -> list:
+        """The ghost components of ``a`` packed at q = 2^s, at packed rows."""
+        return _ghost(Z, rows, [_zp_pack(x, s) for x in a])
+
+    def _inverted(self, gs, s: int) -> tuple:
+        """Invert packed ghost components at slot width s and unpack each
+        coordinate once, checking its digits.  NotInGhostImage names the
+        first n where the integer division or the check fails."""
+        cs, failed = [], None
+        try:
+            _invert(Z, self._at(s)[0], gs, Z.try_div_int, cs)
+        except NotInGhostImage as exc:
+            failed = exc
+        out, half = [], 1 << (s - 1)
+        for c, (_, n, _) in zip(cs, self.rows):
+            c = _digits(c, s)
+            if n * max(map(abs, c), default=0) >= half:
+                raise _unreachable(n)
+            out.append(c)
+        if failed:
+            raise failed
+        return tuple(out)
+
+
 def _Law(family: Family, tset: TruncationSet, ring: Ring, qval) -> WittCoeffRing:
     """Build the context of a resolved (family, S, ring, q); :func:`_law`
     interns it."""
-    ctx = object.__new__(WittCoeffRing)
+    ctx = object.__new__(ZqWittRing if isinstance(ring, ZqRing) else WittCoeffRing)
     ctx._setup(family, tset, ring, qval)
     return ctx
 

@@ -304,3 +304,47 @@ def test_internal_faults_are_reported_as_internal_errors(tmp_path, monkeypatch,
     assert code == 1
     assert err.startswith(f"internal error: {type(fault).__name__}: ")
     assert "Traceback" not in err
+
+
+def test_results_longer_than_the_conversion_limit_are_printed(tmp_path, capsys):
+    # coordinate 2 of the sum is a2 + b2 - a1*b1, with 6001 digits: more than
+    # CPython's default 4300-digit limit on int-to-str conversion
+    big = str(10**3000)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"a": {"coords": {"1": big, "2": big}},
+                                "b": {"coords": {"1": big, "2": big}}}))
+    code, data = run(capsys, "eval", "--family", "classical", "--set", "1,2",
+                     "--ring", "z", "--op", "add", "--in", str(path))
+    assert code == 0
+    assert data["coords"]["1"] == "2" + "0" * 3000
+    assert data["coords"]["2"] == "-" + "9" * 2999 + "8" + "0" * 3000
+    with pytest.raises(ValueError):  # the limit is back after the run
+        str(10**5000)
+
+
+def test_inputs_over_the_budget_exit_1(tmp_path, capsys):
+    from qwitt.cli import INPUT_BUDGET
+
+    huge = "9" * (INPUT_BUDGET + 1)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"a": {"coords": {"1": huge}},
+                                "b": {"coords": {"1": "1"}}}))
+    cases = [
+        ["eval", "--family", "classical", "--set", "1", "--ring", "z",
+         "--op", "add", "--in", str(path)],
+        ["eval", "--family", "qdef", "--set", "1", "--ring", "zq",
+         "--q", huge, "--op", "neg", "--in", str(path)],
+    ]
+    for argv in cases:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(INPUT_BUDGET) in err
+
+
+def test_huge_exponents_exit_1(tmp_path, capsys):
+    path = tmp_path / "pow.json"
+    path.write_text(json.dumps({"a": {"coords": {"1": "2^99999999999"}}}))
+    code = main(["eval", "--family", "classical", "--set", "1", "--ring", "z",
+                 "--op", "neg", "--in", str(path)])
+    assert code == 1
+    assert "budget" in capsys.readouterr().err

@@ -8,7 +8,6 @@ integer lift), are the independent oracle they are compared with.
 
 import random
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from qwitt import indwitt, rings, universal, witt
 from qwitt.errors import NotInGhostImage
 from qwitt.mpoly import Q, xvar, yvar
-from qwitt.rings import DUAL, Z, ZQ, TwistedRing, ZModRing, ZqRing, parse_ring
+from qwitt.rings import DUAL, Z, ZQ, Ring, TwistedRing, ZModRing, ZqRing, parse_ring
 from qwitt.truncset import TruncationSet
 from qwitt.universal import Family
 
@@ -187,10 +186,11 @@ def test_arithmetic_never_derives(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The packed Z[q] rows against the generic row loop.  ``generic_row`` is
-# the loop every ring ran before Z[q] evaluated a row as one packed
-# integer; it is kept here as the oracle, and patched in for ``ZqRing`` to
-# get the reference results.
+# The packed Z[q] route against the generic row loop.  ``generic_row`` is
+# the loop every ring ran before Z[q] packed its rows, and later a whole
+# op, as integers; it is kept here as the oracle.  ``LoopZq`` is Z[q] with
+# that loop: a context over it runs every op through ring operations on
+# coefficient tuples, never through a packed integer.
 
 
 def generic_row(ring, acc, terms, xs, sign=1):
@@ -204,6 +204,17 @@ def generic_row(ring, acc, terms, xs, sign=1):
             t = ring.int_scale(c, t)
         acc = step(acc, t)
     return acc
+
+
+class LoopZq(Ring):
+    descriptor = "zq:loop"
+    unital = torsion_free = supports_div_int = True
+    zero, one, from_int, is_zero, eq = (ZqRing.zero, ZqRing.one, ZqRing.from_int,
+                                        ZqRing.is_zero, ZqRing.eq)
+    add, neg, mul, int_scale, pow, try_div_int, to_str = map(staticmethod, (
+        rings.zp_add, rings.zp_neg, rings.zp_mul, rings.zp_scale, rings.zp_pow,
+        rings.zp_divexact, rings.zp_to_str))
+    ghost_row = generic_row
 
 
 ZQ_FAMILIES = [
@@ -220,8 +231,9 @@ ZQ_ELEMENT = st.lists(COEFF, max_size=5).map(tuple)  # leading negatives include
 
 
 def _engine_results(ctx, a, b):
-    out = [ctx.add(a, b), ctx.mul(a, b), ctx.neg(a), ctx.ghost(a),
-           ctx.unghost(ctx.ghost(b))]
+    out = [ctx.add(a, b), ctx.mul(a, b), ctx.neg(a), ctx.ghost(a), ctx.ghost(b),
+           ctx.unghost(ctx.ghost(b)), ctx.try_div_int(a, -3),
+           ctx.try_div_int(ctx.add(a, a), 2)]
     out += [ctx.frobenius(m, a) for m in ctx.tset]
     try:
         out.append(ctx.unghost(a))
@@ -237,9 +249,18 @@ def _engine_results(ctx, a, b):
     st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
     st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
 )
-# constant coordinates make a row's result equal its slot bound: the ghost
-# rows 2 + 1 = 3 and 6 + 9 = 15 of b, and the unghost rows -1 - 1 = -2 and
-# -3 - 9 = -12 of a
+# A digit reaches |n*d| = 2^(s-1) - 1: on {1,3}, unghost of a = (1, -2)
+# has the bound A_3 = 2 + 1^3 = 3, so s = 3, and c_3 = -3/3 = -1 is a digit
+# with |3*(-1)| = 3; the ghost of b = (1, 2) is (1, 7) with s = 4.  The
+# same with monomials, and at s = 71: A_3 = 2^70 - 1 with c_3 = -(2^70-1)/3,
+# and the ghost (3, 2^70 - 1).  On {1}, try_div_int of (15,) by -3 has
+# s = 5 and the quotient digit -5.
+@example(0, {3}, [(1,), (-2,)] + [()] * 10, [(1,), (2,)] + [()] * 10)
+@example(0, {3}, [(0, 1), (0, 0, 0, -2)] + [()] * 10, [(0, 1), (0, 0, 0, 2)] + [()] * 10)
+@example(0, {3}, [(1,), (-(2**70) + 2,)] + [()] * 10,
+         [(3,), ((2**70 - 28) // 3,)] + [()] * 10)
+@example(0, set(), [(15,)] + [()] * 11, [(1,)] * 12)
+# rows whose result equalled their own slot bound when Z[q] packed row by row
 @example(0, {2}, [(-1,), (-1,)] + [()] * 10, [(1,), (1,)] + [()] * 10)
 @example(0, {2}, [(-3,), (-3,)] + [()] * 10, [(3,), (3,)] + [()] * 10)
 @example(6, {4}, [(1, 1, 1, 1, 1)] * 12, [(-1, 1, -1, 1, -1)] * 12)
@@ -247,12 +268,22 @@ def _engine_results(ctx, a, b):
 def test_packed_zq_rows_match_the_generic_loop(fam, picked, xs, ys):
     family, q = ZQ_FAMILIES[fam]
     tset = TruncationSet.make(picked | {1})
-    ctx = witt.WittCoeffRing(ZQ, tset, family, q)
     a = tuple(ZQ.check(x) for x in xs[:len(tset)])
     b = tuple(ZQ.check(y) for y in ys[:len(tset)])
-    packed = _engine_results(ctx, a, b)
-    with mock.patch.object(ZqRing, "ghost_row", generic_row):
-        assert _engine_results(ctx, a, b) == packed
+    packed = witt.WittCoeffRing(ZQ, tset, family, q)
+    symbolic = q is None and family.uses_q()
+    loop = witt.WittCoeffRing(LoopZq(), tset, family, rings.ZP_Q if symbolic else q)
+    assert isinstance(packed, witt.ZqWittRing) and not isinstance(loop, witt.ZqWittRing)
+    assert _engine_results(packed, a, b) == _engine_results(loop, a, b)
+
+
+def test_packed_rows_are_kept_for_a_bounded_number_of_widths():
+    ctx = witt.WittCoeffRing(ZQ, TruncationSet.make([4]), Family.qbar())
+    for k in range(3 * witt._PACKED_WIDTHS):
+        a = ((1 << k,), (1,), ())
+        assert ctx.ghost(a)[0] == (1 << k,)
+        assert len(ctx._packed) <= witt._PACKED_WIDTHS
+    assert len({ctx._width(ctx._bound(((1 << k,), (1,), ()))) for k in range(150)}) > 100
 
 
 def test_unghost_over_zq_divides_coefficients_not_the_packed_value():

@@ -1,11 +1,12 @@
 """Sparse polynomial arithmetic: canonical form, exactness, evaluation."""
 
+import json
 import random
 
 import pytest
 
 from qwitt.errors import UnsupportedRingOperation
-from qwitt.mpoly import MPoly, Q, xvar, yvar
+from qwitt.mpoly import MPoly, Q, parse_var, xvar, yvar
 from qwitt.rings import Z, ZQ, TwistedRing, ZModRing
 
 X1, X2, Y1, Y2 = MPoly.var(xvar(1)), MPoly.var(xvar(2)), MPoly.var(yvar(1)), MPoly.var(yvar(2))
@@ -136,3 +137,22 @@ def test_pow_matches_repeated_mul():
     p = X1 + 2 * Y1
     assert p**3 == p * p * p
     assert p**0 == MPoly.const(1)
+
+
+@pytest.mark.parametrize("name", ["x01", "y007", "x0", "x", "x١", "x²", "z1",
+                                  "x-1", " x1", "Q"])
+def test_non_canonical_variable_names_are_rejected(name):
+    with pytest.raises(ValueError):
+        parse_var(name)
+    data = {"monomials": [{"coeff": "1", "exps": {"x1": 1, name: 1}}]}
+    with pytest.raises(ValueError):
+        MPoly.from_json(data)
+
+
+def test_canonical_variable_names_read_back():
+    assert [parse_var(n) for n in ("q", "x1", "y12", "x10")] == [
+        Q, xvar(1), yvar(12), xvar(10)]
+    data = {"monomials": [{"coeff": "3", "exps": {"x1": 2, "y10": 1, "q": 4}}]}
+    p = MPoly.from_json(data)
+    assert p == 3 * MPoly.var(xvar(1), 2) * MPoly.var(yvar(10)) * MPoly.var(Q, 4)
+    assert json.dumps(p.to_json(), sort_keys=True) == json.dumps(data, sort_keys=True)

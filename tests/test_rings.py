@@ -1,11 +1,13 @@
 """Coefficient-ring instances: exactness, flags, divisibility, twists."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qwitt.errors import NonUniqueQuotient, UnsupportedRingOperation
+from qwitt.errors import BudgetExceeded, NonUniqueQuotient, UnsupportedRingOperation
 from qwitt.rings import (
     DUAL,
     Z,
@@ -243,3 +245,31 @@ def test_zp_pow_of_a_high_monomial_is_instant():
     # the factor q^k is taken out before packing, so q^100000 packs (1,)
     assert zp_pow((0, 1), 100_000) == (0,) * 100_000 + (1,)
     assert zp_pow((0, 0, -2), 3) == (0,) * 6 + (-8,)
+
+
+@pytest.mark.parametrize("ring, text", [
+    (Z, "2^99999999999"),
+    (Z, "-(3*2^5000)^99999999"),
+    (ZQ, "q^99999999999"),
+    (ZQ, "(1+q)^99999999"),
+    (ZQ, "((2+q)^100000)^100000 - 1"),
+    (ZModRing(7), "3^99999999999"),
+])
+def test_huge_exponents_exceed_the_budget_before_any_power(ring, text):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceeded):
+            ring.from_str(text)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 100_000
+
+
+def test_powers_within_the_budget_are_computed():
+    assert Z.from_str("2^1000 - 2^1000") == 0
+    assert ZQ.from_str("q^1000000")[-1] == 1
+    assert ZQ.from_str("(1+q)^1000") == zp_pow((1, 1), 1000)
+    assert Z.from_str("0^0 + 7^0") == 2
