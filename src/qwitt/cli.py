@@ -16,6 +16,7 @@ import sys
 
 from . import indwitt, onedim, qdeform, suites, systems, universal, witt
 from .errors import BudgetExceeded, Error
+from .exprs import read_int
 from .rings import Ring, Z, ZQ, parse_ring
 from .truncset import TruncationSet
 from .universal import Family
@@ -72,7 +73,7 @@ def cmd_polys(args) -> int:
     ps = universal.derive(family, tset)
     law = args.law
     if law.startswith("frob:"):
-        m = int(law.split(":", 1)[1])
+        m = read_int(law.split(":", 1)[1])
         if m not in tset:
             raise ValueError(f"{m} is not in {tset}")
         polys = {str(v): ps.frob[m][v] for v in tset.quotient(m)}
@@ -109,10 +110,10 @@ def cmd_eval(args) -> int:
     elif op == "neg":
         _emit(witt.vector_to_json(witt.neg(vec())))
     elif op.startswith("frob:"):
-        m = int(op.split(":", 1)[1])
+        m = read_int(op.split(":", 1)[1])
         _emit(witt.vector_to_json(witt.frobenius(vec(), m)))
     elif op.startswith("ver:"):
-        m = int(op.split(":", 1)[1])
+        m = read_int(op.split(":", 1)[1])
         a = vec("a", tset.quotient(m))
         _emit(witt.vector_to_json(witt.verschiebung(a, m, tset)))
     elif op.startswith("project:"):
@@ -188,9 +189,7 @@ def _parse_system(text: str, setpart: str) -> systems.ProjSystem:
     if text.startswith("const:"):
         return systems.ConstantSystem(parse_ring(text.split(":", 1)[1]), top)
     if text.startswith("lenart:"):
-        return systems.WittSystem(
-            Z, top, family=Family.lenart(int(text.split(":", 1)[1]))
-        )
+        return systems.WittSystem(Z, top, family=Family.parse(text))
     raise ValueError(f"unknown system instance {text!r}")
 
 
@@ -278,10 +277,10 @@ def cmd_indwitt(args) -> int:
             }
         )
     elif op.startswith("frob:"):
-        n = int(op.split(":", 1)[1])
+        n = read_int(op.split(":", 1)[1])
         _emit(_ind_vec_json(indwitt.ind_frobenius(vec(), n)))
     elif op.startswith("ver:"):
-        n = int(op.split(":", 1)[1])
+        n = read_int(op.split(":", 1)[1])
         sub = sys_obj.restrict(tset.quotient(n))
         _emit(_ind_vec_json(indwitt.ind_verschiebung(sys_obj, vec("a", sub), n)))
     elif op == "dwork-test":

@@ -21,7 +21,21 @@ from .errors import BudgetExceeded
 
 MAX_BITS = 1 << 24  # the largest estimated size of a value that evaluate builds
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
+# The one spelling of an integer in text inputs: ASCII digits, which
+# ``int`` alone does not insist on (it also reads 1_0, +1 and the digits of
+# other scripts).  Whitespace around it is ASCII too.
+_DIGITS = "[0-9]+"
+_TOKEN = re.compile(rf"\s*(?:({_DIGITS})|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))", re.ASCII)
+_INT = re.compile(rf"\s*(-?{_DIGITS})\s*", re.ASCII)
+
+
+def read_int(text: str, signed: bool = False) -> int:
+    """The integer that ``text`` spells in ASCII digits, with a leading
+    minus only when ``signed``; ValueError for any other spelling."""
+    m = _INT.fullmatch(text)
+    if not m or (not signed and m.group(1)[0] == "-"):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(m.group(1))
 
 
 def tokenize(text: str) -> list[tuple[str, object]]:

@@ -38,20 +38,26 @@ from .errors import NonUniqueQuotient, UnsupportedRingOperation
 # of the result has |c| < 2^(s-1).  The slot width s comes from a bound on
 # those coefficients: max|a| * max|b| * min(len a, len b) for a product,
 # and ||a||_1^e (the sum of the |coefficients|, to the e) for a power.
-# ``zp_pow`` always packs (after taking out the factor q^k of its base, so
-# that a monomial's power costs nothing); ``zp_mul`` keeps the schoolbook
+# ``zp_pow`` packs (after taking out the factor q^k of its base, so that a
+# monomial's power costs nothing) unless the packed power would pass
+# ZP_SERIES_MIN_BITS bits per coefficient of the base: there the C-level
+# power, superlinear in its size, costs more than ``_zp_pow_series``, a
+# recurrence linear in it per coefficient.  ``zp_mul`` keeps the schoolbook
 # loop unless both operands have at least ZP_KRONECKER_MIN_LEN
 # coefficients, below which packing costs more than it saves.
 # Witt arithmetic over Z[q] packs a whole operation the same way, once
-# (``qwitt.witt.WittCoeffRing``), and runs the integer rows of
-# ``ZRing.ghost_row`` on the packed values.  Packing and unpacking skip a
-# run of zero coefficients with one shift, so a sparse tuple of high degree
-# (a power of q^100000, say) costs what its length does, not its square.
+# (``qwitt.witt.ZqWittRing``), and runs the integer row loops of W_S(Z) on
+# the packed values.  Packing and unpacking skip a run of zero coefficients
+# with one shift and split a long tuple or integer in halves of slots, so a
+# sparse tuple of high degree (a power of q^100000, say) or a long dense
+# one costs about what its length does, not its square.
 
 ZP_ZERO: tuple[int, ...] = ()
 ZP_ONE: tuple[int, ...] = (1,)
 ZP_Q: tuple[int, ...] = (0, 1)
 ZP_KRONECKER_MIN_LEN = 8
+ZP_SERIES_MIN_BITS = 1 << 15  # per coefficient of the base; see zp_pow
+_ZP_LEAF = 32  # the most slots that _zp_pack and _zp_unpack take one at a time
 
 
 def zp_trim(coeffs) -> tuple[int, ...]:
@@ -88,7 +94,12 @@ def zp_scale(k: int, a):
 
 def _zp_pack(a, s: int) -> int:
     """a(2^s) as one integer; coefficients may be negative.  A run of zero
-    coefficients costs one shift."""
+    coefficients costs one shift.  A tuple longer than _ZP_LEAF is packed
+    in halves, as :func:`_zp_unpack` splits, so its length k costs
+    O(N log k) for an N-bit result, not O(N k)."""
+    if len(a) > _ZP_LEAF:
+        k = len(a) // 2
+        return _zp_pack(a[:k], s) + (_zp_pack(a[k:], s) << s * k)
     x = gap = 0
     for c in reversed(a):
         gap += s
@@ -101,7 +112,24 @@ def _zp_pack(a, s: int) -> int:
 def _zp_unpack(x: int, s: int, n: int):
     """The n coefficients of x in base 2^s as signed digits in
     [-2^(s-1), 2^(s-1)), lowest first, trimmed.  A run of zero slots is
-    read with one shift, as in :func:`_zp_pack`."""
+    read with one shift, as in :func:`_zp_pack`.
+
+    Past _ZP_LEAF slots, where each shift would cost the length of what is
+    left, x is split in halves of slots and the low half is read first, so
+    that its borrow is carried into the high half: k slots of an N-bit
+    integer cost O(N log k), not O(N k), and a half that is 0 costs one
+    mask."""
+    return _zp_read(x, s, n)[0]
+
+
+def _zp_read(x: int, s: int, n: int):
+    """The digits of :func:`_zp_unpack`, and what is left of x past its n
+    slots once their digits are taken off."""
+    if n > _ZP_LEAF and x:
+        k = n // 2
+        lo, borrow = _zp_read(x & ((1 << s * k) - 1), s, k)
+        hi, rest = _zp_read((x >> s * k) + borrow, s, n - k)
+        return (lo + (0,) * (k - len(lo)) + hi if hi else lo), rest
     mask, half, full = (1 << s) - 1, 1 << (s - 1), 1 << s
     out = []
     i = 0
@@ -121,7 +149,7 @@ def _zp_unpack(x: int, s: int, n: int):
             x += 1
         out.append(c)
         i += 1
-    return zp_trim(out)
+    return zp_trim(out), x
 
 
 def zp_mul(a, b):
@@ -151,8 +179,22 @@ def zp_pow(a, e: int):
     while not a[k]:
         k += 1
     b = a[k:]
-    s = e * sum(map(abs, b)).bit_length() + 1
-    return (0,) * (k * e) + _zp_unpack(_zp_pack(b, s) ** e, s, (len(b) - 1) * e + 1)
+    s, n = (sum(map(abs, b)) ** e).bit_length() + 1, (len(b) - 1) * e + 1
+    if s * n > ZP_SERIES_MIN_BITS * len(b):
+        return (0,) * (k * e) + _zp_pow_series(b, e)
+    return (0,) * (k * e) + _zp_unpack(_zp_pack(b, s) ** e, s, n)
+
+
+def _zp_pow_series(b, e: int) -> tuple:
+    """b^e for b(0) != 0 by J. C. P. Miller's recurrence for the power of a
+    series: c_0 = b_0^e and k*b_0*c_k = sum_{i=1..min(k,d)} ((e+1)*i - k)
+    * b_i * c_(k-i), d = deg b.  Each division is exact, as c_k is an
+    integer; the cost is about d small-by-big products per coefficient."""
+    d, c = len(b) - 1, [b[0] ** e]
+    for k in range(1, d * e + 1):
+        t = sum(((e + 1) * i - k) * b[i] * c[k - i] for i in range(1, min(k, d) + 1))
+        c.append(t // (k * b[0]))
+    return tuple(c)
 
 
 def zp_subst_qpow(a, p: int):
@@ -390,13 +432,6 @@ class ZRing(Ring):
     int_scale = operator.mul
     pow = operator.pow
     eq = operator.eq
-
-    def ghost_row(self, acc, terms, xs, sign=1):
-        """The row in plain integer arithmetic, with no ring-op calls."""
-        total = 0
-        for j, e, (c, u) in terms:
-            total += (c if u is None else c + u) * xs[j] ** e
-        return acc + total if sign > 0 else acc - total
 
     def is_zero(self, a):
         return a == 0
@@ -758,7 +793,7 @@ def parse_ring(text: str) -> Ring:
     if text == "dual":
         return DUAL
     if text.startswith("zmod:"):
-        return ZModRing(int(text.split(":", 1)[1]))
+        return ZModRing(exprs.read_int(text.split(":", 1)[1]))
     if text.startswith("twist:"):
         rest = text[len("twist:"):]
         base_desc, elem = rest.rsplit(":", 1)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .exprs import read_int
+
 
 @cache
 def divisors(n: int) -> tuple[int, ...]:
@@ -114,7 +116,7 @@ class TruncationSet:
         The result is closed under divisors automatically.
         """
         try:
-            items = [int(part) for part in text.split(",") if part.strip()]
+            items = [read_int(part) for part in text.split(",") if part.strip()]
         except ValueError as exc:
             raise ValueError(f"cannot parse truncation set {text!r}") from exc
         return TruncationSet.make(items)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 from . import rings
 from .errors import IntegralityViolation, CertificationError
+from .exprs import read_int
 from .mpoly import MPoly, Q, xvar, yvar
 from .truncset import TruncationSet, divisors
 
@@ -90,7 +91,7 @@ class Family:
         if text.startswith("qbar:"):
             return Family.qbar(rings.ZQ.from_str(text.split(":", 1)[1]))
         if text.startswith("lenart:"):
-            return Family.lenart(int(text.split(":", 1)[1]))
+            return Family.lenart(read_int(text.split(":", 1)[1], signed=True))
         if text == "lenart":
             raise ValueError(
                 "the integer-q family needs its integer, e.g. lenart:2 "

@@ -21,16 +21,18 @@ are never evaluated here and stay the independent oracle of the tests.
 Verschiebung is the certified coordinate shift.
 
 Each ghost component, and each step of the inversion, is one row
-acc +- sum_j w_j * x_j^e_j over the divisors of n.  A context evaluates the
-weights w_j in its cover once and hands every row to the cover's
-:meth:`~qwitt.rings.Ring.ghost_row`: a loop of ring operations in general,
-plain integer arithmetic over Z.  Over Z[q] a whole operation is packed
-once: every input coordinate is evaluated at q = 2^s, the rows and the
-integer divisions of W_S(Z) run on those integers, and each result
-coordinate is unpacked once, with s from 1-norm bounds on everything the
-op computes.  Every quotient's digits are checked, since the packed
-integer can be divisible by n when the polynomial is not;
-:class:`ZqWittRing` proves that the check catches exactly those cases.
+acc +- sum_j w_j * x_j^e_j over the divisors of n.  Where the engine runs
+in Z (over ``z`` and over ``zmod``, whose cover is Z) each weight is
+folded into one integer when the context is built, and two module loops,
+``_int_ghost`` and ``_int_invert``, run the rows with the arithmetic and
+``divmod`` inline.  Over Z[q] a whole operation is packed once: every input
+coordinate is evaluated at q = 2^s, the same integer loops run on rows
+whose weights are packed too, and each result coordinate is unpacked
+once, with s from 1-norm bounds on everything the op computes.  Every
+quotient's digits are checked, since the packed integer can be divisible
+by n when the polynomial is not; :class:`ZqWittRing` proves that the
+check catches exactly those cases.  Any other ring hands each row to its
+:meth:`~qwitt.rings.Ring.ghost_row`, a loop of ring operations.
 
 Because W_S(A) is a ring, it serves as the coefficient ring of another
 Witt ring; that is what the nesting isomorphism consumes.
@@ -51,7 +53,7 @@ from .errors import (
     UnsupportedRingOperation,
 )
 from .mpoly import MPoly
-from .rings import Z, Ring, ZqRing, ZP_Q, _zp_pack, _zp_unpack, zp_add
+from .rings import Ring, ZRing, ZqRing, ZP_Q, _zp_pack, _zp_unpack, zp_add
 from .truncset import TruncationSet, divisors
 from .universal import Family
 
@@ -204,11 +206,11 @@ def _ghost(ring: Ring, rows, xs) -> list:
     return out
 
 
-def _invert(ring: Ring, rows, gs, div, cs: list) -> list:
+def _invert(ring: Ring, rows, gs, cs: list) -> list:
     """Appends to ``cs`` the coordinates c_n = (g_n - sum w * c_d^(n/d)) / n
     in the order of the rows; NotInGhostImage at the first n whose division
-    ``div`` fails."""
-    row = ring.ghost_row
+    fails."""
+    row, div = ring.ghost_row, ring.try_div_int
     for g, (_, n, terms) in zip(gs, rows):
         if terms:
             g = row(g, terms, cs, -1)
@@ -222,6 +224,40 @@ def _invert(ring: Ring, rows, gs, div, cs: list) -> list:
 
 def _unreachable(n: int) -> NotInGhostImage:
     return NotInGhostImage(f"component {n} is not reachable: division by {n} failed")
+
+
+def _int_rows(rows, fold) -> list:
+    """``rows`` with each weight w made the integer fold(w)."""
+    return [(i, n, tuple((j, e, fold(w)) for j, e, w in terms)) for i, n, terms in rows]
+
+
+def _fold(weight) -> int:
+    """The integer c + u of a weight (c, u) over Z."""
+    return weight[0] + (weight[1] or 0)
+
+
+def _int_ghost(rows, xs) -> list:
+    """:func:`_ghost` at integer rows, with no call per row or term."""
+    out = []
+    for i, n, terms in rows:
+        g = n * xs[i]
+        for j, e, w in terms:
+            g += w * xs[j] ** e
+        out.append(g)
+    return out
+
+
+def _int_invert(rows, gs, cs: list) -> list:
+    """:func:`_invert` at integer rows, with ``divmod`` inline."""
+    for g, (_, n, terms) in zip(gs, rows):
+        for j, e, w in terms:
+            g -= w * cs[j] ** e
+        if n > 1:
+            g, r = divmod(g, n)
+            if r:
+                raise _unreachable(n)
+        cs.append(g)
+    return cs
 
 
 def _norm(weight) -> int:
@@ -271,6 +307,12 @@ class WittCoeffRing(Ring):
         self.rows = _ghost_rows(family, tset, self.lift, qval)
         self._twist = _weight(self.lift, family.twist(), qval)
         self.twist = _scaler(self.lift, self._twist)
+        # the ghost map and its inverse at the rows: integer loops over Z
+        if isinstance(self.lift, ZRing):
+            self.rows = _int_rows(self.rows, _fold)
+            self._ghosts, self._inverse = _int_ghost, _int_invert
+        else:
+            self._ghosts, self._inverse = partial(_ghost, self.lift), partial(_invert, self.lift)
         self._frobs = {}  # m -> self._frob(m)
         self._subgroups = {}  # (p, e) -> the coordinate tuples of p^e * W_S(A)
 
@@ -282,24 +324,24 @@ class WittCoeffRing(Ring):
     def unghost(self, gs) -> tuple:
         """The coordinates whose ghost components are ``gs``; raises
         NotInGhostImage when an interior division fails."""
-        return self._reduced(_invert(self.lift, self.rows, gs, self.lift.try_div_int, []))
+        return self._reduced(self._inverse(self.rows, gs, []))
 
     def _reduced(self, values) -> tuple:
         return tuple(map(self.down, values)) if self.down else tuple(values)
 
     def add(self, a, b) -> tuple:
-        lift, rows = self.lift, self.rows
-        return self.unghost(map(lift.add, _ghost(lift, rows, a), _ghost(lift, rows, b)))
+        ghosts, rows = self._ghosts, self.rows
+        return self.unghost(map(self.lift.add, ghosts(rows, a), ghosts(rows, b)))
 
     def mul(self, a, b) -> tuple:
-        lift, rows = self.lift, self.rows
-        gs = map(lift.mul, _ghost(lift, rows, a), _ghost(lift, rows, b))
+        ghosts, rows = self._ghosts, self.rows
+        gs = map(self.lift.mul, ghosts(rows, a), ghosts(rows, b))
         if self.twist is not None:
             gs = map(self.twist, gs)
         return self.unghost(gs)
 
     def neg(self, a) -> tuple:
-        return self.unghost(map(self.lift.neg, _ghost(self.lift, self.rows, a)))
+        return self.unghost(map(self.lift.neg, self._ghosts(self.rows, a)))
 
     def _frob(self, m: int):
         """The context on S/m, and the ghost rows of S at m*v for v in S/m."""
@@ -313,10 +355,10 @@ class WittCoeffRing(Ring):
     def frobenius(self, m: int, a) -> tuple:
         """F_m: ghost component m*v of S becomes component v of S/m."""
         sub, rows = self._frob(m)
-        return sub.unghost(_ghost(self.lift, rows, a))
+        return sub.unghost(self._ghosts(rows, a))
 
     def ghost(self, a) -> tuple:
-        return self._reduced(_ghost(self.lift, self.rows, a))
+        return self._reduced(self._ghosts(self.rows, a))
 
     def try_div_int(self, a, k):
         """The unique b with k*b = a, or None: divide the ghost, then invert."""
@@ -435,7 +477,7 @@ class ZqWittRing(WittCoeffRing):
     """W_S(Z[q]), with each op packed once.
 
     An op packs its inputs once at q = 2^s, a ring homomorphism
-    Z[q] -> Z, runs the rows of W_S(Z) and ``divmod`` on the integers and
+    Z[q] -> Z, runs the integer row loops on rows packed at the same q and
     unpacks each result coordinate once.  The slot width comes from 1-norm
     bounds: ||g_n||_1 <= G_n = n*||x_n||_1 + sum ||w||_1 * ||x_d||_1^(n/d)
     for the ghost, combined as the op combines ghosts (G_a + G_b for add,
@@ -459,8 +501,7 @@ class ZqWittRing(WittCoeffRing):
     def _setup(self, family: Family, tset: TruncationSet, base: Ring, qval) -> None:
         super()._setup(family, tset, base, qval)
         # the 1-norms of the weights, for the slot widths
-        self._norm_rows = [(i, n, [(j, e, (_norm(w), None)) for j, e, w in terms])
-                           for i, n, terms in self.rows]
+        self._norm_rows = _int_rows(self.rows, _norm)
         self._twist_norm = _norm(self._twist)
         self._packed = {}  # the packed q -> self._at(s)
 
@@ -502,22 +543,22 @@ class ZqWittRing(WittCoeffRing):
         norm_rows = self._norm_rows
         if rows is not None:
             norm_rows = [norm_rows[i] for i, _, _ in rows]
-        return _ghost(Z, norm_rows, [sum(map(abs, x)) for x in a])
+        return _int_ghost(norm_rows, [sum(map(abs, x)) for x in a])
 
     def _width(self, bounds) -> int:
         """The slot width s = max A_n.bit_length() + 1 for inverting ghost
         components whose 1-norms are at most ``bounds``."""
-        row, top, cs = Z.ghost_row, 0, []
+        top, cs = 0, []
         for g, (_, n, terms) in zip(bounds, self._norm_rows):
-            if terms:
-                g = row(g, terms, cs)
+            for j, e, w in terms:
+                g += w * cs[j] ** e
             if g > top:
                 top = g
             cs.append(g // n)
         return top.bit_length() + 1
 
     def _at(self, s: int):
-        """The ghost rows and the twist factor packed at q = 2^s.  A packed
+        """The integer rows and the twist factor packed at q = 2^s.  A packed
         weight w(q)(2^s) is w at the packed q, so the packed q keys them."""
         q = None if self.qval is None else _zp_pack(self.qval, s)
         got = self._packed.get(q)
@@ -526,17 +567,14 @@ class ZqWittRing(WittCoeffRing):
                 self._packed.clear()
 
             def pack(weight):
-                c, u = weight
-                return (c if u is None else c + _zp_pack(u, s), None)
+                return weight[0] + _zp_pack(weight[1] or (), s)
 
-            rows = [(i, n, [(j, e, pack(w)) for j, e, w in terms])
-                    for i, n, terms in self.rows]
-            got = self._packed[q] = (rows, pack(self._twist)[0])
+            got = self._packed[q] = (_int_rows(self.rows, pack), pack(self._twist))
         return got
 
     def _ghost_at(self, a, rows, s: int) -> list:
         """The ghost components of ``a`` packed at q = 2^s, at packed rows."""
-        return _ghost(Z, rows, [_zp_pack(x, s) for x in a])
+        return _int_ghost(rows, [_zp_pack(x, s) for x in a])
 
     def _inverted(self, gs, s: int) -> tuple:
         """Invert packed ghost components at slot width s and unpack each
@@ -544,7 +582,7 @@ class ZqWittRing(WittCoeffRing):
         first n where the integer division or the check fails."""
         cs, failed = [], None
         try:
-            _invert(Z, self._at(s)[0], gs, Z.try_div_int, cs)
+            _int_invert(self._at(s)[0], gs, cs)
         except NotInGhostImage as exc:
             failed = exc
         out, half = [], 1 << (s - 1)

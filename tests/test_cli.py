@@ -348,3 +348,58 @@ def test_huge_exponents_exit_1(tmp_path, capsys):
                  "--op", "neg", "--in", str(path)])
     assert code == 1
     assert "budget" in capsys.readouterr().err
+
+
+# Every integer in a text input has one spelling, ASCII digits.  ``{}``
+# marks where the integer goes, in an argument or in the input file.
+SPELLED = [
+    (["polys", "--family", "classical", "--set", "1,{}", "--law", "add"], "2"),
+    (["polys", "--family", "classical", "--set", "1,2,4", "--law", "frob:{}"], "2"),
+    (["polys", "--family", "lenart:{}", "--set", "1,2", "--law", "add"], "2"),
+    (["eval", "--family", "classical", "--set", "1,2", "--ring", "zmod:{}",
+      "--op", "teich", "--in", {"value": "5"}], "12"),
+    (["eval", "--family", "classical", "--set", "1,2", "--ring", "z",
+      "--op", "teich", "--in", {"value": "{}+1"}], "12"),
+    (["eval", "--family", "qdef", "--set", "1,2", "--ring", "zq",
+      "--op", "teich", "--in", {"value": "q^{}"}], "3"),
+    (["eval", "--family", "classical", "--set", "1,2,4", "--ring", "z",
+      "--op", "frob:{}", "--in", {"a": {"coords": {"1": "3", "2": "1", "4": "2"}}}], "2"),
+    (["eval", "--family", "classical", "--set", "1,2,4", "--ring", "z",
+      "--op", "ver:{}", "--in", {"a": {"coords": {"1": "3", "2": "1"}}}], "2"),
+    (["eval", "--family", "classical", "--set", "1,2,4", "--ring", "z",
+      "--op", "project:1,{}", "--in", {"a": {"coords": {"1": "3", "2": "1", "4": "2"}}}], "2"),
+    (["indwitt", "frob:{}", "--system", "triv:z", "--set", "1,2",
+      "--in", {"coords": {"1": "3", "2": "1"}}], "2"),
+    (["indwitt", "ver:{}", "--system", "triv:z", "--set", "1,2",
+      "--in", {"coords": {"1": "3"}}], "2"),
+    (["systems", "verify", "--instance", "lenart:{}:1,2", "--budget", "4"], "2"),
+]
+
+
+def _spelled(tmp_path, capsys, argv, number):
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(arg).replace("{}", number), encoding="utf-8")
+            arg = str(path)
+        args.append(arg.replace("{}", number))
+    code = main(args)
+    out = capsys.readouterr().out
+    result = json.loads(out) if out.strip() else None
+    if isinstance(result, dict):
+        result.pop("law", None)  # the law as it was spelled
+    return code, result
+
+
+@pytest.mark.parametrize("argv, number", SPELLED, ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_integers_in_text_inputs_are_ascii_digits(tmp_path, capsys, argv, number):
+    code, want = _spelled(tmp_path, capsys, argv, number)
+    assert code in (0, 1) and want is not None
+    spaced = number if "value" in json.dumps(argv) else f" {number} "  # not inside an expression
+    for ascii_form in (spaced, "0" + number):
+        assert _spelled(tmp_path, capsys, argv, ascii_form) == (code, want)
+    arabic_indic = "".join(chr(0x660 + int(d)) for d in number)
+    fullwidth = "".join(chr(0xFF10 + int(d)) for d in number)
+    for other in (arabic_indic, fullwidth, "0_" + number, "+" + number):
+        assert _spelled(tmp_path, capsys, argv, other) == (2, None), other

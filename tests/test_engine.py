@@ -6,6 +6,7 @@ The explicit polynomials from ``universal.derive``, evaluated with
 integer lift), are the independent oracle they are compared with.
 """
 
+import operator
 import random
 import time
 
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from qwitt import indwitt, rings, universal, witt
 from qwitt.errors import NotInGhostImage
 from qwitt.mpoly import Q, xvar, yvar
-from qwitt.rings import DUAL, Z, ZQ, Ring, TwistedRing, ZModRing, ZqRing, parse_ring
+from qwitt.rings import (DUAL, Z, ZQ, Ring, TwistedRing, ZModRing, ZqRing, ZRing,
+                         parse_ring)
 from qwitt.truncset import TruncationSet
 from qwitt.universal import Family
 
@@ -322,3 +324,103 @@ def test_ghost_and_mul_of_a_high_monomial_stay_fast():
         add(add(_mono(-1, 4 * k), _mono(-4, 2 * k)), (-1,)),
     )
     assert elapsed < 20, f"ghost and mul of q^{k} took {elapsed:.1f} s"
+
+
+# ----------------------------------------------------------------------
+# The integer route against the generic row loop.  ``LoopZ`` is Z with
+# that loop: a context over it runs every op through ring operations,
+# never through the integer loops that a context over Z runs.
+
+
+class LoopZ(Ring):
+    descriptor = "z:loop"
+    unital = torsion_free = supports_div_int = reduced = True
+    zero, one, from_int, is_zero, try_div_int, check, to_str = (
+        ZRing.zero, ZRing.one, ZRing.from_int, ZRing.is_zero, ZRing.try_div_int,
+        ZRing.check, ZRing.to_str)
+    add, sub, neg, mul, int_scale, pow, eq = map(staticmethod, (
+        operator.add, operator.sub, operator.neg, operator.mul, operator.mul,
+        operator.pow, operator.eq))
+    ghost_row = generic_row
+
+
+Z_FAMILIES = [
+    (Family.classical(), None),
+    (Family.qdef(), 3),
+    (Family.qdef(), -1),
+    (Family.qbar(), 2),
+    (Family.lenart(2), None),
+]
+Z_RINGS = [Z, ZModRing(4), ZModRing(6), ZModRing(9)]
+Z_COEFF = st.one_of(st.integers(-3, 3), st.integers(2**70 - 9, 2**70 + 9),
+                    st.integers(-(2**70) - 9, -(2**70) + 9))
+
+
+def _integer_engine_results(ctx, a, b, gs, divides):
+    out = [ctx.add(a, b), ctx.mul(a, b), ctx.neg(a), ctx.ghost(a), ctx.ghost(b)]
+    out += [ctx.frobenius(m, a) for m in ctx.tset]
+    for g in (gs, a):  # the ghost of b over Z, and a, mostly not a ghost vector
+        try:
+            out.append(ctx.unghost(g))
+        except NotInGhostImage as exc:
+            out.append(str(exc))
+    if divides:
+        out += [ctx.try_div_int(a, -3), ctx.try_div_int(ctx.add(a, a), 2),
+                ctx.try_div_int(ctx.int_scale(6, b), 6)]
+    return out
+
+
+@settings(max_examples=120)
+@given(
+    st.sampled_from(range(len(Z_FAMILIES))),
+    st.sampled_from(range(len(Z_RINGS))),
+    st.sets(st.integers(1, 12)),
+    st.lists(Z_COEFF, min_size=12, max_size=12),
+    st.lists(Z_COEFF, min_size=12, max_size=12),
+)
+# on {1,3}: a = (1, -2) has the ghost (1, -1), whose row 3 leaves -2, not
+# a multiple of 3; the ghost of b = (1, 2) is (1, 7)
+@example(0, 0, {3}, [1, -2] + [0] * 10, [1, 2] + [0] * 10)
+@example(1, 3, {12}, [2**70] * 12, [-(2**70) - 9] * 12)
+def test_integer_rows_match_the_generic_loop(fam, ring_at, picked, xs, ys):
+    family, q = Z_FAMILIES[fam]
+    ring = Z_RINGS[ring_at]
+    tset = TruncationSet.make(picked | {1})
+    a = tuple(ring.check(x) for x in xs[:len(tset)])
+    b = tuple(ring.check(y) for y in ys[:len(tset)])
+    ctx = witt.WittCoeffRing(ring, tset, family, q)
+    # the same integer q as the context's cover, so every step agrees over Z
+    loop = witt.WittCoeffRing(LoopZ(), tset, family, ctx.qval)
+    assert ctx._ghosts is witt._int_ghost and loop._ghosts is not witt._int_ghost
+    down = ctx.down or (lambda c: c)
+    want = [tuple(map(down, r)) if isinstance(r, tuple) else r
+            for r in _integer_engine_results(loop, a, b, loop.ghost(b), ring is Z)]
+    assert _integer_engine_results(ctx, a, b, loop.ghost(b), ring is Z) == want
+
+
+def test_integer_contexts_never_call_the_generic_row(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generic row loop was called")
+
+    monkeypatch.setattr(Ring, "ghost_row", refuse)
+    monkeypatch.setattr(witt, "_ghost", refuse)
+    monkeypatch.setattr(witt, "_invert", refuse)
+    monkeypatch.setattr(witt, "_LAW_CACHE", {})
+    rng = random.Random(5)
+    tset = TruncationSet.make(range(1, 13))
+    for ring in (Z, ZModRing(9), ZQ):
+        for family, q in Z_FAMILIES:
+            a = witt.random_vector(family, tset, ring, rng, q)
+            b = witt.random_vector(family, tset, ring, rng, q)
+            ctx = a.context
+            assert type(ctx) is witt.ZqWittRing or ctx._ghosts is witt._int_ghost
+            witt.sub(witt.mul(a, b), witt.int_scale(3, b))
+            for m in tset:
+                witt.frobenius(a, m)
+            ghost = witt.ghost(witt.neg(a))
+            if ctx.supports_div_int:
+                assert witt.unghost(family, tset, ring, ghost, q) == witt.neg(a)
+                assert ctx.try_div_int(ctx.int_scale(4, a.coords), 4) == a.coords
+                assert not witt.is_divisible(a, 7, 30)
+            with pytest.raises(NotInGhostImage):  # row 2 leaves 1, which 2 cannot divide
+                ctx.unghost((ring.zero(), ring.one()) + a.coords[2:])

@@ -1,5 +1,6 @@
 """Coefficient-ring instances: exactness, flags, divisibility, twists."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qwitt.errors import BudgetExceeded, NonUniqueQuotient, UnsupportedRingOperation
 from qwitt.rings import (
+    _ZP_LEAF,
     DUAL,
     Z,
     ZQ,
@@ -16,6 +18,9 @@ from qwitt.rings import (
     ZP_ONE,
     TwistedRing,
     ZModRing,
+    _zp_pack,
+    _zp_pow_series,
+    _zp_unpack,
     parse_ring,
     zp_mul,
     zp_pow,
@@ -241,6 +246,17 @@ def test_zp_mul_at_the_slot_bound_borrows_correctly():
     assert zp_mul(a, b)[n - 1] == -15 * big * big
 
 
+@settings(max_examples=60)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+       st.sampled_from([-(2**40), -2, -1, 1, 3]), st.integers(2, 40))
+@example([1], 1, 300)  # (1+q)^300, past ZP_SERIES_MIN_BITS per coefficient
+@example([-1, 2], 3, 150)
+def test_zp_pow_series_matches_square_and_multiply(rest, b0, e):
+    b = zp_trim([b0] + rest)
+    assert _zp_pow_series(b, e) == square_and_multiply_pow(b, e)
+    assert zp_pow((0,) + b, e) == square_and_multiply_pow((0,) + b, e)
+
+
 def test_zp_pow_of_a_high_monomial_is_instant():
     # the factor q^k is taken out before packing, so q^100000 packs (1,)
     assert zp_pow((0, 1), 100_000) == (0,) * 100_000 + (1,)
@@ -273,3 +289,93 @@ def test_powers_within_the_budget_are_computed():
     assert ZQ.from_str("q^1000000")[-1] == 1
     assert ZQ.from_str("(1+q)^1000") == zp_pow((1, 1), 1000)
     assert Z.from_str("0^0 + 7^0") == 2
+
+
+def slotwise_pack(a, s):
+    """The packing every length used before long tuples were split in
+    halves: one coefficient at a time."""
+    x = gap = 0
+    for c in reversed(a):
+        gap += s
+        if c:
+            x = (x << gap) + c
+            gap = 0
+    return x << gap
+
+
+def slotwise_unpack(x, s, n):
+    """The unpacking every length used before long integers were split in
+    halves: one slot at a time, each shift costing what is left of x."""
+    mask, half, full = (1 << s) - 1, 1 << (s - 1), 1 << s
+    out = []
+    i = 0
+    while i < n:
+        c = x & mask
+        if not c:
+            if not x:
+                break
+            run = min(((x & -x).bit_length() - 1) // s, n - i)
+            out += [0] * run
+            x >>= s * run
+            i += run
+            continue
+        x >>= s
+        if c >= half:
+            c -= full
+            x += 1
+        out.append(c)
+        i += 1
+    return zp_trim(out)
+
+
+@st.composite
+def balanced_digits(draw):
+    """(digits, s, n): balanced base-2^s digits with runs of zeros and
+    extreme values, over lengths on both sides of the split size, and a
+    count n of slots to read back that may be short of them or past them."""
+    s = draw(st.sampled_from([1, 2, 3, 7, 30, 31, 64]))
+    half = 1 << (s - 1)
+    digit = st.one_of(st.just(0), st.just(-half), st.just(half - 1),
+                      st.integers(-half, half - 1))
+    run = st.lists(digit, max_size=2 * _ZP_LEAF) | st.lists(st.just(0), max_size=3 * _ZP_LEAF)
+    digits = draw(st.lists(run, max_size=6).map(lambda rs: [d for r in rs for d in r]))
+    # the top digit is not 0; at s = 1 the digits are -1 and 0
+    digits.append(draw(st.sampled_from([-half, -1] + [1, half - 1] * (s > 1))))
+    n = len(digits) + draw(st.sampled_from([0, 0, 1, 5, -1, -_ZP_LEAF]))
+    return tuple(digits), s, max(n, 1)
+
+
+@settings(max_examples=200)
+@given(balanced_digits())
+@example(((0,) * _ZP_LEAF + (-1,), 1, _ZP_LEAF + 1))
+@example(((0,) * 2 * _ZP_LEAF + (-4,), 3, 2 * _ZP_LEAF + 1))
+@example(((15,) * 3 * _ZP_LEAF + (1,), 5, 3 * _ZP_LEAF))
+def test_zp_pack_and_unpack_match_the_slotwise_loops(case):
+    digits, s, n = case
+    x = _zp_pack(digits, s)
+    assert x == slotwise_pack(digits, s)
+    assert _zp_unpack(x, s, n) == slotwise_unpack(x, s, n)
+    if n >= len(digits):
+        assert _zp_unpack(x, s, n) == zp_trim(digits)
+
+
+def test_a_long_dense_tuple_packs_and_unpacks_in_near_linear_time():
+    e = 3000  # the coefficients of (1+q)^3000: 3001 slots of 3002 bits
+    s = (2**e).bit_length() + 1
+    coeffs = tuple(math.comb(e, k) for k in range(e + 1))
+    start = time.perf_counter()
+    x = _zp_pack(coeffs, s)
+    back = _zp_unpack(x, s, e + 1)
+    elapsed = time.perf_counter() - start
+    assert back == coeffs
+    assert elapsed < 0.5, f"packing and unpacking 3001 slots took {elapsed:.2f} s"
+
+
+def test_a_power_near_the_expression_budget_is_computed_in_seconds():
+    # packed, this is one big-int ** of 9 million bits; the series
+    # recurrence takes 3000 small-by-big products instead
+    start = time.perf_counter()
+    power = ZQ.from_str("(1+q)^3000")
+    elapsed = time.perf_counter() - start
+    assert power == tuple(math.comb(3000, k) for k in range(3001))
+    assert elapsed < 2, f"(1+q)^3000 took {elapsed:.1f} s"
