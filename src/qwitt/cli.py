@@ -17,7 +17,7 @@ import sys
 from . import indwitt, onedim, qdeform, suites, systems, universal, witt
 from .errors import BudgetExceeded, Error
 from .exprs import read_int
-from .rings import Ring, Z, ZQ, parse_ring
+from .rings import Z, ZQ, parse_ring
 from .truncset import TruncationSet
 from .universal import Family
 
@@ -52,12 +52,6 @@ def _vector_field(data: dict, field: str):
     if payload is None:
         raise ValueError(f"input is missing the {field!r} vector")
     return payload
-
-
-def _parse_q(ring: Ring, text: str | None):
-    if text is None:
-        return None
-    return ring.from_str(text)
 
 
 def _poly_payload(poly, fmt: str):
@@ -96,7 +90,7 @@ def cmd_eval(args) -> int:
     family = Family.parse(args.family)
     tset = TruncationSet.parse(args.set)
     ring = parse_ring(args.ring)
-    q = _parse_q(ring, args.q)
+    q = None if args.q is None else ring.from_str(args.q)
     op = args.op
     data = _read_json(args.infile) if args.infile else {}
 
@@ -313,6 +307,18 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _int_arg(signed: bool = False, least: int | None = None):
+    """An argparse type that reads an integer as :func:`read_int` does and,
+    when ``least`` is given, refuses a smaller one."""
+    def integer(text: str) -> int:  # argparse names the type by this name
+        n = read_int(text, signed)
+        if least is not None and n < least:
+            raise ValueError(f"{text!r} is below {least}")
+        return n
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qwitt",
@@ -321,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--cache-dir",
-        help="directory for the derived-polynomial cache (default: $WITT_CACHE)",
+        help="directory for the derived-polynomial cache (default: no disk cache)",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -348,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deform", help="deformation-specific constructions")
     dsub = p.add_subparsers(dest="action", required=True)
     d = dsub.add_parser("lenart-iso")
-    d.add_argument("--p", type=int, required=True)
-    d.add_argument("--q", type=int, required=True)
+    d.add_argument("--p", type=_int_arg(), required=True)
+    d.add_argument("--q", type=_int_arg(signed=True), required=True)
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--inverse", action="store_true")
     d.set_defaults(fn=cmd_deform)
     d = dsub.add_parser("lenart-defect")
-    d.add_argument("--p", type=int, required=True)
-    d.add_argument("--q", type=int, required=True)
+    d.add_argument("--p", type=_int_arg(), required=True)
+    d.add_argument("--q", type=_int_arg(signed=True), required=True)
     d.set_defaults(fn=cmd_deform)
     d = dsub.add_parser("certify-qbar")
     d.add_argument("--g", required=True)
@@ -369,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         r.add_argument("--ring", required=True)
         r.add_argument("--F", required=True)
         r.add_argument("--G", required=True)
-        r.add_argument("--budget", type=int, default=64)
-        r.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        r.add_argument("--budget", type=_int_arg(least=1), default=64)
+        r.add_argument("--seed", type=_int_arg(signed=True), default=DEFAULT_SEED)
         r.set_defaults(fn=cmd_ringlaw)
 
     p = sub.add_parser("systems", help="projective systems with lifts")
@@ -378,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = ssub.add_parser("verify")
     s.add_argument("--instance", required=True,
                    help="witt:RING:SET | const:RING:SET | constv:RING:SET | lenart:Q:SET")
-    s.add_argument("--budget", type=int, default=200)
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    s.add_argument("--budget", type=_int_arg(least=1), default=200)
+    s.add_argument("--seed", type=_int_arg(signed=True), default=DEFAULT_SEED)
     s.set_defaults(fn=cmd_systems)
     s = ssub.add_parser("auer")
     s.add_argument("--t1", required=True)
@@ -396,28 +402,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="const:z | const:zq | triv:z | qpow | chain")
     p.add_argument("--set", required=True)
     p.add_argument("--in", dest="infile")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_arg())
     p.add_argument("--elem")
     p.set_defaults(fn=cmd_indwitt)
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--budget", type=_int_arg(least=1), default=200)
+    p.add_argument("--seed", type=_int_arg(signed=True), default=DEFAULT_SEED)
     p.set_defaults(fn=cmd_verify)
 
     return top
-
-
-def _default_cache_dir() -> str:
-    import os
-
-    if os.environ.get("WITT_CACHE"):
-        return os.environ["WITT_CACHE"]
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "qwitt")
 
 
 def _check_size(text: str, what: str) -> None:
@@ -428,7 +423,7 @@ def _check_size(text: str, what: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    universal.set_cache_dir(args.cache_dir or _default_cache_dir())
+    universal.set_cache_dir(args.cache_dir)
     # results may have integers of any length; inputs are held to INPUT_BUDGET
     # (a Python without the conversion limit has neither function)
     set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)

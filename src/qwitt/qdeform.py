@@ -124,14 +124,6 @@ def lenart_frobenius_defect(p: int, q: int) -> witt.WittVector | None:
 # The twisted-ghost family as a deformation at twist 1 - g.
 
 
-def _qdef_weights_at(r: MPoly):
-    def weights(n: int, d: int) -> MPoly:
-        m = n // d
-        return MPoly.const(d) * (r ** (m - 1)) if m > 1 else MPoly.const(d)
-
-    return weights
-
-
 def _rename_to_y(poly: MPoly, tset: TruncationSet) -> MPoly:
     return poly.substitute({xvar(d): MPoly.var(yvar(d)) for d in tset})
 
@@ -143,10 +135,11 @@ def _derive_alpha(g, tset: TruncationSet, r: MPoly) -> dict[int, MPoly]:
     ghost of the source, so the coordinates solve the deformation-family
     ghost equations with those targets.
     """
-    fam = Family.qbar(g)
+    fam, qdef = Family.qbar(g), Family.qdef()
     targets = {n: universal.ghost_poly(fam, tset, n, "x") for n in tset}
     return universal.invert_ghost_weights(
-        _qdef_weights_at(r), tset, targets, "(twisted-ghost identification)"
+        lambda n, d: qdef.ghost_weight(n, d).substitute({Q: r}),
+        tset, targets, "(twisted-ghost identification)",
     )
 
 

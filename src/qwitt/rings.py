@@ -311,25 +311,6 @@ class Ring:
     def from_int(self, k: int):
         return self.int_scale(k, self.one())
 
-    def ghost_row(self, acc, terms, xs, sign: int = 1):
-        """acc + sign * (the sum of w * xs[j]^e over the (j, e, w) of ``terms``).
-
-        One row of a ghost map or of its inverse.  A weight w = (c, u) acts
-        by x -> c*x + u*x, with u an element of this ring or None; only the
-        Z-action and the product are used, so rows exist in non-unital
-        rings too.
-        """
-        step = self.add if sign > 0 else self.sub
-        for j, e, (c, u) in terms:
-            t = xs[j] if e == 1 else self.pow(xs[j], e)
-            if u is not None:
-                ut = self.mul(u, t)
-                t = self.add(self.int_scale(c, t), ut) if c else ut
-            elif c != 1:
-                t = self.int_scale(c, t)
-            acc = step(acc, t)
-        return acc
-
     # --- exactness queries --------------------------------------------
     def try_div_int(self, a, k: int):
         """The unique b with k*b = a, or None; NonUniqueQuotient on torsion."""

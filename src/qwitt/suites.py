@@ -7,6 +7,7 @@ scale sample counts; seeds make every run reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 
 from . import indwitt, onedim, qdeform, systems, universal, witt
@@ -17,13 +18,6 @@ from .report import Report
 from .rings import DUAL, Z, ZQ, ZModRing, TwistedRing, ZP_ONE, ZP_Q, ZP_ZERO
 from .truncset import TruncationSet
 from .universal import Family
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def suite_truncset(budget: int = 200, seed: int = 1729) -> Report:
@@ -336,7 +330,7 @@ def _display_sigma_p(fam_coeff: MPoly, p: int) -> MPoly:
     """X_p + Y_p - coeff * sum (1/p) C(p,v) X_1^v Y_1^(p-v)."""
     out = MPoly.var(xvar(p)) + MPoly.var(yvar(p))
     for v in range(1, p):
-        c = _binom(p, v) // p
+        c = math.comb(p, v) // p
         out = out - fam_coeff * MPoly.const(c) * MPoly.var(xvar(1), v) * MPoly.var(
             yvar(1), p - v
         )

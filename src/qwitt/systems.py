@@ -33,6 +33,8 @@ from .truncset import ONE_SET, TruncationSet, factorization
 from .universal import Family
 from .witt import WittCoeffRing, WittVector
 
+ENUM_BUDGET = 4096  # the most elements of a ring that the exactness check enumerates
+
 
 class ProjSystem:
     """Base class: a projective system of rings on the subsets of ``top``."""
@@ -314,8 +316,7 @@ def verify_rf(sys: ProjSystem, budget: int = 200, seed: int = 1729) -> Report:
     return rep
 
 
-def verify_rfv(sys: ProjSystem, budget: int = 200, seed: int = 1729,
-               enum_budget: int = 4096) -> Report:
+def verify_rfv(sys: ProjSystem, budget: int = 200, seed: int = 1729) -> Report:
     """Frobenius axioms plus the Verschiebung axioms and exact sequences."""
     rep = verify_rf(sys, budget=budget, seed=seed)
     rep.name = f"rfv-axioms:{sys.label}"
@@ -368,19 +369,19 @@ def verify_rfv(sys: ProjSystem, budget: int = 200, seed: int = 1729,
                 rep.add(f"verschiebung-commute:{p},{l}@{s}", ok)
         rep.add(
             f"exactness:p={p}@{s}",
-            _check_exactness(sys, s, p, rng, n, enum_budget),
+            _check_exactness(sys, s, p, rng, n),
         )
     return rep
 
 
-def _check_exactness(sys, s, p, rng, n, enum_budget) -> bool:
+def _check_exactness(sys, s, p, rng, n) -> bool:
     """ker(A_S -> A_{S(p)}) = im(V_p), by enumeration when feasible."""
     sub = s.quotient(p)
     comp = s.prime_complement(p)
     rs, rcomp = sys.ring(s), sys.ring(comp)
     try:
         elems = list(rs.enumerate())
-        if len(elems) <= enum_budget:
+        if len(elems) <= ENUM_BUDGET:
             image = {sys.versch(p, s, a) for a in sys.ring(sub).enumerate()}
             kernel = {a for a in elems if rcomp.is_zero(sys.proj(s, comp, a))}
             onto = {sys.proj(s, comp, a) for a in elems}

@@ -262,7 +262,7 @@ def _derive_uncached(family: Family, tset: TruncationSet) -> UniversalPolySet:
 
 _MEM: dict[tuple, UniversalPolySet] = {}
 _LOCK = threading.Lock()
-_CACHE_DIR: str | None = os.environ.get("WITT_CACHE") or None
+_CACHE_DIR: str | None = None  # off until set_cache_dir names a directory
 
 
 def set_cache_dir(path: str | None) -> None:

@@ -31,8 +31,9 @@ whose weights are packed too, and each result coordinate is unpacked
 once, with s from 1-norm bounds on everything the op computes.  Every
 quotient's digits are checked, since the packed integer can be divisible
 by n when the polynomial is not; :class:`ZqWittRing` proves that the
-check catches exactly those cases.  Any other ring hands each row to its
-:meth:`~qwitt.rings.Ring.ghost_row`, a loop of ring operations.
+check catches exactly those cases.  Over any other cover each weight is
+the ring map it acts by, built once, and ``_ghost`` and ``_invert`` run
+the rows with ring operations.
 
 Because W_S(A) is a ring, it serves as the coefficient ring of another
 Witt ring; that is what the nesting isomorphism consumes.
@@ -150,8 +151,8 @@ def random_vector(family, tset, ring, rng, q=None) -> WittVector:
 
 
 def _weight(ring: Ring, poly: MPoly, qval) -> tuple:
-    """p(q) for a polynomial p in q alone, as the weight (c, u) of
-    :meth:`Ring.ghost_row`: the map x -> c*x + u*x, u None when p is constant.
+    """p(q) for a polynomial p in q alone, as a weight (c, u): the map
+    x -> c*x + u*x, u None when p is constant.
 
     Only the Z-action and the product of the ring are used, so the weight
     exists in non-unital rings too.
@@ -179,13 +180,13 @@ def _scaler(ring: Ring, weight: tuple):
     return lambda x: add(scale(c, x), mul(u, x))
 
 
-def _ghost_rows(family: Family, tset: TruncationSet, ring: Ring, qval) -> list:
+def _build_rows(family: Family, tset: TruncationSet, ring: Ring, qval) -> list:
     """Per n in S: its index, n, and the off-diagonal ghost terms.
 
     The terms w(n,d) * a_d^(n/d) for d | n, d < n, are (index of d, n/d,
-    weight), ready for :meth:`Ring.ghost_row`.  The diagonal weight w(n,n)
-    is n in every family, so the ghost is n*a_n plus the terms, and the
-    inverse peels them off and divides by n.
+    weight (c, u)), for a context to map into the form its loops take.  The
+    diagonal weight w(n,n) is n in every family, so the ghost is n*a_n plus
+    the terms, and the inverse peels them off and divides by n.
     """
     return [
         (i, n, [
@@ -197,23 +198,28 @@ def _ghost_rows(family: Family, tset: TruncationSet, ring: Ring, qval) -> list:
 
 
 def _ghost(ring: Ring, rows, xs) -> list:
-    """The ghost components n*x_n + sum w * x_d^(n/d) at ``rows``."""
-    row, scale = ring.ghost_row, ring.int_scale
+    """The ghost components n*x_n + sum w(x_d^(n/d)) at rows whose weights
+    are ring maps (None the identity)."""
+    add, pow_, scale = ring.add, ring.pow, ring.int_scale
     out = []
     for i, n, terms in rows:
         g = xs[i] if n == 1 else scale(n, xs[i])
-        out.append(row(g, terms, xs) if terms else g)
+        for j, e, w in terms:
+            t = xs[j] if e == 1 else pow_(xs[j], e)
+            g = add(g, t if w is None else w(t))
+        out.append(g)
     return out
 
 
 def _invert(ring: Ring, rows, gs, cs: list) -> list:
-    """Appends to ``cs`` the coordinates c_n = (g_n - sum w * c_d^(n/d)) / n
+    """Appends to ``cs`` the coordinates c_n = (g_n - sum w(c_d^(n/d))) / n
     in the order of the rows; NotInGhostImage at the first n whose division
     fails."""
-    row, div = ring.ghost_row, ring.try_div_int
+    sub, pow_, div = ring.sub, ring.pow, ring.try_div_int
     for g, (_, n, terms) in zip(gs, rows):
-        if terms:
-            g = row(g, terms, cs, -1)
+        for j, e, w in terms:
+            t = cs[j] if e == 1 else pow_(cs[j], e)
+            g = sub(g, t if w is None else w(t))
         if n > 1:
             g = div(g, n)
             if g is None:
@@ -226,9 +232,9 @@ def _unreachable(n: int) -> NotInGhostImage:
     return NotInGhostImage(f"component {n} is not reachable: division by {n} failed")
 
 
-def _int_rows(rows, fold) -> list:
-    """``rows`` with each weight w made the integer fold(w)."""
-    return [(i, n, tuple((j, e, fold(w)) for j, e, w in terms)) for i, n, terms in rows]
+def _map_weights(rows, fn) -> list:
+    """``rows`` with each weight w replaced by fn(w)."""
+    return [(i, n, tuple((j, e, fn(w)) for j, e, w in terms)) for i, n, terms in rows]
 
 
 def _fold(weight) -> int:
@@ -304,14 +310,16 @@ class WittCoeffRing(Ring):
         self.unital = base.unital and family.tag == "classical"
         # the torsion-free ring the engine runs in, and the reduction onto A
         self.lift, self.down = base.cover()
-        self.rows = _ghost_rows(family, tset, self.lift, qval)
+        self.rows = _build_rows(family, tset, self.lift, qval)
         self._twist = _weight(self.lift, family.twist(), qval)
         self.twist = _scaler(self.lift, self._twist)
-        # the ghost map and its inverse at the rows: integer loops over Z
+        # the row form and the loops that run it: integers over Z, ring maps
+        # on other covers; ZqWittRing packs the (c, u) weights at each width
         if isinstance(self.lift, ZRing):
-            self.rows = _int_rows(self.rows, _fold)
+            self.rows = _map_weights(self.rows, _fold)
             self._ghosts, self._inverse = _int_ghost, _int_invert
-        else:
+        elif not isinstance(self.lift, ZqRing):
+            self.rows = _map_weights(self.rows, partial(_scaler, self.lift))
             self._ghosts, self._inverse = partial(_ghost, self.lift), partial(_invert, self.lift)
         self._frobs = {}  # m -> self._frob(m)
         self._subgroups = {}  # (p, e) -> the coordinate tuples of p^e * W_S(A)
@@ -501,7 +509,7 @@ class ZqWittRing(WittCoeffRing):
     def _setup(self, family: Family, tset: TruncationSet, base: Ring, qval) -> None:
         super()._setup(family, tset, base, qval)
         # the 1-norms of the weights, for the slot widths
-        self._norm_rows = _int_rows(self.rows, _norm)
+        self._norm_rows = _map_weights(self.rows, _norm)
         self._twist_norm = _norm(self._twist)
         self._packed = {}  # the packed q -> self._at(s)
 
@@ -569,7 +577,7 @@ class ZqWittRing(WittCoeffRing):
             def pack(weight):
                 return weight[0] + _zp_pack(weight[1] or (), s)
 
-            got = self._packed[q] = (_int_rows(self.rows, pack), pack(self._twist))
+            got = self._packed[q] = (_map_weights(self.rows, pack), pack(self._twist))
         return got
 
     def _ghost_at(self, a, rows, s: int) -> list:

@@ -13,8 +13,7 @@ from qwitt.universal import Family
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("WITT_CACHE", str(tmp_path / "cache"))
+def _isolated_cache():
     yield
     universal.set_cache_dir(None)
 
@@ -403,3 +402,62 @@ def test_integers_in_text_inputs_are_ascii_digits(tmp_path, capsys, argv, number
     fullwidth = "".join(chr(0xFF10 + int(d)) for d in number)
     for other in (arabic_indic, fullwidth, "0_" + number, "+" + number):
         assert _spelled(tmp_path, capsys, argv, other) == (2, None), other
+
+
+def test_no_disk_cache_without_cache_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(universal, "_MEM", {})  # every derivation is fresh
+    assert main(["polys", "--family", "qbar", "--set", "1,2,4", "--law", "mul"]) == 0
+    assert main(["verify", "--suite", "all", "--budget", "2", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert list(tmp_path.rglob("*")) == []
+
+
+# Integer options read ASCII digits, with a minus only for seeds and q; a
+# budget is at least 1.  ``{}`` marks the option's value.
+OPTIONS = [
+    (["verify", "--suite", "truncset", "--budget", "{}"], "budget"),
+    (["verify", "--suite", "truncset", "--budget", "2", "--seed", "{}"], "signed"),
+    (["ringlaw", "verify", "--ring", "z", "--F", "x+y", "--G", "x*y", "--budget", "{}"], "budget"),
+    (["ringlaw", "classify", "--ring", "z", "--F", "x+y", "--G", "x*y", "--seed", "{}"], "signed"),
+    (["systems", "verify", "--instance", "witt:z:1,2", "--budget", "{}"], "budget"),
+    (["systems", "verify", "--instance", "witt:z:1,2", "--budget", "2", "--seed", "{}"],
+     "signed"),
+    (["indwitt", "lambda", "--system", "chain", "--set", "1,3", "--n", "{}", "--elem", "1"],
+     "unsigned"),
+    (["deform", "lenart-defect", "--p", "{}", "--q", "2"], "unsigned"),
+    (["deform", "lenart-defect", "--p", "2", "--q", "{}"], "signed"),
+    (["deform", "lenart-iso", "--p", "{}", "--q", "2", "--in", "{in}"], "unsigned"),
+    (["deform", "lenart-iso", "--p", "5", "--q", "{}", "--in", "{in}"], "signed"),
+]
+
+
+def _option_run(tmp_path, capsys, argv, value):
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps({"a": {"coords": {"1": "2", "3": "1", "5": "1"}}}))
+    try:
+        code = main([a.replace("{in}", str(path)).replace("{}", value) for a in argv])
+    except SystemExit as exc:  # argparse refuses the option
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def _option_id(case):
+    return case if isinstance(case, str) else f"{case[0]}{case[case.index('{}') - 1]}"
+
+
+@pytest.mark.parametrize("argv, kind", OPTIONS, ids=_option_id)
+def test_integer_options_read_ascii_digits(tmp_path, capsys, argv, kind):
+    code, want = _option_run(tmp_path, capsys, argv, "3")
+    assert code == 0 and want
+    for same in (" 3 ", "03"):
+        assert _option_run(tmp_path, capsys, argv, same) == (0, want)
+    bad = ["\u0661\u0660", "1_0", "+3", "\uff12"]  # Arabic-Indic 10, fullwidth 2
+    if kind == "signed":
+        for value in ("0", "-7"):
+            assert _option_run(tmp_path, capsys, argv, value)[0] in (0, 1)
+    else:
+        bad += ["0", "-7"]
+    for value in bad:
+        assert _option_run(tmp_path, capsys, argv, value) == (2, ""), value
