@@ -131,7 +131,7 @@ def cmd_eval(args) -> int:
 
 def cmd_deform(args) -> int:
     if args.action == "lenart-iso":
-        tset = TruncationSet.make([args.p])
+        tset = qdeform.lenart_set(args.p)
         data = _read_json(args.infile)
         if args.inverse:
             a = witt.vector_from_json(Family.classical(), tset, Z, data.get("a", data))

@@ -64,6 +64,48 @@ def r_poly(p: int) -> tuple[int, ...]:
 # The integer-q family on {1, p}.
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality below this
+# bound (Sorenson and Webster, 2015); the p-typical constructions refuse
+# a larger p rather than trial-divide it.
+_PRIME_CERTIFIED_BELOW = 3317044064679887385961981
+
+
+def _check_prime(p: int) -> None:
+    """ValueError naming p unless p is a prime below _PRIME_CERTIFIED_BELOW."""
+    if p >= _PRIME_CERTIFIED_BELOW:
+        raise ValueError(f"p={p} is too large to be certified a prime")
+    if p < 2 or not _strong_probable_prime(p):
+        raise ValueError(f"p must be a prime, got p={p}")
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 41; exact for n >= 2 below
+    _PRIME_CERTIFIED_BELOW."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        if a % n == 0:
+            return True  # n is one of the bases
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def lenart_set(p: int) -> TruncationSet:
+    """{1, p}, where the integer-q family is compared with the classical
+    one; ValueError naming p unless p is a prime."""
+    _check_prime(p)
+    return TruncationSet.make([p])
+
+
 def _lenart_correction(p: int, q: int) -> int:
     if q % p == 0:
         raise PDividesQ(f"{p} divides {q}: the families are not isomorphic there")
@@ -79,6 +121,7 @@ def lenart_iso(p: int, q: int, a: witt.WittVector) -> witt.WittVector:
 
     Defined exactly when p does not divide q; raises PDividesQ otherwise.
     """
+    _check_prime(p)
     if a.family != Family.lenart(q):
         raise CertificationError(f"vector family {a.family.label()} is not lenart:{q}")
     if a.tset.elements != (1, p):
@@ -92,6 +135,7 @@ def lenart_iso(p: int, q: int, a: witt.WittVector) -> witt.WittVector:
 
 def lenart_iso_inverse(p: int, q: int, a: witt.WittVector) -> witt.WittVector:
     """Inverse of :func:`lenart_iso`: subtract the same correction term."""
+    _check_prime(p)
     if a.family != Family.classical():
         raise CertificationError("expected a classical vector")
     c = _lenart_correction(p, q)
@@ -109,7 +153,8 @@ def lenart_frobenius_defect(p: int, q: int) -> witt.WittVector | None:
     exactly when q^(p-1) = 1 mod p, i.e. when p does not divide q.  When
     that fails, the multiplicative lift of 1 is an explicit witness.
     """
-    if pow(q, p - 1, p) == 1 % p:
+    _check_prime(p)
+    if pow(q, p - 1, p) == 1:
         return None
     tset = TruncationSet.make([p])
     w = witt.teichmuller(Family.lenart(q), tset, rings.Z, 1)

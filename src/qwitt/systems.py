@@ -22,10 +22,11 @@ natural map W_{T1*T2}(A) -> W_{T1}(W_{T2}(A)).
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from . import witt
-from .errors import CrossRingError, UnsupportedRingOperation
+from .errors import BudgetExceeded, CrossRingError, UnsupportedRingOperation
 from .report import Report
 from .mpoly import MPoly, Q
 from .rings import Ring, TwistedRing
@@ -380,7 +381,7 @@ def _check_exactness(sys, s, p, rng, n) -> bool:
     comp = s.prime_complement(p)
     rs, rcomp = sys.ring(s), sys.ring(comp)
     try:
-        elems = list(rs.enumerate())
+        elems = list(itertools.islice(rs.enumerate(), ENUM_BUDGET + 1))
         if len(elems) <= ENUM_BUDGET:
             image = {sys.versch(p, s, a) for a in sys.ring(sub).enumerate()}
             kernel = {a for a in elems if rcomp.is_zero(sys.proj(s, comp, a))}
@@ -389,8 +390,8 @@ def _check_exactness(sys, s, p, rng, n) -> bool:
             if len(image) != sum(1 for _ in sys.ring(sub).enumerate()):
                 return False
             return kernel == image and onto == full
-    except UnsupportedRingOperation:
-        pass
+    except (UnsupportedRingOperation, BudgetExceeded):
+        pass  # too large or not finite: sample
     for _ in range(n):
         a = sys.sample(sub, rng)
         if not rcomp.is_zero(sys.proj(s, comp, sys.versch(p, s, a))):

@@ -23,17 +23,27 @@ Verschiebung is the certified coordinate shift.
 Each ghost component, and each step of the inversion, is one row
 acc +- sum_j w_j * x_j^e_j over the divisors of n.  Where the engine runs
 in Z (over ``z`` and over ``zmod``, whose cover is Z) each weight is
-folded into one integer when the context is built, and two module loops,
-``_int_ghost`` and ``_int_invert``, run the rows with the arithmetic and
-``divmod`` inline.  Over Z[q] a whole operation is packed once: every input
-coordinate is evaluated at q = 2^s, the same integer loops run on rows
-whose weights are packed too, and each result coordinate is unpacked
-once, with s from 1-norm bounds on everything the op computes.  Every
-quotient's digits are checked, since the packed integer can be divisible
-by n when the polynomial is not; :class:`ZqWittRing` proves that the
-check catches exactly those cases.  Over any other cover each weight is
-the ring map it acts by, built once, and ``_ghost`` and ``_invert`` run
-the rows with ring operations.
+folded into one integer when the context is built, and each op is one
+call of a *kernel*: a method of a class generated from the *shape* of S
+(per n, its index and the pairs (index of d, n/d) of its terms, which S
+alone determines), with every row written out as straight-line integer
+code and the divisions, and over ``zmod`` the reduction mod m, inline.
+The source holds only the shape's integers; it is compiled once per
+process, and each context makes one object of the class, holding its
+weights, twist and modulus.  A set whose rows have more than
+``KERNEL_MAX_TERMS`` terms in all is not compiled: there the same ops
+run the rows through two module loops, ``_int_ghost`` and
+``_int_invert``, which are also the reference the kernels are tested
+against.  Over Z[q] a whole operation is packed once: every input
+coordinate is evaluated at q = 2^s, the same kernels run on the packed
+integers, at the weights packed too, and each result coordinate is
+unpacked once, with s from 1-norm bounds on everything the op computes,
+found by the kernels at the 1-norms of the weights.  Every quotient's
+digits are checked, since the packed integer can be divisible by n when
+the polynomial is not; :class:`ZqWittRing` proves that the check catches
+exactly those cases.  Over any other cover each weight is the ring map
+it acts by, built once, and ``_ghost`` and ``_invert`` run the rows with
+ring operations.
 
 Because W_S(A) is a ring, it serves as the coefficient ring of another
 Witt ring; that is what the nesting isomorphism consumes.
@@ -43,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from threading import Lock
@@ -180,20 +191,27 @@ def _scaler(ring: Ring, weight: tuple):
     return lambda x: add(scale(c, x), mul(u, x))
 
 
-def _build_rows(family: Family, tset: TruncationSet, ring: Ring, qval) -> list:
-    """Per n in S: its index, n, and the off-diagonal ghost terms.
+def _shape(tset: TruncationSet) -> tuple:
+    """Per n in S: its index, n, and the pairs (index of d, n/d) of the
+    off-diagonal ghost terms w(n,d) * a_d^(n/d), d | n, d < n.
 
-    The terms w(n,d) * a_d^(n/d) for d | n, d < n, are (index of d, n/d,
-    weight (c, u)), for a context to map into the form its loops take.  The
-    diagonal weight w(n,n) is n in every family, so the ghost is n*a_n plus
-    the terms, and the inverse peels them off and divides by n.
+    The diagonal weight w(n,n) is n in every family, so the ghost is n*a_n
+    plus the terms, and the inverse peels them off and divides by n.  The
+    shape depends on S alone; the family, ring and q give the weights.
     """
-    return [
-        (i, n, [
-            (tset.index(d), n // d, _weight(ring, family.ghost_weight(n, d), qval))
-            for d in divisors(n)[:-1]
-        ])
+    return tuple(
+        (i, n, tuple((tset.index(d), n // d) for d in divisors(n)[:-1]))
         for i, n in enumerate(tset)
+    )
+
+
+def _build_rows(family: Family, shape: tuple, ring: Ring, qval) -> list:
+    """The rows of a shape with each term's weight (c, u) in ``ring``, for
+    a context to map into the form its loops take."""
+    return [
+        (i, n, [(j, e, _weight(ring, family.ghost_weight(n, n // e), qval))
+                for j, e in terms])
+        for i, n, terms in shape
     ]
 
 
@@ -266,6 +284,213 @@ def _int_invert(rows, gs, cs: list) -> list:
     return cs
 
 
+# ----------------------------------------------------------------------
+# Kernels.  Over Z, and on packed Z[q], an op is one call of a kernel: a
+# method that runs the rows of S written out as straight-line code, over
+# the integer weights, twist and modulus of the object it is bound to.
+# The code is generated from the shape of S alone and compiled once per
+# process; every context on S makes one object of it with its own values.
+
+# The most off-diagonal terms a shape may have and still be compiled; a
+# larger set runs the row loops.  Compiling costs about 0.8 ms per term
+# (21 ms for {1,...,12}, 23 terms; 37 ms for {1,...,24}, 60 terms) and
+# pays for itself after 2,000-3,000 ops at every size measured.  Up to
+# {1,...,15}, 30 terms, the kernels take about half off an op, past it a
+# quarter to a third, while a one-shot CLI op pays the whole compile; the
+# cap holds that to about 25 ms per set, a fifth of a CLI start (the
+# measured table is in CHANGES.md).
+KERNEL_MAX_TERMS = 32
+
+
+class _Kernels:
+    """The ops of one context on coordinate tuples over Z, at the flat
+    weights W, the twist T and the modulus M (None: no reduction):
+    ``ghost``, ``unghost``, ``add``, ``mul`` and ``neg``, F_m as
+    ``frob(m)``, and ``width(bounds)``, the slot width of
+    :class:`ZqWittRing` when W holds the 1-norms of its weights."""
+
+    __slots__ = ("W", "T", "M")
+
+    def __init__(self, W, T, M):
+        self.W, self.T, self.M = W, T, M
+
+    def frob(self, m: int):
+        return getattr(self, f"frob{m}")
+
+
+def _positioned(shape) -> list:
+    """The rows of a shape with each term's position p in the flat weights."""
+    at = itertools.count()
+    return [(i, n, [(j, e, next(at)) for j, e in terms]) for i, n, terms in shape]
+
+
+def _frob_rows(rows, m: int) -> tuple:
+    """For F_m: the rows of S at m*v, and the rows of S/m, for v in S/m.
+    A row of S/m has the weights of the row of S at v and the indices of
+    S/m."""
+    ns = [n for _, n, _ in rows]
+    quot = [n // m for n in ns if n % m == 0]
+    into = {v: k for k, v in enumerate(quot)}
+    return ([rows[ns.index(m * v)] for v in quot],
+            [(k, v, [(into[ns[j]], e, p) for j, e, p in rows[ns.index(v)][2]])
+             for k, v in enumerate(quot)])
+
+
+class _LoopKernels(_Kernels):
+    """A shape's kernels run by :func:`_int_ghost` and :func:`_int_invert`:
+    the path above KERNEL_MAX_TERMS, and the reference that the generated
+    kernels are tested against."""
+
+    __slots__ = ("positioned", "rows")
+
+    def __init__(self, shape, W, T, M):
+        super().__init__(W, T, M)
+        self.positioned = _positioned(shape)
+        self.rows = self._weighted(self.positioned)
+
+    def _weighted(self, rows) -> list:
+        W = self.W
+        return [(i, n, [(j, e, W[p]) for j, e, p in terms]) for i, n, terms in rows]
+
+    def _done(self, cs) -> tuple:
+        M = self.M
+        return tuple(cs) if M is None else tuple(c % M for c in cs)
+
+    def ghost(self, a):
+        return self._done(_int_ghost(self.rows, a))
+
+    def unghost(self, gs):
+        return self._done(_int_invert(self.rows, gs, []))
+
+    def add(self, a, b):
+        rows = self.rows
+        return self.unghost(map(operator.add, _int_ghost(rows, a), _int_ghost(rows, b)))
+
+    def mul(self, a, b):
+        rows, T = self.rows, self.T
+        gs = zip(_int_ghost(rows, a), _int_ghost(rows, b))
+        return self.unghost([T * x * y for x, y in gs])
+
+    def neg(self, a):
+        return self.unghost(map(operator.neg, _int_ghost(self.rows, a)))
+
+    def frob(self, m: int):
+        at, sub = map(self._weighted, _frob_rows(self.positioned, m))
+        return lambda a: self._done(_int_invert(sub, _int_ghost(at, a), []))
+
+    def width(self, bounds) -> int:
+        top, cs = 0, []
+        for g, (_, n, terms) in zip(bounds, self.rows):
+            for j, e, w in terms:
+                g += w * cs[j] ** e
+            top = max(top, g)
+            cs.append(g // n)
+        return top.bit_length() + 1
+
+
+def _power(x: str, e: int) -> str:
+    return f"{x}*{x}" if e == 2 else f"{x}**{e}"
+
+
+def _kernel_source(shape) -> str:
+    """The source of ``factory(W, T, M)``, which returns the
+    :class:`_Kernels` of a shape: class ``Plain`` when M is None, else its
+    subclass ``Reduced``, whose ops reduce their results mod M.  The text
+    is built from the shape's integers alone; the values are read from the
+    object, as the flat weights w0, w1, ... of W, T and M."""
+    rows = _positioned(shape)
+    weights = "".join(f"w{p}, " for p in range(sum(len(t) for _, _, t in rows)))
+
+    def ghost(row, xs):  # the ghost component of a row at the sum of the vectors xs
+        def total(fmt):
+            parts = [fmt(x) for x in xs]
+            return parts[0] if len(parts) == 1 else "(" + " + ".join(parts) + ")"
+
+        i, n, terms = row
+        src = total(lambda x: f"{x}{i}")
+        src = src if n == 1 else f"{n}*{src}"
+        for j, e, p in terms:
+            src += f" + w{p}*" + total(lambda x: _power(f"{x}{j}", e))
+        return src
+
+    def invert(rows, gs):  # c0, c1, ... from the ghost components gs
+        lines = []
+        for (k, n, terms), g in zip(rows, gs):
+            acc = g + "".join(f" - w{p}*{_power(f'c{j}', e)}" for j, e, p in terms)
+            if n == 1:
+                lines.append(f"c{k} = {acc}")
+            else:
+                lines += [f"r = {acc}", f"if r % {n}: raise U({n})", f"c{k} = r // {n}"]
+        return lines
+
+    def method(name, args, body, result, reduce=False):
+        lines = [f"{weights}= self.W"] if weights else []
+        lines += ["T = self.T"] if name == "mul" else []
+        lines += ["M = self.M"] if reduce else []
+        lines += ["".join(f"{x}{k}, " for k in range(len(rows))) + f"= {x}" for x in args]
+        return [f"def {name}(self, {', '.join(args)}):"] + [
+            "    " + line for line in lines + body + [result]]
+
+    def ops(reduce):
+        def op(name, args, size, body):  # an op whose result is c0, ..., c(size-1)
+            result = ", ".join(f"c{k} % M" if reduce else f"c{k}" for k in range(size))
+            return method(name, args, body, f"return ({result},)", reduce)
+
+        size = len(rows)
+        out = op("ghost", "x", size, [f"c{k} = {ghost(row, 'x')}" for k, row in enumerate(rows)])
+        out += op("unghost", "g", size, invert(rows, [f"g{k}" for k in range(size)]))
+        out += op("add", "ab", size, invert(rows, [ghost(row, "ab") for row in rows]))
+        out += op("mul", "ab", size, invert(rows, [
+            f"T*({ghost(row, 'a')})*({ghost(row, 'b')})" for row in rows]))
+        out += op("neg", "a", size, invert(rows, [f"-({ghost(row, 'a')})" for row in rows]))
+        for _, m, _ in rows:
+            at, sub = _frob_rows(rows, m)
+            out += op(f"frob{m}", "x", len(sub), invert(sub, [ghost(row, "x") for row in at]))
+        return out
+
+    width = [f"a{k} = g{k}" + "".join(f" + w{p}*{_power(f'c{j}', e)}" for j, e, p in terms)
+             + (f"; c{k} = a{k}" if n == 1 else f"; c{k} = a{k} // {n}")
+             for k, n, terms in rows]
+    tops = "".join(f", a{k}" for k in range(len(rows)))
+    plain = method("width", "g", width, f"return max(0{tops}).bit_length() + 1") + ops(False)
+    return "\n".join(
+        ["class Plain(Kernels):", "    __slots__ = ()"] + ["    " + line for line in plain]
+        + ["class Reduced(Plain):", "    __slots__ = ()"]
+        + ["    " + line for line in ops(True)]
+        + ["def factory(W, T, M):",
+           "    return Plain(W, T, M) if M is None else Reduced(W, T, M)"]) + "\n"
+
+
+def _compile_kernels(shape):
+    """The kernel factory of a shape, compiled from :func:`_kernel_source`."""
+    namespace = {"U": _unreachable, "Kernels": _Kernels}
+    exec(compile(_kernel_source(shape), "<qwitt kernels>", "exec"), namespace)
+    return namespace["factory"]
+
+
+_KERNEL_CACHE: dict = {}  # shape -> its compiled factory
+_KERNEL_LOCK = Lock()
+
+
+def _kernel_factory(shape):
+    """``factory(W, T, M)`` for the kernels of a shape: compiled once per
+    process up to KERNEL_MAX_TERMS terms, the row loops above."""
+    if sum(len(terms) for _, _, terms in shape) > KERNEL_MAX_TERMS:
+        return partial(_LoopKernels, shape)
+    factory = _KERNEL_CACHE.get(shape)  # a single dict read needs no lock
+    if factory is None:
+        with _KERNEL_LOCK:
+            factory = _KERNEL_CACHE.get(shape)
+            if factory is None:
+                factory = _KERNEL_CACHE[shape] = _compile_kernels(shape)
+    return factory
+
+
+def _flat(rows) -> list:
+    """The weights of rows, in the order of a shape's flat weights."""
+    return [w for _, _, terms in rows for _, _, w in terms]
+
+
 def _norm(weight) -> int:
     """||c + u||_1 of a Z[q] weight (c, u)."""
     c, u = weight
@@ -278,7 +503,16 @@ def _digits(x: int, s: int) -> tuple:
     return _zp_unpack(x, s, x.bit_length() // s + 1)
 
 
-_PACKED_WIDTHS = 64  # the packed q values whose rows a Z[q] context keeps
+def _packed_weight(weight, s: int) -> int:
+    """A Z[q] weight (c, u) at q = 2^s."""
+    return weight[0] + _zp_pack(weight[1] or (), s)
+
+
+def _packs(xs, s: int) -> list:
+    return [_zp_pack(x, s) for x in xs]
+
+
+_PACKED_WIDTHS = 64  # the packed q values whose kernels a Z[q] context keeps
 
 
 class WittCoeffRing(Ring):
@@ -310,25 +544,37 @@ class WittCoeffRing(Ring):
         self.unital = base.unital and family.tag == "classical"
         # the torsion-free ring the engine runs in, and the reduction onto A
         self.lift, self.down = base.cover()
-        self.rows = _build_rows(family, tset, self.lift, qval)
+        shape = _shape(tset)
+        self.rows = _build_rows(family, shape, self.lift, qval)
         self._twist = _weight(self.lift, family.twist(), qval)
         self.twist = _scaler(self.lift, self._twist)
-        # the row form and the loops that run it: integers over Z, ring maps
-        # on other covers; ZqWittRing packs the (c, u) weights at each width
-        if isinstance(self.lift, ZRing):
-            self.rows = _map_weights(self.rows, _fold)
-            self._ghosts, self._inverse = _int_ghost, _int_invert
-        elif not isinstance(self.lift, ZqRing):
-            self.rows = _map_weights(self.rows, partial(_scaler, self.lift))
-            self._ghosts, self._inverse = partial(_ghost, self.lift), partial(_invert, self.lift)
+        self._kernels = None
         self._frobs = {}  # m -> self._frob(m)
         self._subgroups = {}  # (p, e) -> the coordinate tuples of p^e * W_S(A)
+        if isinstance(self.lift, (ZRing, ZqRing)):
+            # over Z the ops are the kernels of S at the folded weights, each
+            # reducing mod m over zmod (whose cover is Z); ZqWittRing packs
+            # the weights instead
+            self._factory = _kernel_factory(shape)
+            if isinstance(self.lift, ZRing):
+                k = self._kernels = self._factory(
+                    tuple(map(_fold, _flat(self.rows))), _fold(self._twist),
+                    None if self.down is None else base.m)
+                self.add, self.mul, self.neg, self.ghost, self.unghost = (
+                    k.add, k.mul, k.neg, k.ghost, k.unghost)
+        else:
+            # on other covers each weight is the ring map it acts by
+            self.rows = _map_weights(self.rows, partial(_scaler, self.lift))
+            self._ghosts, self._inverse = partial(_ghost, self.lift), partial(_invert, self.lift)
 
     def on(self, tset: TruncationSet) -> "WittCoeffRing":
         """The context with the same family, ring and q on another set."""
         return _law(self.family, tset, self.base, self.qval)
 
     # --- the engine ---------------------------------------------------
+    # Over Z, _setup puts the kernels' ops in place of add, mul, neg, ghost
+    # and unghost, so that an op is one call; these methods run the rows of
+    # the other covers.
     def unghost(self, gs) -> tuple:
         """The coordinates whose ghost components are ``gs``; raises
         NotInGhostImage when an interior division fails."""
@@ -352,18 +598,23 @@ class WittCoeffRing(Ring):
         return self.unghost(map(self.lift.neg, self._ghosts(self.rows, a)))
 
     def _frob(self, m: int):
-        """The context on S/m, and the ghost rows of S at m*v for v in S/m."""
+        """The context on S/m, and F_m on coordinate tuples."""
         entry = self._frobs.get(m)
         if entry is None:
             sub = self.on(self.tset.quotient(m))
-            rows = [self.rows[self.tset.index(m * v)] for v in sub.tset]
-            entry = self._frobs[m] = (sub, rows)
+            entry = self._frobs[m] = (sub, self._frob_map(m, sub))
         return entry
 
-    def frobenius(self, m: int, a) -> tuple:
+    def _frob_map(self, m: int, sub: "WittCoeffRing"):
         """F_m: ghost component m*v of S becomes component v of S/m."""
-        sub, rows = self._frob(m)
-        return sub.unghost(self._ghosts(rows, a))
+        if self._kernels is not None:
+            return self._kernels.frob(m)
+        rows = [self.rows[self.tset.index(m * v)] for v in sub.tset]
+        ghosts = self._ghosts
+        return lambda a: sub.unghost(ghosts(rows, a))
+
+    def frobenius(self, m: int, a) -> tuple:
+        return self._frob(m)[1](a)
 
     def ghost(self, a) -> tuple:
         return self._reduced(self._ghosts(self.rows, a))
@@ -485,8 +736,9 @@ class ZqWittRing(WittCoeffRing):
     """W_S(Z[q]), with each op packed once.
 
     An op packs its inputs once at q = 2^s, a ring homomorphism
-    Z[q] -> Z, runs the integer row loops on rows packed at the same q and
-    unpacks each result coordinate once.  The slot width comes from 1-norm
+    Z[q] -> Z, runs the kernels of S at the weights and twist packed at
+    the same q and unpacks each result coordinate once.  The slot width,
+    found by the kernels of S at the weights' 1-norms, comes from 1-norm
     bounds: ||g_n||_1 <= G_n = n*||x_n||_1 + sum ||w||_1 * ||x_d||_1^(n/d)
     for the ghost, combined as the op combines ghosts (G_a + G_b for add,
     ||twist||_1 * G_a * G_b for mul, the rows at m*v for F_m), and in the
@@ -508,99 +760,85 @@ class ZqWittRing(WittCoeffRing):
 
     def _setup(self, family: Family, tset: TruncationSet, base: Ring, qval) -> None:
         super()._setup(family, tset, base, qval)
-        # the 1-norms of the weights, for the slot widths
-        self._norm_rows = _map_weights(self.rows, _norm)
+        # the kernels at the 1-norms of the weights give the bounds and widths
         self._twist_norm = _norm(self._twist)
+        self._norms = self._factory(tuple(map(_norm, _flat(self.rows))), self._twist_norm, None)
         self._packed = {}  # the packed q -> self._at(s)
 
     def unghost(self, gs) -> tuple:
         gs = list(gs)
         s = self._width([sum(map(abs, g)) for g in gs])
-        return self._inverted([_zp_pack(g, s) for g in gs], s)
+        packed = _packs(gs, s)
+        try:
+            cs = self._at(s).unghost(packed)
+        except NotInGhostImage:
+            # an earlier row may fail its digit check: take the coordinates
+            # before the failed row from the loop, and check them first
+            cs = []
+            with suppress(NotInGhostImage):
+                _int_invert(_map_weights(self.rows, partial(_packed_weight, s=s)), packed, cs)
+            self._unpacked(cs, s)
+            raise
+        return self._unpacked(cs, s)
 
     def add(self, a, b) -> tuple:
-        s = self._width(list(map(operator.add, self._bound(a), self._bound(b))))
-        rows = self._at(s)[0]
-        return self._inverted(
-            map(operator.add, self._ghost_at(a, rows, s), self._ghost_at(b, rows, s)), s)
+        s = self._width(map(operator.add, self._bound(a), self._bound(b)))
+        return self._unpacked(self._at(s).add(_packs(a, s), _packs(b, s)), s)
 
     def mul(self, a, b) -> tuple:
         t = self._twist_norm
         s = self._width([t * x * y for x, y in zip(self._bound(a), self._bound(b))])
-        rows, t = self._at(s)
-        gs = zip(self._ghost_at(a, rows, s), self._ghost_at(b, rows, s))
-        return self._inverted([t * x * y for x, y in gs], s)
+        return self._unpacked(self._at(s).mul(_packs(a, s), _packs(b, s)), s)
 
     def neg(self, a) -> tuple:
         s = self._width(self._bound(a))
-        return self._inverted(map(operator.neg, self._ghost_at(a, self._at(s)[0], s)), s)
+        return self._unpacked(self._at(s).neg(_packs(a, s)), s)
 
-    def frobenius(self, m: int, a) -> tuple:
-        sub, rows = self._frob(m)
-        s = sub._width(self._bound(a, rows))
-        packed = self._at(s)[0]
-        return sub._inverted(self._ghost_at(a, [packed[i] for i, _, _ in rows], s), s)
+    def _frob_map(self, m: int, sub: "ZqWittRing"):
+        at = [self.tset.index(m * v) for v in sub.tset]
+
+        def frob(a):
+            bounds = self._bound(a)
+            s = sub._width([bounds[i] for i in at])
+            return sub._unpacked(self._at(s).frob(m)(_packs(a, s)), s)
+
+        return frob
 
     def ghost(self, a) -> tuple:
         s = max(self._bound(a), default=0).bit_length() + 1
-        return tuple(_digits(g, s) for g in self._ghost_at(a, self._at(s)[0], s))
+        return tuple(_digits(g, s) for g in self._at(s).ghost(_packs(a, s)))
 
-    def _bound(self, a, rows=None) -> list:
-        """The bounds G_n on the 1-norms of a's ghost components, at the
-        given rows of S (all by default)."""
-        norm_rows = self._norm_rows
-        if rows is not None:
-            norm_rows = [norm_rows[i] for i, _, _ in rows]
-        return _int_ghost(norm_rows, [sum(map(abs, x)) for x in a])
+    def _bound(self, a) -> tuple:
+        """The bounds G_n on the 1-norms of a's ghost components."""
+        return self._norms.ghost([sum(map(abs, x)) for x in a])
 
     def _width(self, bounds) -> int:
         """The slot width s = max A_n.bit_length() + 1 for inverting ghost
         components whose 1-norms are at most ``bounds``."""
-        top, cs = 0, []
-        for g, (_, n, terms) in zip(bounds, self._norm_rows):
-            for j, e, w in terms:
-                g += w * cs[j] ** e
-            if g > top:
-                top = g
-            cs.append(g // n)
-        return top.bit_length() + 1
+        return self._norms.width(bounds)
 
-    def _at(self, s: int):
-        """The integer rows and the twist factor packed at q = 2^s.  A packed
+    def _at(self, s: int) -> _Kernels:
+        """The kernels at the weights and twist packed at q = 2^s.  A packed
         weight w(q)(2^s) is w at the packed q, so the packed q keys them."""
         q = None if self.qval is None else _zp_pack(self.qval, s)
         got = self._packed.get(q)
         if got is None:
             if len(self._packed) >= _PACKED_WIDTHS:
                 self._packed.clear()
-
-            def pack(weight):
-                return weight[0] + _zp_pack(weight[1] or (), s)
-
-            got = self._packed[q] = (_map_weights(self.rows, pack), pack(self._twist))
+            pack = partial(_packed_weight, s=s)
+            got = self._packed[q] = self._factory(
+                tuple(map(pack, _flat(self.rows))), pack(self._twist), None)
         return got
 
-    def _ghost_at(self, a, rows, s: int) -> list:
-        """The ghost components of ``a`` packed at q = 2^s, at packed rows."""
-        return _int_ghost(rows, [_zp_pack(x, s) for x in a])
-
-    def _inverted(self, gs, s: int) -> tuple:
-        """Invert packed ghost components at slot width s and unpack each
-        coordinate once, checking its digits.  NotInGhostImage names the
-        first n where the integer division or the check fails."""
-        cs, failed = [], None
-        try:
-            _int_invert(self._at(s)[0], gs, cs)
-        except NotInGhostImage as exc:
-            failed = exc
+    def _unpacked(self, cs, s: int) -> tuple:
+        """Unpack each inverted coordinate at slot width s, checking its
+        digits; NotInGhostImage names the first n whose check fails."""
         out, half = [], 1 << (s - 1)
-        for c, (_, n, _) in zip(cs, self.rows):
+        for c, n in zip(cs, self.tset):
             c = _digits(c, s)
             if n * max(map(abs, c), default=0) >= half:
                 raise _unreachable(n)
             out.append(c)
-        if failed:
-            raise failed
         return tuple(out)
 
 

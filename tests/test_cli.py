@@ -461,3 +461,27 @@ def test_integer_options_read_ascii_digits(tmp_path, capsys, argv, kind):
         bad += ["0", "-7"]
     for value in bad:
         assert _option_run(tmp_path, capsys, argv, value) == (2, ""), value
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 10**30])
+@pytest.mark.parametrize("action", ["lenart-defect", "lenart-iso"])
+def test_lenart_constructions_need_a_prime_p(tmp_path, capsys, action, p):
+    args = ["deform", action, "--p", str(p), "--q", "3"]
+    if action == "lenart-iso":
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"coords": {"1": "2", "2": "5"}}))
+        args += ["--in", str(path)]
+    assert main(args) == 2
+    assert f"p={p}" in capsys.readouterr().err
+
+
+def test_lenart_constructions_at_a_prime_p(tmp_path, capsys):
+    code, data = run(capsys, "deform", "lenart-defect", "--p", "3", "--q", "3")
+    assert code == 0 and data["defect"] is not None
+    code, data = run(capsys, "deform", "lenart-defect", "--p", "1000000000000000003",
+                     "--q", "2")
+    assert code == 0 and data["defect"] is None
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"coords": {"1": "2", "3": "5"}}))
+    code, data = run(capsys, "deform", "lenart-iso", "--p", "3", "--q", "2", "--in", str(path))
+    assert code == 0 and data == {"coords": {"1": "2", "3": "13"}}  # 5 + (2^2-1)/3 * 2^3

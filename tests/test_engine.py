@@ -8,6 +8,8 @@ integer lift), are the independent oracle they are compared with.
 
 import operator
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -18,7 +20,7 @@ from qwitt.errors import NotInGhostImage
 from qwitt.mpoly import Q, xvar, yvar
 from qwitt.rings import (DUAL, Z, ZQ, Ring, TwistedRing, ZModRing, ZqRing, ZRing,
                          parse_ring)
-from qwitt.truncset import TruncationSet
+from qwitt.truncset import TruncationSet, divisors
 from qwitt.universal import Family
 
 S6 = TruncationSet.make([6])
@@ -377,7 +379,8 @@ def test_integer_rows_match_the_generic_loop(fam, ring_at, picked, xs, ys):
     ctx = witt.WittCoeffRing(ring, tset, family, q)
     # the same integer q as the context's cover, so every step agrees over Z
     loop = witt.WittCoeffRing(LoopZ(), tset, family, ctx.qval)
-    assert ctx._ghosts is witt._int_ghost and loop._ghosts.func is witt._ghost
+    assert ctx.add.__self__ is ctx._kernels and loop._ghosts.func is witt._ghost
+    assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]  # compiled
     down = ctx.down or (lambda c: c)
     want = [tuple(map(down, r)) if isinstance(r, tuple) else r
             for r in _integer_engine_results(loop, a, b, loop.ghost(b), ring is Z)]
@@ -398,7 +401,8 @@ def test_integer_contexts_never_call_the_generic_row(monkeypatch):
             a = witt.random_vector(family, tset, ring, rng, q)
             b = witt.random_vector(family, tset, ring, rng, q)
             ctx = a.context
-            assert type(ctx) is witt.ZqWittRing or ctx._ghosts is witt._int_ghost
+            assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]
+            assert type(ctx) is witt.ZqWittRing or ctx.add.__self__ is ctx._kernels
             witt.sub(witt.mul(a, b), witt.int_scale(3, b))
             for m in tset:
                 witt.frobenius(a, m)
@@ -409,3 +413,172 @@ def test_integer_contexts_never_call_the_generic_row(monkeypatch):
                 assert not witt.is_divisible(a, 7, 30)
             with pytest.raises(NotInGhostImage):  # row 2 leaves 1, which 2 cannot divide
                 ctx.unghost((ring.zero(), ring.one()) + a.coords[2:])
+
+
+# ----------------------------------------------------------------------
+# The compiled kernels against the row loops they replace.
+
+
+def _divisor_stable_subsets(top: int) -> list:
+    """Every divisor-stable subset of {1, ..., top}, as ascending tuples."""
+    out = [()]
+    for n in range(1, top + 1):
+        out += [s + (n,) for s in out if set(divisors(n)[:-1]) <= set(s)]
+    return out[1:]
+
+
+DIVISOR_STABLE = _divisor_stable_subsets(12)
+# (ring, family, q): the kernels' weights, twist and modulus come from
+# these contexts; over zq at the weights packed at q = 2^s
+KERNEL_CONTEXTS = [
+    (Z, Family.classical(), None),
+    (Z, Family.qdef(), -2),
+    (ZModRing(4), Family.qbar(), 3),
+    (ZModRing(9), Family.lenart(2), None),
+    (ZQ, Family.qdef(), 3),  # an integer q
+    (ZQ, Family.qdef(), None),  # the generator q
+    (ZQ, Family.qbar((1, -2, 0, 3)), None),
+]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotInGhostImage as exc:
+        return str(exc)
+
+
+def _kernel_results(k, tset, a, b, gs) -> list:
+    out = [_outcome(op, *args) for op, args in (
+        (k.add, (a, b)), (k.mul, (a, b)), (k.neg, (a,)), (k.ghost, (a,)),
+        (k.unghost, (gs,)), (k.unghost, (a,)), (k.width, ([abs(x) for x in a],)))]
+    return out + [_outcome(k.frob(m), a) for m in tset]
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(DIVISOR_STABLE),
+    st.sampled_from(range(len(KERNEL_CONTEXTS))),
+    st.integers(2, 90),
+    st.lists(Z_COEFF, min_size=12, max_size=12),
+    st.lists(Z_COEFF, min_size=12, max_size=12),
+)
+# the unghost of a = (1, -2) on {1,3} fails at 3 (row 3 leaves -2); a
+# ghost vector whose row 4 is odd fails at 2 first on {1,2,4}
+@example((1, 3), 0, 2, [1, -2] + [0] * 10, [1, 2] + [0] * 10)
+@example((1, 2, 4), 3, 2, [1, 0, 3] + [0] * 9, [0] * 12)
+@example(DIVISOR_STABLE[-1], 6, 90, [2**70] * 12, [-(2**70) - 9] * 12)
+def test_kernels_match_the_row_loops(elems, at, s, xs, ys):
+    ring, family, q = KERNEL_CONTEXTS[at]
+    tset = TruncationSet.make(elems)
+    ctx = witt.WittCoeffRing(ring, tset, family, q)
+    kern = ctx._at(s) if isinstance(ctx, witt.ZqWittRing) else ctx._kernels
+    shape = witt._shape(tset)
+    compiled = witt._compile_kernels(shape)(kern.W, kern.T, kern.M)
+    loop = witt._LoopKernels(shape, kern.W, kern.T, kern.M)
+    a, b = tuple(xs[:len(tset)]), tuple(ys[:len(tset)])
+    gs = witt._LoopKernels(shape, kern.W, kern.T, None).ghost(b)  # a ghost vector
+    assert _kernel_results(compiled, tset, a, b, gs) == _kernel_results(loop, tset, a, b, gs)
+    if isinstance(ctx, witt.ZqWittRing):  # and the bound pass at the 1-norms
+        norms = witt._LoopKernels(shape, ctx._norms.W, ctx._norms.T, None)
+        bounds = [abs(x) for x in a]
+        assert ctx._norms.ghost(bounds) == norms.ghost(bounds)
+        assert ctx._norms.width(bounds) == norms.width(bounds)
+
+
+def test_divisor_stable_subsets_of_one_to_twelve():
+    assert len(DIVISOR_STABLE) == 252
+    assert all(TruncationSet.make(s).elements == s for s in DIVISOR_STABLE)
+
+
+def _upto_terms(limit: int) -> TruncationSet:
+    """The largest {1, ..., N} with at most ``limit`` off-diagonal terms."""
+    n = 1
+    while sum(len(divisors(k)) - 1 for k in range(1, n + 2)) <= limit:
+        n += 1
+    return TruncationSet.make(range(1, n + 1))
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_sets_on_each_side_of_the_term_cap(monkeypatch, side):
+    compiles = []
+    real = witt._compile_kernels
+    monkeypatch.setattr(witt, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(witt, "_LAW_CACHE", {})
+    monkeypatch.setattr(witt, "_compile_kernels", lambda shape: compiles.append(shape) or
+                        real(shape))
+    top = len(_upto_terms(witt.KERNEL_MAX_TERMS)) + (side == "above")
+    tset = TruncationSet.make(range(1, top + 1))
+    rng = random.Random(12)
+    for ring, family, q in ((Z, Family.qdef(), 2), (ZModRing(8), Family.lenart(2), None),
+                            (ZQ, Family.qbar(), None)):
+        a = witt.random_vector(family, tset, ring, rng, q)
+        b = witt.random_vector(family, tset, ring, rng, q)
+        ctx = a.context
+        if side == "below":
+            assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]
+        else:
+            assert ctx._factory.func is witt._LoopKernels
+        loop = witt.WittCoeffRing(LoopZq() if ring is ZQ else LoopZ(), tset, family, ctx.qval)
+        down = ctx.down or (lambda c: c)
+        want = [tuple(map(down, r)) for r in (
+            loop.add(a.coords, b.coords), loop.mul(a.coords, b.coords), loop.neg(a.coords),
+            loop.frobenius(2, a.coords), loop.ghost(a.coords))]
+        assert [ctx.add(a.coords, b.coords), ctx.mul(a.coords, b.coords), ctx.neg(a.coords),
+                ctx.frobenius(2, a.coords), ctx.ghost(a.coords)] == want
+    # the set compiles once below the cap and never above it; F_2's target
+    # S/2 is below the cap either way
+    assert compiles.count(witt._shape(tset)) == (side == "below")
+    assert len(compiles) == len(set(compiles))
+
+
+def test_each_shape_compiles_once_into_one_source(monkeypatch):
+    compiled = []  # (shape, source) per compile
+    real = witt._kernel_source
+    monkeypatch.setattr(witt, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(witt, "_LAW_CACHE", {})
+    monkeypatch.setattr(witt, "_kernel_source", lambda shape: compiled.append(
+        (shape, real(shape))) or compiled[-1][1])
+    rng = random.Random(3)
+    classical = witt.random_vector(Family.classical(), S6, ZModRing(4), rng)
+    qbar = witt.random_vector(Family.qbar(), S6, ZModRing(4), rng, 2)
+    for a in (classical, qbar):
+        witt.frobenius(witt.mul(a, witt.add(a, a)), 3)  # F_3 lands on {1,2}
+    shape = witt._shape(S6)
+    assert [s for s, _ in compiled] == [shape, witt._shape(S2)]
+    assert classical.context._factory is qbar.context._factory
+    assert classical.context._kernels.W != qbar.context._kernels.W
+    # the text is the shape's alone: the other family generates it again
+    assert real(witt._shape(qbar.tset)) == real(witt._shape(classical.tset)) == compiled[0][1]
+    above = TruncationSet.make(range(1, len(_upto_terms(witt.KERNEL_MAX_TERMS)) + 2))
+    for ring in (Z, ZModRing(4), ZQ):
+        ctx = witt.WittCoeffRing(ring, above)
+        ctx.mul(ctx.one(), ctx.add(ctx.one(), ctx.one()))
+    assert len(compiled) == 2  # a set above the cap never compiles
+
+
+def test_threads_racing_on_new_shapes_compile_each_once(monkeypatch):
+    compiles = []
+    real = witt._compile_kernels
+    monkeypatch.setattr(witt, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(witt, "_compile_kernels", lambda shape: compiles.append(shape) or
+                        real(shape))
+    shapes = [witt._shape(TruncationSet.make(range(1, k + 1))) for k in range(2, 8)]
+    got = []
+
+    def work():
+        got.append([witt._kernel_factory(shape) for shape in shapes])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 6 and all(factories == got[0] for factories in got)
+    assert sorted(compiles) == sorted(shapes)  # each shape exactly once

@@ -1,5 +1,6 @@
 """Projective systems, the alpha construction, and the nesting isomorphism."""
 
+import json
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from qwitt.errors import NotInGhostImage
 from qwitt.rings import Z, ZQ, ZModRing, TwistedRing, parse_ring
 from qwitt.truncset import ONE_SET, TruncationSet
 from qwitt.universal import Family
-from qwitt import systems, witt
+from qwitt import cli, systems, witt
 
 S2 = TruncationSet.make([2])
 S3 = TruncationSet.make([3])
@@ -250,3 +251,39 @@ def test_alpha_deterministic():
     first = systems.alpha(ws, S6, a)
     second = systems.alpha(ws, S6, a)
     assert first.coords == second.coords
+
+
+def _counting_enumerations(monkeypatch) -> list:
+    """How many elements each enumeration of a Witt ring gave out."""
+    pulled = []
+    real = witt.WittCoeffRing.enumerate
+
+    def counting(self):
+        pulled.append(0)
+        for x in real(self):
+            pulled[-1] += 1
+            yield x
+
+    monkeypatch.setattr(witt.WittCoeffRing, "enumerate", counting)
+    return pulled
+
+
+def test_exactness_past_the_enumeration_budget_is_sampled(monkeypatch, capsys):
+    pulled = _counting_enumerations(monkeypatch)
+    # W_S(Z/7) on {1,2,3,4,6,12} has 7^6 = 117649 elements, more than a
+    # Witt ring enumerates at all; {1,2,3,4,6} has 16807
+    argv = ["systems", "verify", "--instance", "witt:zmod:7:1,2,3,4,6,12", "--budget", "2"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c["passed"] for c in report["checks"]}
+    assert report["passed"]
+    assert checks["exactness:p=2@1,2,3,4,6,12"] and checks["exactness:p=3@1,2,3,4,6"]
+    assert max(pulled) <= systems.ENUM_BUDGET + 1
+
+
+def test_exactness_stops_enumerating_past_the_budget(monkeypatch):
+    pulled = _counting_enumerations(monkeypatch)
+    s = TruncationSet.make([4, 6])  # W_S(Z/7) has 7^5 = 16807 elements
+    assert systems._check_exactness(systems.WittSystem(ZModRing(7), s), s, 2,
+                                    random.Random(1), 3)
+    assert pulled == [systems.ENUM_BUDGET + 1]  # then sampled, never listed in full

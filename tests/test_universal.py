@@ -206,8 +206,10 @@ def test_disk_cache_round_trip(tmp_path):
         assert loaded.frob[2][1] == fresh.frob[2][1]
         # corrupt the payload: the hash check must reject it
         path = universal._cache_file(Family.qdef(), S2)
-        text = open(path).read().replace('"coeff": "2"', '"coeff": "3"', 1)
-        open(path, "w").write(text)
+        with open(path) as f:
+            text = f.read().replace('"coeff": "2"', '"coeff": "3"', 1)
+        with open(path, "w") as f:
+            f.write(text)
         assert universal._disk_load(Family.qdef(), S2) is None
     finally:
         universal.set_cache_dir(None)
