@@ -35,15 +35,18 @@ weights, twist and modulus.  A set whose rows have more than
 run the rows through two module loops, ``_int_ghost`` and
 ``_int_invert``, which are also the reference the kernels are tested
 against.  Over Z[q] a whole operation is packed once: every input
-coordinate is evaluated at q = 2^s, the same kernels run on the packed
-integers, at the weights packed too, and each result coordinate is
-unpacked once, with s from 1-norm bounds on everything the op computes,
-found by the kernels at the 1-norms of the weights.  Every quotient's
-digits are checked, since the packed integer can be divisible by n when
-the polynomial is not; :class:`ZqWittRing` proves that the check catches
-exactly those cases.  Over any other cover each weight is the ring map
-it acts by, built once, and ``_ghost`` and ``_invert`` run the rows with
-ring operations.
+coordinate is evaluated at q = 2^s, the rows run on the packed integers,
+at the weights packed too, and the result coordinates are unpacked, with
+s from 1-norm bounds on everything the op computes, at the 1-norms of
+the weights.  The same compile of a shape gives a method for each Z[q]
+op that does all of this inline, at a width rounded to whole bytes, and
+unpacks every coordinate with one ``to_bytes``; a set above the cap
+runs the loops on the packed integers and unpacks each coordinate by
+itself.  Every quotient's digits are checked, since the packed integer
+can be divisible by n when the polynomial is not; :class:`ZqWittRing`
+proves that the checks catch exactly those cases.  Over any other cover
+each weight is the ring map it acts by, built once, and ``_ghost`` and
+``_invert`` run the rows with ring operations.
 
 Because W_S(A) is a ring, it serves as the coefficient ring of another
 Witt ring; that is what the nesting isomorphism consumes.
@@ -53,9 +56,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from threading import Lock
 
 from .errors import (
@@ -285,11 +289,12 @@ def _int_invert(rows, gs, cs: list) -> list:
 
 
 # ----------------------------------------------------------------------
-# Kernels.  Over Z, and on packed Z[q], an op is one call of a kernel: a
-# method that runs the rows of S written out as straight-line code, over
-# the integer weights, twist and modulus of the object it is bound to.
-# The code is generated from the shape of S alone and compiled once per
-# process; every context on S makes one object of it with its own values.
+# Kernels.  Over Z, and over Z[q], an op is one call of a kernel: a method
+# that runs the rows of S written out as straight-line code, over the
+# integer weights, twist and modulus (over Z[q]: the weights' 1-norms and
+# packed weights) of the object it is bound to.  The code is generated
+# from the shape of S alone and compiled once per process; every context
+# on S makes one object of it with its own values.
 
 # The most off-diagonal terms a shape may have and still be compiled; a
 # larger set runs the row loops.  Compiling costs about 0.8 ms per term
@@ -305,9 +310,8 @@ KERNEL_MAX_TERMS = 32
 class _Kernels:
     """The ops of one context on coordinate tuples over Z, at the flat
     weights W, the twist T and the modulus M (None: no reduction):
-    ``ghost``, ``unghost``, ``add``, ``mul`` and ``neg``, F_m as
-    ``frob(m)``, and ``width(bounds)``, the slot width of
-    :class:`ZqWittRing` when W holds the 1-norms of its weights."""
+    ``ghost``, ``unghost``, ``add``, ``mul`` and ``neg``, and F_m as
+    ``frob(m)``."""
 
     __slots__ = ("W", "T", "M")
 
@@ -379,6 +383,9 @@ class _LoopKernels(_Kernels):
         return lambda a: self._done(_int_invert(sub, _int_ghost(at, a), []))
 
     def width(self, bounds) -> int:
+        """The slot width of :class:`ZqWittRing` when W holds the 1-norms
+        of its weights: max A_n.bit_length() + 1 for ghost components whose
+        1-norms are at most ``bounds``."""
         top, cs = 0, []
         for g, (_, n, terms) in zip(bounds, self.rows):
             for j, e, w in terms:
@@ -392,16 +399,23 @@ def _power(x: str, e: int) -> str:
     return f"{x}*{x}" if e == 2 else f"{x}**{e}"
 
 
-def _kernel_source(shape) -> str:
-    """The source of ``factory(W, T, M)``, which returns the
-    :class:`_Kernels` of a shape: class ``Plain`` when M is None, else its
-    subclass ``Reduced``, whose ops reduce their results mod M.  The text
-    is built from the shape's integers alone; the values are read from the
-    object, as the flat weights w0, w1, ... of W, T and M."""
+def _kernel_source(shape) -> dict:
+    """The source of each method of the kernel classes of a shape, per
+    class: ``Plain``, the :class:`_Kernels` of a context over Z; its
+    subclass ``Reduced``, whose ops reduce their results mod M; and
+    ``Packed``, the whole ops of a :class:`ZqWittRing` on coordinate tuples
+    over Z[q], whose W and T are the 1-norms of the weights and of the
+    twist and whose ``at(s)`` gives the kernels at the weights packed at
+    q = 2^s.  The text is built from the shape's integers alone; the
+    values are read from the objects, as the flat weights w0, w1, ...
+    (their 1-norms v0, v1, ...), T and M."""
     rows = _positioned(shape)
-    weights = "".join(f"w{p}, " for p in range(sum(len(t) for _, _, t in rows)))
+    size, count = len(rows), sum(len(t) for _, _, t in rows)
 
-    def ghost(row, xs):  # the ghost component of a row at the sum of the vectors xs
+    def listed(name, k):  # "name0, name1, ..., name(k-1), "
+        return "".join(f"{name}{j}, " for j in range(k))
+
+    def ghost(row, xs, w="w"):  # the ghost component of a row at the sum of the vectors xs
         def total(fmt):
             parts = [fmt(x) for x in xs]
             return parts[0] if len(parts) == 1 else "(" + " + ".join(parts) + ")"
@@ -410,62 +424,113 @@ def _kernel_source(shape) -> str:
         src = total(lambda x: f"{x}{i}")
         src = src if n == 1 else f"{n}*{src}"
         for j, e, p in terms:
-            src += f" + w{p}*" + total(lambda x: _power(f"{x}{j}", e))
+            src += f" + {w}{p}*" + total(lambda x: _power(f"{x}{j}", e))
         return src
 
-    def invert(rows, gs):  # c0, c1, ... from the ghost components gs
+    def invert(rows, gs, fail):  # c0, c1, ... from the ghost components gs
         lines = []
         for (k, n, terms), g in zip(rows, gs):
             acc = g + "".join(f" - w{p}*{_power(f'c{j}', e)}" for j, e, p in terms)
             if n == 1:
                 lines.append(f"c{k} = {acc}")
             else:
-                lines += [f"r = {acc}", f"if r % {n}: raise U({n})", f"c{k} = r // {n}"]
+                lines += [f"r = {acc}", f"if r % {n}: raise {fail(k, n)}", f"c{k} = r // {n}"]
         return lines
 
-    def method(name, args, body, result, reduce=False):
-        lines = [f"{weights}= self.W"] if weights else []
+    def define(name, args, lines):
+        return "\n".join([f"def {name}(self, {', '.join(args)}):"]
+                         + ["    " + line for line in lines])
+
+    def bound(row, xs):  # the bound G_n on the 1-norm of a ghost component
+        return ghost(row, [f"n{x}" for x in xs], "v")
+
+    # each op: its name and arguments, the ghost components it inverts over
+    # the rows sub (None: the ghost, which inverts nothing), and their bounds
+    ops = [("ghost", "x", [ghost(row, "x") for row in rows],
+            [bound(row, "x") for row in rows], None),
+           ("unghost", "g", [f"g{k}" for k in range(size)], [f"ng{k}" for k in range(size)], rows),
+           ("add", "ab", [ghost(row, "ab") for row in rows], [bound(row, "ab") for row in rows], rows),
+           ("mul", "ab", [f"T*({ghost(row, 'a')})*({ghost(row, 'b')})" for row in rows],
+            [f"t*({bound(row, 'a')})*({bound(row, 'b')})" for row in rows], rows),
+           ("neg", "a", [f"-({ghost(row, 'a')})" for row in rows],
+            [bound(row, "a") for row in rows], rows)]
+    for _, m, _ in rows:
+        at, sub = _frob_rows(rows, m)
+        ops.append((f"frob{m}", "x", [ghost(row, "x") for row in at],
+                    [bound(row, "x") for row in at], sub))
+
+    def integer(name, args, gs, bounds, sub, reduce):
+        # an op over Z: the rows at the weights, the result reduced mod M
+        lines = [f"{listed('w', count)}= self.W"] if count else []
         lines += ["T = self.T"] if name == "mul" else []
         lines += ["M = self.M"] if reduce else []
-        lines += ["".join(f"{x}{k}, " for k in range(len(rows))) + f"= {x}" for x in args]
-        return [f"def {name}(self, {', '.join(args)}):"] + [
-            "    " + line for line in lines + body + [result]]
+        lines += [listed(x, size) + f"= {x}" for x in args]
+        if sub is None:
+            lines += [f"c{k} = {g}" for k, g in enumerate(gs)]
+        else:
+            lines += invert(sub, gs, lambda k, n: f"U({n})")
+        result = ", ".join(f"c{k} % M" if reduce else f"c{k}" for k in range(len(gs)))
+        return define(name, args, lines + [f"return ({result},)"])
 
-    def ops(reduce):
-        def op(name, args, size, body):  # an op whose result is c0, ..., c(size-1)
-            result = ", ".join(f"c{k} % M" if reduce else f"c{k}" for k in range(size))
-            return method(name, args, body, f"return ({result},)", reduce)
+    def whole(name, args, gs, bounds, sub):
+        # an op over Z[q]: the 1-norms of the inputs, the ghost bounds G
+        # and, inverting, the bounds A_n and C_n; the width; the packed
+        # inputs, the rows, and one split of the results
+        lines = [f"{listed('v', count)}= self.W"] if count else []
+        lines += ["t = self.T"] if name == "mul" else []
+        for x in args:
+            lines.append(listed(x, size) + f"= {x}")
+            lines += [f"n{x}{k} = sum(map(abs, {x}{k}))" for k in range(size)]
+        if sub is None:  # the ghost: no division, so no check
+            lines += [f"A{k} = {bound}" for k, bound in enumerate(bounds)]
+            slack = 1
+        else:
+            lines += [f"A{k} = {bound}" + "".join(
+                f" + v{p}*{_power(f'C{j}', e)}" for j, e, p in terms)
+                + (f"; C{k} = A{k}" if n == 1 else f"; C{k} = A{k} // {n}")
+                for (k, n, terms), bound in zip(sub, bounds)]
+            slack = rows[-1][1].bit_length()
+        lines += [f"s = max(0, {listed('A', len(bounds))}).bit_length() + {1 + slack}",
+                  "s = L[s] if s < 65 else s + (-s & 7)",
+                  "k = self.at(s)"]
+        lines += [f"{listed('w', count)}= k.W"] if count else []
+        lines += ["T = k.T"] if name == "mul" else []
+        lines += [f"{x}{k} = P({x}{k}, s)" for x in args for k in range(size)]
+        if sub is None:
+            lines += [f"c{k} = {g}" for k, g in enumerate(gs)]
+            return define(name, args, lines + [f"return S(({listed('c', size)}), s, None)"])
+        ns = tuple(n for _, n, _ in sub)
+        lines += invert(sub, gs, lambda k, n: f"F(s, ({listed('c', k)}), {ns[:k]}, {n})")
+        return define(name, args, lines + [f"return S(({listed('c', len(sub))}), s, {ns})"])
 
-        size = len(rows)
-        out = op("ghost", "x", size, [f"c{k} = {ghost(row, 'x')}" for k, row in enumerate(rows)])
-        out += op("unghost", "g", size, invert(rows, [f"g{k}" for k in range(size)]))
-        out += op("add", "ab", size, invert(rows, [ghost(row, "ab") for row in rows]))
-        out += op("mul", "ab", size, invert(rows, [
-            f"T*({ghost(row, 'a')})*({ghost(row, 'b')})" for row in rows]))
-        out += op("neg", "a", size, invert(rows, [f"-({ghost(row, 'a')})" for row in rows]))
-        for _, m, _ in rows:
-            at, sub = _frob_rows(rows, m)
-            out += op(f"frob{m}", "x", len(sub), invert(sub, [ghost(row, "x") for row in at]))
-        return out
-
-    width = [f"a{k} = g{k}" + "".join(f" + w{p}*{_power(f'c{j}', e)}" for j, e, p in terms)
-             + (f"; c{k} = a{k}" if n == 1 else f"; c{k} = a{k} // {n}")
-             for k, n, terms in rows]
-    tops = "".join(f", a{k}" for k in range(len(rows)))
-    plain = method("width", "g", width, f"return max(0{tops}).bit_length() + 1") + ops(False)
-    return "\n".join(
-        ["class Plain(Kernels):", "    __slots__ = ()"] + ["    " + line for line in plain]
-        + ["class Reduced(Plain):", "    __slots__ = ()"]
-        + ["    " + line for line in ops(True)]
-        + ["def factory(W, T, M):",
-           "    return Plain(W, T, M) if M is None else Reduced(W, T, M)"]) + "\n"
+    return {"Plain": [integer(*op, False) for op in ops],
+            "Reduced": [integer(*op, True) for op in ops],
+            "Packed": [whole(*op) for op in ops]}
 
 
 def _compile_kernels(shape):
-    """The kernel factory of a shape, compiled from :func:`_kernel_source`."""
-    namespace = {"U": _unreachable, "Kernels": _Kernels}
-    exec(compile(_kernel_source(shape), "<qwitt kernels>", "exec"), namespace)
-    return namespace["factory"]
+    """The kernel factory of a shape: ``factory(W, T, M)`` makes a
+    ``Plain`` or, with a modulus, a ``Reduced``, and ``factory.packed`` is
+    class ``Packed``.  Each method of :func:`_kernel_source` is compiled by
+    itself, so that compiling holds the syntax tree of one method, not of
+    the shape's hundreds of lines."""
+    namespace = {"U": _unreachable, "L": _ALIGNED, "P": _zp_pack, "S": _split, "F": _failed}
+    methods = _kernel_source(shape)
+
+    def build(name, base, slots=()):
+        body = {"__slots__": slots}
+        for text in methods[name]:
+            exec(compile(text, "<qwitt kernels>", "exec"), namespace, body)
+        return type(name, (base,), body)
+
+    plain = build("Plain", _Kernels)
+    reduced = build("Reduced", plain)
+
+    def factory(W, T, M):
+        return plain(W, T, M) if M is None else reduced(W, T, M)
+
+    factory.packed = build("Packed", _Kernels, ("at",))
+    return factory
 
 
 _KERNEL_CACHE: dict = {}  # shape -> its compiled factory
@@ -512,7 +577,89 @@ def _packs(xs, s: int) -> list:
     return [_zp_pack(x, s) for x in xs]
 
 
-_PACKED_WIDTHS = 64  # the packed q values whose kernels a Z[q] context keeps
+# The slot widths of the generated Z[q] ops: a width of s bits is rounded
+# up to 8, 16, 32 or 64 (_ALIGNED[s]), or above 64 to whole bytes, so that
+# :func:`_split` reads every slot as one machine integer or one run of
+# bytes.
+_ALIGNED = (8,) * 9 + (16,) * 8 + (32,) * 16 + (64,) * 32
+# the memoryview formats of the widths, for little-endian bytes
+_SIGNED = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+
+
+@lru_cache(maxsize=256)
+def _biases(s: int, slots: int, j: int) -> tuple:
+    """For ``slots`` slots of s bits: 2^(s-1) in every slot, 2^(s-1-j) in
+    every slot, and the mask of every bit outside the low s-j bits of each
+    slot (a negative integer, so it holds the bits above the slots too)."""
+    ones = ((1 << s * slots) - 1) // ((1 << s) - 1)
+    low = ones << (s - 1 - j)
+    return ones << (s - 1), low, ~((low << 1) - ones)
+
+
+def _split(cs, s: int, ns) -> tuple:
+    """The Z[q] elements packed at q = 2^s in the integers cs, s a multiple
+    of 8.  With ``ns`` (ascending, below 2^(s-1)) the cs are the quotients
+    of a ghost inversion at rows ns, and their digits are checked; without,
+    their digits are known to be below 2^(s-2) in size.
+
+    The integers are laid end to end in one, x, each in as many slots as
+    the longest balanced expansion of them needs and a spare, so that
+    every block holds exactly the digits of its integer.  Adding 2^(s-1) in
+    every slot makes each digit d nonnegative, d + 2^(s-1); XOR-ing it back
+    turns that into the s-bit two's complement of d, so one ``to_bytes``
+    and one ``memoryview.cast`` (above 64 bits, ``int.from_bytes`` per
+    slot) read all the digits.  One check covers all of them: with j the
+    bit length of max(ns), every digit lies in [-2^(s-1-j), 2^(s-1-j)) if
+    and only if adding 2^(s-1-j) in every slot of x leaves no bit outside
+    the low s-j bits of a slot, and then max(ns)*|d| < 2^(s-1), the check
+    of each quotient.  Only when it fails does :func:`_check_each` look for
+    the first n whose own check fails (see :class:`ZqWittRing`).  Digits
+    below 2^(s-2) in size make the expansion of a nonzero c exactly
+    c.bit_length() // s + 1 digits long, so each is read without its
+    zeros."""
+    bits = list(map(int.bit_length, cs))
+    size = max(bits) // s + 2  # slots per integer
+    step, x = s * size, 0
+    for c in reversed(cs):
+        x = (x << step) + c
+    slots = size * len(cs)
+    bias, low, outside = _biases(s, slots, 1 if ns is None else ns[-1].bit_length())
+    raw = ((x + bias) ^ bias).to_bytes(step * len(cs) >> 3, "little")
+    code = _SIGNED.get(s)
+    if code:
+        digits = memoryview(raw).cast(code).tolist()
+    else:
+        w = s >> 3
+        digits = [int.from_bytes(raw[i:i + w], "little", signed=True)
+                  for i in range(0, len(raw), w)]
+    if ns is not None and (x + low) & outside:
+        _check_each(digits, size, s, ns)
+    out, i = [], 0
+    for b in bits:
+        out.append(tuple(digits[i:i + b // s + 1]) if b else ())
+        i += size
+    return tuple(out)
+
+
+def _check_each(digits, size: int, s: int, ns) -> None:
+    """Raise NotInGhostImage at the first n of ``ns`` whose block of
+    ``size`` digits has a digit d with |n*d| >= 2^(s-1)."""
+    half = 1 << (s - 1)
+    for i, n in zip(range(0, len(digits), size), ns):
+        block = digits[i:i + size]
+        if n * max(max(block), -min(block)) >= half:
+            raise _unreachable(n)
+
+
+def _failed(s: int, cs, ns, n: int) -> NotInGhostImage:
+    """The error of a generated Z[q] op whose packed row n did not divide,
+    after the quotients cs of the rows ns before it: the first of those
+    whose digits fail the check is named instead."""
+    _split(cs, s, ns)
+    return _unreachable(n)
+
+
+_PACKED_WIDTHS = 64  # the widths whose packed kernels a Z[q] context keeps
 
 
 class WittCoeffRing(Ring):
@@ -737,33 +884,64 @@ class ZqWittRing(WittCoeffRing):
 
     An op packs its inputs once at q = 2^s, a ring homomorphism
     Z[q] -> Z, runs the kernels of S at the weights and twist packed at
-    the same q and unpacks each result coordinate once.  The slot width,
-    found by the kernels of S at the weights' 1-norms, comes from 1-norm
-    bounds: ||g_n||_1 <= G_n = n*||x_n||_1 + sum ||w||_1 * ||x_d||_1^(n/d)
-    for the ghost, combined as the op combines ghosts (G_a + G_b for add,
+    the same q and unpacks each result coordinate once.  The slot width
+    comes from 1-norm bounds, computed at the weights' 1-norms:
+    ||g_n||_1 <= G_n = n*||x_n||_1 + sum ||w||_1 * ||x_d||_1^(n/d) for the
+    ghost, combined as the op combines ghosts (G_a + G_b for add,
     ||twist||_1 * G_a * G_b for mul, the rows at m*v for F_m), and in the
     inversion ||acc_n||_1 <= A_n = G_n + sum ||w||_1 * C_d^(n/d), with
-    C_d = A_d // d >= ||c_d||_1.  s = max A_n.bit_length() + 1 puts every
+    C_d = A_d // d >= ||c_d||_1.  s > max A_n.bit_length() puts every
     coefficient of acc_n below 2^(s-1) in size, so the balanced base-2^s
     digits of the packed acc_n are its coefficients, because such
-    expansions are unique.
+    expansions are unique.  That holds at any larger s too.
 
     The packed acc_n can be divisible by n when acc_n is not (1 - q packs
-    to -15 at s = 4), so each digit d of each quotient is checked:
-    |n*d| < 2^(s-1).  If n divides acc_n, the quotient packs acc_n / n and
-    each n*d is a coefficient of acc_n, so the check passes.  If the check
-    passes, the n*d are balanced digits of the packed acc_n, hence its
-    coefficients, so n divides acc_n.  The first n where the division or
-    the check fails is thus the first where the coefficientwise division
-    fails, and NotInGhostImage names it, as over any other ring.
+    to -15 at s = 4 and to -255 at s = 8), so each digit d of each
+    quotient is checked: |n*d| < 2^(s-1).  If n divides acc_n, the
+    quotient packs acc_n / n and each n*d is a coefficient of acc_n, so
+    the check passes.  If the check passes, the n*d are balanced digits of
+    the packed acc_n, hence its coefficients, so n divides acc_n.  The
+    first n where the division or the check fails is thus the first where
+    the coefficientwise division fails, and NotInGhostImage names it, as
+    over any other ring.
+
+    On a set below KERNEL_MAX_TERMS each op is one generated method (class
+    ``Packed`` of :func:`_kernel_source`), which takes the 1-norms, bounds,
+    width, packed weights (``_at``), packed rows and unpacking inline, and
+    checks all digits at once.  Its width carries j = max(S).bit_length()
+    bits of slack, s > max A_n.bit_length() + j, and is then rounded up to
+    8, 16, 32 or 64 bits or to whole bytes, which by the above changes no
+    result.  The one check asks every digit of every quotient to lie in
+    [-2^(s-1-i), 2^(s-1-i)), i <= j the bit length of the largest n of the
+    result (S, or S/m for F_m).  It implies the check of each n, as
+    n*2^(s-1-i) < 2^(s-1) for every such n.  It passes whenever every
+    division is exact, because each digit is then a coefficient of c_n and
+    |d| <= ||acc_n||_1 / n <= A_n < 2^(s-1-j).  So it fails only where some
+    division is not exact, and only then does the check of each n run, in
+    order, to name the first (:func:`_check_each`); where the packed
+    division of row n fails, the quotients before it are checked in the
+    same way first (:func:`_failed`).  The ghost, which divides nothing,
+    takes one bit of slack, keeping its digits below 2^(s-2) in size as
+    :func:`_split` needs.  A set above the cap runs the methods below,
+    which unpack and check each coordinate by itself at the unrounded
+    width; they are also the reference the generated methods are tested
+    against.
     """
 
     def _setup(self, family: Family, tset: TruncationSet, base: Ring, qval) -> None:
         super()._setup(family, tset, base, qval)
-        # the kernels at the 1-norms of the weights give the bounds and widths
-        self._twist_norm = _norm(self._twist)
-        self._norms = self._factory(tuple(map(_norm, _flat(self.rows))), self._twist_norm, None)
-        self._packed = {}  # the packed q -> self._at(s)
+        norms, self._twist_norm = tuple(map(_norm, _flat(self.rows))), _norm(self._twist)
+        self._packed = {}  # s, or None where q is constant -> self._at(s)
+        self._constant_q = self.qval is None or len(self.qval) < 2
+        # the row loops at the 1-norms of the weights give the bounds and
+        # widths of the methods below
+        self._norms = _LoopKernels(_shape(tset), norms, self._twist_norm, None)
+        packed = getattr(self._factory, "packed", None)
+        if packed is not None:  # a compiled shape: each op is one generated method
+            k = self._kernels = packed(norms, self._twist_norm, None)
+            k.at = self._at
+            self.add, self.mul, self.neg, self.ghost, self.unghost = (
+                k.add, k.mul, k.neg, k.ghost, k.unghost)
 
     def unghost(self, gs) -> tuple:
         gs = list(gs)
@@ -795,6 +973,8 @@ class ZqWittRing(WittCoeffRing):
         return self._unpacked(self._at(s).neg(_packs(a, s)), s)
 
     def _frob_map(self, m: int, sub: "ZqWittRing"):
+        if self._kernels is not None:
+            return self._kernels.frob(m)
         at = [self.tset.index(m * v) for v in sub.tset]
 
         def frob(a):
@@ -819,14 +999,15 @@ class ZqWittRing(WittCoeffRing):
 
     def _at(self, s: int) -> _Kernels:
         """The kernels at the weights and twist packed at q = 2^s.  A packed
-        weight w(q)(2^s) is w at the packed q, so the packed q keys them."""
-        q = None if self.qval is None else _zp_pack(self.qval, s)
-        got = self._packed.get(q)
+        weight w(q)(2^s) is w at the packed q, which is the same at every s
+        when q is constant, so they are kept per s or, then, once."""
+        key = None if self._constant_q else s
+        got = self._packed.get(key)
         if got is None:
             if len(self._packed) >= _PACKED_WIDTHS:
                 self._packed.clear()
             pack = partial(_packed_weight, s=s)
-            got = self._packed[q] = self._factory(
+            got = self._packed[key] = self._factory(
                 tuple(map(pack, _flat(self.rows))), pack(self._twist), None)
         return got
 

@@ -1,6 +1,8 @@
 """Command-line behavior: JSON I/O, exit codes, determinism."""
 
+import io
 import json
+import time
 
 import pytest
 
@@ -473,6 +475,21 @@ def test_lenart_constructions_need_a_prime_p(tmp_path, capsys, action, p):
         args += ["--in", str(path)]
     assert main(args) == 2
     assert f"p={p}" in capsys.readouterr().err
+
+
+def test_sets_with_a_huge_element_exit_1_at_once(tmp_path, capsys, monkeypatch):
+    # a prime this large took minutes to trial-divide before the element bound
+    p = "1000000000000000003"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"a": {"coords": {"1": 1, p: 0}}})))
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"coords": {"1": "2", p: "5"}}))
+    for argv in (["eval", "--family", "classical", "--ring", "z", "--set", p, "--op", "neg",
+                  "--in", "-"],
+                 ["deform", "lenart-iso", "--p", p, "--q", "2", "--in", str(path)]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 2
+        assert "above 4294967296" in capsys.readouterr().err
 
 
 def test_lenart_constructions_at_a_prime_p(tmp_path, capsys):

@@ -269,22 +269,39 @@ def test_packed_zq_rows_match_the_generic_loop(fam, picked, xs, ys):
 
 
 def test_packed_rows_are_kept_for_a_bounded_number_of_widths():
+    # above 64 bits the widths step by a byte: x_1 = 2^(8k) puts about
+    # 2^(32k) in ghost row 4, so each k brings a new width and, at the
+    # generator q, a new packed q
     ctx = witt.WittCoeffRing(ZQ, TruncationSet.make([4]), Family.qbar())
+    seen = set()
     for k in range(3 * witt._PACKED_WIDTHS):
-        a = ((1 << k,), (1,), ())
-        assert ctx.ghost(a)[0] == (1 << k,)
+        a = ((1 << 8 * k,), (1,), ())
+        assert ctx.ghost(a)[0] == (1 << 8 * k,)
         assert len(ctx._packed) <= witt._PACKED_WIDTHS
-    assert len({ctx._width(ctx._bound(((1 << k,), (1,), ()))) for k in range(150)}) > 100
+        seen.update(ctx._packed)
+    assert len(seen) > 2 * witt._PACKED_WIDTHS
 
 
-def test_unghost_over_zq_divides_coefficients_not_the_packed_value():
-    # on {1,3}, the ghost vector (1, 2-q) leaves 1-q in row 3; its slot
-    # bound ||2-q||_1 + ||1||_1^3 = 4 gives 4-bit slots, where 1-q packs to
-    # 1 - 16 = -15, a multiple of 3 although 1-q is not
+def _widths(monkeypatch, ctx) -> list:
+    """The slot widths that ctx's generated ops pick, from now on."""
+    widths, at = [], ctx._kernels.at
+    monkeypatch.setattr(ctx._kernels, "at", lambda s: widths.append(s) or at(s))
+    return widths
+
+
+def test_unghost_over_zq_divides_coefficients_not_the_packed_value(monkeypatch):
+    # on {1,n}, the ghost vector (1, 2-q) leaves 1-q in row n; its bound
+    # ||2-q||_1 + ||1||_1^n = 4, one bit more and the slack of n give at
+    # most 9 bits, aligned to 8 or 16, where 1-q packs to 1 - 2^8 = -255
+    # or 1 - 2^16 = -65535, multiples of 3, 5 and 17 although 1-q is not
+    for n, width in ((3, 8), (5, 8), (17, 16)):
+        s1n = TruncationSet.make([n])
+        assert rings._zp_pack((1, -1), width) % n == 0
+        widths = _widths(monkeypatch, witt.WittCoeffRing(ZQ, s1n))
+        with pytest.raises(NotInGhostImage, match=f"component {n} "):
+            witt.unghost(Family.classical(), s1n, ZQ, [(1,), (2, -1)])
+        assert widths == [width]
     s13 = TruncationSet.make([3])
-    assert rings._zp_pack((1, -1), 4) % 3 == 0
-    with pytest.raises(NotInGhostImage):
-        witt.unghost(Family.classical(), s13, ZQ, [(1,), (2, -1)])
     ctx = witt.WittCoeffRing(ZQ, s13)
     a = ((3,), (-7, -1))  # ghost (3, 6-3q) = 3 * (1, 2-q)
     assert ctx.ghost(a) == ((3,), (6, -3))
@@ -451,7 +468,7 @@ def _outcome(fn, *args):
 def _kernel_results(k, tset, a, b, gs) -> list:
     out = [_outcome(op, *args) for op, args in (
         (k.add, (a, b)), (k.mul, (a, b)), (k.neg, (a,)), (k.ghost, (a,)),
-        (k.unghost, (gs,)), (k.unghost, (a,)), (k.width, ([abs(x) for x in a],)))]
+        (k.unghost, (gs,)), (k.unghost, (a,)))]
     return out + [_outcome(k.frob(m), a) for m in tset]
 
 
@@ -479,11 +496,6 @@ def test_kernels_match_the_row_loops(elems, at, s, xs, ys):
     a, b = tuple(xs[:len(tset)]), tuple(ys[:len(tset)])
     gs = witt._LoopKernels(shape, kern.W, kern.T, None).ghost(b)  # a ghost vector
     assert _kernel_results(compiled, tset, a, b, gs) == _kernel_results(loop, tset, a, b, gs)
-    if isinstance(ctx, witt.ZqWittRing):  # and the bound pass at the 1-norms
-        norms = witt._LoopKernels(shape, ctx._norms.W, ctx._norms.T, None)
-        bounds = [abs(x) for x in a]
-        assert ctx._norms.ghost(bounds) == norms.ghost(bounds)
-        assert ctx._norms.width(bounds) == norms.width(bounds)
 
 
 def test_divisor_stable_subsets_of_one_to_twelve():
@@ -542,12 +554,16 @@ def test_each_shape_compiles_once_into_one_source(monkeypatch):
     rng = random.Random(3)
     classical = witt.random_vector(Family.classical(), S6, ZModRing(4), rng)
     qbar = witt.random_vector(Family.qbar(), S6, ZModRing(4), rng, 2)
-    for a in (classical, qbar):
+    qdef = witt.random_vector(Family.qdef(), S6, ZQ, rng)  # the Z[q] methods: no compile
+    for a in (classical, qbar, qdef):
         witt.frobenius(witt.mul(a, witt.add(a, a)), 3)  # F_3 lands on {1,2}
+    assert witt.unghost(Family.qdef(), S6, ZQ, witt.ghost(qdef)) == qdef
     shape = witt._shape(S6)
     assert [s for s, _ in compiled] == [shape, witt._shape(S2)]
-    assert classical.context._factory is qbar.context._factory
+    assert classical.context._factory is qbar.context._factory is qdef.context._factory
     assert classical.context._kernels.W != qbar.context._kernels.W
+    assert type(qdef.context._kernels) is classical.context._factory.packed
+    assert "def frob6(self, x):" in compiled[0][1]["Packed"][-1]
     # the text is the shape's alone: the other family generates it again
     assert real(witt._shape(qbar.tset)) == real(witt._shape(classical.tset)) == compiled[0][1]
     above = TruncationSet.make(range(1, len(_upto_terms(witt.KERNEL_MAX_TERMS)) + 2))
@@ -561,6 +577,7 @@ def test_threads_racing_on_new_shapes_compile_each_once(monkeypatch):
     compiles = []
     real = witt._compile_kernels
     monkeypatch.setattr(witt, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(witt, "_LAW_CACHE", {})
     monkeypatch.setattr(witt, "_compile_kernels", lambda shape: compiles.append(shape) or
                         real(shape))
     shapes = [witt._shape(TruncationSet.make(range(1, k + 1))) for k in range(2, 8)]
@@ -582,3 +599,141 @@ def test_threads_racing_on_new_shapes_compile_each_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(got) == 6 and all(factories == got[0] for factories in got)
     assert sorted(compiles) == sorted(shapes)  # each shape exactly once
+    for k, factory in zip(range(2, 8), got[0]):  # Z[q] contexts find the same compile
+        ctx = witt.WittCoeffRing(ZQ, TruncationSet.make(range(1, k + 1)))
+        assert type(ctx._kernels) is factory.packed
+        ctx.mul(ctx.one(), ctx.add(ctx.one(), ctx.one()))
+    assert len(compiles) == len(shapes)
+
+
+# ----------------------------------------------------------------------
+# The generated Z[q] ops against ZqWittRing's own methods.  Below the cap
+# each op of a Z[q] context is one generated method, which checks every
+# digit at once and unpacks all coordinates in one pass; the same context,
+# built as a set above the cap would be, runs the methods of ZqWittRing,
+# which unpack and check each coordinate by itself.
+
+
+def _reference_twin(ctx):
+    """ctx built as above the cap: ZqWittRing's methods over the row loops.
+    The twin is not interned; its F_m lands on the interned context on
+    S/m, whose own bound and unpack methods it calls."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witt, "KERNEL_MAX_TERMS", -1)
+        return witt._Law(ctx.family, ctx.tset, ctx.base, ctx.qval)
+
+
+BUMPS = [(1,), (0, 1), (1, -1)]  # 1 - q packs to a multiple of 3, 5 and 17 at s = 8, ..., 64
+
+
+def _zq_outcomes(ctx, a, b, k, bump) -> list:
+    out = _engine_results(ctx, a, b)
+    gs = list(ctx.ghost(b))  # a ghost vector, moved off the image at row k
+    gs[k % len(gs)] = rings.zp_add(gs[k % len(gs)], bump)
+    return out + [_outcome(ctx.unghost, gs)]
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(DIVISOR_STABLE),
+    st.sampled_from(range(len(ZQ_FAMILIES))),
+    st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
+    st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
+    st.integers(0, 11),
+    st.sampled_from(BUMPS),
+)
+@example((1, 3), 0, [(1,), (-2,)] + [()] * 10, [(1,), (2,)] + [()] * 10, 1, (1, -1))
+@example((1, 2, 4), 1, [(0, 1), (1, -1), (2,)] + [()] * 9, [(1, 1)] * 12, 1, (0, 1))
+@example(DIVISOR_STABLE[-1], 5, [(2**70, -(2**70))] * 12, [(0, 0, 0, 0, 1)] * 12, 9, (1, -1))
+def test_generated_zq_ops_match_the_reference_methods(elems, fam, xs, ys, k, bump):
+    family, q = ZQ_FAMILIES[fam]
+    tset = TruncationSet.make(elems)
+    ctx = witt.WittCoeffRing(ZQ, tset, family, q)
+    assert isinstance(ctx._kernels, witt._KERNEL_CACHE[witt._shape(tset)].packed)
+    ref = _reference_twin(ctx)
+    assert ref._kernels is None and ref._factory.func is witt._LoopKernels
+    a = tuple(ZQ.check(x) for x in xs[:len(tset)])
+    b = tuple(ZQ.check(y) for y in ys[:len(tset)])
+    assert _zq_outcomes(ctx, a, b, k, bump) == _zq_outcomes(ref, a, b, k, bump)
+
+
+def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
+    # on {1,3,9}, the vector (1, 2-q, -2) of ghost components leaves 1-q
+    # in row 3 at s = 8, where it packs to -255 and divides by 3; row 9
+    # then leaves 1842372 = 9 * 204708, so only the digit check fails, and
+    # the check on all digits must go back to each n to name 3, not 9
+    s139 = TruncationSet.make([9])
+    ctx = witt.WittCoeffRing(ZQ, s139)
+    widths, each = _widths(monkeypatch, ctx), []
+    real = witt._check_each
+    monkeypatch.setattr(witt, "_check_each", lambda *args: each.append(args) or real(*args))
+    gs = ((1,), (2, -1), (-2,))
+    with pytest.raises(NotInGhostImage, match="component 3 ") as got:
+        ctx.unghost(gs)
+    assert widths == [8] and len(each) == 1
+    assert _outcome(_reference_twin(ctx).unghost, gs) == str(got.value)
+
+
+def test_exact_ops_pass_the_check_on_all_digits(monkeypatch):
+    # the slack makes the one check pass whenever every division is exact,
+    # so the check of each n never runs on a result
+    def refuse(*args):
+        raise AssertionError("the check of each n ran on exact quotients")
+
+    monkeypatch.setattr(witt, "_check_each", refuse)
+    rng = random.Random(10)
+    for elems in ((1, 2), (1, 2, 4), (1, 2, 3, 6), tuple(range(1, 13))):
+        tset = TruncationSet.make(elems)
+        for family, q in ZQ_FAMILIES:
+            ctx = witt.WittCoeffRing(ZQ, tset, family, q)
+            for _ in range(3):
+                a, b = ([tuple(rng.choice([-(2**40), -3, -1, 0, 1, 2, 3, 2**40])
+                               for _ in range(rng.randrange(4))) for _ in tset] for _ in "ab")
+                a, b = tuple(map(ZQ.check, a)), tuple(map(ZQ.check, b))
+                ctx.unghost(ctx.ghost(ctx.mul(ctx.add(a, b), ctx.neg(b))))
+                for m in tset:
+                    ctx.frobenius(m, a)
+                assert ctx.try_div_int(ctx.int_scale(6, a), 6) == a
+
+
+def _split_reference(cs, s, ns):
+    """What :func:`witt._split` returns, one integer at a time."""
+    out = []
+    for k, c in enumerate(cs):
+        digits = rings._zp_unpack(c, s, c.bit_length() // s + 2)
+        if ns is not None and ns[k] * max(map(abs, digits), default=0) >= 1 << (s - 1):
+            return str(witt._unreachable(ns[k]))
+        out.append(digits)
+    return tuple(out)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([8, 16, 32, 64, 72, 128]), st.data())
+@example(8, None).via("the smallest width, one block of zeros")
+def test_split_reads_what_zp_unpack_reads(s, data):
+    ns = None
+    if data is None:
+        polys, ns = [(), (0,) * 30 + (-128 // 4,), (-1,)], (1, 2, 4)
+    else:
+        if data.draw(st.booleans()):
+            ns = tuple(sorted(data.draw(st.sets(st.integers(1, 40), min_size=1, max_size=6))))
+        # digits that pass the check (below 2^(s-1-j), j the bit length of
+        # max(ns)), or below 2^(s-2) with no check; runs of zeros
+        top = 1 << (s - 1 - (ns[-1].bit_length() if ns else 1))
+        digit = st.one_of(st.just(0), st.sampled_from([-top, top - 1, -1, 1]),
+                          st.integers(-top, top - 1))
+        runs = st.lists(st.one_of(digit.map(lambda d: (d,)),
+                                  st.integers(1, 40).map(lambda n: (0,) * n)), max_size=8)
+        count = len(ns) if ns else data.draw(st.integers(1, 6))
+        polys = [rings.zp_trim(sum(data.draw(runs), ())) for _ in range(count)]
+        if ns and data.draw(st.booleans()):  # one digit that fails its own n's check
+            k, half = data.draw(st.integers(0, count - 1)), 1 << (s - 1)
+            size = data.draw(st.integers(-(-half // ns[k]), half))  # n*size >= 2^(s-1)
+            polys[k] += (-size if size == half else data.draw(st.sampled_from([-1, 1])) * size,)
+    cs = tuple(rings._zp_pack(p, s) for p in polys)
+    want = _split_reference(cs, s, ns)
+    assert want == tuple(polys) or isinstance(want, str)
+    for formats in (witt._SIGNED, {}):  # memoryview.cast, and int.from_bytes per slot
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witt, "_SIGNED", formats)
+            assert _outcome(witt._split, cs, s, ns) == want

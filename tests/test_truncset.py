@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from qwitt.truncset import TruncationSet, divisors, v_p
+from qwitt.errors import BudgetExceeded
+from qwitt.truncset import MAX_ELEMENT, TruncationSet, divisors, v_p
 
 
 def test_make_minimal():
@@ -23,6 +24,17 @@ def test_make_rejects_bad_entries():
         TruncationSet.make([-3])
     with pytest.raises(ValueError):
         TruncationSet.make([])
+
+
+def test_elements_above_the_bound_are_refused():
+    # 2^32 has all its divisors found in milliseconds; one more is refused
+    # before any trial division
+    assert len(TruncationSet.make([MAX_ELEMENT])) == 33
+    for elems in ([MAX_ELEMENT + 1], [6, 10**18 + 3]):
+        with pytest.raises(BudgetExceeded, match="2\\^32"):
+            TruncationSet.make(elems)
+    with pytest.raises(BudgetExceeded):
+        TruncationSet.parse(f"1,{MAX_ELEMENT + 1}")
 
 
 def test_parse_round_trip():
