@@ -46,14 +46,14 @@ from .errors import NonUniqueQuotient, UnsupportedRingOperation
 # loop unless both operands have at least ZP_KRONECKER_MIN_LEN
 # coefficients, below which packing costs more than it saves.
 # Witt arithmetic over Z[q] packs a whole operation the same way, once
-# (``qwitt.witt.ZqWittRing``): on a small set one generated method packs
-# the inputs, runs the ghost rows of W_S(Z) on the packed values and reads
-# every result coefficient back with one ``to_bytes``, at a width rounded
-# to whole bytes; a larger set runs the integer row loops and unpacks with
-# ``_zp_unpack``.  Packing and unpacking skip a run of zero coefficients
-# with one shift and split a long tuple or integer in halves of slots, so a
-# sparse tuple of high degree (a power of q^100000, say) or a long dense
-# one costs about what its length does, not its square.
+# (``qwitt.witt._PackedLoops``): it packs the inputs, runs the ghost rows of
+# W_S(Z) on the packed values and reads every result coefficient back, with
+# one ``to_bytes`` at a width of 8, 16, 32 or 64 bits and with
+# ``_zp_unpack`` above; on a small set each op is one generated method.
+# Packing and unpacking skip a run of zero coefficients with one shift and
+# split a long tuple or integer in halves of slots, so a sparse tuple of
+# high degree (a power of q^100000, say) or a long dense one costs about
+# what its length does, not its square.
 
 ZP_ZERO: tuple[int, ...] = ()
 ZP_ONE: tuple[int, ...] = (1,)

@@ -36,16 +36,15 @@ run the rows through two module loops, ``_int_ghost`` and
 ``_int_invert``, which are also the reference the kernels are tested
 against.  Over Z[q] a whole operation is packed once: every input
 coordinate is evaluated at q = 2^s, the rows run on the packed integers,
-at the weights packed too, and the result coordinates are unpacked, with
-s from 1-norm bounds on everything the op computes, at the 1-norms of
-the weights.  The same compile of a shape gives a method for each Z[q]
-op that does all of this inline, at a width rounded to whole bytes, and
-unpacks every coordinate with one ``to_bytes``; a set above the cap
-runs the loops on the packed integers and unpacks each coordinate by
-itself.  Every quotient's digits are checked, since the packed integer
-can be divisible by n when the polynomial is not; :class:`ZqWittRing`
-proves that the checks catch exactly those cases.  Over any other cover
-each weight is the ring map it acts by, built once, and ``_ghost`` and
+at the weights packed too, and the result coordinates are unpacked by
+:func:`_split`, with s from 1-norm bounds on everything the op computes,
+at the 1-norms of the weights.  The same compile of a shape gives a
+method for each Z[q] op that does all of this inline; a set above the
+cap runs the same steps through the loops (:class:`_PackedLoops`).
+Every quotient's digits are checked, since the packed integer can be
+divisible by n when the polynomial is not; :class:`_PackedLoops` proves
+that the checks catch exactly those cases.  Over any other cover each
+weight is the ring map it acts by, built once, and ``_ghost`` and
 ``_invert`` run the rows with ring operations.
 
 Because W_S(A) is a ring, it serves as the coefficient ring of another
@@ -57,7 +56,6 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from threading import Lock
@@ -297,13 +295,13 @@ def _int_invert(rows, gs, cs: list) -> list:
 # on S makes one object of it with its own values.
 
 # The most off-diagonal terms a shape may have and still be compiled; a
-# larger set runs the row loops.  Compiling costs about 0.8 ms per term
-# (21 ms for {1,...,12}, 23 terms; 37 ms for {1,...,24}, 60 terms) and
-# pays for itself after 2,000-3,000 ops at every size measured.  Up to
-# {1,...,15}, 30 terms, the kernels take about half off an op, past it a
-# quarter to a third, while a one-shot CLI op pays the whole compile; the
-# cap holds that to about 25 ms per set, a fifth of a CLI start (the
-# measured table is in CHANGES.md).
+# larger set runs the row loops.  A compile builds the Z and the Z[q]
+# methods together and costs about 2 ms per term (medians of 5 on a shared
+# 2-CPU Xeon, Python 3.11: 38-49 ms for {1,...,12}, 23 terms; 50-65 ms for
+# {1,...,15}, 30 terms), all of which a one-shot CLI op pays.  Up to
+# {1,...,15} the kernels take about half off an op, past it a quarter to a
+# third.  The cap was chosen when a compile built the Z methods alone, at
+# about 0.8 ms per term (the measured table is in CHANGES.md).
 KERNEL_MAX_TERMS = 32
 
 
@@ -382,17 +380,113 @@ class _LoopKernels(_Kernels):
         at, sub = map(self._weighted, _frob_rows(self.positioned, m))
         return lambda a: self._done(_int_invert(sub, _int_ghost(at, a), []))
 
-    def width(self, bounds) -> int:
-        """The slot width of :class:`ZqWittRing` when W holds the 1-norms
-        of its weights: max A_n.bit_length() + 1 for ghost components whose
-        1-norms are at most ``bounds``."""
-        top, cs = 0, []
-        for g, (_, n, terms) in zip(bounds, self.rows):
-            for j, e, w in terms:
-                g += w * cs[j] ** e
-            top = max(top, g)
-            cs.append(g // n)
-        return top.bit_length() + 1
+
+_rows = operator.attrgetter("rows")
+
+
+class _PackedLoops(_LoopKernels):
+    """The ops of a context over Z[q], each packed once, run by the row
+    loops: the path above KERNEL_MAX_TERMS, and the reference that the
+    generated methods (class ``Packed`` of :func:`_kernel_source`) are
+    tested against.  W and T are the 1-norms of the weights and of the
+    twist, so ``rows`` give the bounds below; ``at(s)`` gives the
+    :class:`_LoopKernels` at the weights and twist packed at q = 2^s.
+
+    An op packs its inputs once at q = 2^s, a ring homomorphism
+    Z[q] -> Z, runs the rows of S at the packed weights and unpacks the
+    results with :func:`_split`.  The slot width comes from 1-norm bounds:
+    ||g_n||_1 <= G_n = n*||x_n||_1 + sum ||w||_1 * ||x_d||_1^(n/d) for the
+    ghost, combined as the op combines ghosts (G_a + G_b for add,
+    ||twist||_1 * G_a * G_b for mul, the rows at m*v for F_m), and in the
+    inversion ||acc_n||_1 <= A_n = G_n + sum ||w||_1 * C_d^(n/d), with
+    C_d = A_d // d >= ||c_d||_1.  s > max A_n.bit_length() puts every
+    coefficient of acc_n below 2^(s-1) in size, so the balanced base-2^s
+    digits of the packed acc_n are its coefficients, because such
+    expansions are unique.  That holds at any larger s too: the width
+    carries j = max(S).bit_length() bits of slack, s > max A_n.bit_length()
+    + j, and up to 64 bits is rounded up to 8, 16, 32 or 64, which
+    :func:`_split` reads as machine integers.  The ghost, which divides
+    nothing, takes one bit of slack, keeping its digits below 2^(s-2) in
+    size as :func:`_split` needs.
+
+    The packed acc_n can be divisible by n when acc_n is not (1 - q packs
+    to -255 at s = 8, a multiple of 3, 5 and 17), so each digit d of each
+    quotient is checked: |n*d| < 2^(s-1).  If n divides acc_n, the
+    quotient packs acc_n / n and each n*d is a coefficient of acc_n, so
+    the check passes.  If the check passes, the n*d are balanced digits of
+    the packed acc_n, hence its coefficients, so n divides acc_n.  The
+    first n where the division or the check fails is thus the first where
+    the coefficientwise division fails, and NotInGhostImage names it, as
+    over any other ring.
+
+    One check stands for the check of each n: every digit of every
+    quotient must lie in [-2^(s-1-i), 2^(s-1-i)), i <= j the bit length of
+    the largest n of the result (S, or S/m for F_m).  It implies the check
+    of each n, as n*2^(s-1-i) < 2^(s-1) for every such n.  It passes
+    whenever every division is exact, because each digit is then a
+    coefficient of c_n and |d| <= ||acc_n||_1 / n <= A_n < 2^(s-1-j).  So
+    it fails only where some division is not exact, and only then does the
+    check of each n run, in order, to name the first (:func:`_check_each`).
+    Where the packed division of row n fails, the quotients before it are
+    checked in the same way first (:func:`_failed` in the generated
+    methods), since one of them may be the first to fail coefficientwise.
+    """
+
+    __slots__ = ("at",)
+
+    def ghost(self, x):
+        return self._run(lambda k, x: _int_ghost(k.rows, x), None, x)
+
+    def unghost(self, g):
+        return self._run(lambda k, g: g, _rows, tuple(g))
+
+    def add(self, a, b):
+        return self._run(lambda k, a, b: map(operator.add, _int_ghost(k.rows, a),
+                                             _int_ghost(k.rows, b)), _rows, a, b)
+
+    def mul(self, a, b):
+        return self._run(lambda k, a, b: [k.T * x * y for x, y in zip(
+            _int_ghost(k.rows, a), _int_ghost(k.rows, b))], _rows, a, b)
+
+    def neg(self, a):
+        return self._run(lambda k, a: map(operator.neg, _int_ghost(k.rows, a)), _rows, a)
+
+    def frob(self, m: int):
+        at, sub = _frob_rows(self.positioned, m)
+        return partial(self._run, lambda k, x: _int_ghost(k._weighted(at), x),
+                       lambda k: k._weighted(sub))
+
+    def _run(self, ghosts, inverse, *xs) -> tuple:
+        """The op whose ghost components are ghosts(k, *xs) at the weights
+        of kernels k and inputs xs over Z, inverted at the rows inverse(k)
+        (None: the ghost, which inverts nothing): the bounds at the
+        1-norms, the width, the packed inputs, the rows and the split."""
+        # the ghosts at the 1-norms, made nonnegative where neg negates them
+        bounds = map(abs, ghosts(self, *([sum(map(abs, c)) for c in x] for x in xs)))
+        if inverse is None:
+            top, slack, ns = max(bounds), 1, None
+        else:
+            top, C, rows = 0, [], inverse(self)
+            for g, (_, n, terms) in zip(bounds, rows):
+                for j, e, w in terms:
+                    g += w * C[j] ** e
+                top = max(top, g)
+                C.append(g // n)
+            slack, ns = self.positioned[-1][1].bit_length(), tuple(n for _, n, _ in rows)
+        s = top.bit_length() + 1 + slack
+        if s < 65:
+            s = _ALIGNED[s]
+        k = self.at(s)
+        gs = ghosts(k, *([_zp_pack(c, s) for c in x] for x in xs))
+        if inverse is None:
+            return _split(gs, s, None)
+        cs = []
+        try:
+            _int_invert(inverse(k), gs, cs)
+        except NotInGhostImage:
+            _split(cs, s, ns[:len(cs)])  # an earlier quotient may fail its check
+            raise
+        return _split(cs, s, ns)
 
 
 def _power(x: str, e: int) -> str:
@@ -403,12 +497,12 @@ def _kernel_source(shape) -> dict:
     """The source of each method of the kernel classes of a shape, per
     class: ``Plain``, the :class:`_Kernels` of a context over Z; its
     subclass ``Reduced``, whose ops reduce their results mod M; and
-    ``Packed``, the whole ops of a :class:`ZqWittRing` on coordinate tuples
-    over Z[q], whose W and T are the 1-norms of the weights and of the
-    twist and whose ``at(s)`` gives the kernels at the weights packed at
-    q = 2^s.  The text is built from the shape's integers alone; the
-    values are read from the objects, as the flat weights w0, w1, ...
-    (their 1-norms v0, v1, ...), T and M."""
+    ``Packed``, the whole ops of a context over Z[q] on coordinate tuples,
+    :class:`_PackedLoops` written out, whose W and T are the 1-norms of the
+    weights and of the twist and whose ``at(s)`` gives the kernels at the
+    weights packed at q = 2^s.  The text is built from the shape's
+    integers alone; the values are read from the objects, as the flat
+    weights w0, w1, ... (their 1-norms v0, v1, ...), T and M."""
     rows = _positioned(shape)
     size, count = len(rows), sum(len(t) for _, _, t in rows)
 
@@ -491,7 +585,7 @@ def _kernel_source(shape) -> dict:
                 for (k, n, terms), bound in zip(sub, bounds)]
             slack = rows[-1][1].bit_length()
         lines += [f"s = max(0, {listed('A', len(bounds))}).bit_length() + {1 + slack}",
-                  "s = L[s] if s < 65 else s + (-s & 7)",
+                  "if s < 65: s = L[s]",
                   "k = self.at(s)"]
         lines += [f"{listed('w', count)}= k.W"] if count else []
         lines += ["T = k.T"] if name == "mul" else []
@@ -538,10 +632,13 @@ _KERNEL_LOCK = Lock()
 
 
 def _kernel_factory(shape):
-    """``factory(W, T, M)`` for the kernels of a shape: compiled once per
-    process up to KERNEL_MAX_TERMS terms, the row loops above."""
+    """``factory(W, T, M)`` for the kernels of a shape, and
+    ``factory.packed`` for its Z[q] ops: compiled once per process up to
+    KERNEL_MAX_TERMS terms, the row loops above."""
     if sum(len(terms) for _, _, terms in shape) > KERNEL_MAX_TERMS:
-        return partial(_LoopKernels, shape)
+        factory = partial(_LoopKernels, shape)
+        factory.packed = partial(_PackedLoops, shape)
+        return factory
     factory = _KERNEL_CACHE.get(shape)  # a single dict read needs no lock
     if factory is None:
         with _KERNEL_LOCK:
@@ -562,25 +659,32 @@ def _norm(weight) -> int:
     return abs(c) if u is None else sum(map(abs, zp_add(u, (c,))))
 
 
-def _digits(x: int, s: int) -> tuple:
-    """All balanced base-2^s digits of x, lowest first: the Z[q] element
-    that x packs when its coefficients are below 2^(s-1) in size."""
-    return _zp_unpack(x, s, x.bit_length() // s + 1)
-
-
 def _packed_weight(weight, s: int) -> int:
     """A Z[q] weight (c, u) at q = 2^s."""
     return weight[0] + _zp_pack(weight[1] or (), s)
 
 
-def _packs(xs, s: int) -> list:
-    return [_zp_pack(x, s) for x in xs]
+_PACKED_WIDTHS = 64  # the widths whose packed kernels a Z[q] context keeps
 
 
-# The slot widths of the generated Z[q] ops: a width of s bits is rounded
-# up to 8, 16, 32 or 64 (_ALIGNED[s]), or above 64 to whole bytes, so that
-# :func:`_split` reads every slot as one machine integer or one run of
-# bytes.
+def _packed_at(factory, weights, twist, constant: bool):
+    """``at(s)``: the kernels of ``factory`` at the Z[q] weights and twist
+    packed at q = 2^s.  A packed weight w(q)(2^s) is w at the packed q,
+    the same at every s when q is ``constant``: then one set is kept, and
+    otherwise the last _PACKED_WIDTHS widths'."""
+    def pack(s):
+        return factory(tuple(_packed_weight(w, s) for w in weights),
+                       _packed_weight(twist, s), None)
+
+    if constant:
+        fixed = pack(1)
+        return lambda s: fixed
+    return lru_cache(maxsize=_PACKED_WIDTHS)(pack)
+
+
+# The slot widths of the Z[q] ops up to 64 bits: s is rounded up to 8, 16,
+# 32 or 64 (_ALIGNED[s]), so that :func:`_split` reads every slot as one
+# machine integer.
 _ALIGNED = (8,) * 9 + (16,) * 8 + (32,) * 16 + (64,) * 32
 # the memoryview formats of the widths, for little-endian bytes
 _SIGNED = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
@@ -597,43 +701,47 @@ def _biases(s: int, slots: int, j: int) -> tuple:
 
 
 def _split(cs, s: int, ns) -> tuple:
-    """The Z[q] elements packed at q = 2^s in the integers cs, s a multiple
-    of 8.  With ``ns`` (ascending, below 2^(s-1)) the cs are the quotients
-    of a ghost inversion at rows ns, and their digits are checked; without,
-    their digits are known to be below 2^(s-2) in size.
+    """The Z[q] elements packed at q = 2^s in the integers cs.  With ``ns``
+    (ascending, below 2^(s-1)) the cs are the quotients of a ghost
+    inversion at rows ns, and their digits are checked; without, their
+    digits are known to be below 2^(s-2) in size.
 
-    The integers are laid end to end in one, x, each in as many slots as
-    the longest balanced expansion of them needs and a spare, so that
-    every block holds exactly the digits of its integer.  Adding 2^(s-1) in
-    every slot makes each digit d nonnegative, d + 2^(s-1); XOR-ing it back
-    turns that into the s-bit two's complement of d, so one ``to_bytes``
-    and one ``memoryview.cast`` (above 64 bits, ``int.from_bytes`` per
-    slot) read all the digits.  One check covers all of them: with j the
-    bit length of max(ns), every digit lies in [-2^(s-1-j), 2^(s-1-j)) if
-    and only if adding 2^(s-1-j) in every slot of x leaves no bit outside
-    the low s-j bits of a slot, and then max(ns)*|d| < 2^(s-1), the check
-    of each quotient.  Only when it fails does :func:`_check_each` look for
-    the first n whose own check fails (see :class:`ZqWittRing`).  Digits
+    Each integer takes as many slots as the longest balanced expansion of
+    them needs and a spare, so that its block holds exactly its digits.
+    One check covers all of them: with j the bit length of max(ns), every
+    digit lies in [-2^(s-1-j), 2^(s-1-j)) if and only if adding 2^(s-1-j)
+    in every slot leaves no bit outside the low s-j bits of a slot, and
+    then max(ns)*|d| < 2^(s-1), the check of each quotient.  Only when it
+    fails does :func:`_check_each` look for the first n whose own check
+    fails (see :class:`_PackedLoops`).
+
+    At 8, 16, 32 or 64 bits on a little-endian host the integers are laid
+    end to end in one, x.  Adding 2^(s-1) in every slot makes each digit d
+    nonnegative, d + 2^(s-1); XOR-ing it back turns that into the s-bit
+    two's complement of d, so one ``to_bytes`` and one ``memoryview.cast``
+    read all the digits, and one masked add checks them.  At any other
+    width each integer is checked against the same mask and read by
+    :func:`_zp_unpack`, which skips runs of zeros.  Either way, digits
     below 2^(s-2) in size make the expansion of a nonzero c exactly
     c.bit_length() // s + 1 digits long, so each is read without its
     zeros."""
     bits = list(map(int.bit_length, cs))
     size = max(bits) // s + 2  # slots per integer
+    j = 1 if ns is None else ns[-1].bit_length()
+    code = _SIGNED.get(s)
+    if code is None:
+        _, low, outside = _biases(s, size, j)
+        if ns is not None and any((c + low) & outside for c in cs):
+            _check_each([_zp_unpack(c, s, size) for c in cs], s, ns)
+        return tuple(_zp_unpack(c, s, b // s + 1) for c, b in zip(cs, bits))
     step, x = s * size, 0
     for c in reversed(cs):
         x = (x << step) + c
-    slots = size * len(cs)
-    bias, low, outside = _biases(s, slots, 1 if ns is None else ns[-1].bit_length())
+    bias, low, outside = _biases(s, size * len(cs), j)
     raw = ((x + bias) ^ bias).to_bytes(step * len(cs) >> 3, "little")
-    code = _SIGNED.get(s)
-    if code:
-        digits = memoryview(raw).cast(code).tolist()
-    else:
-        w = s >> 3
-        digits = [int.from_bytes(raw[i:i + w], "little", signed=True)
-                  for i in range(0, len(raw), w)]
+    digits = memoryview(raw).cast(code).tolist()
     if ns is not None and (x + low) & outside:
-        _check_each(digits, size, s, ns)
+        _check_each([digits[i:i + size] for i in range(0, len(digits), size)], s, ns)
     out, i = [], 0
     for b in bits:
         out.append(tuple(digits[i:i + b // s + 1]) if b else ())
@@ -641,13 +749,12 @@ def _split(cs, s: int, ns) -> tuple:
     return tuple(out)
 
 
-def _check_each(digits, size: int, s: int, ns) -> None:
+def _check_each(blocks, s: int, ns) -> None:
     """Raise NotInGhostImage at the first n of ``ns`` whose block of
-    ``size`` digits has a digit d with |n*d| >= 2^(s-1)."""
+    digits has a digit d with |n*d| >= 2^(s-1)."""
     half = 1 << (s - 1)
-    for i, n in zip(range(0, len(digits), size), ns):
-        block = digits[i:i + size]
-        if n * max(max(block), -min(block)) >= half:
+    for block, n in zip(blocks, ns):
+        if n * max(map(abs, block), default=0) >= half:
             raise _unreachable(n)
 
 
@@ -659,9 +766,6 @@ def _failed(s: int, cs, ns, n: int) -> NotInGhostImage:
     return _unreachable(n)
 
 
-_PACKED_WIDTHS = 64  # the widths whose packed kernels a Z[q] context keeps
-
-
 class WittCoeffRing(Ring):
     """W_S(A) of one (family, S, A, q) context: the engine and the ring.
 
@@ -670,8 +774,8 @@ class WittCoeffRing(Ring):
     order of S; the engine methods (``ghost``, ``unghost``, ``frobenius``)
     take and return them too.  Exact integer division is solved through
     the ghost map (divide the ghost, invert back), which is what the
-    nesting isomorphism needs.  Over Z[q] the context is a
-    :class:`ZqWittRing`.
+    nesting isomorphism needs.  Over Z and Z[q] the ops are kernels bound
+    to the context when it is built.
     """
 
     def __new__(cls, base: Ring, tset: TruncationSet,
@@ -700,15 +804,20 @@ class WittCoeffRing(Ring):
         self._subgroups = {}  # (p, e) -> the coordinate tuples of p^e * W_S(A)
         if isinstance(self.lift, (ZRing, ZqRing)):
             # over Z the ops are the kernels of S at the folded weights, each
-            # reducing mod m over zmod (whose cover is Z); ZqWittRing packs
-            # the weights instead
-            self._factory = _kernel_factory(shape)
+            # reducing mod m over zmod (whose cover is Z); over Z[q] they are
+            # the packed ops, at the 1-norms of the weights
+            self._factory, flat = _kernel_factory(shape), _flat(self.rows)
             if isinstance(self.lift, ZRing):
                 k = self._kernels = self._factory(
-                    tuple(map(_fold, _flat(self.rows))), _fold(self._twist),
+                    tuple(map(_fold, flat)), _fold(self._twist),
                     None if self.down is None else base.m)
-                self.add, self.mul, self.neg, self.ghost, self.unghost = (
-                    k.add, k.mul, k.neg, k.ghost, k.unghost)
+            else:
+                k = self._kernels = self._factory.packed(
+                    tuple(map(_norm, flat)), _norm(self._twist), None)
+                k.at = _packed_at(self._factory, flat, self._twist,
+                                  qval is None or len(qval) < 2)
+            self.add, self.mul, self.neg, self.ghost, self.unghost = (
+                k.add, k.mul, k.neg, k.ghost, k.unghost)
         else:
             # on other covers each weight is the ring map it acts by
             self.rows = _map_weights(self.rows, partial(_scaler, self.lift))
@@ -719,9 +828,9 @@ class WittCoeffRing(Ring):
         return _law(self.family, tset, self.base, self.qval)
 
     # --- the engine ---------------------------------------------------
-    # Over Z, _setup puts the kernels' ops in place of add, mul, neg, ghost
-    # and unghost, so that an op is one call; these methods run the rows of
-    # the other covers.
+    # Over Z and Z[q], _setup puts the kernels' ops in place of add, mul,
+    # neg, ghost and unghost, so that an op is one call; these methods run
+    # the rows of the other covers.
     def unghost(self, gs) -> tuple:
         """The coordinates whose ghost components are ``gs``; raises
         NotInGhostImage when an interior division fails."""
@@ -879,154 +988,10 @@ class WittCoeffRing(Ring):
         return self.check(tuple(coords))
 
 
-class ZqWittRing(WittCoeffRing):
-    """W_S(Z[q]), with each op packed once.
-
-    An op packs its inputs once at q = 2^s, a ring homomorphism
-    Z[q] -> Z, runs the kernels of S at the weights and twist packed at
-    the same q and unpacks each result coordinate once.  The slot width
-    comes from 1-norm bounds, computed at the weights' 1-norms:
-    ||g_n||_1 <= G_n = n*||x_n||_1 + sum ||w||_1 * ||x_d||_1^(n/d) for the
-    ghost, combined as the op combines ghosts (G_a + G_b for add,
-    ||twist||_1 * G_a * G_b for mul, the rows at m*v for F_m), and in the
-    inversion ||acc_n||_1 <= A_n = G_n + sum ||w||_1 * C_d^(n/d), with
-    C_d = A_d // d >= ||c_d||_1.  s > max A_n.bit_length() puts every
-    coefficient of acc_n below 2^(s-1) in size, so the balanced base-2^s
-    digits of the packed acc_n are its coefficients, because such
-    expansions are unique.  That holds at any larger s too.
-
-    The packed acc_n can be divisible by n when acc_n is not (1 - q packs
-    to -15 at s = 4 and to -255 at s = 8), so each digit d of each
-    quotient is checked: |n*d| < 2^(s-1).  If n divides acc_n, the
-    quotient packs acc_n / n and each n*d is a coefficient of acc_n, so
-    the check passes.  If the check passes, the n*d are balanced digits of
-    the packed acc_n, hence its coefficients, so n divides acc_n.  The
-    first n where the division or the check fails is thus the first where
-    the coefficientwise division fails, and NotInGhostImage names it, as
-    over any other ring.
-
-    On a set below KERNEL_MAX_TERMS each op is one generated method (class
-    ``Packed`` of :func:`_kernel_source`), which takes the 1-norms, bounds,
-    width, packed weights (``_at``), packed rows and unpacking inline, and
-    checks all digits at once.  Its width carries j = max(S).bit_length()
-    bits of slack, s > max A_n.bit_length() + j, and is then rounded up to
-    8, 16, 32 or 64 bits or to whole bytes, which by the above changes no
-    result.  The one check asks every digit of every quotient to lie in
-    [-2^(s-1-i), 2^(s-1-i)), i <= j the bit length of the largest n of the
-    result (S, or S/m for F_m).  It implies the check of each n, as
-    n*2^(s-1-i) < 2^(s-1) for every such n.  It passes whenever every
-    division is exact, because each digit is then a coefficient of c_n and
-    |d| <= ||acc_n||_1 / n <= A_n < 2^(s-1-j).  So it fails only where some
-    division is not exact, and only then does the check of each n run, in
-    order, to name the first (:func:`_check_each`); where the packed
-    division of row n fails, the quotients before it are checked in the
-    same way first (:func:`_failed`).  The ghost, which divides nothing,
-    takes one bit of slack, keeping its digits below 2^(s-2) in size as
-    :func:`_split` needs.  A set above the cap runs the methods below,
-    which unpack and check each coordinate by itself at the unrounded
-    width; they are also the reference the generated methods are tested
-    against.
-    """
-
-    def _setup(self, family: Family, tset: TruncationSet, base: Ring, qval) -> None:
-        super()._setup(family, tset, base, qval)
-        norms, self._twist_norm = tuple(map(_norm, _flat(self.rows))), _norm(self._twist)
-        self._packed = {}  # s, or None where q is constant -> self._at(s)
-        self._constant_q = self.qval is None or len(self.qval) < 2
-        # the row loops at the 1-norms of the weights give the bounds and
-        # widths of the methods below
-        self._norms = _LoopKernels(_shape(tset), norms, self._twist_norm, None)
-        packed = getattr(self._factory, "packed", None)
-        if packed is not None:  # a compiled shape: each op is one generated method
-            k = self._kernels = packed(norms, self._twist_norm, None)
-            k.at = self._at
-            self.add, self.mul, self.neg, self.ghost, self.unghost = (
-                k.add, k.mul, k.neg, k.ghost, k.unghost)
-
-    def unghost(self, gs) -> tuple:
-        gs = list(gs)
-        s = self._width([sum(map(abs, g)) for g in gs])
-        packed = _packs(gs, s)
-        try:
-            cs = self._at(s).unghost(packed)
-        except NotInGhostImage:
-            # an earlier row may fail its digit check: take the coordinates
-            # before the failed row from the loop, and check them first
-            cs = []
-            with suppress(NotInGhostImage):
-                _int_invert(_map_weights(self.rows, partial(_packed_weight, s=s)), packed, cs)
-            self._unpacked(cs, s)
-            raise
-        return self._unpacked(cs, s)
-
-    def add(self, a, b) -> tuple:
-        s = self._width(map(operator.add, self._bound(a), self._bound(b)))
-        return self._unpacked(self._at(s).add(_packs(a, s), _packs(b, s)), s)
-
-    def mul(self, a, b) -> tuple:
-        t = self._twist_norm
-        s = self._width([t * x * y for x, y in zip(self._bound(a), self._bound(b))])
-        return self._unpacked(self._at(s).mul(_packs(a, s), _packs(b, s)), s)
-
-    def neg(self, a) -> tuple:
-        s = self._width(self._bound(a))
-        return self._unpacked(self._at(s).neg(_packs(a, s)), s)
-
-    def _frob_map(self, m: int, sub: "ZqWittRing"):
-        if self._kernels is not None:
-            return self._kernels.frob(m)
-        at = [self.tset.index(m * v) for v in sub.tset]
-
-        def frob(a):
-            bounds = self._bound(a)
-            s = sub._width([bounds[i] for i in at])
-            return sub._unpacked(self._at(s).frob(m)(_packs(a, s)), s)
-
-        return frob
-
-    def ghost(self, a) -> tuple:
-        s = max(self._bound(a), default=0).bit_length() + 1
-        return tuple(_digits(g, s) for g in self._at(s).ghost(_packs(a, s)))
-
-    def _bound(self, a) -> tuple:
-        """The bounds G_n on the 1-norms of a's ghost components."""
-        return self._norms.ghost([sum(map(abs, x)) for x in a])
-
-    def _width(self, bounds) -> int:
-        """The slot width s = max A_n.bit_length() + 1 for inverting ghost
-        components whose 1-norms are at most ``bounds``."""
-        return self._norms.width(bounds)
-
-    def _at(self, s: int) -> _Kernels:
-        """The kernels at the weights and twist packed at q = 2^s.  A packed
-        weight w(q)(2^s) is w at the packed q, which is the same at every s
-        when q is constant, so they are kept per s or, then, once."""
-        key = None if self._constant_q else s
-        got = self._packed.get(key)
-        if got is None:
-            if len(self._packed) >= _PACKED_WIDTHS:
-                self._packed.clear()
-            pack = partial(_packed_weight, s=s)
-            got = self._packed[key] = self._factory(
-                tuple(map(pack, _flat(self.rows))), pack(self._twist), None)
-        return got
-
-    def _unpacked(self, cs, s: int) -> tuple:
-        """Unpack each inverted coordinate at slot width s, checking its
-        digits; NotInGhostImage names the first n whose check fails."""
-        out, half = [], 1 << (s - 1)
-        for c, n in zip(cs, self.tset):
-            c = _digits(c, s)
-            if n * max(map(abs, c), default=0) >= half:
-                raise _unreachable(n)
-            out.append(c)
-        return tuple(out)
-
-
 def _Law(family: Family, tset: TruncationSet, ring: Ring, qval) -> WittCoeffRing:
     """Build the context of a resolved (family, S, ring, q); :func:`_law`
     interns it."""
-    ctx = object.__new__(ZqWittRing if isinstance(ring, ZqRing) else WittCoeffRing)
+    ctx = object.__new__(WittCoeffRing)
     ctx._setup(family, tset, ring, qval)
     return ctx
 

@@ -264,22 +264,21 @@ def test_packed_zq_rows_match_the_generic_loop(fam, picked, xs, ys):
     packed = witt.WittCoeffRing(ZQ, tset, family, q)
     symbolic = q is None and family.uses_q()
     loop = witt.WittCoeffRing(LoopZq(), tset, family, rings.ZP_Q if symbolic else q)
-    assert isinstance(packed, witt.ZqWittRing) and loop._ghosts.func is witt._ghost
+    assert type(packed) is witt.WittCoeffRing and loop._ghosts.func is witt._ghost
     assert _engine_results(packed, a, b) == _engine_results(loop, a, b)
 
 
 def test_packed_rows_are_kept_for_a_bounded_number_of_widths():
-    # above 64 bits the widths step by a byte: x_1 = 2^(8k) puts about
+    # above 64 bits the widths are not rounded: x_1 = 2^(8k) puts about
     # 2^(32k) in ghost row 4, so each k brings a new width and, at the
     # generator q, a new packed q
     ctx = witt.WittCoeffRing(ZQ, TruncationSet.make([4]), Family.qbar())
-    seen = set()
+    at = ctx._kernels.at
     for k in range(3 * witt._PACKED_WIDTHS):
         a = ((1 << 8 * k,), (1,), ())
         assert ctx.ghost(a)[0] == (1 << 8 * k,)
-        assert len(ctx._packed) <= witt._PACKED_WIDTHS
-        seen.update(ctx._packed)
-    assert len(seen) > 2 * witt._PACKED_WIDTHS
+        assert at.cache_info().currsize <= witt._PACKED_WIDTHS
+    assert at.cache_info().misses > 2 * witt._PACKED_WIDTHS
 
 
 def _widths(monkeypatch, ctx) -> list:
@@ -419,7 +418,7 @@ def test_integer_contexts_never_call_the_generic_row(monkeypatch):
             b = witt.random_vector(family, tset, ring, rng, q)
             ctx = a.context
             assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]
-            assert type(ctx) is witt.ZqWittRing or ctx.add.__self__ is ctx._kernels
+            assert ctx.add.__self__ is ctx._kernels
             witt.sub(witt.mul(a, b), witt.int_scale(3, b))
             for m in tset:
                 witt.frobenius(a, m)
@@ -489,7 +488,7 @@ def test_kernels_match_the_row_loops(elems, at, s, xs, ys):
     ring, family, q = KERNEL_CONTEXTS[at]
     tset = TruncationSet.make(elems)
     ctx = witt.WittCoeffRing(ring, tset, family, q)
-    kern = ctx._at(s) if isinstance(ctx, witt.ZqWittRing) else ctx._kernels
+    kern = ctx._kernels.at(s) if ring is ZQ else ctx._kernels
     shape = witt._shape(tset)
     compiled = witt._compile_kernels(shape)(kern.W, kern.T, kern.M)
     loop = witt._LoopKernels(shape, kern.W, kern.T, kern.M)
@@ -531,6 +530,7 @@ def test_sets_on_each_side_of_the_term_cap(monkeypatch, side):
             assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]
         else:
             assert ctx._factory.func is witt._LoopKernels
+            assert ctx._factory.packed.func is witt._PackedLoops
         loop = witt.WittCoeffRing(LoopZq() if ring is ZQ else LoopZ(), tset, family, ctx.qval)
         down = ctx.down or (lambda c: c)
         want = [tuple(map(down, r)) for r in (
@@ -538,6 +538,12 @@ def test_sets_on_each_side_of_the_term_cap(monkeypatch, side):
             loop.frobenius(2, a.coords), loop.ghost(a.coords))]
         assert [ctx.add(a.coords, b.coords), ctx.mul(a.coords, b.coords), ctx.neg(a.coords),
                 ctx.frobenius(2, a.coords), ctx.ghost(a.coords)] == want
+        if ring is ZQ:  # a ghost vector, and the same with each bump at each row
+            gs = ctx.ghost(b.coords)
+            bumped = [gs] + [gs[:k] + (rings.zp_add(gs[k], bump),) + gs[k + 1:]
+                             for bump in BUMPS for k in range(len(gs))]
+            assert [_outcome(ctx.unghost, g) for g in bumped] == [
+                _outcome(loop.unghost, g) for g in bumped]
     # the set compiles once below the cap and never above it; F_2's target
     # S/2 is below the cap either way
     assert compiles.count(witt._shape(tset)) == (side == "below")
@@ -607,17 +613,16 @@ def test_threads_racing_on_new_shapes_compile_each_once(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The generated Z[q] ops against ZqWittRing's own methods.  Below the cap
-# each op of a Z[q] context is one generated method, which checks every
-# digit at once and unpacks all coordinates in one pass; the same context,
-# built as a set above the cap would be, runs the methods of ZqWittRing,
-# which unpack and check each coordinate by itself.
+# The generated Z[q] ops against the same protocol written as loops.  Below
+# the cap each op of a Z[q] context is one generated method; the same
+# context, built as a set above the cap would be, runs ``_PackedLoops``,
+# which computes the same bounds and width, runs the row loops on the
+# packed integers and ends in the same split.
 
 
 def _reference_twin(ctx):
-    """ctx built as above the cap: ZqWittRing's methods over the row loops.
-    The twin is not interned; its F_m lands on the interned context on
-    S/m, whose own bound and unpack methods it calls."""
+    """ctx built as above the cap: its ops are ``_PackedLoops``.  The twin
+    is not interned."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(witt, "KERNEL_MAX_TERMS", -1)
         return witt._Law(ctx.family, ctx.tset, ctx.base, ctx.qval)
@@ -651,7 +656,7 @@ def test_generated_zq_ops_match_the_reference_methods(elems, fam, xs, ys, k, bum
     ctx = witt.WittCoeffRing(ZQ, tset, family, q)
     assert isinstance(ctx._kernels, witt._KERNEL_CACHE[witt._shape(tset)].packed)
     ref = _reference_twin(ctx)
-    assert ref._kernels is None and ref._factory.func is witt._LoopKernels
+    assert type(ref._kernels) is witt._PackedLoops and ref._factory.func is witt._LoopKernels
     a = tuple(ZQ.check(x) for x in xs[:len(tset)])
     b = tuple(ZQ.check(y) for y in ys[:len(tset)])
     assert _zq_outcomes(ctx, a, b, k, bump) == _zq_outcomes(ref, a, b, k, bump)
@@ -668,32 +673,42 @@ def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
     real = witt._check_each
     monkeypatch.setattr(witt, "_check_each", lambda *args: each.append(args) or real(*args))
     gs = ((1,), (2, -1), (-2,))
-    with pytest.raises(NotInGhostImage, match="component 3 ") as got:
-        ctx.unghost(gs)
-    assert widths == [8] and len(each) == 1
-    assert _outcome(_reference_twin(ctx).unghost, gs) == str(got.value)
+    for formats in (witt._SIGNED, {}):  # one masked add on all digits, and one per integer
+        monkeypatch.setattr(witt, "_SIGNED", formats)
+        widths.clear()
+        each.clear()
+        with pytest.raises(NotInGhostImage, match="component 3 ") as got:
+            ctx.unghost(gs)
+        assert widths == [8] and len(each) == 1
+        assert _outcome(_reference_twin(ctx).unghost, gs) == str(got.value)
 
 
 def test_exact_ops_pass_the_check_on_all_digits(monkeypatch):
     # the slack makes the one check pass whenever every division is exact,
-    # so the check of each n never runs on a result
+    # so the check of each n never runs on a result, in the generated ops
+    # or in _PackedLoops
     def refuse(*args):
         raise AssertionError("the check of each n ran on exact quotients")
 
     monkeypatch.setattr(witt, "_check_each", refuse)
-    rng = random.Random(10)
-    for elems in ((1, 2), (1, 2, 4), (1, 2, 3, 6), tuple(range(1, 13))):
-        tset = TruncationSet.make(elems)
-        for family, q in ZQ_FAMILIES:
-            ctx = witt.WittCoeffRing(ZQ, tset, family, q)
-            for _ in range(3):
-                a, b = ([tuple(rng.choice([-(2**40), -3, -1, 0, 1, 2, 3, 2**40])
-                               for _ in range(rng.randrange(4))) for _ in tset] for _ in "ab")
-                a, b = tuple(map(ZQ.check, a)), tuple(map(ZQ.check, b))
-                ctx.unghost(ctx.ghost(ctx.mul(ctx.add(a, b), ctx.neg(b))))
-                for m in tset:
-                    ctx.frobenius(m, a)
-                assert ctx.try_div_int(ctx.int_scale(6, a), 6) == a
+    for formats in (witt._SIGNED, {}):  # one masked add on all digits, and one per integer
+        monkeypatch.setattr(witt, "_SIGNED", formats)
+        rng = random.Random(10)
+        for elems in ((1, 2), (1, 2, 4), (1, 2, 3, 6), tuple(range(1, 13))):
+            tset = TruncationSet.make(elems)
+            for family, q in ZQ_FAMILIES:
+                ctx = witt.WittCoeffRing(ZQ, tset, family, q)
+                twin = _reference_twin(ctx)
+                for _ in range(3):
+                    a, b = ([tuple(rng.choice([-(2**40), -3, -1, 0, 1, 2, 3, 2**40])
+                                   for _ in range(rng.randrange(4))) for _ in tset]
+                            for _ in "ab")
+                    a, b = tuple(map(ZQ.check, a)), tuple(map(ZQ.check, b))
+                    for ops in (ctx, twin):
+                        ops.unghost(ops.ghost(ops.mul(ops.add(a, b), ops.neg(b))))
+                        for m in tset:
+                            ops.frobenius(m, a)
+                        assert ops.try_div_int(ops.int_scale(6, a), 6) == a
 
 
 def _split_reference(cs, s, ns):
@@ -708,7 +723,7 @@ def _split_reference(cs, s, ns):
 
 
 @settings(max_examples=300)
-@given(st.sampled_from([8, 16, 32, 64, 72, 128]), st.data())
+@given(st.sampled_from([8, 16, 32, 64, 65, 72, 97, 128]), st.data())
 @example(8, None).via("the smallest width, one block of zeros")
 def test_split_reads_what_zp_unpack_reads(s, data):
     ns = None
@@ -733,7 +748,7 @@ def test_split_reads_what_zp_unpack_reads(s, data):
     cs = tuple(rings._zp_pack(p, s) for p in polys)
     want = _split_reference(cs, s, ns)
     assert want == tuple(polys) or isinstance(want, str)
-    for formats in (witt._SIGNED, {}):  # memoryview.cast, and int.from_bytes per slot
+    for formats in (witt._SIGNED, {}):  # memoryview.cast, and _zp_unpack per integer
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(witt, "_SIGNED", formats)
             assert _outcome(witt._split, cs, s, ns) == want
