@@ -23,6 +23,7 @@ import operator
 
 from . import exprs
 from .errors import NonUniqueQuotient, UnsupportedRingOperation
+from .truncset import MAX_ELEMENT, factorization
 
 # ----------------------------------------------------------------------
 # Z[q] elements: dense integer coefficient tuples, lowest degree first,
@@ -45,11 +46,14 @@ from .errors import NonUniqueQuotient, UnsupportedRingOperation
 # recurrence linear in it per coefficient.  ``zp_mul`` keeps the schoolbook
 # loop unless both operands have at least ZP_KRONECKER_MIN_LEN
 # coefficients, below which packing costs more than it saves.
-# Witt arithmetic over Z[q] packs a whole operation the same way, once
-# (``qwitt.witt._PackedLoops``): it packs the inputs, runs the ghost rows of
-# W_S(Z) on the packed values and reads every result coefficient back, with
-# one ``to_bytes`` at a width of 8, 16, 32 or 64 bits and with
-# ``_zp_unpack`` above; on a small set each op is one generated method.
+# Witt arithmetic runs every context through one kernel protocol
+# (``qwitt.witt._Kernels``) of three kinds: generated methods, integer
+# loops above a term cap, and ring loops.  Over Z[q] the first two pack a
+# whole operation the same way, once: they pack the inputs, run the ghost
+# rows of W_S(Z) on the packed values and read every result coefficient
+# back, with one ``to_bytes`` at a width of 8, 16, 32 or 64 bits and with
+# ``_zp_unpack`` above.  Over the other rings here (``dual``, twisted
+# rings) the ring loops call only the element operations below.
 # Packing and unpacking skip a run of zero coefficients with one shift and
 # split a long tuple or integer in halves of slots, so a sparse tuple of
 # high degree (a power of q^100000, say) or a long dense one costs about
@@ -442,6 +446,12 @@ class ZRing(Ring):
         return str(a)
 
 
+# The largest modulus whose units ZModRing.units lists, by a walk over
+# range(m).  At 4096, listing them and trying each as a co-unit in
+# ``qwitt ringlaw verify`` takes about 0.2 s.
+UNITS_BUDGET = 1 << 12
+
+
 class ZModRing(Ring):
     """Integers modulo m, elements normalized to range(m)."""
 
@@ -455,8 +465,17 @@ class ZModRing(Ring):
             raise ValueError("modulus must be at least 2")
         self.m = m
         self.descriptor = f"zmod:{m}"
-        # reduced iff m is squarefree
-        self.reduced = all(e == 1 for _, e in _factorization(m))
+
+    @property
+    def reduced(self):
+        """Whether m is squarefree; only decided up to MAX_ELEMENT, where
+        trial division of m takes milliseconds."""
+        if self.m > MAX_ELEMENT:
+            raise UnsupportedRingOperation(
+                f"cannot decide whether {self.descriptor} is reduced: the modulus "
+                f"is above {MAX_ELEMENT}, too large to factor"
+            )
+        return all(e == 1 for _, e in factorization(self.m))
 
     def zero(self):
         return 0
@@ -503,6 +522,10 @@ class ZModRing(Ring):
         return a % math.gcd(p**e, self.m) == 0
 
     def units(self):
+        if self.m > UNITS_BUDGET:
+            raise UnsupportedRingOperation(
+                f"{self.descriptor} has more than {UNITS_BUDGET} elements to search for units"
+            )
         return [a for a in range(self.m) if math.gcd(a, self.m) == 1]
 
     def enumerate(self):
@@ -754,12 +777,6 @@ class TwistedRing(Ring):
 Z = ZRing()
 ZQ = ZqRing()
 DUAL = DualRing()
-
-
-def _factorization(n):
-    from .truncset import factorization
-
-    return factorization(n)
 
 
 def parse_ring(text: str) -> Ring:

@@ -38,21 +38,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large)
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of ``n``, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def factorization(n: int) -> list[tuple[int, int]]:
     """Prime factorization of ``n`` as (prime, exponent) pairs, ascending."""
     out = []
@@ -70,15 +55,13 @@ def factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of ``n``, ascending."""
+    return [p for p, _ in factorization(n)]
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return factorization(n) == [(n, 1)]
 
 
 def v_p(n: int, p: int) -> int:

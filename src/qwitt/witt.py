@@ -21,31 +21,32 @@ are never evaluated here and stay the independent oracle of the tests.
 Verschiebung is the certified coordinate shift.
 
 Each ghost component, and each step of the inversion, is one row
-acc +- sum_j w_j * x_j^e_j over the divisors of n.  Where the engine runs
-in Z (over ``z`` and over ``zmod``, whose cover is Z) each weight is
-folded into one integer when the context is built, and each op is one
-call of a *kernel*: a method of a class generated from the *shape* of S
-(per n, its index and the pairs (index of d, n/d) of its terms, which S
-alone determines), with every row written out as straight-line integer
-code and the divisions, and over ``zmod`` the reduction mod m, inline.
-The source holds only the shape's integers; it is compiled once per
-process, and each context makes one object of the class, holding its
-weights, twist and modulus.  A set whose rows have more than
-``KERNEL_MAX_TERMS`` terms in all is not compiled: there the same ops
-run the rows through two module loops, ``_int_ghost`` and
-``_int_invert``, which are also the reference the kernels are tested
-against.  Over Z[q] a whole operation is packed once: every input
-coordinate is evaluated at q = 2^s, the rows run on the packed integers,
-at the weights packed too, and the result coordinates are unpacked by
-:func:`_split`, with s from 1-norm bounds on everything the op computes,
-at the 1-norms of the weights.  The same compile of a shape gives a
-method for each Z[q] op that does all of this inline; a set above the
-cap runs the same steps through the loops (:class:`_PackedLoops`).
-Every quotient's digits are checked, since the packed integer can be
-divisible by n when the polynomial is not; :class:`_PackedLoops` proves
-that the checks catch exactly those cases.  Over any other cover each
-weight is the ring map it acts by, built once, and ``_ghost`` and
-``_invert`` run the rows with ring operations.
+acc +- sum_j w_j * x_j^e_j over the divisors of n.  The *shape* of S (per
+n, its index and the pairs (index of d, n/d) of its terms) depends on S
+alone; a context adds one flat tuple of weights, indexed by each term's
+position in the shape, its twist and its reduction onto A.  Every op of a
+context is one call of its *kernel* object (:class:`_Kernels`), which holds
+those values and comes in three kinds:
+
+- generated: over ``z`` and ``zmod`` (whose cover is Z) each weight is
+  folded into one integer, and each op is a method of a class generated
+  from the shape, every row written out as straight-line integer code
+  with the divisions, and over ``zmod`` the reduction mod m, inline.  Over
+  Z[q] a whole op is packed once: every input coordinate is evaluated at
+  q = 2^s, the rows run on the packed integers at the weights packed too,
+  and :func:`_split` unpacks the results, with s from 1-norm bounds on
+  everything the op computes.  Every quotient's digits are checked, since
+  the packed integer can be divisible by n when the polynomial is not;
+  :class:`_PackedLoops` proves that the checks catch exactly those cases.
+  A shape's source is compiled once per process, for Z and Z[q] together;
+- integer loops: a set whose rows have more than ``KERNEL_MAX_TERMS``
+  terms in all is not compiled, and the same ops run through
+  ``_int_ghost`` and ``_int_invert`` (:class:`_LoopKernels`, and
+  :class:`_PackedLoops` over Z[q]), which are also the reference the
+  generated kernels are tested against;
+- ring loops: over any other cover (``dual``, twisted and Witt rings) each
+  weight is the ring map it acts by, and :class:`_RingKernels` runs the
+  rows through ``_ghost`` and ``_invert`` with ring operations.
 
 Because W_S(A) is a ring, it serves as the coefficient ring of another
 Witt ring; that is what the nesting isomorphism consumes.
@@ -154,13 +155,9 @@ def random_vector(family, tset, ring, rng, q=None) -> WittVector:
 
 
 # ----------------------------------------------------------------------
-# The evaluation engine.  A context holds the ghost rows of S; a row
-# serves both the ghost map and its inverse.  Every operation applies the
-# ghost map, acts componentwise on the ghost side (twisted by the family's
-# product twist for mul) and inverts recursively, asserting each division.
-# A ring with torsion runs these steps on its torsion-free cover and
-# reduces the coordinates at the end; that is valid because every
-# structure polynomial has integer coefficients.
+# The evaluation engine: the rows of a shape and their weights.  Every row
+# loop below reads the rows of :func:`_positioned` and one flat tuple W of
+# weights, indexed by position.
 
 
 def _weight(ring: Ring, poly: MPoly, qval) -> tuple:
@@ -207,123 +204,16 @@ def _shape(tset: TruncationSet) -> tuple:
     )
 
 
-def _build_rows(family: Family, shape: tuple, ring: Ring, qval) -> list:
-    """The rows of a shape with each term's weight (c, u) in ``ring``, for
-    a context to map into the form its loops take."""
-    return [
-        (i, n, [(j, e, _weight(ring, family.ghost_weight(n, n // e), qval))
-                for j, e in terms])
-        for i, n, terms in shape
-    ]
-
-
-def _ghost(ring: Ring, rows, xs) -> list:
-    """The ghost components n*x_n + sum w(x_d^(n/d)) at rows whose weights
-    are ring maps (None the identity)."""
-    add, pow_, scale = ring.add, ring.pow, ring.int_scale
-    out = []
-    for i, n, terms in rows:
-        g = xs[i] if n == 1 else scale(n, xs[i])
-        for j, e, w in terms:
-            t = xs[j] if e == 1 else pow_(xs[j], e)
-            g = add(g, t if w is None else w(t))
-        out.append(g)
-    return out
-
-
-def _invert(ring: Ring, rows, gs, cs: list) -> list:
-    """Appends to ``cs`` the coordinates c_n = (g_n - sum w(c_d^(n/d))) / n
-    in the order of the rows; NotInGhostImage at the first n whose division
-    fails."""
-    sub, pow_, div = ring.sub, ring.pow, ring.try_div_int
-    for g, (_, n, terms) in zip(gs, rows):
-        for j, e, w in terms:
-            t = cs[j] if e == 1 else pow_(cs[j], e)
-            g = sub(g, t if w is None else w(t))
-        if n > 1:
-            g = div(g, n)
-            if g is None:
-                raise _unreachable(n)
-        cs.append(g)
-    return cs
-
-
-def _unreachable(n: int) -> NotInGhostImage:
-    return NotInGhostImage(f"component {n} is not reachable: division by {n} failed")
-
-
-def _map_weights(rows, fn) -> list:
-    """``rows`` with each weight w replaced by fn(w)."""
-    return [(i, n, tuple((j, e, fn(w)) for j, e, w in terms)) for i, n, terms in rows]
-
-
-def _fold(weight) -> int:
-    """The integer c + u of a weight (c, u) over Z."""
-    return weight[0] + (weight[1] or 0)
-
-
-def _int_ghost(rows, xs) -> list:
-    """:func:`_ghost` at integer rows, with no call per row or term."""
-    out = []
-    for i, n, terms in rows:
-        g = n * xs[i]
-        for j, e, w in terms:
-            g += w * xs[j] ** e
-        out.append(g)
-    return out
-
-
-def _int_invert(rows, gs, cs: list) -> list:
-    """:func:`_invert` at integer rows, with ``divmod`` inline."""
-    for g, (_, n, terms) in zip(gs, rows):
-        for j, e, w in terms:
-            g -= w * cs[j] ** e
-        if n > 1:
-            g, r = divmod(g, n)
-            if r:
-                raise _unreachable(n)
-        cs.append(g)
-    return cs
-
-
-# ----------------------------------------------------------------------
-# Kernels.  Over Z, and over Z[q], an op is one call of a kernel: a method
-# that runs the rows of S written out as straight-line code, over the
-# integer weights, twist and modulus (over Z[q]: the weights' 1-norms and
-# packed weights) of the object it is bound to.  The code is generated
-# from the shape of S alone and compiled once per process; every context
-# on S makes one object of it with its own values.
-
-# The most off-diagonal terms a shape may have and still be compiled; a
-# larger set runs the row loops.  A compile builds the Z and the Z[q]
-# methods together and costs about 2 ms per term (medians of 5 on a shared
-# 2-CPU Xeon, Python 3.11: 38-49 ms for {1,...,12}, 23 terms; 50-65 ms for
-# {1,...,15}, 30 terms), all of which a one-shot CLI op pays.  Up to
-# {1,...,15} the kernels take about half off an op, past it a quarter to a
-# third.  The cap was chosen when a compile built the Z methods alone, at
-# about 0.8 ms per term (the measured table is in CHANGES.md).
-KERNEL_MAX_TERMS = 32
-
-
-class _Kernels:
-    """The ops of one context on coordinate tuples over Z, at the flat
-    weights W, the twist T and the modulus M (None: no reduction):
-    ``ghost``, ``unghost``, ``add``, ``mul`` and ``neg``, and F_m as
-    ``frob(m)``."""
-
-    __slots__ = ("W", "T", "M")
-
-    def __init__(self, W, T, M):
-        self.W, self.T, self.M = W, T, M
-
-    def frob(self, m: int):
-        return getattr(self, f"frob{m}")
-
-
 def _positioned(shape) -> list:
     """The rows of a shape with each term's position p in the flat weights."""
     at = itertools.count()
     return [(i, n, [(j, e, next(at)) for j, e in terms]) for i, n, terms in shape]
+
+
+def _weights(family: Family, shape: tuple, ring: Ring, qval) -> tuple:
+    """The flat weights (c, u) in ``ring`` of a shape's terms, by position."""
+    return tuple(_weight(ring, family.ghost_weight(n, n // e), qval)
+                 for _, n, terms in shape for _, e in terms)
 
 
 def _frob_rows(rows, m: int) -> tuple:
@@ -338,50 +228,174 @@ def _frob_rows(rows, m: int) -> tuple:
              for k, v in enumerate(quot)])
 
 
+def _ghost(ring: Ring, rows, W, xs) -> list:
+    """The ghost components n*x_n + sum W[p](x_d^(n/d)) with the weights W
+    as ring maps (None the identity)."""
+    add, pow_, scale = ring.add, ring.pow, ring.int_scale
+    out = []
+    for i, n, terms in rows:
+        g = xs[i] if n == 1 else scale(n, xs[i])
+        for j, e, p in terms:
+            t, w = xs[j] if e == 1 else pow_(xs[j], e), W[p]
+            g = add(g, t if w is None else w(t))
+        out.append(g)
+    return out
+
+
+def _invert(ring: Ring, rows, W, gs, cs: list) -> list:
+    """Appends to ``cs`` the coordinates c_n = (g_n - sum W[p](c_d^(n/d))) / n
+    in the order of the rows; NotInGhostImage at the first n whose division
+    fails."""
+    sub, pow_, div = ring.sub, ring.pow, ring.try_div_int
+    for g, (_, n, terms) in zip(gs, rows):
+        for j, e, p in terms:
+            t, w = cs[j] if e == 1 else pow_(cs[j], e), W[p]
+            g = sub(g, t if w is None else w(t))
+        if n > 1:
+            g = div(g, n)
+            if g is None:
+                raise _unreachable(n)
+        cs.append(g)
+    return cs
+
+
+def _unreachable(n: int) -> NotInGhostImage:
+    return NotInGhostImage(f"component {n} is not reachable: division by {n} failed")
+
+
+def _fold(weight) -> int:
+    """The integer c + u of a weight (c, u) over Z."""
+    return weight[0] + (weight[1] or 0)
+
+
+def _int_ghost(rows, W, xs) -> list:
+    """:func:`_ghost` at integer weights, with no call per row or term."""
+    out = []
+    for i, n, terms in rows:
+        g = n * xs[i]
+        for j, e, p in terms:
+            g += W[p] * xs[j] ** e
+        out.append(g)
+    return out
+
+
+def _int_invert(rows, W, gs, cs: list) -> list:
+    """:func:`_invert` at integer weights, with ``divmod`` inline."""
+    for g, (_, n, terms) in zip(gs, rows):
+        for j, e, p in terms:
+            g -= W[p] * cs[j] ** e
+        if n > 1:
+            g, r = divmod(g, n)
+            if r:
+                raise _unreachable(n)
+        cs.append(g)
+    return cs
+
+
+# ----------------------------------------------------------------------
+# Kernels: one protocol, :class:`_Kernels`, and its three kinds (generated,
+# integer loops, ring loops; see the module docstring).
+
+# The most off-diagonal terms a shape may have and still be compiled; a
+# larger set runs the row loops.  A compile builds the Z and the Z[q]
+# methods together and costs about 2 ms per term (medians of 5 on a shared
+# 2-CPU Xeon, Python 3.11: 38-49 ms for {1,...,12}, 23 terms; 50-65 ms for
+# {1,...,15}, 30 terms), all of which a one-shot CLI op pays.  Up to
+# {1,...,15} the kernels take about half off an op, past it a quarter to a
+# third.  The cap was chosen when a compile built the Z methods alone, at
+# about 0.8 ms per term (the measured table is in CHANGES.md).
+KERNEL_MAX_TERMS = 32
+
+
+class _Kernels:
+    """The ops of one context on coordinate tuples, at the flat weights W,
+    the twist T and the reduction M onto the ring (None: none):
+    ``ghost``, ``unghost``, ``add``, ``mul`` and ``neg``, and F_m as
+    ``frob(m)``.  Over Z, W and T are integers and M the modulus."""
+
+    __slots__ = ("W", "T", "M")
+
+    def __init__(self, W, T, M):
+        self.W, self.T, self.M = W, T, M
+
+    def frob(self, m: int):
+        return getattr(self, f"frob{m}")
+
+
+class _RingKernels(_Kernels):
+    """The ops of a context over any cover but Z and Z[q], run by
+    :func:`_ghost` and :func:`_invert` with the operations of ``ring``: W
+    are the weights and T the twist as the ring maps they act by (None:
+    the identity), and M is the cover's reduction onto the ring."""
+
+    __slots__ = ("ring", "rows")
+
+    def __init__(self, shape, ring: Ring, W, T, M):
+        super().__init__(W, T, M)
+        self.ring, self.rows = ring, _positioned(shape)
+
+    def _done(self, cs) -> tuple:
+        return tuple(cs) if self.M is None else tuple(map(self.M, cs))
+
+    def ghost(self, a):
+        return self._done(_ghost(self.ring, self.rows, self.W, a))
+
+    def unghost(self, gs):
+        return self._done(_invert(self.ring, self.rows, self.W, gs, []))
+
+    def add(self, a, b):
+        ring, rows, W = self.ring, self.rows, self.W
+        return self.unghost(map(ring.add, _ghost(ring, rows, W, a), _ghost(ring, rows, W, b)))
+
+    def mul(self, a, b):
+        ring, rows, W = self.ring, self.rows, self.W
+        gs = map(ring.mul, _ghost(ring, rows, W, a), _ghost(ring, rows, W, b))
+        return self.unghost(gs if self.T is None else map(self.T, gs))
+
+    def neg(self, a):
+        return self.unghost(map(self.ring.neg, _ghost(self.ring, self.rows, self.W, a)))
+
+    def frob(self, m: int):
+        (at, sub), ring, W = _frob_rows(self.rows, m), self.ring, self.W
+        return lambda a: self._done(_invert(ring, sub, W, _ghost(ring, at, W, a), []))
+
+
 class _LoopKernels(_Kernels):
     """A shape's kernels run by :func:`_int_ghost` and :func:`_int_invert`:
     the path above KERNEL_MAX_TERMS, and the reference that the generated
     kernels are tested against."""
 
-    __slots__ = ("positioned", "rows")
+    __slots__ = ("rows",)
 
     def __init__(self, shape, W, T, M):
         super().__init__(W, T, M)
-        self.positioned = _positioned(shape)
-        self.rows = self._weighted(self.positioned)
-
-    def _weighted(self, rows) -> list:
-        W = self.W
-        return [(i, n, [(j, e, W[p]) for j, e, p in terms]) for i, n, terms in rows]
+        self.rows = _positioned(shape)
 
     def _done(self, cs) -> tuple:
         M = self.M
         return tuple(cs) if M is None else tuple(c % M for c in cs)
 
     def ghost(self, a):
-        return self._done(_int_ghost(self.rows, a))
+        return self._done(_int_ghost(self.rows, self.W, a))
 
     def unghost(self, gs):
-        return self._done(_int_invert(self.rows, gs, []))
+        return self._done(_int_invert(self.rows, self.W, gs, []))
 
     def add(self, a, b):
-        rows = self.rows
-        return self.unghost(map(operator.add, _int_ghost(rows, a), _int_ghost(rows, b)))
+        rows, W = self.rows, self.W
+        return self.unghost(map(operator.add, _int_ghost(rows, W, a), _int_ghost(rows, W, b)))
 
     def mul(self, a, b):
-        rows, T = self.rows, self.T
-        gs = zip(_int_ghost(rows, a), _int_ghost(rows, b))
+        rows, W, T = self.rows, self.W, self.T
+        gs = zip(_int_ghost(rows, W, a), _int_ghost(rows, W, b))
         return self.unghost([T * x * y for x, y in gs])
 
     def neg(self, a):
-        return self.unghost(map(operator.neg, _int_ghost(self.rows, a)))
+        return self.unghost(map(operator.neg, _int_ghost(self.rows, self.W, a)))
 
     def frob(self, m: int):
-        at, sub = map(self._weighted, _frob_rows(self.positioned, m))
-        return lambda a: self._done(_int_invert(sub, _int_ghost(at, a), []))
-
-
-_rows = operator.attrgetter("rows")
+        (at, sub), W = _frob_rows(self.rows, m), self.W
+        return lambda a: self._done(_int_invert(sub, W, _int_ghost(at, W, a), []))
 
 
 class _PackedLoops(_LoopKernels):
@@ -389,8 +403,9 @@ class _PackedLoops(_LoopKernels):
     loops: the path above KERNEL_MAX_TERMS, and the reference that the
     generated methods (class ``Packed`` of :func:`_kernel_source`) are
     tested against.  W and T are the 1-norms of the weights and of the
-    twist, so ``rows`` give the bounds below; ``at(s)`` gives the
-    :class:`_LoopKernels` at the weights and twist packed at q = 2^s.
+    twist, so the rows at them give the bounds below; ``at(s)`` gives the
+    :class:`_Kernels` whose W and T are the weights and twist packed at
+    q = 2^s.
 
     An op packs its inputs once at q = 2^s, a ring homomorphism
     Z[q] -> Z, runs the rows of S at the packed weights and unpacks the
@@ -399,15 +414,15 @@ class _PackedLoops(_LoopKernels):
     ghost, combined as the op combines ghosts (G_a + G_b for add,
     ||twist||_1 * G_a * G_b for mul, the rows at m*v for F_m), and in the
     inversion ||acc_n||_1 <= A_n = G_n + sum ||w||_1 * C_d^(n/d), with
-    C_d = A_d // d >= ||c_d||_1.  s > max A_n.bit_length() puts every
-    coefficient of acc_n below 2^(s-1) in size, so the balanced base-2^s
-    digits of the packed acc_n are its coefficients, because such
-    expansions are unique.  That holds at any larger s too: the width
-    carries j = max(S).bit_length() bits of slack, s > max A_n.bit_length()
-    + j, and up to 64 bits is rounded up to 8, 16, 32 or 64, which
-    :func:`_split` reads as machine integers.  The ghost, which divides
-    nothing, takes one bit of slack, keeping its digits below 2^(s-2) in
-    size as :func:`_split` needs.
+    C_d = A_d // d >= ||c_d||_1.  The width is s = max C_n.bit_length() +
+    1 + j, j = max(S).bit_length(); up to 64 bits it is rounded up to 8,
+    16, 32 or 64, which :func:`_split` reads as machine integers.  Then
+    A_n < n*(C_n + 1) <= n*2^bitlen(C_n) < 2^(s-1), as n < 2^j, so every
+    coefficient of acc_n is below 2^(s-1) in size, and the balanced
+    base-2^s digits of the packed acc_n are its coefficients, because such
+    expansions are unique.  The
+    ghost, which divides nothing, takes s = max G_n.bit_length() + 2,
+    keeping its digits below 2^(s-2) in size as :func:`_split` needs.
 
     The packed acc_n can be divisible by n when acc_n is not (1 - q packs
     to -255 at s = 8, a multiple of 3, 5 and 17), so each digit d of each
@@ -424,8 +439,8 @@ class _PackedLoops(_LoopKernels):
     the largest n of the result (S, or S/m for F_m).  It implies the check
     of each n, as n*2^(s-1-i) < 2^(s-1) for every such n.  It passes
     whenever every division is exact, because each digit is then a
-    coefficient of c_n and |d| <= ||acc_n||_1 / n <= A_n < 2^(s-1-j).  So
-    it fails only where some division is not exact, and only then does the
+    coefficient of c_n and |d| <= ||c_n||_1 <= C_n < 2^(s-1-j).  So it
+    fails only where some division is not exact, and only then does the
     check of each n run, in order, to name the first (:func:`_check_each`).
     Where the packed division of row n fails, the quotients before it are
     checked in the same way first (:func:`_failed` in the generated
@@ -435,54 +450,55 @@ class _PackedLoops(_LoopKernels):
     __slots__ = ("at",)
 
     def ghost(self, x):
-        return self._run(lambda k, x: _int_ghost(k.rows, x), None, x)
+        return self._run(lambda k, x: _int_ghost(self.rows, k.W, x), None, x)
 
     def unghost(self, g):
-        return self._run(lambda k, g: g, _rows, tuple(g))
+        return self._run(lambda k, g: g, self.rows, tuple(g))
 
     def add(self, a, b):
-        return self._run(lambda k, a, b: map(operator.add, _int_ghost(k.rows, a),
-                                             _int_ghost(k.rows, b)), _rows, a, b)
+        rows = self.rows
+        return self._run(lambda k, a, b: map(operator.add, _int_ghost(rows, k.W, a),
+                                             _int_ghost(rows, k.W, b)), rows, a, b)
 
     def mul(self, a, b):
+        rows = self.rows
         return self._run(lambda k, a, b: [k.T * x * y for x, y in zip(
-            _int_ghost(k.rows, a), _int_ghost(k.rows, b))], _rows, a, b)
+            _int_ghost(rows, k.W, a), _int_ghost(rows, k.W, b))], rows, a, b)
 
     def neg(self, a):
-        return self._run(lambda k, a: map(operator.neg, _int_ghost(k.rows, a)), _rows, a)
+        rows = self.rows
+        return self._run(lambda k, a: map(operator.neg, _int_ghost(rows, k.W, a)), rows, a)
 
     def frob(self, m: int):
-        at, sub = _frob_rows(self.positioned, m)
-        return partial(self._run, lambda k, x: _int_ghost(k._weighted(at), x),
-                       lambda k: k._weighted(sub))
+        at, sub = _frob_rows(self.rows, m)
+        return partial(self._run, lambda k, x: _int_ghost(at, k.W, x), sub)
 
-    def _run(self, ghosts, inverse, *xs) -> tuple:
+    def _run(self, ghosts, sub, *xs) -> tuple:
         """The op whose ghost components are ghosts(k, *xs) at the weights
-        of kernels k and inputs xs over Z, inverted at the rows inverse(k)
-        (None: the ghost, which inverts nothing): the bounds at the
+        and twist of kernels k and inputs xs over Z, inverted at the rows
+        sub (None: the ghost, which inverts nothing): the bounds at the
         1-norms, the width, the packed inputs, the rows and the split."""
         # the ghosts at the 1-norms, made nonnegative where neg negates them
         bounds = map(abs, ghosts(self, *([sum(map(abs, c)) for c in x] for x in xs)))
-        if inverse is None:
+        if sub is None:
             top, slack, ns = max(bounds), 1, None
         else:
-            top, C, rows = 0, [], inverse(self)
-            for g, (_, n, terms) in zip(bounds, rows):
-                for j, e, w in terms:
-                    g += w * C[j] ** e
-                top = max(top, g)
+            C, W = [], self.W
+            for g, (_, n, terms) in zip(bounds, sub):
+                for j, e, p in terms:
+                    g += W[p] * C[j] ** e
                 C.append(g // n)
-            slack, ns = self.positioned[-1][1].bit_length(), tuple(n for _, n, _ in rows)
+            top, slack, ns = max(C), self.rows[-1][1].bit_length(), tuple(n for _, n, _ in sub)
         s = top.bit_length() + 1 + slack
         if s < 65:
             s = _ALIGNED[s]
         k = self.at(s)
         gs = ghosts(k, *([_zp_pack(c, s) for c in x] for x in xs))
-        if inverse is None:
+        if sub is None:
             return _split(gs, s, None)
         cs = []
         try:
-            _int_invert(inverse(k), gs, cs)
+            _int_invert(sub, k.W, gs, cs)
         except NotInGhostImage:
             _split(cs, s, ns[:len(cs)])  # an earlier quotient may fail its check
             raise
@@ -568,8 +584,9 @@ def _kernel_source(shape) -> dict:
 
     def whole(name, args, gs, bounds, sub):
         # an op over Z[q]: the 1-norms of the inputs, the ghost bounds G
-        # and, inverting, the bounds A_n and C_n; the width; the packed
-        # inputs, the rows, and one split of the results
+        # and, inverting, the bounds A_n and C_n; the width (from G, or
+        # from C); the packed inputs, the rows, and one split of the
+        # results
         lines = [f"{listed('v', count)}= self.W"] if count else []
         lines += ["t = self.T"] if name == "mul" else []
         for x in args:
@@ -577,14 +594,14 @@ def _kernel_source(shape) -> dict:
             lines += [f"n{x}{k} = sum(map(abs, {x}{k}))" for k in range(size)]
         if sub is None:  # the ghost: no division, so no check
             lines += [f"A{k} = {bound}" for k, bound in enumerate(bounds)]
-            slack = 1
+            top, slack = "A", 1
         else:
             lines += [f"A{k} = {bound}" + "".join(
                 f" + v{p}*{_power(f'C{j}', e)}" for j, e, p in terms)
                 + (f"; C{k} = A{k}" if n == 1 else f"; C{k} = A{k} // {n}")
                 for (k, n, terms), bound in zip(sub, bounds)]
-            slack = rows[-1][1].bit_length()
-        lines += [f"s = max(0, {listed('A', len(bounds))}).bit_length() + {1 + slack}",
+            top, slack = "C", rows[-1][1].bit_length()
+        lines += [f"s = max(0, {listed(top, len(bounds))}).bit_length() + {1 + slack}",
                   "if s < 65: s = L[s]",
                   "k = self.at(s)"]
         lines += [f"{listed('w', count)}= k.W"] if count else []
@@ -648,11 +665,6 @@ def _kernel_factory(shape):
     return factory
 
 
-def _flat(rows) -> list:
-    """The weights of rows, in the order of a shape's flat weights."""
-    return [w for _, _, terms in rows for _, _, w in terms]
-
-
 def _norm(weight) -> int:
     """||c + u||_1 of a Z[q] weight (c, u)."""
     c, u = weight
@@ -664,17 +676,17 @@ def _packed_weight(weight, s: int) -> int:
     return weight[0] + _zp_pack(weight[1] or (), s)
 
 
-_PACKED_WIDTHS = 64  # the widths whose packed kernels a Z[q] context keeps
+_PACKED_WIDTHS = 64  # the widths whose packed weights a Z[q] context keeps
 
 
-def _packed_at(factory, weights, twist, constant: bool):
-    """``at(s)``: the kernels of ``factory`` at the Z[q] weights and twist
-    packed at q = 2^s.  A packed weight w(q)(2^s) is w at the packed q,
-    the same at every s when q is ``constant``: then one set is kept, and
-    otherwise the last _PACKED_WIDTHS widths'."""
+def _packed_at(weights, twist, constant: bool):
+    """``at(s)``: the :class:`_Kernels` whose W and T are the Z[q] weights
+    and twist packed at q = 2^s.  A packed weight w(q)(2^s) is w at the
+    packed q, the same at every s when q is ``constant``: then one set is
+    kept, and otherwise the last _PACKED_WIDTHS widths'."""
     def pack(s):
-        return factory(tuple(_packed_weight(w, s) for w in weights),
-                       _packed_weight(twist, s), None)
+        return _Kernels(tuple(_packed_weight(w, s) for w in weights),
+                        _packed_weight(twist, s), None)
 
     if constant:
         fixed = pack(1)
@@ -771,11 +783,14 @@ class WittCoeffRing(Ring):
 
     ``WittCoeffRing(base, tset, family, q)`` resolves the q binding and
     returns the interned context.  Elements are coordinate tuples in the
-    order of S; the engine methods (``ghost``, ``unghost``, ``frobenius``)
+    order of S; the engine ops (``ghost``, ``unghost``, ``frobenius``)
     take and return them too.  Exact integer division is solved through
     the ghost map (divide the ghost, invert back), which is what the
-    nesting isomorphism needs.  Over Z and Z[q] the ops are kernels bound
-    to the context when it is built.
+    nesting isomorphism needs.  No method here runs a row: ``add``,
+    ``mul``, ``neg``, ``ghost`` and ``unghost`` are the ops of the
+    context's kernel object, bound when it is built, and F_m is the
+    kernel's ``frob(m)`` (generated kernels over Z and Z[q], the integer
+    loops above KERNEL_MAX_TERMS, the ring loops over any other cover).
     """
 
     def __new__(cls, base: Ring, tset: TruncationSet,
@@ -796,84 +811,47 @@ class WittCoeffRing(Ring):
         # the torsion-free ring the engine runs in, and the reduction onto A
         self.lift, self.down = base.cover()
         shape = _shape(tset)
-        self.rows = _build_rows(family, shape, self.lift, qval)
-        self._twist = _weight(self.lift, family.twist(), qval)
-        self.twist = _scaler(self.lift, self._twist)
-        self._kernels = None
+        weights = _weights(family, shape, self.lift, qval)
+        twist = _weight(self.lift, family.twist(), qval)
         self._frobs = {}  # m -> self._frob(m)
         self._subgroups = {}  # (p, e) -> the coordinate tuples of p^e * W_S(A)
-        if isinstance(self.lift, (ZRing, ZqRing)):
-            # over Z the ops are the kernels of S at the folded weights, each
-            # reducing mod m over zmod (whose cover is Z); over Z[q] they are
+        if isinstance(self.lift, ZRing):
+            # the kernels of S at the folded weights, each reducing mod m
+            # over zmod (whose cover is Z)
+            self._factory = _kernel_factory(shape)
+            k = self._factory(tuple(map(_fold, weights)), _fold(twist),
+                              None if self.down is None else base.m)
+        elif isinstance(self.lift, ZqRing):
             # the packed ops, at the 1-norms of the weights
-            self._factory, flat = _kernel_factory(shape), _flat(self.rows)
-            if isinstance(self.lift, ZRing):
-                k = self._kernels = self._factory(
-                    tuple(map(_fold, flat)), _fold(self._twist),
-                    None if self.down is None else base.m)
-            else:
-                k = self._kernels = self._factory.packed(
-                    tuple(map(_norm, flat)), _norm(self._twist), None)
-                k.at = _packed_at(self._factory, flat, self._twist,
-                                  qval is None or len(qval) < 2)
-            self.add, self.mul, self.neg, self.ghost, self.unghost = (
-                k.add, k.mul, k.neg, k.ghost, k.unghost)
+            self._factory = _kernel_factory(shape)
+            k = self._factory.packed(tuple(map(_norm, weights)), _norm(twist), None)
+            k.at = _packed_at(weights, twist, qval is None or len(qval) < 2)
         else:
-            # on other covers each weight is the ring map it acts by
-            self.rows = _map_weights(self.rows, partial(_scaler, self.lift))
-            self._ghosts, self._inverse = partial(_ghost, self.lift), partial(_invert, self.lift)
+            # the ring loops, each weight the ring map it acts by
+            scaler = partial(_scaler, self.lift)
+            k = _RingKernels(shape, self.lift, tuple(map(scaler, weights)),
+                             scaler(twist), self.down)
+        self._kernels = k
+        self.add, self.mul, self.neg, self.ghost, self.unghost = (
+            k.add, k.mul, k.neg, k.ghost, k.unghost)
 
     def on(self, tset: TruncationSet) -> "WittCoeffRing":
         """The context with the same family, ring and q on another set."""
         return _law(self.family, tset, self.base, self.qval)
 
     # --- the engine ---------------------------------------------------
-    # Over Z and Z[q], _setup puts the kernels' ops in place of add, mul,
-    # neg, ghost and unghost, so that an op is one call; these methods run
-    # the rows of the other covers.
-    def unghost(self, gs) -> tuple:
-        """The coordinates whose ghost components are ``gs``; raises
-        NotInGhostImage when an interior division fails."""
-        return self._reduced(self._inverse(self.rows, gs, []))
-
-    def _reduced(self, values) -> tuple:
-        return tuple(map(self.down, values)) if self.down else tuple(values)
-
-    def add(self, a, b) -> tuple:
-        ghosts, rows = self._ghosts, self.rows
-        return self.unghost(map(self.lift.add, ghosts(rows, a), ghosts(rows, b)))
-
-    def mul(self, a, b) -> tuple:
-        ghosts, rows = self._ghosts, self.rows
-        gs = map(self.lift.mul, ghosts(rows, a), ghosts(rows, b))
-        if self.twist is not None:
-            gs = map(self.twist, gs)
-        return self.unghost(gs)
-
-    def neg(self, a) -> tuple:
-        return self.unghost(map(self.lift.neg, self._ghosts(self.rows, a)))
-
+    # _setup binds add, mul, neg, ghost and unghost from the kernels; what
+    # follows is built on them and on the kernels' frob(m).
     def _frob(self, m: int):
         """The context on S/m, and F_m on coordinate tuples."""
         entry = self._frobs.get(m)
         if entry is None:
             sub = self.on(self.tset.quotient(m))
-            entry = self._frobs[m] = (sub, self._frob_map(m, sub))
+            entry = self._frobs[m] = (sub, self._kernels.frob(m))
         return entry
-
-    def _frob_map(self, m: int, sub: "WittCoeffRing"):
-        """F_m: ghost component m*v of S becomes component v of S/m."""
-        if self._kernels is not None:
-            return self._kernels.frob(m)
-        rows = [self.rows[self.tset.index(m * v)] for v in sub.tset]
-        ghosts = self._ghosts
-        return lambda a: sub.unghost(ghosts(rows, a))
 
     def frobenius(self, m: int, a) -> tuple:
         return self._frob(m)[1](a)
-
-    def ghost(self, a) -> tuple:
-        return self._reduced(self._ghosts(self.rows, a))
 
     def try_div_int(self, a, k):
         """The unique b with k*b = a, or None: divide the ghost, then invert."""
@@ -932,10 +910,11 @@ class WittCoeffRing(Ring):
         return all(self.base.eq(x, y) for x, y in zip(a, b))
 
     def _tuples(self, budget: int):
-        elems = list(self.base.enumerate())
+        elems = list(itertools.islice(self.base.enumerate(), budget + 1))
         total = len(elems) ** len(self.tset)
         if total > budget:
-            raise BudgetExceeded(f"would enumerate {total} vectors (budget {budget})")
+            least = "at least " if len(elems) > budget else ""
+            raise BudgetExceeded(f"would enumerate {least}{total} vectors (budget {budget})")
         return itertools.product(elems, repeat=len(self.tset))
 
     def enumerate(self):

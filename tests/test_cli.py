@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -502,3 +506,29 @@ def test_lenart_constructions_at_a_prime_p(tmp_path, capsys):
     path.write_text(json.dumps({"coords": {"1": "2", "3": "5"}}))
     code, data = run(capsys, "deform", "lenart-iso", "--p", "3", "--q", "2", "--in", str(path))
     assert code == 0 and data == {"coords": {"1": "2", "3": "13"}}  # 5 + (2^2-1)/3 * 2^3
+
+
+# Each of these hung or ran out of memory on its large modulus: the
+# factorization of m behind ``reduced``, ``units()`` walking range(m), and
+# the list of Z/m behind the enumeration of W_S(Z/m).  Each runs in a child
+# process held to 1 GiB of address space.
+LARGE_MODULI = {
+    "eval": ["eval", "--family", "classical", "--set", "1,2", "--ring",
+             "zmod:100000000000000000039", "--op", "neg", "--in", "{in}"],
+    "ringlaw": ["ringlaw", "verify", "--ring", "zmod:1000000007", "--F", "x+y", "--G", "x*y"],
+    "systems": ["systems", "verify", "--instance", "witt:zmod:1000000007:1,2", "--budget", "5"],
+}
+LIMITED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from qwitt.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("name", LARGE_MODULI)
+def test_large_moduli_exit_within_two_seconds(tmp_path, name):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"a": {"coords": {"1": "3", "2": "1"}}}))
+    argv = [arg.replace("{in}", str(path)) for arg in LARGE_MODULI[name]]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=2)
+    assert proc.returncode in (0, 1) and "internal error" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1 or json.loads(proc.stdout)

@@ -264,7 +264,7 @@ def test_packed_zq_rows_match_the_generic_loop(fam, picked, xs, ys):
     packed = witt.WittCoeffRing(ZQ, tset, family, q)
     symbolic = q is None and family.uses_q()
     loop = witt.WittCoeffRing(LoopZq(), tset, family, rings.ZP_Q if symbolic else q)
-    assert type(packed) is witt.WittCoeffRing and loop._ghosts.func is witt._ghost
+    assert type(packed) is witt.WittCoeffRing and type(loop._kernels) is witt._RingKernels
     assert _engine_results(packed, a, b) == _engine_results(loop, a, b)
 
 
@@ -289,11 +289,12 @@ def _widths(monkeypatch, ctx) -> list:
 
 
 def test_unghost_over_zq_divides_coefficients_not_the_packed_value(monkeypatch):
-    # on {1,n}, the ghost vector (1, 2-q) leaves 1-q in row n; its bound
-    # ||2-q||_1 + ||1||_1^n = 4, one bit more and the slack of n give at
-    # most 9 bits, aligned to 8 or 16, where 1-q packs to 1 - 2^8 = -255
-    # or 1 - 2^16 = -65535, multiples of 3, 5 and 17 although 1-q is not
-    for n, width in ((3, 8), (5, 8), (17, 16)):
+    # on {1,n}, the ghost vector (1, 2-q) leaves 1-q in row n; the widest
+    # bound on a coordinate is C_1 = ||1||_1 = 1 (C_n = (||2-q||_1 +
+    # ||1||_1^n) // n = 4 // n), so one bit, one more and the slack of n
+    # give at most 7 bits, aligned to 8, where 1-q packs to 1 - 2^8 = -255,
+    # a multiple of 3, 5 and 17 although 1-q is not
+    for n, width in ((3, 8), (5, 8), (17, 8)):
         s1n = TruncationSet.make([n])
         assert rings._zp_pack((1, -1), width) % n == 0
         widths = _widths(monkeypatch, witt.WittCoeffRing(ZQ, s1n))
@@ -395,7 +396,7 @@ def test_integer_rows_match_the_generic_loop(fam, ring_at, picked, xs, ys):
     ctx = witt.WittCoeffRing(ring, tset, family, q)
     # the same integer q as the context's cover, so every step agrees over Z
     loop = witt.WittCoeffRing(LoopZ(), tset, family, ctx.qval)
-    assert ctx.add.__self__ is ctx._kernels and loop._ghosts.func is witt._ghost
+    assert ctx.add.__self__ is ctx._kernels and type(loop._kernels) is witt._RingKernels
     assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]  # compiled
     down = ctx.down or (lambda c: c)
     want = [tuple(map(down, r)) if isinstance(r, tuple) else r
@@ -429,6 +430,33 @@ def test_integer_contexts_never_call_the_generic_row(monkeypatch):
                 assert not witt.is_divisible(a, 7, 30)
             with pytest.raises(NotInGhostImage):  # row 2 leaves 1, which 2 cannot divide
                 ctx.unghost((ring.zero(), ring.one()) + a.coords[2:])
+
+
+# Every other cover runs the ring loops of ``witt._RingKernels``, bound to
+# the context as the integer kernels are, and F_m is that object's frob(m).
+RING_COVERS = ["dual", "twist:z:2", "twist:zq:q", "witt:z:1,2,3", "witt:zmod:4:1,2"]
+
+
+@pytest.mark.parametrize("desc", RING_COVERS)
+def test_every_cover_binds_its_kernels(monkeypatch, desc):
+    made = []  # (kernels, m) for each F_m made
+    real = witt._RingKernels.frob
+    monkeypatch.setattr(witt._RingKernels, "frob", lambda k, m: made.append((k, m)) or real(k, m))
+    monkeypatch.setattr(witt, "_LAW_CACHE", {})
+    ring, rng = parse_ring(desc), random.Random(8)
+    for family in (Family.classical(), Family.lenart(2)):
+        ps = universal.derive(family, S6)
+        a = witt.random_vector(family, S6, ring, rng)
+        ctx = a.context
+        assert type(ctx._kernels) is witt._RingKernels
+        for op in ("add", "mul", "neg", "ghost", "unghost"):
+            assert getattr(ctx, op).__self__ is ctx._kernels
+        for m in S6:
+            made.clear()
+            got = witt.frobenius(a, m).coords
+            assert made == [(ctx._kernels, m)]
+            assert got == tuple(p.eval(ring, _assign(S6, None, a.coords))
+                                for p in _polys(ps, family, S6, m))
 
 
 # ----------------------------------------------------------------------

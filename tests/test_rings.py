@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qwitt.errors import BudgetExceeded, NonUniqueQuotient, UnsupportedRingOperation
+from qwitt.truncset import MAX_ELEMENT
 from qwitt.rings import (
     _ZP_LEAF,
     DUAL,
@@ -16,6 +17,7 @@ from qwitt.rings import (
     ZQ,
     ZP_KRONECKER_MIN_LEN,
     ZP_ONE,
+    UNITS_BUDGET,
     TwistedRing,
     ZModRing,
     _zp_pack,
@@ -68,6 +70,20 @@ def test_units_examples():
     assert ZQ.units() == [ZP_ONE, (-1,)]
     with pytest.raises(UnsupportedRingOperation):
         DUAL.units()
+
+
+def test_large_moduli_refuse_what_they_cannot_bound():
+    # a prime near 10^20: the ring is built at once, and neither walks range(m)
+    # nor factors m by trial division, which would take hours
+    big = ZModRing(10**20 + 39)
+    with pytest.raises(UnsupportedRingOperation, match="reduced"):
+        big.reduced
+    with pytest.raises(UnsupportedRingOperation, match="units"):
+        big.units()
+    with pytest.raises(UnsupportedRingOperation, match="units"):
+        ZModRing(UNITS_BUDGET + 1).units()
+    assert len(ZModRing(UNITS_BUDGET).units()) == UNITS_BUDGET // 2
+    assert ZModRing(MAX_ELEMENT).reduced is False
 
 
 def test_ring_axioms_random():

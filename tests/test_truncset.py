@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from qwitt.errors import BudgetExceeded
-from qwitt.truncset import MAX_ELEMENT, TruncationSet, divisors, v_p
+from qwitt.truncset import (MAX_ELEMENT, TruncationSet, divisors, factorization, is_prime,
+                            prime_factors, v_p)
 
 
 def test_make_minimal():
@@ -137,3 +138,11 @@ def test_v_p():
     assert v_p(7, 2) == 0
     with pytest.raises(ValueError):
         v_p(0, 2)
+
+
+def test_prime_factors_and_primality_follow_the_factorization():
+    assert [n for n in range(-3, 40) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23,
+                                                         29, 31, 37]
+    assert factorization(360) == [(2, 3), (3, 2), (5, 1)] and prime_factors(360) == [2, 3, 5]
+    assert prime_factors(1) == [] and prime_factors(97) == [97]
+    assert is_prime(4294967291) and not is_prime(3 * 4294967291)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qwitt.errors import CrossRingError, NotInGhostImage
+from qwitt.errors import BudgetExceeded, CrossRingError, NotInGhostImage
 from qwitt.rings import Z, ZQ, ZModRing, TwistedRing, parse_ring
 from qwitt.truncset import TruncationSet
 from qwitt.universal import Family
@@ -199,6 +199,14 @@ def test_verschiebung_image_size():
     }
     assert len(image) == 3
     assert all(c[0] == 0 for c in image)
+
+
+def test_enumeration_lists_no_more_of_the_base_than_its_budget():
+    # Z/(10^9+7) has a billion elements; listing them would take gigabytes
+    zm = ZModRing(10**9 + 7)
+    with pytest.raises(BudgetExceeded, match="at least 36 vectors"):
+        next(witt.enumerate_vectors(CL, S2, zm, budget=5))
+    assert len(list(witt.enumerate_vectors(CL, S2, ZModRing(3), budget=9))) == 9
 
 
 def test_frobenius_mod_p_on_values():
