@@ -16,16 +16,12 @@ import sys
 
 from . import indwitt, onedim, qdeform, suites, systems, universal, witt
 from .errors import BudgetExceeded, Error
-from .exprs import read_int
+from .exprs import INPUT_BUDGET, read_int
 from .rings import Z, ZQ, parse_ring
 from .truncset import TruncationSet
 from .universal import Family
 
 DEFAULT_SEED = 1729
-# the most characters one JSON input or one argument may have: decimal
-# parsing is quadratic in a literal's length, and this keeps a literal's
-# parse well under a second
-INPUT_BUDGET = 1 << 17
 
 
 def _emit(obj) -> None:

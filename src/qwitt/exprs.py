@@ -20,6 +20,10 @@ import re
 from .errors import BudgetExceeded
 
 MAX_BITS = 1 << 24  # the largest estimated size of a value that evaluate builds
+# the most characters one JSON input or one argument of the command line
+# may have: decimal parsing is quadratic in a literal's length, and this
+# keeps a literal's parse well under a second
+INPUT_BUDGET = 1 << 17
 
 # The one spelling of an integer in text inputs: ASCII digits, which
 # ``int`` alone does not insist on (it also reads 1_0, +1 and the digits of

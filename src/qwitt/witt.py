@@ -24,9 +24,12 @@ Each ghost component, and each step of the inversion, is one row
 acc +- sum_j w_j * x_j^e_j over the divisors of n.  The *shape* of S (per
 n, its index and the pairs (index of d, n/d) of its terms) depends on S
 alone; a context adds one flat tuple of weights, indexed by each term's
-position in the shape, its twist and its reduction onto A.  Every op of a
-context is one call of its *kernel* object (:class:`_Kernels`), which holds
-those values and comes in three kinds:
+position in the shape, its twist and its reduction onto A.  A term whose
+exponent is above ``_FREE_EXPONENT`` raises BudgetExceeded, before it is
+computed, when it could pass ``exprs.MAX_BITS`` bits; the kernels over Z
+and Z[q] check it, the ring loops do not.  Every op of a context is one
+call of its *kernel* object (:class:`_Kernels`), which holds those values
+and comes in three kinds:
 
 - generated: over ``z`` and ``zmod`` (whose cover is Z) each weight is
   folded into one integer, and each op is a method of a class generated
@@ -38,7 +41,8 @@ those values and comes in three kinds:
   everything the op computes.  Every quotient's digits are checked, since
   the packed integer can be divisible by n when the polynomial is not;
   :class:`_PackedLoops` proves that the checks catch exactly those cases.
-  A shape's source is compiled once per process, for Z and Z[q] together;
+  Each method of a shape's classes is generated and compiled on its first
+  use, once per process, so a process compiles only the ops it runs;
 - integer loops: a set whose rows have more than ``KERNEL_MAX_TERMS``
   terms in all is not compiled, and the same ops run through
   ``_int_ghost`` and ``_int_invert`` (:class:`_LoopKernels`, and
@@ -67,6 +71,7 @@ from .errors import (
     NotInGhostImage,
     UnsupportedRingOperation,
 )
+from .exprs import INPUT_BUDGET, MAX_BITS
 from .mpoly import MPoly
 from .rings import Ring, ZRing, ZqRing, ZP_Q, _zp_pack, _zp_unpack, zp_add
 from .truncset import TruncationSet, divisors
@@ -204,10 +209,41 @@ def _shape(tset: TruncationSet) -> tuple:
     )
 
 
+# A term of row n has about n times the bits of the op's inputs, and a
+# decimal literal within INPUT_BUDGET characters has fewer than 4 bits per
+# character.  So up to this exponent, which every set up to {1,...,32}
+# keeps to, a term of a command-line input stays within MAX_BITS; a term
+# of a larger exponent e checks e * bits(x) first (:func:`_bounded_power`).
+_FREE_EXPONENT = MAX_BITS // (4 * INPUT_BUDGET)
+
+
+def _bounded_power(x: int, e: int) -> int:
+    """x**e, or BudgetExceeded when it could take more than MAX_BITS bits."""
+    bits = e * x.bit_length()
+    if bits > MAX_BITS and not -1 <= x <= 1:
+        raise BudgetExceeded(f"a ghost term would take {bits} bits (budget {MAX_BITS})")
+    return x ** e
+
+
+class _CheckedExponent(int):
+    """An exponent e above _FREE_EXPONENT in the rows of :func:`_positioned`:
+    ``x ** e`` of an integer x calls :func:`_bounded_power`, as Python
+    tries a subclass's reflected method first.  So the row loops over Z
+    and Z[q] check the terms that need it where they compute them, and
+    the others, plain ints, cost nothing more."""
+
+    __slots__ = ()
+
+    def __rpow__(self, x):
+        return _bounded_power(x, int(self))
+
+
 def _positioned(shape) -> list:
-    """The rows of a shape with each term's position p in the flat weights."""
+    """The rows of a shape with each term's position p in the flat weights,
+    and each exponent above _FREE_EXPONENT a :class:`_CheckedExponent`."""
     at = itertools.count()
-    return [(i, n, [(j, e, next(at)) for j, e in terms]) for i, n, terms in shape]
+    return [(i, n, [(j, e if e <= _FREE_EXPONENT else _CheckedExponent(e), next(at))
+                    for j, e in terms]) for i, n, terms in shape]
 
 
 def _weights(family: Family, shape: tuple, ring: Ring, qval) -> tuple:
@@ -297,13 +333,17 @@ def _int_invert(rows, W, gs, cs: list) -> list:
 # integer loops, ring loops; see the module docstring).
 
 # The most off-diagonal terms a shape may have and still be compiled; a
-# larger set runs the row loops.  A compile builds the Z and the Z[q]
-# methods together and costs about 2 ms per term (medians of 5 on a shared
-# 2-CPU Xeon, Python 3.11: 38-49 ms for {1,...,12}, 23 terms; 50-65 ms for
-# {1,...,15}, 30 terms), all of which a one-shot CLI op pays.  Up to
-# {1,...,15} the kernels take about half off an op, past it a quarter to a
-# third.  The cap was chosen when a compile built the Z methods alone, at
-# about 0.8 ms per term (the measured table is in CHANGES.md).
+# larger set runs the row loops.  A method compiles on its first use, so a
+# one-shot op pays for the methods it runs, not for the shape.  Measured on
+# a shared 2-CPU Xeon, Python 3.11 (medians of 5; the table is in
+# CHANGES.md), from {1,...,12} (23 terms) to {1,...,20} (46): the five ops
+# a context binds and one F_m compile in 4-9 ms over Z and 11-29 ms over
+# Z[q], where a whole shape took 38-94 ms.  Over Z the kernels take half
+# off an op at every one of these sizes, which repays the compile after a
+# few hundred ops; over Z[q] they save about a tenth, within the runs'
+# noise.  So raising the cap would cost a one-shot op on {1,...,16} to
+# {1,...,20} its compile and give only long runs over Z their gain; it
+# stays where it was.
 KERNEL_MAX_TERMS = 32
 
 
@@ -506,24 +546,33 @@ class _PackedLoops(_LoopKernels):
 
 
 def _power(x: str, e: int) -> str:
+    if e > _FREE_EXPONENT:
+        return f"E({x}, {e})"
     return f"{x}*{x}" if e == 2 else f"{x}**{e}"
 
 
-def _kernel_source(shape) -> dict:
-    """The source of each method of the kernel classes of a shape, per
-    class: ``Plain``, the :class:`_Kernels` of a context over Z; its
+# The methods of every kernel class, each with its arguments' names (one
+# coordinate tuple per letter), and F_m as frob<m> for each m in S.
+_ARGS = {"ghost": "x", "unghost": "g", "add": "ab", "mul": "ab", "neg": "a"}
+
+
+def _kernel_source(shape, kind: str, name: str) -> str:
+    """The source of one method of one kernel class of a shape.  The
+    classes are ``Plain``, the :class:`_Kernels` of a context over Z; its
     subclass ``Reduced``, whose ops reduce their results mod M; and
     ``Packed``, the whole ops of a context over Z[q] on coordinate tuples,
     :class:`_PackedLoops` written out, whose W and T are the 1-norms of the
     weights and of the twist and whose ``at(s)`` gives the kernels at the
-    weights packed at q = 2^s.  The text is built from the shape's
-    integers alone; the values are read from the objects, as the flat
-    weights w0, w1, ... (their 1-norms v0, v1, ...), T and M."""
+    weights packed at q = 2^s.  ``name`` is ``ghost``, ``unghost``,
+    ``add``, ``mul``, ``neg`` or ``frob<m>`` for an m in S.  The text is
+    built from the shape's integers alone; the values are read from the
+    objects, as the flat weights w0, w1, ... (their 1-norms v0, v1, ...),
+    T and M."""
     rows = _positioned(shape)
     size, count = len(rows), sum(len(t) for _, _, t in rows)
 
-    def listed(name, k):  # "name0, name1, ..., name(k-1), "
-        return "".join(f"{name}{j}, " for j in range(k))
+    def listed(x, k):  # "x0, x1, ..., x(k-1), "
+        return "".join(f"{x}{j}, " for j in range(k))
 
     def ghost(row, xs, w="w"):  # the ghost component of a row at the sum of the vectors xs
         def total(fmt):
@@ -547,31 +596,32 @@ def _kernel_source(shape) -> dict:
                 lines += [f"r = {acc}", f"if r % {n}: raise {fail(k, n)}", f"c{k} = r // {n}"]
         return lines
 
-    def define(name, args, lines):
-        return "\n".join([f"def {name}(self, {', '.join(args)}):"]
-                         + ["    " + line for line in lines])
-
     def bound(row, xs):  # the bound G_n on the 1-norm of a ghost component
         return ghost(row, [f"n{x}" for x in xs], "v")
 
-    # each op: its name and arguments, the ghost components it inverts over
-    # the rows sub (None: the ghost, which inverts nothing), and their bounds
-    ops = [("ghost", "x", [ghost(row, "x") for row in rows],
-            [bound(row, "x") for row in rows], None),
-           ("unghost", "g", [f"g{k}" for k in range(size)], [f"ng{k}" for k in range(size)], rows),
-           ("add", "ab", [ghost(row, "ab") for row in rows], [bound(row, "ab") for row in rows], rows),
-           ("mul", "ab", [f"T*({ghost(row, 'a')})*({ghost(row, 'b')})" for row in rows],
-            [f"t*({bound(row, 'a')})*({bound(row, 'b')})" for row in rows], rows),
-           ("neg", "a", [f"-({ghost(row, 'a')})" for row in rows],
-            [bound(row, "a") for row in rows], rows)]
-    for _, m, _ in rows:
-        at, sub = _frob_rows(rows, m)
-        ops.append((f"frob{m}", "x", [ghost(row, "x") for row in at],
-                    [bound(row, "x") for row in at], sub))
+    # the op: its arguments, the rows at which it takes ghost components,
+    # and the rows sub it inverts them over (None: the ghost, which
+    # inverts nothing)
+    if name.startswith("frob"):
+        (at, sub), args = _frob_rows(rows, int(name[4:])), "x"
+    else:
+        at, sub, args = rows, None if name == "ghost" else rows, _ARGS[name]
 
-    def integer(name, args, gs, bounds, sub, reduce):
+    def components(norms: bool) -> list:  # the ghost components, or bounds on their 1-norms
+        if name == "unghost":
+            return [f"ng{k}" if norms else f"g{k}" for k in range(size)]
+        form = bound if norms else ghost
+        if name == "mul":
+            return [f"{'t' if norms else 'T'}*({form(row, 'a')})*({form(row, 'b')})" for row in at]
+        if name == "neg" and not norms:
+            return [f"-({ghost(row, 'a')})" for row in at]
+        return [form(row, args) for row in at]
+
+    gs, lines = components(False), []
+    if kind != "Packed":
         # an op over Z: the rows at the weights, the result reduced mod M
-        lines = [f"{listed('w', count)}= self.W"] if count else []
+        reduce = kind == "Reduced"
+        lines += [f"{listed('w', count)}= self.W"] if count else []
         lines += ["T = self.T"] if name == "mul" else []
         lines += ["M = self.M"] if reduce else []
         lines += [listed(x, size) + f"= {x}" for x in args]
@@ -580,14 +630,14 @@ def _kernel_source(shape) -> dict:
         else:
             lines += invert(sub, gs, lambda k, n: f"U({n})")
         result = ", ".join(f"c{k} % M" if reduce else f"c{k}" for k in range(len(gs)))
-        return define(name, args, lines + [f"return ({result},)"])
-
-    def whole(name, args, gs, bounds, sub):
+        lines.append(f"return ({result},)")
+    else:
         # an op over Z[q]: the 1-norms of the inputs, the ghost bounds G
         # and, inverting, the bounds A_n and C_n; the width (from G, or
         # from C); the packed inputs, the rows, and one split of the
         # results
-        lines = [f"{listed('v', count)}= self.W"] if count else []
+        bounds = components(True)
+        lines += [f"{listed('v', count)}= self.W"] if count else []
         lines += ["t = self.T"] if name == "mul" else []
         for x in args:
             lines.append(listed(x, size) + f"= {x}")
@@ -609,30 +659,53 @@ def _kernel_source(shape) -> dict:
         lines += [f"{x}{k} = P({x}{k}, s)" for x in args for k in range(size)]
         if sub is None:
             lines += [f"c{k} = {g}" for k, g in enumerate(gs)]
-            return define(name, args, lines + [f"return S(({listed('c', size)}), s, None)"])
-        ns = tuple(n for _, n, _ in sub)
-        lines += invert(sub, gs, lambda k, n: f"F(s, ({listed('c', k)}), {ns[:k]}, {n})")
-        return define(name, args, lines + [f"return S(({listed('c', len(sub))}), s, {ns})"])
+            lines.append(f"return S(({listed('c', size)}), s, None)")
+        else:
+            ns = tuple(n for _, n, _ in sub)
+            lines += invert(sub, gs, lambda k, n: f"F(s, ({listed('c', k)}), {ns[:k]}, {n})")
+            lines.append(f"return S(({listed('c', len(sub))}), s, {ns})")
+    return "\n".join([f"def {name}(self, {', '.join(args)}):"] + ["    " + line for line in lines])
 
-    return {"Plain": [integer(*op, False) for op in ops],
-            "Reduced": [integer(*op, True) for op in ops],
-            "Packed": [whole(*op) for op in ops]}
+
+class _Method:
+    """A method of a generated kernel class before its first lookup, which
+    makes its text (:func:`_kernel_source`), compiles it under
+    _KERNEL_LOCK and sets the function on the class in this object's
+    place, so that every later lookup is a plain method lookup.  It holds
+    its class and name (set when the class is made) and the shape."""
+
+    __slots__ = ("owner", "name", "shape")
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __set_name__(self, owner, name):
+        self.owner, self.name = owner, name
+
+    def __get__(self, obj, cls=None):
+        with _KERNEL_LOCK:
+            fn = self.owner.__dict__[self.name]
+            if fn is self:  # not compiled yet
+                text = _kernel_source(self.shape, self.owner.__name__, self.name)
+                body = {}
+                exec(compile(text, "<qwitt kernels>", "exec"), _KERNEL_GLOBALS, body)
+                fn = body[self.name]
+                setattr(self.owner, self.name, fn)
+        return fn.__get__(obj, cls)
 
 
 def _compile_kernels(shape):
     """The kernel factory of a shape: ``factory(W, T, M)`` makes a
     ``Plain`` or, with a modulus, a ``Reduced``, and ``factory.packed`` is
-    class ``Packed``.  Each method of :func:`_kernel_source` is compiled by
-    itself, so that compiling holds the syntax tree of one method, not of
-    the shape's hundreds of lines."""
-    namespace = {"U": _unreachable, "L": _ALIGNED, "P": _zp_pack, "S": _split, "F": _failed}
-    methods = _kernel_source(shape)
+    class ``Packed``.  Nothing is compiled here: each method of each class
+    is a :class:`_Method`, compiled by itself on its first lookup, so a
+    process compiles only the methods it looks up, and compiling holds
+    the syntax tree of one method, not of the shape's hundreds of
+    lines."""
+    names = [*_ARGS, *(f"frob{n}" for _, n, _ in shape)]
 
-    def build(name, base, slots=()):
-        body = {"__slots__": slots}
-        for text in methods[name]:
-            exec(compile(text, "<qwitt kernels>", "exec"), namespace, body)
-        return type(name, (base,), body)
+    def build(kind, base, slots=()):
+        return type(kind, (base,), {"__slots__": slots, **{m: _Method(shape) for m in names}})
 
     plain = build("Plain", _Kernels)
     reduced = build("Reduced", plain)
@@ -644,14 +717,15 @@ def _compile_kernels(shape):
     return factory
 
 
-_KERNEL_CACHE: dict = {}  # shape -> its compiled factory
+_KERNEL_CACHE: dict = {}  # shape -> its factory
 _KERNEL_LOCK = Lock()
 
 
 def _kernel_factory(shape):
     """``factory(W, T, M)`` for the kernels of a shape, and
-    ``factory.packed`` for its Z[q] ops: compiled once per process up to
-    KERNEL_MAX_TERMS terms, the row loops above."""
+    ``factory.packed`` for its Z[q] ops: made once per process, and each
+    method compiled on its first lookup, up to KERNEL_MAX_TERMS terms; the
+    row loops above."""
     if sum(len(terms) for _, _, terms in shape) > KERNEL_MAX_TERMS:
         factory = partial(_LoopKernels, shape)
         factory.packed = partial(_PackedLoops, shape)
@@ -778,6 +852,11 @@ def _failed(s: int, cs, ns, n: int) -> NotInGhostImage:
     return _unreachable(n)
 
 
+# the names the generated methods read besides their arguments
+_KERNEL_GLOBALS = {"U": _unreachable, "L": _ALIGNED, "P": _zp_pack, "S": _split,
+                   "F": _failed, "E": _bounded_power}
+
+
 class WittCoeffRing(Ring):
     """W_S(A) of one (family, S, A, q) context: the engine and the ring.
 
@@ -832,6 +911,8 @@ class WittCoeffRing(Ring):
             k = _RingKernels(shape, self.lift, tuple(map(scaler, weights)),
                              scaler(twist), self.down)
         self._kernels = k
+        # binding compiles these five generated methods, if not yet compiled;
+        # F_m compiles on the first _frob(m)
         self.add, self.mul, self.neg, self.ghost, self.unghost = (
             k.add, k.mul, k.neg, k.ghost, k.unghost)
 

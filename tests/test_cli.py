@@ -532,3 +532,18 @@ def test_large_moduli_exit_within_two_seconds(tmp_path, name):
                           capture_output=True, text=True, timeout=2)
     assert proc.returncode in (0, 1) and "internal error" not in proc.stderr, proc.stderr
     assert proc.returncode == 1 or json.loads(proc.stdout)
+
+
+def test_a_huge_ghost_term_exits_1_within_two_seconds(tmp_path):
+    # on {1, p} the sum of (2, 0) and (1, 1) has the coordinate
+    # (2^p + p + 1 - 3^p)/p, of about 1.6*p bits: the op ran for minutes
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({"a": {"coords": {"1": "2", "100000007": "0"}},
+                                "b": {"coords": {"1": "1", "100000007": "1"}}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for ring in ("z", "zmod:7", "zq"):
+        argv = ["eval", "--family", "classical", "--ring", ring, "--set", "1,100000007",
+                "--op", "add", "--in", str(path)]
+        proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=env,
+                              capture_output=True, text=True, timeout=2)
+        assert proc.returncode == 1 and "budget" in proc.stderr, proc.stderr

@@ -6,17 +6,22 @@ The explicit polynomials from ``universal.derive``, evaluated with
 integer lift), are the independent oracle they are compared with.
 """
 
+import json
 import operator
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qwitt import indwitt, rings, universal, witt
-from qwitt.errors import NotInGhostImage
+from qwitt.errors import BudgetExceeded, NotInGhostImage
 from qwitt.mpoly import Q, xvar, yvar
 from qwitt.rings import (DUAL, Z, ZQ, Ring, TwistedRing, ZModRing, ZqRing, ZRing,
                          parse_ring)
@@ -578,47 +583,103 @@ def test_sets_on_each_side_of_the_term_cap(monkeypatch, side):
     assert len(compiles) == len(set(compiles))
 
 
-def test_each_shape_compiles_once_into_one_source(monkeypatch):
-    compiled = []  # (shape, source) per compile
+def _record_compiles(monkeypatch):
+    """From here on, each method compiled, as ((shape, class, method), text),
+    on empty caches; and the real ``_kernel_source``."""
+    made = []
     real = witt._kernel_source
     monkeypatch.setattr(witt, "_KERNEL_CACHE", {})
     monkeypatch.setattr(witt, "_LAW_CACHE", {})
-    monkeypatch.setattr(witt, "_kernel_source", lambda shape: compiled.append(
-        (shape, real(shape))) or compiled[-1][1])
+    monkeypatch.setattr(witt, "_kernel_source", lambda *key: made.append(
+        (key, real(*key))) or made[-1][1])
+    return made, real
+
+
+BOUND_OPS = ("add", "mul", "neg", "ghost", "unghost")  # what a context's build binds
+
+
+def test_each_shape_compiles_once_into_one_source(monkeypatch):
+    made, real = _record_compiles(monkeypatch)
+
+    def since(k):  # the (shape, class, method) compiled since made[k]
+        return sorted(key for key, _ in made[k:])
+
     rng = random.Random(3)
+    shape, shape2 = witt._shape(S6), witt._shape(S2)
     classical = witt.random_vector(Family.classical(), S6, ZModRing(4), rng)
+    # a build compiles exactly the five ops it binds, and nothing else
+    assert since(0) == sorted((shape, "Reduced", op) for op in BOUND_OPS)
     qbar = witt.random_vector(Family.qbar(), S6, ZModRing(4), rng, 2)
-    qdef = witt.random_vector(Family.qdef(), S6, ZQ, rng)  # the Z[q] methods: no compile
-    for a in (classical, qbar, qdef):
-        witt.frobenius(witt.mul(a, witt.add(a, a)), 3)  # F_3 lands on {1,2}
+    z = witt.random_vector(Family.qdef(), S6, Z, rng, 2)
+    assert since(5) == sorted((shape, "Plain", op) for op in BOUND_OPS)
+    # F_m compiles on its first use, once: F_3 lands on {1,2}, whose
+    # context's build compiles its own five ops
+    for a in (classical, qbar, z):
+        done = len(made)
+        witt.frobenius(witt.mul(a, witt.add(a, a)), 3)
+        cls = "Reduced" if a.context.down else "Plain"
+        assert since(done) == ([] if a is qbar else sorted(
+            [(shape, cls, "frob3")] + [(shape2, cls, op) for op in BOUND_OPS]))
+    # only z and zmod contexts so far: no Z[q] text
+    assert all(kind != "Packed" for (_, kind, _), _ in made)
+    done = len(made)
+    qdef = witt.random_vector(Family.qdef(), S6, ZQ, rng)
+    assert since(done) == sorted((shape, "Packed", op) for op in BOUND_OPS)
+    witt.frobenius(qdef, 6)
+    witt.frobenius(qdef, 6)
+    assert since(done + 5) == sorted([(shape, "Packed", "frob6")] + [
+        (witt._shape(TruncationSet.make([1])), "Packed", op) for op in BOUND_OPS])
     assert witt.unghost(Family.qdef(), S6, ZQ, witt.ghost(qdef)) == qdef
-    shape = witt._shape(S6)
-    assert [s for s, _ in compiled] == [shape, witt._shape(S2)]
+    keys = [key for key, _ in made]
+    assert len(keys) == len(set(keys))  # each (shape, class, method) once
     assert classical.context._factory is qbar.context._factory is qdef.context._factory
     assert classical.context._kernels.W != qbar.context._kernels.W
     assert type(qdef.context._kernels) is classical.context._factory.packed
-    assert "def frob6(self, x):" in compiled[0][1]["Packed"][-1]
-    # the text is the shape's alone: the other family generates it again
-    assert real(witt._shape(qbar.tset)) == real(witt._shape(classical.tset)) == compiled[0][1]
+    text = dict(made)
+    assert "def frob6(self, x):" in text[(shape, "Packed", "frob6")]
+    # compiled methods replace their descriptors on the class; the rest wait
+    reduced = vars(type(classical.context._kernels))
+    assert type(reduced["frob3"]) is types.FunctionType
+    assert isinstance(reduced["frob2"], witt._Method)
+    # the text is the shape's alone: every method compiled is generated
+    # again the same, and every method of S6's three classes comes out the
+    # same from either family's set
+    for key, t in made:
+        assert real(*key) == t
+    names = [*witt._ARGS, *(f"frob{n}" for _, n, _ in shape)]
+    for kind in ("Plain", "Reduced", "Packed"):
+        for name in names:
+            assert real(witt._shape(qbar.tset), kind, name) == real(
+                witt._shape(classical.tset), kind, name)
+    assert len(names) == 5 + len(S6)
     above = TruncationSet.make(range(1, len(_upto_terms(witt.KERNEL_MAX_TERMS)) + 2))
+    done = len(made)
     for ring in (Z, ZModRing(4), ZQ):
         ctx = witt.WittCoeffRing(ring, above)
         ctx.mul(ctx.one(), ctx.add(ctx.one(), ctx.one()))
-    assert len(compiled) == 2  # a set above the cap never compiles
+        ctx.frobenius(2, ctx.one())
+    # a set above the cap compiles nothing of its own; F_2's target S/2 is
+    # below it
+    assert {s for (s, _, _), _ in made[done:]} == {witt._shape(above.quotient(2))}
 
 
 def test_threads_racing_on_new_shapes_compile_each_once(monkeypatch):
+    made, _ = _record_compiles(monkeypatch)
     compiles = []
     real = witt._compile_kernels
-    monkeypatch.setattr(witt, "_KERNEL_CACHE", {})
-    monkeypatch.setattr(witt, "_LAW_CACHE", {})
     monkeypatch.setattr(witt, "_compile_kernels", lambda shape: compiles.append(shape) or
                         real(shape))
     shapes = [witt._shape(TruncationSet.make(range(1, k + 1))) for k in range(2, 8)]
-    got = []
+    got, start = [], threading.Barrier(6)
 
     def work():
-        got.append([witt._kernel_factory(shape) for shape in shapes])
+        factories = [witt._kernel_factory(shape) for shape in shapes]
+        got.append(factories)
+        start.wait(timeout=60)
+        # every thread looks up the same new methods
+        for factory, shape in zip(factories, shapes):
+            k = factory((1,) * sum(len(terms) for _, _, terms in shape), 1, None)
+            k.add, k.frob(2), factory.packed.mul
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -633,11 +694,64 @@ def test_threads_racing_on_new_shapes_compile_each_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(got) == 6 and all(factories == got[0] for factories in got)
     assert sorted(compiles) == sorted(shapes)  # each shape exactly once
+    # each method looked up compiled exactly once, and nothing else
+    assert sorted(key for key, _ in made) == sorted(
+        (shape, kind, name) for shape in shapes
+        for kind, name in (("Plain", "add"), ("Plain", "frob2"), ("Packed", "mul")))
     for k, factory in zip(range(2, 8), got[0]):  # Z[q] contexts find the same compile
         ctx = witt.WittCoeffRing(ZQ, TruncationSet.make(range(1, k + 1)))
         assert type(ctx._kernels) is factory.packed
         ctx.mul(ctx.one(), ctx.add(ctx.one(), ctx.one()))
     assert len(compiles) == len(shapes)
+
+
+# A `qwitt verify --suite all` process, counting the generated methods it
+# compiles on stderr; every compiled class and method is named once.
+COUNT_COMPILES = (
+    "import sys; from qwitt import witt; from qwitt.cli import main; made = []; "
+    "real = witt._kernel_source; "
+    "witt._kernel_source = lambda *key: made.append(key) or real(*key); "
+    "code = main(sys.argv[1:]); "
+    "print(len(made), len(set(made)), file=sys.stderr); "
+    "sys.exit(code)")
+
+
+def test_a_verify_process_compiles_only_what_it_runs():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", COUNT_COMPILES, "verify", "--suite", "all",
+                           "--budget", "500", "--seed", "1"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["passed"] is True, proc.stderr
+    methods, distinct = map(int, proc.stderr.split()[-2:])
+    # its 8 shapes have 189 methods, 3 * (5 + |S|) each
+    assert methods == distinct <= 98
+
+
+# {1, 37}: its term a_1^37 has an exponent above witt._FREE_EXPONENT
+S37 = TruncationSet.make([37])
+
+
+def test_terms_above_the_free_exponent_check_their_size_first():
+    assert witt._FREE_EXPONENT == 32
+    for kind in ("Plain", "Reduced", "Packed"):
+        text = witt._kernel_source(witt._shape(S37), kind, "add")
+        assert "E(a0, 37)" in text and "**37" not in text
+    big = 1 << (witt.MAX_BITS // 37 + 1)  # its 37th power passes MAX_BITS
+    far = (0,) * (1 << 16) + (1,)  # q^65536: its 1-norm is 1, packed it passes
+    for ring, a in ((Z, (big, 0)), (ZQ, ((big,), ())), (ZQ, (far, ()))):
+        ctx = witt.WittCoeffRing(ring, S37)
+        for ops in (ctx, _reference_twin(ctx)):  # the generated methods and the loops
+            for op, args in ((ops.ghost, (a,)), (ops.add, (a, a)), (ops.mul, (a, a)),
+                             (ops.frobenius, (1, a)), (ops.unghost, (a,))):
+                with pytest.raises(BudgetExceeded, match="budget 16777216"):
+                    op(*args)
+    # 1 and -1 to any power take 1 bit: the unit of {1, p} multiplies at once
+    p = TruncationSet.make([100000007])
+    for ring in (Z, ZModRing(4), ZQ):
+        ctx = witt.WittCoeffRing(ring, p)
+        for ops in (ctx, _reference_twin(ctx)):
+            one = ops.one()
+            assert ops.mul(one, one) == one
 
 
 # ----------------------------------------------------------------------
