@@ -16,7 +16,7 @@ import sys
 
 from . import indwitt, onedim, qdeform, suites, systems, universal, witt
 from .errors import BudgetExceeded, Error
-from .exprs import INPUT_BUDGET, read_int
+from .exprs import INPUT_BITS, INPUT_BUDGET, read_int
 from .rings import Z, ZQ, parse_ring
 from .truncset import TruncationSet
 from .universal import Family
@@ -82,16 +82,29 @@ def cmd_polys(args) -> int:
     return 0
 
 
+def _input(ring, x):
+    """``x``, an element read from the input; BudgetExceeded when it takes
+    more bits than a literal within INPUT_BUDGET characters can, which the
+    Witt ops' bound on their ghost terms assumes."""
+    bits = ring.bits(x)
+    if bits > INPUT_BITS:
+        raise BudgetExceeded(f"an input element takes {bits} bits (budget {INPUT_BITS})")
+    return x
+
+
 def cmd_eval(args) -> int:
     family = Family.parse(args.family)
     tset = TruncationSet.parse(args.set)
     ring = parse_ring(args.ring)
-    q = None if args.q is None else ring.from_str(args.q)
+    q = None if args.q is None else _input(ring, ring.from_str(args.q))
     op = args.op
     data = _read_json(args.infile) if args.infile else {}
 
     def vec(field="a", t=tset):
-        return witt.vector_from_json(family, t, ring, _vector_field(data, field), q)
+        a = witt.vector_from_json(family, t, ring, _vector_field(data, field), q)
+        for c in a.coords:
+            _input(ring, c)
+        return a
 
     if op == "add" or op == "mul":
         a, b = vec("a"), vec("b")
@@ -112,13 +125,13 @@ def cmd_eval(args) -> int:
     elif op == "teich":
         if "value" not in data:
             raise ValueError("input is missing the 'value' field")
-        value = ring.from_json(data["value"])
+        value = _input(ring, ring.from_json(data["value"]))
         _emit(witt.vector_to_json(witt.teichmuller(family, tset, ring, value, q)))
     elif op == "ghost":
         gh = witt.ghost(vec())
         _emit({"ghost": {str(n): ring.to_json(x) for n, x in zip(tset, gh)}})
     elif op == "unghost":
-        xs = witt.indexed_from_json(data, "ghost", tset, lambda n: ring)
+        xs = [_input(ring, x) for x in witt.indexed_from_json(data, "ghost", tset, lambda n: ring)]
         _emit(witt.vector_to_json(witt.unghost(family, tset, ring, xs, q)))
     else:
         raise ValueError(f"unknown op {op!r}")

@@ -24,6 +24,13 @@ MAX_BITS = 1 << 24  # the largest estimated size of a value that evaluate builds
 # may have: decimal parsing is quadratic in a literal's length, and this
 # keeps a literal's parse well under a second
 INPUT_BUDGET = 1 << 17
+# the most bits an input element may take (``Ring.bits``): what a literal
+# within INPUT_BUDGET characters can spell, at fewer than 4 bits per digit
+INPUT_BITS = 4 * INPUT_BUDGET
+# A power x^e takes about e times the bits of x, so up to this exponent a
+# power of an input element stays within MAX_BITS; a larger e checks
+# e * bits(x) first (``Ring.pow``, and the Witt kernels over Z and Z[q]).
+FREE_EXPONENT = MAX_BITS // INPUT_BITS
 
 # The one spelling of an integer in text inputs: ASCII digits, which
 # ``int`` alone does not insist on (it also reads 1_0, +1 and the digits of

@@ -3,7 +3,23 @@
 Variables are two coordinate banks ``x_d`` and ``y_d`` (d a positive
 integer) plus the deformation parameter ``q``.  Coefficients are exact
 arbitrary-precision integers; monomials with coefficient zero are never
-stored and the monomial key order is canonical, so equality is syntactic.
+stored and a monomial has one key, so equality is syntactic.
+
+A monomial's key is one non-negative int, the packed exponents of
+Monagan and Pearce: each variable owns a fixed slot of ``_W`` bits, given
+in the order variables are first used in the process (:func:`_shift`),
+and the key is the sum of e_v << shift(v); the constant monomial is 0.
+The layout is global, so keys of any two polynomials combine as they are.
+Every exponent stays below 2^(_W-1), so the key of a product of monomials
+is the sum of their keys, with no carry between slots.  Before a product,
+a bound on its exponents (the sum of the bitwise ors of each operand's
+keys) is tested against the top bit of every slot (``_GUARD``), and a
+product whose exponents could reach 2^(_W-1) raises BudgetExceeded instead
+of wrapping; the bound is below twice the true exponents, so only a
+product whose exponents pass 2^(_W-2) can be refused.  Keys are decoded
+into sorted ``((var, exp), ...)`` tuples only at the edges (``terms``,
+``variables``, ``eval``, ``to_json``, ``__str__``), so text and JSON do not
+depend on the layout, and no decoded key is kept.
 
 Every universal structure polynomial in the package is a value of this
 type, and every "division" anywhere in the derivation pipeline is an
@@ -12,9 +28,12 @@ asserted-exact integer division here.
 
 from __future__ import annotations
 
+import operator
 import re
+from functools import reduce
+from threading import Lock
 
-from .errors import UnsupportedRingOperation
+from .errors import BudgetExceeded, UnsupportedRingOperation
 
 # A variable is a (kind, index) pair; the parameter q is ('q', 0).
 Var = tuple[str, int]
@@ -51,26 +70,61 @@ def parse_var(name: str) -> Var:
     raise ValueError(f"unknown variable name {name!r}")
 
 
-def _merge_keys(k1, k2):
-    """Multiply two canonical monomial keys (sorted (var, exp) tuples)."""
-    out = []
-    i = j = 0
-    while i < len(k1) and j < len(k2):
-        v1, e1 = k1[i]
-        v2, e2 = k2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(k1[i])
-            i += 1
-        else:
-            out.append(k2[j])
-            j += 1
-    out.extend(k1[i:])
-    out.extend(k2[j:])
-    return tuple(out)
+# --- the packed layout ----------------------------------------------------
+_W = 32  # bits per variable slot
+_MASK = (1 << _W) - 1
+_LIMIT = 1 << (_W - 1)  # every stored exponent is below this
+_SHIFTS: dict[Var, int] = {}  # variable -> its slot's shift, _W * slot
+_VARS: list[Var] = []  # slot -> variable
+_GUARD = 0  # the top bit of every slot given out so far
+_LAYOUT_LOCK = Lock()
+
+
+def _shift(v: Var) -> int:
+    """The shift of ``v``'s slot, which its first use gives out."""
+    global _GUARD
+    shift = _SHIFTS.get(v)
+    if shift is None:
+        with _LAYOUT_LOCK:
+            shift = _SHIFTS.get(v)
+            if shift is None:
+                shift = _W * len(_VARS)
+                _GUARD |= 1 << (shift + _W - 1)
+                _VARS.append(v)
+                _SHIFTS[v] = shift  # last: a key in this slot can be checked from now on
+    return shift
+
+
+def _monomial(v: Var, e: int) -> int:
+    """The key of v^e, for 0 < e < 2^(_W-1)."""
+    if e >= _LIMIT:
+        raise BudgetExceeded(f"the exponent {e} of {var_name(v)} is not below 2^{_W - 1}")
+    return e << _shift(v)
+
+
+# The bitwise or of a polynomial's keys, reduce(_or, keys, 0), has in each
+# slot at least the largest exponent there and less than twice it, below
+# 2^(_W-1) as each exponent is.  The sum of two such bounds carries nothing
+# from one slot into the next, so its top bits (& _GUARD) show whether a
+# product's exponents could reach 2^(_W-1).
+_or = operator.or_
+
+
+def _overflow() -> BudgetExceeded:
+    return BudgetExceeded(f"a product's exponents could reach 2^{_W - 1}")
+
+
+def _decode(key: int) -> tuple:
+    """The canonical ((var, exp), ...) tuple of a key, sorted by variable."""
+    pairs = []
+    while key:  # the highest slot first
+        shift = key.bit_length() - 1
+        shift -= shift % _W
+        e = key >> shift
+        key -= e << shift
+        pairs.append((_VARS[shift // _W], e))
+    pairs.sort()
+    return tuple(pairs)
 
 
 class MPoly:
@@ -79,8 +133,8 @@ class MPoly:
     __slots__ = ("_t",)
 
     def __init__(self, terms: dict | None = None):
-        # Takes ownership of `terms`; assumed canonical (no zero coeffs,
-        # keys sorted).  Use the constructors below from outside.
+        # Takes ownership of `terms`, a dict from packed keys to nonzero
+        # coefficients.  Use the constructors below from outside.
         self._t = terms or {}
 
     # --- constructors --------------------------------------------------
@@ -90,7 +144,7 @@ class MPoly:
 
     @staticmethod
     def const(c: int) -> "MPoly":
-        return MPoly({(): c}) if c else _ZERO
+        return MPoly({0: c}) if c else _ZERO
 
     @staticmethod
     def var(v: Var, exp: int = 1) -> "MPoly":
@@ -98,30 +152,29 @@ class MPoly:
             raise ValueError("negative exponent")
         if exp == 0:
             return MPoly.const(1)
-        return MPoly({((v, exp),): 1})
+        return MPoly({_monomial(v, exp): 1})
 
     @staticmethod
     def from_zpoly(coeffs) -> "MPoly":
         """Embed a Z[q] coefficient tuple as a polynomial in q."""
-        terms = {}
-        for e, c in enumerate(coeffs):
-            if c:
-                key = () if e == 0 else ((Q, e),)
-                terms[key] = c
-        return MPoly(terms)
+        if len(coeffs) > _LIMIT:
+            raise BudgetExceeded(f"a polynomial in q of degree {len(coeffs) - 1}")
+        shift = _shift(Q)
+        return MPoly({e << shift: c for e, c in enumerate(coeffs) if c})
 
     # --- inspection -----------------------------------------------------
-    def terms(self):
-        return self._t.items()
+    def terms(self) -> list:
+        """(((var, exp), ...), coeff) for each term, in the stored order."""
+        return [(_decode(key), c) for key, c in self._t.items()]
 
     def is_zero(self) -> bool:
         return not self._t
 
     def constant_term(self) -> int:
-        return self._t.get((), 0)
+        return self._t.get(0, 0)
 
     def variables(self) -> set[Var]:
-        return {v for key in self._t for v, _ in key}
+        return {v for v, _ in _decode(reduce(_or, self._t, 0))}
 
     def __len__(self) -> int:
         return len(self._t)
@@ -152,10 +205,24 @@ class MPoly:
             if other == 0:
                 return _ZERO
             return MPoly({key: other * c for key, c in self._t.items()})
+        a, b = self._t, other._t
+        # one monomial times anything: its keys stay distinct, in order
+        if len(b) == 1:
+            ((k2, c2),) = b.items()
+            if (reduce(_or, a, 0) + k2) & _GUARD:
+                raise _overflow()
+            return MPoly({k1 + k2: c1 * c2 for k1, c1 in a.items()})
+        if len(a) == 1:
+            ((k1, c1),) = a.items()
+            if (k1 + reduce(_or, b, 0)) & _GUARD:
+                raise _overflow()
+            return MPoly({k1 + k2: c1 * c2 for k2, c2 in b.items()})
+        if (reduce(_or, a, 0) + reduce(_or, b, 0)) & _GUARD:
+            raise _overflow()
         out: dict = {}
-        for k1, c1 in self._t.items():
-            for k2, c2 in other._t.items():
-                key = _merge_keys(k1, k2)
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                key = k1 + k2
                 s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
@@ -188,23 +255,29 @@ class MPoly:
     def substitute(self, mapping: dict[Var, "MPoly"]) -> "MPoly":
         """Replace variables by polynomials; unmapped variables persist.
 
-        The terms accumulate in one dict, in the order repeated ``+``
-        would give them.
+        Each term is its unmapped part, kept packed, times the powers of
+        the mapped polynomials in variable order, and the terms accumulate
+        in one dict, in the order repeated ``+`` would give them.
         """
+        # the mapped variables that have a slot (no key holds any other)
+        order = [(_SHIFTS[v], mapping[v]) for v in sorted(mapping) if v in _SHIFTS]
+        mapped = sum(_MASK << shift for shift, _ in order)
         out: dict = {}
-        cache: dict[tuple[Var, int], MPoly] = {}
+        cache: dict[tuple[int, int], MPoly] = {}
         for key, c in self._t.items():
-            term = MPoly.const(c)
-            for v, e in key:
-                sub = mapping.get(v)
-                if sub is None:
-                    factor = MPoly({((v, e),): 1})
-                else:
-                    factor = cache.get((v, e))
+            rest = key & mapped
+            term = MPoly({key - rest: c})
+            for shift, sub in order:
+                if not rest:
+                    break
+                e = rest >> shift & _MASK
+                if e:
+                    rest -= e << shift
+                    factor = cache.get((shift, e))
                     if factor is None:
                         factor = sub**e
-                        cache[(v, e)] = factor
-                term = term * factor
+                        cache[(shift, e)] = factor
+                    term = term * factor
             for k, tc in term._t.items():
                 s = out.get(k, 0) + tc
                 if s:
@@ -221,39 +294,38 @@ class MPoly:
 
     def div_exact_var(self, v: Var) -> "MPoly | None":
         """Divide by the variable ``v``; None unless every monomial has it."""
+        shift = _shift(v)
+        slot, unit = _MASK << shift, 1 << shift
         out = {}
         for key, c in self._t.items():
-            entry = None
-            rest = []
-            for vv, e in key:
-                if vv == v:
-                    entry = e
-                    if e > 1:
-                        rest.append((vv, e - 1))
-                else:
-                    rest.append((vv, e))
-            if entry is None:
+            if not key & slot:
                 return None
-            out[tuple(rest)] = c
+            out[key - unit] = c
         return MPoly(out)
 
     def eval(self, ring, assign: dict[Var, object]):
         """Evaluate in ``ring`` with variables bound by ``assign``.
 
         The Z-action covers all coefficients, so a constant term is the
-        only thing that requires the ring to be unital.
+        only thing that requires the ring to be unital.  The factors of a
+        monomial are multiplied in slot order, which the ring's
+        commutativity makes immaterial.
         """
         acc = ring.zero()
-        cache: dict[tuple[Var, int], object] = {}
+        powers: dict[int, object] = {}  # v^e of each variable v and exponent e, by its key
         for key, c in self._t.items():
             val = None
-            for v, e in key:
-                p = cache.get((v, e))
+            while key:  # the factors v^e of the monomial, the highest slot first
+                shift = key.bit_length() - 1
+                shift -= shift % _W
+                mono = key >> shift << shift
+                key -= mono
+                p = powers.get(mono)
                 if p is None:
+                    v = _VARS[shift // _W]
                     if v not in assign:
                         raise ValueError(f"no value assigned to {var_name(v)}")
-                    p = ring.pow(assign[v], e)
-                    cache[(v, e)] = p
+                    p = powers[mono] = ring.pow(assign[v], mono >> shift)
                 val = p if val is None else ring.mul(val, p)
             if val is None:
                 if not ring.unital:
@@ -265,27 +337,27 @@ class MPoly:
         return acc
 
     # --- serialization -----------------------------------------------------
+    def _sorted_terms(self) -> list:
+        """The decoded terms in key order, which does not depend on the layout."""
+        return sorted(self.terms(), key=operator.itemgetter(0))
+
     def to_json(self) -> dict:
-        mons = []
-        for key in sorted(self._t):
-            mons.append(
-                {
-                    "coeff": str(self._t[key]),
-                    "exps": {var_name(v): e for v, e in key},
-                }
-            )
-        return {"monomials": mons}
+        return {
+            "monomials": [
+                {"coeff": str(c), "exps": {var_name(v): e for v, e in key}}
+                for key, c in self._sorted_terms()
+            ]
+        }
 
     @staticmethod
     def from_json(data: dict) -> "MPoly":
         out: dict = {}
         for mon in data["monomials"]:
-            key = tuple(
-                sorted((parse_var(name), int(e)) for name, e in mon["exps"].items())
-            )
-            c = int(mon["coeff"])
-            if any(e <= 0 for _, e in key):
+            exps = [(parse_var(name), int(e)) for name, e in mon["exps"].items()]
+            if any(e <= 0 for _, e in exps):
                 raise ValueError("exponents must be positive")
+            key = sum(_monomial(v, e) for v, e in exps)
+            c = int(mon["coeff"])
             if c:
                 out[key] = out.get(key, 0) + c
         return MPoly({k: c for k, c in out.items() if c})
@@ -294,8 +366,7 @@ class MPoly:
         if not self._t:
             return "0"
         parts = []
-        for key in sorted(self._t):
-            c = self._t[key]
+        for key, c in self._sorted_terms():
             body = "*".join(
                 var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in key
             )

@@ -22,7 +22,7 @@ import math
 import operator
 
 from . import exprs
-from .errors import NonUniqueQuotient, UnsupportedRingOperation
+from .errors import BudgetExceeded, NonUniqueQuotient, UnsupportedRingOperation
 from .truncset import MAX_ELEMENT, factorization
 
 # ----------------------------------------------------------------------
@@ -280,6 +280,12 @@ class Ring:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
+    def bits(self, a) -> int:
+        """The size of ``a`` in bits: the bit lengths of the integers it is
+        made of, summed.  An integer's e-th power takes e times its bits,
+        an element's of the other rings here at least that."""
+        raise NotImplementedError
+
     # --- derived operations -------------------------------------------
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -304,13 +310,23 @@ class Ring:
         return acc
 
     def pow(self, a, e: int):
-        """e-fold product, e >= 1; e = 0 needs a unit element."""
+        """e-fold product, e >= 1; e = 0 needs a unit element.  Squares and
+        multiplies, about 2*log2(e) products; above exprs.FREE_EXPONENT it
+        raises BudgetExceeded first when e * bits(a) passes exprs.MAX_BITS."""
         if e == 0:
             return self.one()
-        acc = a
-        for _ in range(e - 1):
-            acc = self.mul(acc, a)
-        return acc
+        if e > exprs.FREE_EXPONENT:
+            bits = e * self.bits(a)
+            if bits > exprs.MAX_BITS:
+                raise BudgetExceeded(f"a power would take {bits} bits (budget {exprs.MAX_BITS})")
+        acc = None
+        while True:
+            if e & 1:
+                acc = a if acc is None else self.mul(acc, a)
+            e >>= 1
+            if not e:
+                return acc
+            a = self.mul(a, a)
 
     def one(self):
         raise UnsupportedRingOperation(f"{self.descriptor} has no designated unit")
@@ -424,6 +440,9 @@ class ZRing(Ring):
     def is_zero(self, a):
         return a == 0
 
+    def bits(self, a):
+        return a.bit_length()
+
     def try_div_int(self, a, k):
         q, r = divmod(a, k)
         return q if r == 0 else None
@@ -504,6 +523,9 @@ class ZModRing(Ring):
     def is_zero(self, a):
         return a % self.m == 0
 
+    def bits(self, a):
+        return a.bit_length()
+
     def eq(self, a, b):
         return (a - b) % self.m == 0
 
@@ -579,6 +601,9 @@ class ZqRing(Ring):
     def is_zero(self, a):
         return not a
 
+    def bits(self, a):
+        return sum(map(int.bit_length, a))
+
     def eq(self, a, b):
         return a == b
 
@@ -642,6 +667,9 @@ class DualRing(Ring):
 
     def is_zero(self, a):
         return a == (0, 0)
+
+    def bits(self, a):
+        return a[0].bit_length() + a[1].bit_length()
 
     def eq(self, a, b):
         return a == b
@@ -743,6 +771,9 @@ class TwistedRing(Ring):
 
     def is_zero(self, a):
         return self.base.is_zero(a)
+
+    def bits(self, a):
+        return self.base.bits(a)
 
     def eq(self, a, b):
         return self.base.eq(a, b)

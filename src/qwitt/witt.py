@@ -25,11 +25,11 @@ acc +- sum_j w_j * x_j^e_j over the divisors of n.  The *shape* of S (per
 n, its index and the pairs (index of d, n/d) of its terms) depends on S
 alone; a context adds one flat tuple of weights, indexed by each term's
 position in the shape, its twist and its reduction onto A.  A term whose
-exponent is above ``_FREE_EXPONENT`` raises BudgetExceeded, before it is
-computed, when it could pass ``exprs.MAX_BITS`` bits; the kernels over Z
-and Z[q] check it, the ring loops do not.  Every op of a context is one
-call of its *kernel* object (:class:`_Kernels`), which holds those values
-and comes in three kinds:
+exponent is above ``FREE_EXPONENT`` raises BudgetExceeded, before it is
+computed, when it could pass ``exprs.MAX_BITS`` bits: the kernels over Z
+and Z[q] check it, and ``Ring.pow`` does in the ring loops.  Every op of a
+context is one call of its *kernel* object (:class:`_Kernels`), which
+holds those values and comes in three kinds:
 
 - generated: over ``z`` and ``zmod`` (whose cover is Z) each weight is
   folded into one integer, and each op is a method of a class generated
@@ -71,7 +71,7 @@ from .errors import (
     NotInGhostImage,
     UnsupportedRingOperation,
 )
-from .exprs import INPUT_BUDGET, MAX_BITS
+from .exprs import FREE_EXPONENT, MAX_BITS
 from .mpoly import MPoly
 from .rings import Ring, ZRing, ZqRing, ZP_Q, _zp_pack, _zp_unpack, zp_add
 from .truncset import TruncationSet, divisors
@@ -209,12 +209,11 @@ def _shape(tset: TruncationSet) -> tuple:
     )
 
 
-# A term of row n has about n times the bits of the op's inputs, and a
-# decimal literal within INPUT_BUDGET characters has fewer than 4 bits per
-# character.  So up to this exponent, which every set up to {1,...,32}
-# keeps to, a term of a command-line input stays within MAX_BITS; a term
-# of a larger exponent e checks e * bits(x) first (:func:`_bounded_power`).
-_FREE_EXPONENT = MAX_BITS // (4 * INPUT_BUDGET)
+# A term of row n has about n times the bits of the op's inputs, which the
+# command line holds to INPUT_BITS.  So up to FREE_EXPONENT, which every set
+# up to {1,...,32} keeps to, a term of a command-line input stays within
+# MAX_BITS; a term of a larger exponent e checks e * bits(x) first
+# (:func:`_bounded_power` over Z and Z[q], ``Ring.pow`` in the ring loops).
 
 
 def _bounded_power(x: int, e: int) -> int:
@@ -226,7 +225,7 @@ def _bounded_power(x: int, e: int) -> int:
 
 
 class _CheckedExponent(int):
-    """An exponent e above _FREE_EXPONENT in the rows of :func:`_positioned`:
+    """An exponent e above FREE_EXPONENT in the rows of :func:`_positioned`:
     ``x ** e`` of an integer x calls :func:`_bounded_power`, as Python
     tries a subclass's reflected method first.  So the row loops over Z
     and Z[q] check the terms that need it where they compute them, and
@@ -240,9 +239,9 @@ class _CheckedExponent(int):
 
 def _positioned(shape) -> list:
     """The rows of a shape with each term's position p in the flat weights,
-    and each exponent above _FREE_EXPONENT a :class:`_CheckedExponent`."""
+    and each exponent above FREE_EXPONENT a :class:`_CheckedExponent`."""
     at = itertools.count()
-    return [(i, n, [(j, e if e <= _FREE_EXPONENT else _CheckedExponent(e), next(at))
+    return [(i, n, [(j, e if e <= FREE_EXPONENT else _CheckedExponent(e), next(at))
                     for j, e in terms]) for i, n, terms in shape]
 
 
@@ -546,7 +545,7 @@ class _PackedLoops(_LoopKernels):
 
 
 def _power(x: str, e: int) -> str:
-    if e > _FREE_EXPONENT:
+    if e > FREE_EXPONENT:
         return f"E({x}, {e})"
     return f"{x}*{x}" if e == 2 else f"{x}**{e}"
 
@@ -986,6 +985,9 @@ class WittCoeffRing(Ring):
 
     def is_zero(self, a):
         return all(self.base.is_zero(c) for c in a)
+
+    def bits(self, a):
+        return sum(map(self.base.bits, a))
 
     def eq(self, a, b):
         return all(self.base.eq(x, y) for x, y in zip(a, b))

@@ -1,5 +1,6 @@
 """Command-line behavior: JSON I/O, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -536,14 +537,63 @@ def test_large_moduli_exit_within_two_seconds(tmp_path, name):
 
 def test_a_huge_ghost_term_exits_1_within_two_seconds(tmp_path):
     # on {1, p} the sum of (2, 0) and (1, 1) has the coordinate
-    # (2^p + p + 1 - 3^p)/p, of about 1.6*p bits: the op ran for minutes
+    # (2^p + p + 1 - 3^p)/p, of about 1.6*p bits: the op ran for minutes,
+    # over dual numbers and a twist of Z in the ring loops' Ring.pow too
     path = tmp_path / "ab.json"
     path.write_text(json.dumps({"a": {"coords": {"1": "2", "100000007": "0"}},
                                 "b": {"coords": {"1": "1", "100000007": "1"}}}))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    for ring in ("z", "zmod:7", "zq"):
+    for ring in ("z", "zmod:7", "zq", "dual", "twist:z:2"):
         argv = ["eval", "--family", "classical", "--ring", ring, "--set", "1,100000007",
                 "--op", "add", "--in", str(path)]
         proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=env,
                               capture_output=True, text=True, timeout=2)
         assert proc.returncode == 1 and "budget" in proc.stderr, proc.stderr
+
+
+def test_an_input_past_input_bits_exits_1_within_two_seconds(tmp_path):
+    # a_1 = 2^16000000 is within the expression budget, but its term a_1^32
+    # on the set of divisors of 32 would take 512M bits: the op ran for
+    # minutes.  Over zmod the coordinate is reduced as it is read.
+    path = tmp_path / "ab.json"
+    zeros = {str(n): "0" for n in (2, 4, 8, 16, 32)}
+    path.write_text(json.dumps({"a": {"coords": {"1": "2^16000000", **zeros}},
+                                "b": {"coords": {"1": "0", **zeros}}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for ring in ("z", "zq", "zmod:7"):
+        argv = ["eval", "--family", "classical", "--ring", ring, "--set", "32",
+                "--op", "add", "--in", str(path)]
+        proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=env,
+                              capture_output=True, text=True, timeout=2)
+        if ring == "zmod:7":
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["coords"]["1"] == str(pow(2, 16000000, 7))
+        else:
+            assert proc.returncode == 1 and "budget" in proc.stderr, proc.stderr
+
+
+# sha256 of the output of ``qwitt polys --law mul``, recorded before
+# monomial keys were packed into integers.  The slots of the packed keys
+# follow the order in which a process first uses each variable, so pytest's
+# long-lived process and a fresh one lay them out differently; the output
+# must not show it.
+POLYS_GOLDEN = {
+    ("classical", "1,2,3,4,5,6,7,8"):
+        "8b10995a10c935a49afaeb697474a8c31fb4e209b016fda42a8e79c559a1b540",
+    ("qbar", "1,2,4,8"): "18e8ae07359477f7540b393c2ea5e4e0190a034c1ea94fbb4133db3a9a9bc414",
+    ("qdef", "1,2,3,4,5,6"): "76924d808c3bbe9263c41e78c637cce7a16f0bceec1fa5ed71a8b07473a1386d",
+    ("lenart:2", "1,2,3,6"): "2b5e492bb6aa5d26c1cded8b5ca35a0e590201fb17fe902bf227836a34ae10fd",
+}
+
+
+def test_polys_output_matches_its_golden_digests(capsys):
+    for (family, tset), digest in POLYS_GOLDEN.items():
+        assert main(["polys", "--family", family, "--set", tset, "--law", "mul"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, tset)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = ["polys", "--family", "qbar", "--set", "1,2,4,8", "--law", "mul"]
+    proc = subprocess.run([sys.executable, "-m", "qwitt.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == POLYS_GOLDEN[("qbar", "1,2,4,8")]

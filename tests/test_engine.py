@@ -727,12 +727,12 @@ def test_a_verify_process_compiles_only_what_it_runs():
     assert methods == distinct <= 98
 
 
-# {1, 37}: its term a_1^37 has an exponent above witt._FREE_EXPONENT
+# {1, 37}: its term a_1^37 has an exponent above witt.FREE_EXPONENT
 S37 = TruncationSet.make([37])
 
 
 def test_terms_above_the_free_exponent_check_their_size_first():
-    assert witt._FREE_EXPONENT == 32
+    assert witt.FREE_EXPONENT == 32
     for kind in ("Plain", "Reduced", "Packed"):
         text = witt._kernel_source(witt._shape(S37), kind, "add")
         assert "E(a0, 37)" in text and "**37" not in text

@@ -4,9 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qwitt.errors import UnsupportedRingOperation
-from qwitt.mpoly import MPoly, Q, parse_var, xvar, yvar
+from qwitt import mpoly
+from qwitt.errors import BudgetExceeded, UnsupportedRingOperation
+from qwitt.mpoly import MPoly, Q, parse_var, var_name, xvar, yvar
 from qwitt.rings import Z, ZQ, TwistedRing, ZModRing
 
 X1, X2, Y1, Y2 = MPoly.var(xvar(1)), MPoly.var(xvar(2)), MPoly.var(yvar(1)), MPoly.var(yvar(2))
@@ -93,7 +95,7 @@ def _substitute_by_repeated_addition(p, mapping):
         term = MPoly.const(c)
         for v, e in key:
             sub = mapping.get(v)
-            term = term * (MPoly({((v, e),): 1}) if sub is None else sub**e)
+            term = term * (MPoly.var(v, e) if sub is None else sub**e)
         acc = acc + term
     return acc
 
@@ -156,3 +158,149 @@ def test_canonical_variable_names_read_back():
     p = MPoly.from_json(data)
     assert p == 3 * MPoly.var(xvar(1), 2) * MPoly.var(yvar(10)) * MPoly.var(Q, 4)
     assert json.dumps(p.to_json(), sort_keys=True) == json.dumps(data, sort_keys=True)
+
+
+# --- the packed keys against tuple keys -------------------------------------
+# The oracle: polynomials as dicts from sorted ((var, exp), ...) tuples to
+# coefficients, multiplied by merging the tuples, the representation MPoly
+# had before its keys were packed.  Its loops run in MPoly's order, so the
+# terms must agree in order too.
+
+def _merge(k1, k2):
+    out, i, j = [], 0, 0
+    while i < len(k1) and j < len(k2):
+        (v1, e1), (v2, e2) = k1[i], k2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i, j = i + 1, j + 1
+        elif v1 < v2:
+            out.append(k1[i])
+            i += 1
+        else:
+            out.append(k2[j])
+            j += 1
+    return tuple(out + list(k1[i:]) + list(k2[j:]))
+
+
+def _accumulate(out, key, c):
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    elif key in out:
+        del out[key]
+
+
+def _ref_mul(a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            _accumulate(out, _merge(k1, k2), c1 * c2)
+    return out
+
+
+def _ref_pow(a, e):
+    result, base = {(): 1}, a
+    while e:
+        if e & 1:
+            result = _ref_mul(result, base)
+        e >>= 1
+        if e:
+            base = _ref_mul(base, base)
+    return result
+
+
+def _ref_substitute(a, mapping):
+    out = {}
+    for key, c in a.items():
+        term = {(): c}
+        for v, e in key:
+            sub = mapping.get(v)
+            term = _ref_mul(term, {((v, e),): 1} if sub is None else _ref_pow(sub, e))
+        for k, tc in term.items():
+            _accumulate(out, k, tc)
+    return out
+
+
+def _ref_div_var(a, v):
+    out = {}
+    for key, c in a.items():
+        exps = dict(key)
+        if v not in exps:
+            return None
+        out[tuple((w, e - (w == v)) for w, e in key if (w, e) != (v, 1))] = c
+    return out
+
+
+def _ref_to_json(a):
+    return {"monomials": [{"coeff": str(a[key]), "exps": {var_name(v): e for v, e in key}}
+                          for key in sorted(a)]}
+
+
+# many variables, so that keys span many slots; two of them with exponents
+# whose sums carry within their slot.  Substitution maps only the others,
+# and maps them to polynomials with large exponents too, whose powers
+# (at most 9th, as a term holds up to three factors of at most a cube)
+# stay below the top of a slot.
+_SMALL = st.sampled_from([Q] + [xvar(d) for d in (1, 2, 3, 12)] + [yvar(d) for d in (1, 2, 7)])
+_LARGE = st.sampled_from([xvar(40), yvar(40)])
+_FACTOR = st.one_of(
+    st.tuples(_SMALL, st.integers(1, 3)),
+    st.tuples(_LARGE, st.sampled_from([1, (1 << (mpoly._W - 8)) - 1, 1 << (mpoly._W - 8)])))
+_TERMS = st.lists(st.tuples(st.integers(-3, 3),
+                            st.lists(_FACTOR, max_size=3)),
+                  max_size=6)
+
+
+def _both(terms):
+    """The same polynomial as an MPoly, built by + and *, and as a tuple dict."""
+    p, ref = MPoly.zero(), {}
+    for c, factors in terms:
+        mono, key = MPoly.const(c), ()
+        for v, e in factors:
+            mono, key = mono * MPoly.var(v, e), _merge(key, ((v, e),))
+        p = p + mono
+        if c:
+            _accumulate(ref, key, c)
+    return p, ref
+
+
+@settings(max_examples=200)
+@given(_TERMS, _TERMS, _TERMS, _SMALL, _LARGE)
+def test_packed_keys_match_tuple_keys(t1, t2, t3, v, w):
+    (p, a), (r, b), (s, c) = _both(t1), _both(t2), _both(t3)
+    assert list(p.terms()) == list(a.items())
+    assert list((p * r).terms()) == list(_ref_mul(a, b).items())
+    assert list((r * p).terms()) == list(_ref_mul(b, a).items())
+    for mapping, ref_mapping in (({v: r}, {v: b}), ({v: r, xvar(1): s}, {v: b, xvar(1): c})):
+        got = p.substitute(mapping)
+        assert list(got.terms()) == list(_ref_substitute(a, ref_mapping).items())
+    for u in (v, w):
+        want = _ref_div_var(a, u)
+        got = p.div_exact_var(u)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert list(got.terms()) == list(want.items())
+    assert p.to_json() == _ref_to_json(a)
+    assert MPoly.from_json(p.to_json()) == p
+
+
+def test_an_exponent_at_the_top_of_a_slot_does_not_wrap():
+    top = (1 << (mpoly._W - 1)) - 1  # the largest exponent a slot holds
+    x, y = MPoly.var(xvar(1)), MPoly.var(yvar(1))
+    big = MPoly.var(xvar(1), top)
+    for product in (lambda: big * big,  # one monomial times one
+                    lambda: (big + y) * x,  # any times one monomial
+                    lambda: x * (big + y),  # one monomial times any
+                    lambda: (big + y) * (x + y),  # the general loop
+                    lambda: big**2,
+                    lambda: (big * y).substitute({yvar(1): x})):
+        with pytest.raises(BudgetExceeded):
+            product()
+    with pytest.raises(BudgetExceeded):
+        MPoly.var(xvar(1), top + 1)
+    with pytest.raises(BudgetExceeded):
+        MPoly.from_json({"monomials": [{"coeff": "1", "exps": {"x1": top + 1}}]})
+    # the largest product that fits, and its neighbour in the next slot
+    half = MPoly.var(xvar(1), (top + 1) // 2 - 1)
+    assert (half * half * y).terms() == [(((xvar(1), top - 1), (yvar(1), 1)), 1)]
+    assert (big * y).div_exact_var(yvar(1)) == big

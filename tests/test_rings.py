@@ -395,3 +395,40 @@ def test_a_power_near_the_expression_budget_is_computed_in_seconds():
     elapsed = time.perf_counter() - start
     assert power == tuple(math.comb(3000, k) for k in range(3001))
     assert elapsed < 2, f"(1+q)^3000 took {elapsed:.1f} s"
+
+
+def test_bits_sum_the_bit_lengths_of_an_elements_integers():
+    from qwitt.truncset import TruncationSet
+    from qwitt.witt import WittCoeffRing
+
+    assert Z.bits(-5) == 3 and Z.bits(0) == 0
+    assert ZModRing(100).bits(99) == 7
+    assert ZQ.bits((1, 0, -4)) == 4
+    assert DUAL.bits((2, -3)) == 4
+    assert TwistedRing(ZQ, (0, 1)).bits((5,)) == 3
+    assert WittCoeffRing(DUAL, TruncationSet.make([1, 2])).bits(((1, 1), (8, 0))) == 6
+
+
+@pytest.mark.parametrize("ring", [DUAL, TwistedRing(Z, 2), TwistedRing(ZQ, (1, 1))],
+                         ids=lambda r: r.descriptor)
+def test_generic_pow_is_the_repeated_product(ring):
+    rng = random.Random(5)
+    for _ in range(20):
+        a = ring.random(rng)
+        acc = a
+        for e in range(1, 40):
+            assert ring.pow(a, e) == acc, e
+            acc = ring.mul(acc, a)
+
+
+def test_generic_pow_of_a_large_exponent_is_quick_or_refused():
+    # Ring.pow squares, so a large exponent costs about 2*log2(e) products,
+    # and it refuses a power whose e * bits(a) passes MAX_BITS first: a loop
+    # of e - 1 products ran for minutes in the ring loops of a Witt op
+    t = time.perf_counter()
+    assert DUAL.pow((1, 1), 10**6) == (1, 10**6)
+    assert DUAL.pow((0, 0), 10**9) == (0, 0)
+    assert time.perf_counter() - t < 1
+    for ring, a in ((DUAL, (2, 0)), (DUAL, (1, 1)), (TwistedRing(Z, 2), 1)):
+        with pytest.raises(BudgetExceeded):
+            ring.pow(a, 100000007)
