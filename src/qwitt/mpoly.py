@@ -17,9 +17,9 @@ keys) is tested against the top bit of every slot (``_GUARD``), and a
 product whose exponents could reach 2^(_W-1) raises BudgetExceeded instead
 of wrapping; the bound is below twice the true exponents, so only a
 product whose exponents pass 2^(_W-2) can be refused.  Keys are decoded
-into sorted ``((var, exp), ...)`` tuples only at the edges (``terms``,
-``variables``, ``eval``, ``to_json``, ``__str__``), so text and JSON do not
-depend on the layout, and no decoded key is kept.
+only at the edges (``terms``, ``variables``, ``eval``, and ``to_rows``,
+which ``to_json`` and ``__str__`` read), text, JSON and rows in variable
+order, so they do not depend on the layout, and no decoded key is kept.
 
 Every universal structure polynomial in the package is a value of this
 type, and every "division" anywhere in the derivation pipeline is an
@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import reduce
+from itertools import chain
 from threading import Lock
 
 from .errors import BudgetExceeded, UnsupportedRingOperation
@@ -112,6 +113,20 @@ _or = operator.or_
 
 def _overflow() -> BudgetExceeded:
     return BudgetExceeded(f"a product's exponents could reach 2^{_W - 1}")
+
+
+_RANKS: tuple = (0, [], [])  # _ranks() of the first slots given out
+
+
+def _ranks() -> tuple:
+    """(slots, the rank of each slot's variable in variable order, the name
+    of the variable of each rank), for the slots given out so far."""
+    global _RANKS
+    n = len(_VARS)
+    if _RANKS[0] != n:
+        order = sorted(range(n), key=_VARS.__getitem__)
+        _RANKS = n, [order.index(slot) for slot in range(n)], [var_name(_VARS[s]) for s in order]
+    return _RANKS
 
 
 def _decode(key: int) -> tuple:
@@ -337,27 +352,64 @@ class MPoly:
         return acc
 
     # --- serialization -----------------------------------------------------
-    def _sorted_terms(self) -> list:
-        """The decoded terms in key order, which does not depend on the layout."""
-        return sorted(self.terms(), key=operator.itemgetter(0))
+    def to_rows(self) -> list:
+        """The terms as compact rows [coeff, var, exp, var, exp, ...], the
+        variables of a row in order and the rows sorted by their (var, exp)
+        pairs: the order of the decoded keys, which does not depend on the
+        layout.  Each pair sorts as one int, its variable's rank
+        (:func:`_ranks`) above its exponent."""
+        _, rank, names = _ranks()
+        terms = []
+        for key, c in self._t.items():
+            pairs = []
+            while key:  # the highest slot first
+                shift = key.bit_length() - 1
+                shift -= shift % _W
+                e = key >> shift
+                key -= e << shift
+                pairs.append(rank[shift // _W] << _W | e)
+            pairs.sort()
+            terms.append((pairs, c))
+        terms.sort(key=operator.itemgetter(0))
+        rows = []
+        for pairs, c in terms:
+            row = [c]
+            for p in pairs:
+                row += names[p >> _W], p & _MASK
+            rows.append(row)
+        return rows
 
     def to_json(self) -> dict:
-        return {
-            "monomials": [
-                {"coeff": str(c), "exps": {var_name(v): e for v, e in key}}
-                for key, c in self._sorted_terms()
-            ]
-        }
+        return {"monomials": [{"coeff": str(row[0]), "exps": dict(zip(row[1::2], row[2::2]))}
+                              for row in self.to_rows()]}
 
     @staticmethod
     def from_json(data: dict) -> "MPoly":
+        return MPoly.from_rows([[int(mon["coeff"]), *chain.from_iterable(
+            (name, int(e)) for name, e in mon["exps"].items())] for mon in data["monomials"]])
+
+    @staticmethod
+    def from_rows(rows: list) -> "MPoly":
+        """The sum of the terms of :meth:`to_rows`'s rows.  Each coeff is an
+        int, each var a name that :func:`parse_var` reads, at most once in a
+        row, and each exp an int from 1 to 2^(_W-1) - 1; anything else raises."""
         out: dict = {}
-        for mon in data["monomials"]:
-            exps = [(parse_var(name), int(e)) for name, e in mon["exps"].items()]
-            if any(e <= 0 for _, e in exps):
-                raise ValueError("exponents must be positive")
-            key = sum(_monomial(v, e) for v, e in exps)
-            c = int(mon["coeff"])
+        shifts: dict = {}  # var name -> its slot's shift
+        for c, *pairs in rows:
+            if type(c) is not int or len(pairs) % 2:
+                raise ValueError("a row is an integer coefficient and (var, exp) pairs")
+            key = 0
+            for name, e in zip(pairs[::2], pairs[1::2]):
+                shift = shifts.get(name)
+                if shift is None:
+                    shift = shifts[name] = _shift(parse_var(name))
+                if type(e) is not int or e <= 0:
+                    raise ValueError("exponents must be positive integers")
+                if e >= _LIMIT:
+                    raise BudgetExceeded(f"the exponent {e} of {name} is not below 2^{_W - 1}")
+                if key >> shift & _MASK:
+                    raise ValueError(f"{name} appears twice in a monomial")
+                key += e << shift
             if c:
                 out[key] = out.get(key, 0) + c
         return MPoly({k: c for k, c in out.items() if c})
@@ -366,10 +418,8 @@ class MPoly:
         if not self._t:
             return "0"
         parts = []
-        for key, c in self._sorted_terms():
-            body = "*".join(
-                var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in key
-            )
+        for c, *key in self.to_rows():
+            body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(key[::2], key[1::2]))
             if not body:
                 text = str(abs(c))
             elif abs(c) == 1:

@@ -309,16 +309,21 @@ class Ring:
                 base = self.add(base, base)
         return acc
 
+    def pow_bits(self, a, e: int) -> int:
+        """An estimate of the bits of a^e: e times those of a."""
+        return e * self.bits(a)
+
+    def _bound_pow(self, a, e: int) -> None:
+        if e > exprs.FREE_EXPONENT and (bits := self.pow_bits(a, e)) > exprs.MAX_BITS:
+            raise BudgetExceeded(f"a power would take {bits} bits (budget {exprs.MAX_BITS})")
+
     def pow(self, a, e: int):
         """e-fold product, e >= 1; e = 0 needs a unit element.  Squares and
         multiplies, about 2*log2(e) products; above exprs.FREE_EXPONENT it
-        raises BudgetExceeded first when e * bits(a) passes exprs.MAX_BITS."""
+        raises BudgetExceeded first when pow_bits(a, e) passes exprs.MAX_BITS."""
         if e == 0:
             return self.one()
-        if e > exprs.FREE_EXPONENT:
-            bits = e * self.bits(a)
-            if bits > exprs.MAX_BITS:
-                raise BudgetExceeded(f"a power would take {bits} bits (budget {exprs.MAX_BITS})")
+        self._bound_pow(a, e)
         acc = None
         while True:
             if e & 1:
@@ -593,7 +598,14 @@ class ZqRing(Ring):
     add = staticmethod(zp_add)
     neg = staticmethod(zp_neg)
     int_scale = staticmethod(zp_scale)
-    pow = staticmethod(zp_pow)
+
+    def pow(self, a, e):
+        self._bound_pow(a, e)
+        return zp_pow(a, e)
+
+    def pow_bits(self, a, e):
+        """e*deg(a) + 1 coefficients, each of at most e*log2(||a||_1) + 1 bits."""
+        return ((len(a) - 1) * e + 1) * (e * (sum(map(abs, a)) - 1).bit_length() + 1) if a else 0
 
     def mul(self, a, b):
         return zp_mul(a, b)  # looked up per call, so a wrapped zp_mul is seen
@@ -774,6 +786,10 @@ class TwistedRing(Ring):
 
     def bits(self, a):
         return self.base.bits(a)
+
+    def pow_bits(self, a, e):
+        # a^e is r^(e-1) * a^e in the base, which (r*a)^e bounds
+        return self.base.pow_bits(self.base.mul(self.r, a), e)
 
     def eq(self, a, b):
         return self.base.eq(a, b)

@@ -23,12 +23,13 @@ Families
   coefficients and do not exist over Z[q].
 
 Results are memoized in memory and, when a cache directory is configured,
-on disk as content-hashed JSON.  Readers may be concurrent; writers go
-through a lock plus an atomic file replace.
+on disk as compact JSON behind a sha256 of the JSON and of the package's
+sources.  Readers may be concurrent; writers go through an atomic replace.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -37,7 +38,7 @@ import threading
 from dataclasses import dataclass
 
 from . import rings
-from .errors import IntegralityViolation, CertificationError
+from .errors import BudgetExceeded, CertificationError, IntegralityViolation
 from .exprs import read_int
 from .mpoly import MPoly, Q, xvar, yvar
 from .truncset import TruncationSet, divisors
@@ -279,62 +280,70 @@ def _cache_file(family: Family, tset: TruncationSet) -> str | None:
     return os.path.join(_CACHE_DIR, name)
 
 
-def _polyset_payload(ps: UniversalPolySet) -> dict:
-    return {
-        "family": ps.family.label(),
-        "set": list(ps.tset.elements),
-        "sigma": {str(n): ps.sigma[n].to_json() for n in ps.tset},
-        "pi": {str(n): ps.pi[n].to_json() for n in ps.tset},
-        "neg": {str(n): ps.neg[n].to_json() for n in ps.tset},
-        "frob": {
-            str(m): {str(v): poly.to_json() for v, poly in bank.items()}
-            for m, bank in ps.frob.items()
-        },
-    }
+@functools.cache
+def _code_tag() -> bytes:
+    """The sha256 of the package's sources, which every entry's hash covers,
+    so an entry that other code wrote fails its hash."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read())
+    return h.digest()
 
 
-def _payload_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _digest(blob: bytes) -> bytes:
+    return hashlib.sha256(_code_tag() + blob).hexdigest().encode()
+
+
+_LAWS = ("sigma", "pi", "neg")  # the banks of an entry before "frob", each by position in S
 
 
 def _disk_load(family: Family, tset: TruncationSet) -> UniversalPolySet | None:
+    """The entry of (family, S), or None when it is missing, was written by
+    other code, or is damaged or malformed in any way."""
     path = _cache_file(family, tset)
     if not path:
         return None
+
+    def bank(polys, elements) -> dict:  # a count that does not match raises
+        return dict(zip(elements, map(MPoly.from_rows, polys), strict=True))
+
     try:
-        with open(path, encoding="utf-8") as fh:
-            wrapped = json.load(fh)
-        payload = wrapped["payload"]
-        if wrapped.get("hash") != _payload_hash(payload):
+        with open(path, "rb") as fh:
+            digest, _, blob = fh.read().partition(b"\n")
+        if digest != _digest(blob):
             return None
-        if payload["family"] != family.label() or tuple(payload["set"]) != tset.elements:
+        data = json.loads(blob)
+        if data["family"] != family.label() or data["set"] != list(tset.elements):
             return None
-        sigma = {int(n): MPoly.from_json(p) for n, p in payload["sigma"].items()}
-        pi = {int(n): MPoly.from_json(p) for n, p in payload["pi"].items()}
-        neg = {int(n): MPoly.from_json(p) for n, p in payload["neg"].items()}
-        frob = {
-            int(m): {int(v): MPoly.from_json(p) for v, p in bank.items()}
-            for m, bank in payload["frob"].items()
-        }
+        sigma, pi, neg = (bank(data[k], tset) for k in _LAWS)
+        frob = {m: bank(b, tset.quotient(m)) for m, b in zip(tset, data["frob"], strict=True)}
         return UniversalPolySet(family, tset, sigma, pi, neg, frob)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError):
+    except (OSError, ValueError, TypeError, KeyError, BudgetExceeded):
         return None
 
 
 def _disk_store(ps: UniversalPolySet) -> None:
+    """Write ps as one line, the hex sha256 of the code tag and the blob,
+    and the blob: compact JSON of each polynomial's rows, by position in S."""
     path = _cache_file(ps.family, ps.tset)
     if not path:
         return
+    s = ps.tset
     try:
+        blob = json.dumps({
+            "family": ps.family.label(), "set": list(s.elements),
+            **{k: [getattr(ps, k)[n].to_rows() for n in s] for k in _LAWS},
+            "frob": [[ps.frob[m][v].to_rows() for v in s.quotient(m)] for m in s],
+        }, separators=(",", ":")).encode()
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = _polyset_payload(ps)
-        wrapped = {"hash": _payload_hash(payload), "payload": payload}
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(wrapped))  # one-shot dumps runs the C encoder
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_digest(blob) + b"\n" + blob)
         os.replace(tmp, path)
-    except OSError:
+    except (OSError, ValueError):  # ValueError: an integer too long to write
         pass  # the cache is an accelerator, never a requirement
 
 

@@ -421,6 +421,30 @@ def test_no_disk_cache_without_cache_dir(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.rglob("*")) == []
 
 
+def test_the_disk_cache_changes_no_output(tmp_path, monkeypatch, capsys):
+    # each command runs cold, cold storing every derivation, and disk-warm
+    cache = str(tmp_path / "cache")
+    derived = []
+    real = universal._derive_uncached
+    monkeypatch.setattr(universal, "_derive_uncached", lambda *a: derived.append(a) or real(*a))
+
+    def outputs(argv):
+        out = []
+        for pre in ([], ["--cache-dir", cache], ["--cache-dir", cache]):
+            monkeypatch.setattr(universal, "_MEM", {})
+            derived.clear()
+            assert main([*pre, *argv]) == 0
+            out.append(capsys.readouterr().out)
+        assert derived == []  # the last run derived nothing
+        return out
+
+    for family, tset in (("classical", "1,2,3,4,6,12"), ("qbar", "1,2,4,8")):
+        cold, stored, warm = outputs(["polys", "--family", family, "--set", tset, "--law", "mul"])
+        assert cold == stored == warm and cold
+    cold, stored, warm = outputs(["verify", "--suite", "all", "--budget", "2", "--seed", "1"])
+    assert cold == stored == warm and json.loads(cold)
+
+
 # Integer options read ASCII digits, with a minus only for seeds and q; a
 # budget is at least 1.  ``{}`` marks the option's value.
 OPTIONS = [
@@ -549,6 +573,28 @@ def test_a_huge_ghost_term_exits_1_within_two_seconds(tmp_path):
         proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=env,
                               capture_output=True, text=True, timeout=2)
         assert proc.returncode == 1 and "budget" in proc.stderr, proc.stderr
+
+
+def test_a_huge_power_of_q_or_of_a_zq_element_exits_1_within_seconds(tmp_path):
+    # a q-family context over Z or Z[q] computed its ghost weight q^(p-1)
+    # with no size check, and the estimate e * bits(1+q) of (1+q)^e, about
+    # 2e6 bits at e = 1000003, left out that the power spreads over e + 1
+    # coefficients: each op ran until a 10-s timeout stopped it
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({"a": {"coords": {"1": "1", "100000007": "0"}},
+                                "b": {"coords": {"1": "0", "100000007": "0"}}}))
+    twist = tmp_path / "twist.json"
+    twist.write_text(json.dumps({"a": {"coords": {"1": "1+q", "1000003": "0"}},
+                                 "b": {"coords": {"1": "0", "1000003": "0"}}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    cases = [["--family", "qdef", "--q", "3", "--ring", ring, "--set", "1,100000007",
+              "--in", str(path)] for ring in ("z", "zmod:7", "zq")]
+    cases.append(["--family", "classical", "--ring", "twist:zq:2", "--set", "1,1000003",
+                  "--in", str(twist)])
+    for argv in cases:
+        proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, "eval", "--op", "add", *argv],
+                              env=env, capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 1 and "budget" in proc.stderr, (argv, proc.stderr)
 
 
 def test_an_input_past_input_bits_exits_1_within_two_seconds(tmp_path):

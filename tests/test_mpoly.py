@@ -135,6 +135,29 @@ def test_json_round_trip():
         assert MPoly.from_json(p.to_json()) == p
 
 
+def test_rows_round_trip_in_the_order_of_to_json():
+    rng = random.Random(29)
+    for _ in range(100):
+        p = _rand_poly(rng)
+        rows = p.to_rows()
+        assert MPoly.from_rows(rows) == p
+        assert [[int(m["coeff"]), *(x for pair in m["exps"].items() for x in pair)]
+                for m in p.to_json()["monomials"]] == rows
+    p = 3 * MPoly.var(xvar(10), 2) * MPoly.var(Q) - MPoly.var(xvar(2)) + MPoly.const(5)
+    assert p.to_rows() == [[5], [3, "q", 1, "x10", 2], [-1, "x2", 1]]
+
+
+@pytest.mark.parametrize("row, error", [
+    (["1", "x1", 1], ValueError), ([True, "x1", 1], ValueError), ([1, "x1", "1"], ValueError),
+    ([1, "x1", 0], ValueError), ([1, "x1", -2], ValueError), ([1, "x1"], ValueError),
+    ([1, "z1", 1], ValueError), ([1, "x1", 1, "x1", 2], ValueError),
+    ([1, "x1", 1 << 31], BudgetExceeded), ([1, "x1", [1]], ValueError), ([1, 1, 1], TypeError),
+])
+def test_malformed_rows_are_refused(row, error):
+    with pytest.raises(error):
+        MPoly.from_rows([[1, "y1", 1], row])
+
+
 def test_pow_matches_repeated_mul():
     p = X1 + 2 * Y1
     assert p**3 == p * p * p

@@ -1,6 +1,8 @@
 """Derivation of universal structure polynomials and its certificates."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -195,39 +197,146 @@ def test_structure_polys_have_zero_constant_term():
             assert ps.pi[n].constant_term() == 0
 
 
-def test_disk_cache_round_trip(tmp_path):
+@pytest.fixture
+def cache_dir(tmp_path):
     universal.set_cache_dir(str(tmp_path))
-    try:
-        fresh = universal._derive_uncached(Family.qdef(), S2)
-        universal._disk_store(fresh)
-        loaded = universal._disk_load(Family.qdef(), S2)
-        assert loaded is not None
-        assert loaded.sigma[2] == fresh.sigma[2]
-        assert loaded.frob[2][1] == fresh.frob[2][1]
-        # corrupt the payload: the hash check must reject it
-        path = universal._cache_file(Family.qdef(), S2)
-        with open(path) as f:
-            text = f.read().replace('"coeff": "2"', '"coeff": "3"', 1)
-        with open(path, "w") as f:
-            f.write(text)
-        assert universal._disk_load(Family.qdef(), S2) is None
-    finally:
-        universal.set_cache_dir(None)
+    yield tmp_path
+    universal.set_cache_dir(None)
 
 
-def test_disk_cache_file_is_the_dumps_of_its_wrapped_payload(tmp_path):
-    universal.set_cache_dir(str(tmp_path))
-    try:
-        fresh = universal._derive_uncached(Family.qbar(), S6)
-        universal._disk_store(fresh)
-        payload = universal._polyset_payload(fresh)
-        wrapped = {"hash": universal._payload_hash(payload), "payload": payload}
-        with open(universal._cache_file(Family.qbar(), S6), encoding="utf-8") as fh:
-            assert fh.read() == json.dumps(wrapped)
-        loaded = universal._disk_load(Family.qbar(), S6)
-        assert loaded is not None
-        for kind in ("add", "mul", "neg"):
-            assert loaded.law(kind) == fresh.law(kind)
-        assert loaded.frob == fresh.frob
-    finally:
-        universal.set_cache_dir(None)
+def test_disk_cache_round_trip(cache_dir):
+    fresh = universal._derive_uncached(Family.qdef(), S2)
+    universal._disk_store(fresh)
+    loaded = universal._disk_load(Family.qdef(), S2)
+    assert loaded is not None
+    assert loaded.sigma[2] == fresh.sigma[2]
+    assert loaded.frob[2][1] == fresh.frob[2][1]
+    # corrupt the blob: the hash check must reject it
+    path = universal._cache_file(Family.qdef(), S2)
+    with open(path, "rb") as f:
+        data = f.read()
+    assert b'[1,"x1",1]' in data
+    with open(path, "wb") as f:
+        f.write(data.replace(b'[1,"x1",1]', b'[3,"x1",1]', 1))
+    assert universal._disk_load(Family.qdef(), S2) is None
+
+
+def test_disk_cache_file_is_a_hash_line_and_the_compact_rows(cache_dir):
+    fresh = universal._derive_uncached(Family.qbar(), S6)
+    universal._disk_store(fresh)
+    with open(universal._cache_file(Family.qbar(), S6), "rb") as fh:
+        digest, blob = fh.read().split(b"\n")
+    assert digest == hashlib.sha256(universal._code_tag() + blob).hexdigest().encode()
+    rows = lambda bank, s: [bank[n].to_rows() for n in s]  # noqa: E731
+    assert blob == json.dumps({
+        "family": "qbar:-q+1",
+        "set": [1, 2, 3, 6],
+        "sigma": rows(fresh.sigma, S6),
+        "pi": rows(fresh.pi, S6),
+        "neg": rows(fresh.neg, S6),
+        "frob": [rows(fresh.frob[m], S6.quotient(m)) for m in S6],
+    }, separators=(",", ":")).encode()
+    assert json.loads(blob)["sigma"][0] == [[1, "x1", 1], [1, "y1", 1]]
+    loaded = universal._disk_load(Family.qbar(), S6)
+    assert loaded is not None
+    for kind in ("add", "mul", "neg"):
+        assert loaded.law(kind) == fresh.law(kind)
+    assert loaded.frob == fresh.frob
+
+
+def _rewrite(path, edit) -> None:
+    """Apply ``edit`` to the entry's payload and write it back under the
+    hash of the new blob, so that only the payload's checks can reject it."""
+    with open(path, "rb") as fh:
+        data = json.loads(fh.read().split(b"\n", 1)[1])
+    edit(data)
+    blob = json.dumps(data, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(universal._digest(blob) + b"\n" + blob)
+
+
+def _set_row(bank, n, row):
+    return lambda d: d[bank][S6.index(n)].__setitem__(0, row)
+
+
+MALFORMED = {
+    "coeff as text": _set_row("sigma", 2, ["1", "x2", 1]),
+    "coeff as bool": _set_row("sigma", 2, [True, "x2", 1]),
+    "exp as a list": _set_row("sigma", 2, [1, "x2", [1]]),
+    "exp as text": _set_row("pi", 3, [1, "x3", "1"]),
+    "exp as bool": _set_row("pi", 3, [1, "x3", True]),
+    "row not a list": _set_row("neg", 6, 7),
+    "empty row": _set_row("neg", 6, []),
+    "var without exp": _set_row("neg", 6, [1, "x6"]),
+    "var not text": _set_row("neg", 6, [1, 6, 1]),
+    "exp 0": _set_row("sigma", 1, [1, "x1", 0]),
+    "exp -1": _set_row("sigma", 1, [1, "x1", -1]),
+    "unknown var": _set_row("sigma", 1, [1, "z1", 1]),
+    "non-canonical var": _set_row("sigma", 1, [1, "x01", 1]),
+    "var twice": _set_row("sigma", 1, [1, "x1", 1, "x1", 1]),
+    "exp 2^31": _set_row("sigma", 1, [1, "x1", 1 << 31]),
+    "exp 2^40": _set_row("sigma", 1, [1, "x1", 1 << 40]),
+    "a poly short": lambda d: d["sigma"].pop(),
+    "a poly extra": lambda d: d["pi"].append([]),
+    "a frob bank short": lambda d: d["frob"].pop(),
+    "a frob poly short": lambda d: d["frob"][0].pop(),
+    "bank as a dict": lambda d: d.__setitem__("neg", {str(n): [] for n in S6}),
+    "bank missing": lambda d: d.pop("pi"),
+    "bank null": lambda d: d.__setitem__("sigma", None),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_hash_valid_malformed_entry_is_a_miss(cache_dir, monkeypatch, edit):
+    fresh = universal._derive_uncached(Family.qbar(), S6)
+    universal._disk_store(fresh)
+    path = universal._cache_file(Family.qbar(), S6)
+    _rewrite(path, edit)
+    assert universal._disk_load(Family.qbar(), S6) is None
+    # derive re-derives it and overwrites the entry
+    monkeypatch.setattr(universal, "_MEM", {})
+    assert derive(Family.qbar(), S6).law("mul") == fresh.law("mul")
+    assert universal._disk_load(Family.qbar(), S6).frob == fresh.frob
+
+
+def test_a_rewritten_entry_loads_when_its_payload_is_sound(cache_dir):
+    fresh = universal._derive_uncached(Family.qbar(), S6)
+    universal._disk_store(fresh)
+    _rewrite(universal._cache_file(Family.qbar(), S6), lambda d: None)
+    assert universal._disk_load(Family.qbar(), S6).pi == fresh.pi
+
+
+@pytest.mark.parametrize("blob", [b"", b"{", b"[1,2]", b'"text"', b"null", b"{}",
+                                  b'{"family":"qbar:-q+1","set":[1,2,3,6]}'])
+def test_a_hash_valid_entry_that_is_no_payload_is_a_miss(cache_dir, blob):
+    path = universal._cache_file(Family.qbar(), S6)
+    with open(path, "wb") as fh:
+        fh.write(universal._digest(blob) + b"\n" + blob)
+    assert universal._disk_load(Family.qbar(), S6) is None
+
+
+def test_an_entry_of_other_code_is_a_miss(cache_dir, monkeypatch):
+    fresh = universal._derive_uncached(Family.classical(), S6)
+    path = universal._cache_file(Family.classical(), S6)
+    tag = universal._code_tag()
+    monkeypatch.setattr(universal, "_code_tag", lambda: b"other code")
+    universal._disk_store(fresh)
+    assert universal._disk_load(Family.classical(), S6) is not None
+    monkeypatch.setattr(universal, "_code_tag", lambda: tag)
+    assert universal._disk_load(Family.classical(), S6) is None
+    monkeypatch.setattr(universal, "_MEM", {})
+    calls = []
+    real = universal._derive_uncached
+    monkeypatch.setattr(universal, "_derive_uncached", lambda *a: calls.append(a) or real(*a))
+    assert derive(Family.classical(), S6).law("add") == fresh.law("add")
+    assert len(calls) == 1  # re-derived, and the entry overwritten
+    assert universal._disk_load(Family.classical(), S6) is not None
+
+
+def test_the_code_tag_is_the_hash_of_the_package_sources():
+    pkg = os.path.dirname(universal.__file__)
+    h = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(pkg) if n.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read())
+    assert universal._code_tag() == h.digest()
