@@ -415,6 +415,14 @@ class Ring:
         return f"<ring {self.descriptor}>"
 
 
+def bounded_int_pow(x: int, e: int) -> int:
+    """x**e, or BudgetExceeded when it could take more than exprs.MAX_BITS bits."""
+    bits = e * x.bit_length()
+    if bits > exprs.MAX_BITS and not -1 <= x <= 1:
+        raise BudgetExceeded(f"a ghost term would take {bits} bits (budget {exprs.MAX_BITS})")
+    return x ** e
+
+
 class ZRing(Ring):
     """The ring of integers."""
 

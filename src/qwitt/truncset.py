@@ -21,6 +21,12 @@ from .exprs import read_int
 # 10^10 and 46 ms at 10^11, one shared Xeon core); a set with a larger
 # element would be a computation of seconds to hours.
 MAX_ELEMENT = 1 << 32
+# The most divisor-stable subsets that ``sub_sets`` lists, which also bounds
+# the pairs of them that ``systems.verify_rf`` checks (at most 2,016).
+# {1,2,3,4,6,12}, the largest set the suites, tests and demos verify a
+# system on, has 9; {1,...,8} has 44, and ``qwitt systems verify`` on it
+# takes 0.3 s at budget 2 (one shared Xeon core); {1,...,10} has 102.
+SUBSET_BUDGET = 64
 
 
 @cache
@@ -182,17 +188,20 @@ class TruncationSet:
     def sub_sets(self) -> list["TruncationSet"]:
         """Every divisor-stable subset, ordered by size then lexicographically.
 
-        Found by brute force over all subsets containing 1; the sets used in
-        practice are small enough for this to be instantaneous.
+        Built one element at a time, ascending: n joins each subset found
+        so far that holds its proper divisors.  Raises BudgetExceeded as
+        soon as more than SUBSET_BUDGET subsets are found.
         """
-        rest = [n for n in self.elements if n != 1]
-        found = []
-        for mask in range(1 << len(rest)):
-            chosen = {1} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
-            if all(d in chosen for n in chosen for d in divisors(n)):
-                found.append(TruncationSet(tuple(sorted(chosen))))
-        found.sort(key=lambda t: (len(t.elements), t.elements))
-        return found
+        found = [(1,)]
+        for n in self.elements[1:]:
+            below = divisors(n)[1:-1]
+            found += [t + (n,) for t in found if all(d in t for d in below)]
+            if len(found) > SUBSET_BUDGET:
+                raise BudgetExceeded(
+                    f"the {len(self)}-element set up to {self.elements[-1]} has more than "
+                    f"{SUBSET_BUDGET} divisor-stable subsets (budget {SUBSET_BUDGET})")
+        found.sort(key=lambda t: (len(t), t))
+        return [TruncationSet(t) for t in found]
 
 
 # The derived sets are built (and validated) once per (elements, n); the

@@ -71,9 +71,9 @@ from .errors import (
     NotInGhostImage,
     UnsupportedRingOperation,
 )
-from .exprs import FREE_EXPONENT, MAX_BITS
+from .exprs import FREE_EXPONENT
 from .mpoly import MPoly
-from .rings import Ring, ZRing, ZqRing, ZP_Q, _zp_pack, _zp_unpack, zp_add
+from .rings import Ring, ZRing, ZqRing, ZP_Q, _zp_pack, _zp_unpack, bounded_int_pow, zp_add
 from .truncset import TruncationSet, divisors
 from .universal import Family
 
@@ -172,7 +172,7 @@ def _weight(ring: Ring, poly: MPoly, qval) -> tuple:
     Only the Z-action and the product of the ring are used, so the weight
     exists in non-unital rings too.
     """
-    pow_ = _bounded_power if isinstance(ring, ZRing) else ring.pow  # Z's pow is unchecked
+    pow_ = bounded_int_pow if isinstance(ring, ZRing) else ring.pow  # Z's pow is unchecked
     c0, w = 0, None  # the constant term, and the rest of p(q) in the ring
     for key, c in poly.terms():
         if not key:
@@ -214,20 +214,12 @@ def _shape(tset: TruncationSet) -> tuple:
 # command line holds to INPUT_BITS.  So up to FREE_EXPONENT, which every set
 # up to {1,...,32} keeps to, a term of a command-line input stays within
 # MAX_BITS; a term of a larger exponent e checks e * bits(x) first
-# (:func:`_bounded_power` over Z and Z[q], ``Ring.pow`` in the ring loops).
-
-
-def _bounded_power(x: int, e: int) -> int:
-    """x**e, or BudgetExceeded when it could take more than MAX_BITS bits."""
-    bits = e * x.bit_length()
-    if bits > MAX_BITS and not -1 <= x <= 1:
-        raise BudgetExceeded(f"a ghost term would take {bits} bits (budget {MAX_BITS})")
-    return x ** e
+# (:func:`bounded_int_pow` over Z and Z[q], ``Ring.pow`` in the ring loops).
 
 
 class _CheckedExponent(int):
     """An exponent e above FREE_EXPONENT in the rows of :func:`_positioned`:
-    ``x ** e`` of an integer x calls :func:`_bounded_power`, as Python
+    ``x ** e`` of an integer x calls :func:`bounded_int_pow`, as Python
     tries a subclass's reflected method first.  So the row loops over Z
     and Z[q] check the terms that need it where they compute them, and
     the others, plain ints, cost nothing more."""
@@ -235,7 +227,7 @@ class _CheckedExponent(int):
     __slots__ = ()
 
     def __rpow__(self, x):
-        return _bounded_power(x, int(self))
+        return bounded_int_pow(x, int(self))
 
 
 def _positioned(shape) -> list:
@@ -854,7 +846,7 @@ def _failed(s: int, cs, ns, n: int) -> NotInGhostImage:
 
 # the names the generated methods read besides their arguments
 _KERNEL_GLOBALS = {"U": _unreachable, "L": _ALIGNED, "P": _zp_pack, "S": _split,
-                   "F": _failed, "E": _bounded_power}
+                   "F": _failed, "E": bounded_int_pow}
 
 
 class WittCoeffRing(Ring):

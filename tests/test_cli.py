@@ -533,89 +533,81 @@ def test_lenart_constructions_at_a_prime_p(tmp_path, capsys):
     assert code == 0 and data == {"coords": {"1": "2", "3": "13"}}  # 5 + (2^2-1)/3 * 2^3
 
 
-# Each of these hung or ran out of memory on its large modulus: the
-# factorization of m behind ``reduced``, ``units()`` walking range(m), and
-# the list of Z/m behind the enumeration of W_S(Z/m).  Each runs in a child
-# process held to 1 GiB of address space.
-LARGE_MODULI = {
-    "eval": ["eval", "--family", "classical", "--set", "1,2", "--ring",
-             "zmod:100000000000000000039", "--op", "neg", "--in", "{in}"],
-    "ringlaw": ["ringlaw", "verify", "--ring", "zmod:1000000007", "--F", "x+y", "--G", "x*y"],
-    "systems": ["systems", "verify", "--instance", "witt:zmod:1000000007:1,2", "--budget", "5"],
-}
 LIMITED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                 "from qwitt.cli import main; sys.exit(main(sys.argv[1:]))")
+P = "100000007"
+ONE_ZERO = {"a": {"coords": {"1": "1", P: "0"}}, "b": {"coords": {"1": "0", P: "0"}}}
+ZEROS = {str(n): "0" for n in (2, 4, 8, 16, 32)}
+WIDE = {"a": {"coords": {"1": "2^16000000", **ZEROS}}, "b": {"coords": {"1": "0", **ZEROS}}}
 
 
-@pytest.mark.parametrize("name", LARGE_MODULI)
-def test_large_moduli_exit_within_two_seconds(tmp_path, name):
-    path = tmp_path / "a.json"
-    path.write_text(json.dumps({"a": {"coords": {"1": "3", "2": "1"}}}))
-    argv = [arg.replace("{in}", str(path)) for arg in LARGE_MODULI[name]]
+def _eval(family, ring, tset, op="add"):
+    return ["eval", "--family", *family.split(), "--ring", ring, "--set", tset, "--op", op]
+
+
+# Commands that hung, ran out of memory or ran for minutes until a bound
+# stopped them, each run in a child process held to 1 GiB of address space:
+# (name, argv, input passed with --in, expected, seconds).  Expected is 1,
+# an exit 1 that names the budget, or the items an exit 0 prints.
+# - modulus: the factorization of m behind ``reduced``, ``units()`` walking
+#   range(m), and the list of Z/m behind the enumeration of W_S(Z/m).
+# - ghost-term: on {1, p} the sum of (2, 0) and (1, 1) has the coordinate
+#   (2^p + p + 1 - 3^p)/p, of about 1.6*p bits, also in the ring loops'
+#   Ring.pow over dual numbers and a twist of Z.
+# - weight: a q-family context built its ghost weights, q^(p-1), d*Q^(p-1)
+#   of lenart:Q and the sum of g^j, j < p, of qbar, with no size check.
+# - twist-zq-power: the estimate e * bits(1+q) of (1+q)^e, about 2e6 bits at
+#   e = 1000003, left out that the power spreads over e + 1 coefficients.
+# - input-bits: a_1 = 2^16000000 is within the expression budget, but its
+#   term a_1^32 on the divisors of 32 takes 512M bits; over zmod the
+#   coordinate is reduced as it is read.
+# - subsets: ``systems verify`` walked all 2^(|S|-1) subsets of S.
+BOUNDED = [
+    ("modulus-eval", _eval("classical", "zmod:100000000000000000039", "1,2", "neg"),
+     {"a": {"coords": {"1": "3", "2": "1"}}},
+     {"coords": {"1": "100000000000000000036", "2": "100000000000000000029"}}, 2),
+    ("modulus-ringlaw", ["ringlaw", "verify", "--ring", "zmod:1000000007", "--F", "x+y",
+                         "--G", "x*y"], None, {"passed": True}, 2),
+    ("modulus-systems", ["systems", "verify", "--instance", "witt:zmod:1000000007:1,2",
+                         "--budget", "5"], None, {"passed": True}, 2),
+    *((f"ghost-term-{ring}", _eval("classical", ring, f"1,{P}"),
+       {"a": {"coords": {"1": "2", P: "0"}}, "b": {"coords": {"1": "1", P: "1"}}}, 1, 2)
+      for ring in ("z", "zmod:7", "zq", "dual", "twist:z:2")),
+    *((f"{name}-weight-{ring}", _eval(family, ring, f"1,{P}"), ONE_ZERO, 1, seconds)
+      for name, family, seconds in (("qdef", "qdef --q 3", 5), ("lenart", "lenart:3", 2),
+                                    ("qbar", "qbar --q 3", 2))
+      for ring in ("z", "zmod:7", "zq")),
+    ("twist-zq-power", _eval("classical", "twist:zq:2", "1,1000003"),
+     {"a": {"coords": {"1": "1+q", "1000003": "0"}}, "b": {"coords": {"1": "0", "1000003": "0"}}},
+     1, 5),
+    ("input-bits-z", _eval("classical", "z", "32"), WIDE, 1, 2),
+    ("input-bits-zq", _eval("classical", "zq", "32"), WIDE, 1, 2),
+    ("input-bits-zmod", _eval("classical", "zmod:7", "32"), WIDE,
+     {"coords": {"1": str(pow(2, 16000000, 7)), **ZEROS}}, 2),
+    ("subsets-1-24", ["systems", "verify", "--instance",
+                      "witt:z:" + ",".join(map(str, range(1, 25))), "--budget", "2"], None, 1, 2),
+    ("subsets-720720", ["systems", "verify", "--instance", "witt:zmod:3:720720", "--budget", "2"],
+     None, 1, 2),
+]
+
+
+@pytest.mark.parametrize("argv, data, expected, seconds",
+                         [pytest.param(*row[1:], id=row[0]) for row in BOUNDED])
+def test_bounded_command_exits_in_time(tmp_path, argv, data, expected, seconds):
+    if data is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        argv = [*argv, "--in", str(path)]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=env,
-                          capture_output=True, text=True, timeout=2)
-    assert proc.returncode in (0, 1) and "internal error" not in proc.stderr, proc.stderr
-    assert proc.returncode == 1 or json.loads(proc.stdout)
-
-
-def test_a_huge_ghost_term_exits_1_within_two_seconds(tmp_path):
-    # on {1, p} the sum of (2, 0) and (1, 1) has the coordinate
-    # (2^p + p + 1 - 3^p)/p, of about 1.6*p bits: the op ran for minutes,
-    # over dual numbers and a twist of Z in the ring loops' Ring.pow too
-    path = tmp_path / "ab.json"
-    path.write_text(json.dumps({"a": {"coords": {"1": "2", "100000007": "0"}},
-                                "b": {"coords": {"1": "1", "100000007": "1"}}}))
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    for ring in ("z", "zmod:7", "zq", "dual", "twist:z:2"):
-        argv = ["eval", "--family", "classical", "--ring", ring, "--set", "1,100000007",
-                "--op", "add", "--in", str(path)]
-        proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=env,
-                              capture_output=True, text=True, timeout=2)
+                          capture_output=True, text=True, timeout=seconds)
+    assert "internal error" not in proc.stderr, proc.stderr
+    if expected == 1:
         assert proc.returncode == 1 and "budget" in proc.stderr, proc.stderr
-
-
-def test_a_huge_power_of_q_or_of_a_zq_element_exits_1_within_seconds(tmp_path):
-    # a q-family context over Z or Z[q] computed its ghost weight q^(p-1)
-    # with no size check, and the estimate e * bits(1+q) of (1+q)^e, about
-    # 2e6 bits at e = 1000003, left out that the power spreads over e + 1
-    # coefficients: each op ran until a 10-s timeout stopped it
-    path = tmp_path / "ab.json"
-    path.write_text(json.dumps({"a": {"coords": {"1": "1", "100000007": "0"}},
-                                "b": {"coords": {"1": "0", "100000007": "0"}}}))
-    twist = tmp_path / "twist.json"
-    twist.write_text(json.dumps({"a": {"coords": {"1": "1+q", "1000003": "0"}},
-                                 "b": {"coords": {"1": "0", "1000003": "0"}}}))
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    cases = [["--family", "qdef", "--q", "3", "--ring", ring, "--set", "1,100000007",
-              "--in", str(path)] for ring in ("z", "zmod:7", "zq")]
-    cases.append(["--family", "classical", "--ring", "twist:zq:2", "--set", "1,1000003",
-                  "--in", str(twist)])
-    for argv in cases:
-        proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, "eval", "--op", "add", *argv],
-                              env=env, capture_output=True, text=True, timeout=5)
-        assert proc.returncode == 1 and "budget" in proc.stderr, (argv, proc.stderr)
-
-
-def test_an_input_past_input_bits_exits_1_within_two_seconds(tmp_path):
-    # a_1 = 2^16000000 is within the expression budget, but its term a_1^32
-    # on the set of divisors of 32 would take 512M bits: the op ran for
-    # minutes.  Over zmod the coordinate is reduced as it is read.
-    path = tmp_path / "ab.json"
-    zeros = {str(n): "0" for n in (2, 4, 8, 16, 32)}
-    path.write_text(json.dumps({"a": {"coords": {"1": "2^16000000", **zeros}},
-                                "b": {"coords": {"1": "0", **zeros}}}))
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    for ring in ("z", "zq", "zmod:7"):
-        argv = ["eval", "--family", "classical", "--ring", ring, "--set", "32",
-                "--op", "add", "--in", str(path)]
-        proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=env,
-                              capture_output=True, text=True, timeout=2)
-        if ring == "zmod:7":
-            assert proc.returncode == 0, proc.stderr
-            assert json.loads(proc.stdout)["coords"]["1"] == str(pow(2, 16000000, 7))
-        else:
-            assert proc.returncode == 1 and "budget" in proc.stderr, proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert {key: out[key] for key in expected} == expected
 
 
 # sha256 of the output of ``qwitt polys --law mul``, recorded before

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qwitt import indwitt, rings, universal, witt
 from qwitt.errors import BudgetExceeded, NotInGhostImage
+from qwitt.exprs import MAX_BITS
 from qwitt.mpoly import Q, xvar, yvar
 from qwitt.rings import (DUAL, Z, ZQ, Ring, TwistedRing, ZModRing, ZqRing, ZRing,
                          parse_ring)
@@ -736,7 +737,7 @@ def test_terms_above_the_free_exponent_check_their_size_first():
     for kind in ("Plain", "Reduced", "Packed"):
         text = witt._kernel_source(witt._shape(S37), kind, "add")
         assert "E(a0, 37)" in text and "**37" not in text
-    big = 1 << (witt.MAX_BITS // 37 + 1)  # its 37th power passes MAX_BITS
+    big = 1 << (MAX_BITS // 37 + 1)  # its 37th power passes MAX_BITS
     far = (0,) * (1 << 16) + (1,)  # q^65536: its 1-norm is 1, packed it passes
     for ring, a in ((Z, (big, 0)), (ZQ, ((big,), ())), (ZQ, (far, ()))):
         ctx = witt.WittCoeffRing(ring, S37)

@@ -15,12 +15,9 @@ from qwitt.universal import (
     Family,
     base_change_qbar,
     derive,
-    frobenius_mod_p_certificate,
     ghost_invert_sym,
     ghost_poly,
-    qdef_matches_scaled_classical,
     roundtrip_certificate,
-    specializes_to_classical,
 )
 
 S2 = TruncationSet.make([2])
@@ -28,8 +25,8 @@ S3 = TruncationSet.make([3])
 S6 = TruncationSet.make([6])
 S12 = TruncationSet.make([12])
 
-X1, X2, X3 = (MPoly.var(xvar(d)) for d in (1, 2, 3))
-Y1, Y2, Y3 = (MPoly.var(yvar(d)) for d in (1, 2, 3))
+X1, X2 = (MPoly.var(xvar(d)) for d in (1, 2))
+Y1, Y2 = (MPoly.var(yvar(d)) for d in (1, 2))
 QP = MPoly.var(Q)
 
 
@@ -68,27 +65,6 @@ def test_classical_tables():
     assert ps.neg[2] == -(X1**2) - X2
 
 
-def test_qdef_tables():
-    ps = derive(Family.qdef(), S2)
-    assert ps.sigma[2] == X2 + Y2 - QP * X1 * Y1
-    assert ps.pi[1] == QP * X1 * Y1
-    assert ps.pi[2] == 2 * QP * X2 * Y2 + MPoly.var(Q, 2) * (X1**2 * Y2 + X2 * Y1**2)
-
-
-def test_qbar_tables_with_h_and_r():
-    from qwitt.qdeform import h_poly, r_poly
-
-    ps = derive(Family.qbar(), S3)
-    h = MPoly.from_zpoly(h_poly(3))
-    r = MPoly.from_zpoly(r_poly(3))
-    assert ps.sigma[3] == X3 + Y3 - h * (X1**2 * Y1 + X1 * Y1**2)
-    assert ps.pi[3] == (
-        3 * QP * X3 * Y3
-        + QP * h * (X1**3 * Y3 + Y1**3 * X3)
-        + QP * h * r * X1**3 * Y1**3
-    )
-
-
 def test_lenart_tables():
     for q in (2, 3, 5):
         ps = derive(Family.lenart(q), S2)
@@ -116,47 +92,13 @@ def test_base_change_examples():
     assert at_zero.sigma[2] == cl.sigma[2] and at_zero.pi[2] == cl.pi[2]
 
 
-def test_base_change_matches_direct_derivation():
-    for g in (ZP_ZERO, ZP_Q, (2, 0, 1)):
-        direct = derive(Family.qbar(g), S6)
-        subst = base_change_qbar(g, S6)
-        for n in S6:
-            assert direct.sigma[n] == subst.sigma[n]
-            assert direct.pi[n] == subst.pi[n]
-
-
-def test_ghost_round_trip_symbolic():
-    for fam in (Family.classical(), Family.qdef(), Family.qbar(), Family.lenart(2)):
-        for s in (S2, S3, S6, TruncationSet.make([2, 9])):
-            assert roundtrip_certificate(fam, s)
-
-
 def test_ghost_round_trip_max_element_12():
     for fam in (Family.classical(), Family.qdef(), Family.lenart(2)):
         assert roundtrip_certificate(fam, S12)
     assert roundtrip_certificate(Family.qbar(), S12)
 
 
-def test_symmetry_under_bank_swap():
-    swap = {}
-    for d in S6:
-        swap[xvar(d)] = MPoly.var(yvar(d))
-        swap[yvar(d)] = MPoly.var(xvar(d))
-    for fam in (Family.classical(), Family.qdef(), Family.qbar()):
-        ps = derive(fam, S6)
-        for n in S6:
-            assert ps.sigma[n].substitute(swap) == ps.sigma[n]
-            assert ps.pi[n].substitute(swap) == ps.pi[n]
-
-
-def test_qdef_is_scaled_classical():
-    for s in (S2, S6, S12):
-        assert qdef_matches_scaled_classical(s)
-
-
 def test_specialization_to_classical():
-    assert specializes_to_classical(Family.qdef(), S6)
-    assert specializes_to_classical(Family.qbar(), S6)
     # the integer family at q = 1 is literally the classical one
     ps = derive(Family.lenart(1), S6)
     cl = derive(Family.classical(), S6)
@@ -167,14 +109,6 @@ def test_specialization_to_classical():
 def test_frobenius_composition():
     for fam in (Family.classical(), Family.qdef()):
         assert universal.frobenius_composition_certificate(fam, S12)
-
-
-def test_frobenius_mod_p_certificates():
-    assert frobenius_mod_p_certificate(Family.classical(), S2, 2)
-    assert frobenius_mod_p_certificate(Family.classical(), S6, 2)
-    assert frobenius_mod_p_certificate(Family.classical(), S3, 3)
-    assert frobenius_mod_p_certificate(Family.qdef(), S12, 2)
-    assert frobenius_mod_p_certificate(Family.qdef(), S12, 3)
 
 
 def test_coordinatewise_difference_at_coprime_indices():
