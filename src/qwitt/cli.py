@@ -4,14 +4,16 @@ inductive-system operations, and the verification suites.
 
 Standard output is pure JSON; diagnostics go to standard error.  Exit
 codes: 0 on success, 1 on domain errors (failed divisions, tuples outside
-a ghost image, broken congruences, failed verifications) and on internal
-errors, which are reported as such, 2 on usage errors.
+a ghost image, broken congruences, failed verifications), on internal
+errors, which are reported as such, and when standard output is closed
+before all of it is written, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import indwitt, onedim, qdeform, suites, systems, universal, witt
@@ -441,7 +443,19 @@ def main(argv=None) -> int:
     try:
         for arg in sys.argv[1:] if argv is None else argv:
             _check_size(arg, "an argument")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (``| head``): the output cannot be
+        # written, and the interpreter's flush at exit must not try again
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except OSError:  # a stdout with no file descriptor
+            pass
+        return 1
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

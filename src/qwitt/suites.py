@@ -8,7 +8,10 @@ scale sample counts; seeds make every run reproducible.
 from __future__ import annotations
 
 import math
+import os
 import random
+import sys
+import threading
 
 from . import indwitt, onedim, qdeform, systems, universal, witt
 from . import rings as ring_mod
@@ -749,14 +752,101 @@ SUITES = {
 }
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform does not say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _run_share(names, budget: int, seed: int) -> list:
+    """The suites ``names`` run in turn: each one's Report, up to and with the
+    first exception raised, which stands in its place and ends the share."""
+    out = []
+    for name in names:
+        try:
+            if name not in SUITES:
+                raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+            out.append(SUITES[name](budget=budget, seed=seed))
+        except Exception as exc:
+            out.append(exc)
+            break
+    return out
+
+
+class _Worker:
+    """A forked process that runs :func:`_run_share` on its suites and
+    sends the list back, pickled, through a pipe."""
+
+    def __init__(self, names, budget: int, seed: int):
+        import pickle
+
+        sys.stdout.flush()  # what this process has buffered is written once, here
+        sys.stderr.flush()
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if not self.pid:  # the worker ends here, and runs no clean-up of its parent's state
+            code = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as fh:
+                    fh.write(pickle.dumps(_run_share(names, budget, seed)))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.pipe = open(read, "rb")
+        self.status = None
+
+    def result(self) -> list:
+        import pickle
+
+        data = self.pipe.read()
+        self.close(kill=False)
+        if self.status:
+            raise RuntimeError(
+                f"suite worker {self.pid} exited without a result (wait status {self.status})")
+        return pickle.loads(data)
+
+    def close(self, kill: bool = True) -> None:
+        """Reap the worker, ending it first if ``kill``; once only."""
+        if self.status is None:
+            if kill:
+                import signal
+
+                os.kill(self.pid, signal.SIGKILL)
+            self.pipe.close()
+            self.status = os.waitpid(self.pid, 0)[1]
+
+
 def run_suites(names, budget: int = 200, seed: int = 1729) -> list[Report]:
+    """The reports of the suites ``names``, in that order, or the first
+    exception a suite raises in that order.
+
+    The suites are dealt round-robin to w = min(len(names), CPUs) shares,
+    share i being names[i::w]: this process runs share 0, and a forked
+    :class:`_Worker` each other one.  With one CPU, no ``os.fork``, or
+    more than one thread, which a fork would not copy, w is 1.
+    """
     if names in ("all", ["all"]):
         names = list(SUITES)
     if isinstance(names, str):
         names = [names]
+    w = min(len(names), _cpus())
+    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        w = 1
+    workers = []
+    try:
+        for i in range(1, w):
+            workers.append(_Worker(names[i::w], budget, seed))
+        shares = [_run_share(names[::w], budget, seed)]
+        shares += [worker.result() for worker in workers]
+    finally:
+        for worker in workers:  # none is left running, whatever ended this
+            worker.close()
     out = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        out.append(SUITES[name](budget=budget, seed=seed))
+    for k in range(len(names)):
+        result = shares[k % w][k // w]  # a share is short only after an earlier raise
+        if isinstance(result, Exception):
+            raise result
+        out.append(result)
     return out

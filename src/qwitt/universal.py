@@ -43,6 +43,21 @@ from .exprs import MAX_BITS, read_int
 from .mpoly import MPoly, Q, xvar, yvar
 from .truncset import TruncationSet, divisors
 
+WEIGHT_TERMS = 1 << 10  # the most terms of a qbar ghost weight
+
+
+def _geometric_sum(g: tuple, m: int) -> tuple:
+    """1 + g + ... + g^(m-1) in Z[q], by doubling the number of terms: about
+    3*log2(m) products, where a sum term by term makes m."""
+    total, power = rings.ZP_ZERO, rings.ZP_ONE  # the sum of k terms, and g^k; k = 0
+    for bit in bin(m)[2:]:
+        total = rings.zp_add(total, rings.zp_mul(power, total))  # k -> 2k
+        power = rings.zp_mul(power, power)
+        if bit == "1":  # 2k -> 2k + 1
+            total = rings.zp_add(total, power)
+            power = rings.zp_mul(power, g)
+    return total
+
 
 @dataclass(frozen=True)
 class Family:
@@ -119,13 +134,14 @@ class Family:
             return MPoly.const(d * rings.bounded_int_pow(self.q, m - 1))
         if self.tag == "qbar":
             # d * (1 + t + ... + t^(m-1)) at t = 1 - q, after q -> 1 - g(q):
-            # t is g.  Summed by Horner's rule once g^(m-1) fits the budget.
+            # t is g.  Its terms are counted first, as witt._weight takes a
+            # power of q for each, and then the bits of g^(m-1).
+            if (terms := (m - 1) * max(len(self.g) - 1, 0) + 1) > WEIGHT_TERMS:
+                raise BudgetExceeded(
+                    f"a ghost weight would have {terms} terms (budget {WEIGHT_TERMS})")
             if (bits := rings.ZQ.pow_bits(self.g, m - 1)) > MAX_BITS:
                 raise BudgetExceeded(f"a ghost weight would take {bits} bits (budget {MAX_BITS})")
-            acc = rings.ZP_ZERO
-            for _ in range(m):
-                acc = rings.zp_add(rings.zp_mul(acc, self.g), rings.ZP_ONE)
-            return MPoly.from_zpoly(rings.zp_scale(d, acc))
+            return MPoly.from_zpoly(rings.zp_scale(d, _geometric_sum(self.g, m)))
         raise ValueError(f"unknown family tag {self.tag!r}")
 
     def twist(self) -> MPoly:

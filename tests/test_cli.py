@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qwitt import universal, witt
+from qwitt import suites, universal, witt
 from qwitt.cli import main
 from qwitt.mpoly import MPoly
 from qwitt.rings import parse_ring
@@ -422,27 +422,44 @@ def test_no_disk_cache_without_cache_dir(tmp_path, monkeypatch, capsys):
 
 
 def test_the_disk_cache_changes_no_output(tmp_path, monkeypatch, capsys):
-    # each command runs cold, cold storing every derivation, and disk-warm
-    cache = str(tmp_path / "cache")
-    derived = []
-    real = universal._derive_uncached
-    monkeypatch.setattr(universal, "_derive_uncached", lambda *a: derived.append(a) or real(*a))
+    # each command runs cold, cold storing every derivation, and disk-warm;
+    # every process of a run, the forked suite workers too, logs its pid as
+    # it runs a share of the suites and as it derives
+    cache, log = str(tmp_path / "cache"), tmp_path / "log"
+
+    def logged(what, real):
+        def hook(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {what}\n")
+            return real(*args)
+        return hook
+
+    monkeypatch.setattr(universal, "_derive_uncached", logged("derive", universal._derive_uncached))
+    monkeypatch.setattr(suites, "_run_share", logged("run", suites._run_share))
 
     def outputs(argv):
-        out = []
+        out, seen = [], []
         for pre in ([], ["--cache-dir", cache], ["--cache-dir", cache]):
             monkeypatch.setattr(universal, "_MEM", {})
-            derived.clear()
+            log.write_text("")
             assert main([*pre, *argv]) == 0
             out.append(capsys.readouterr().out)
-        assert derived == []  # the last run derived nothing
-        return out
+            seen.append({tuple(line.split()) for line in log.read_text().splitlines()})
+        derived = [{pid for pid, what in lines if what == "derive"} for lines in seen]
+        assert derived[0] and not derived[2]  # the last run derived nothing, in any process
+        return out, seen[0]
 
     for family, tset in (("classical", "1,2,3,4,6,12"), ("qbar", "1,2,4,8")):
-        cold, stored, warm = outputs(["polys", "--family", family, "--set", tset, "--law", "mul"])
+        (cold, stored, warm), _ = outputs(["polys", "--family", family, "--set", tset,
+                                           "--law", "mul"])
         assert cold == stored == warm and cold
-    cold, stored, warm = outputs(["verify", "--suite", "all", "--budget", "2", "--seed", "1"])
+    (cold, stored, warm), seen = outputs(["verify", "--suite", "all", "--budget", "2",
+                                          "--seed", "1"])
     assert cold == stored == warm and json.loads(cold)
+    # the derivations are seen in the processes that ran the suites: with two
+    # shares, universal and qdeform, the suites that derive, both run in the worker
+    runs = {pid for pid, what in seen if what == "run"}
+    assert {pid for pid, what in seen if what == "derive"} <= runs
 
 
 # Integer options read ASCII digits, with a minus only for seeds and q; a
@@ -555,7 +572,9 @@ def _eval(family, ring, tset, op="add"):
 #   (2^p + p + 1 - 3^p)/p, of about 1.6*p bits, also in the ring loops'
 #   Ring.pow over dual numbers and a twist of Z.
 # - weight: a q-family context built its ghost weights, q^(p-1), d*Q^(p-1)
-#   of lenart:Q and the sum of g^j, j < p, of qbar, with no size check.
+#   of lenart:Q and the sum of g^j, j < p, of qbar, with no size check;
+#   qbar-q-weight: at g = q the bits of g^(p-1) passed their budget, while
+#   the sum has p terms and summing them took O(p^2).
 # - twist-zq-power: the estimate e * bits(1+q) of (1+q)^e, about 2e6 bits at
 #   e = 1000003, left out that the power spreads over e + 1 coefficients.
 # - input-bits: a_1 = 2^16000000 is within the expression budget, but its
@@ -577,6 +596,9 @@ BOUNDED = [
       for name, family, seconds in (("qdef", "qdef --q 3", 5), ("lenart", "lenart:3", 2),
                                     ("qbar", "qbar --q 3", 2))
       for ring in ("z", "zmod:7", "zq")),
+    *((f"qbar-q-weight-{ring}", _eval("qbar:q --q 2", ring, "1,1000003"),
+       {"a": {"coords": {"1": "1", "1000003": "0"}}, "b": {"coords": {"1": "0", "1000003": "0"}}},
+       1, 2) for ring in ("z", "zmod:7", "zq")),
     ("twist-zq-power", _eval("classical", "twist:zq:2", "1,1000003"),
      {"a": {"coords": {"1": "1+q", "1000003": "0"}}, "b": {"coords": {"1": "0", "1000003": "0"}}},
      1, 5),
@@ -608,6 +630,26 @@ def test_bounded_command_exits_in_time(tmp_path, argv, data, expected, seconds):
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert {key: out[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--budget", "50"],
+    ["polys", "--family", "classical", "--set", "1,2,3,4,5,6,7,8", "--law", "mul"],
+    ["deform", "lenart-defect", "--p", "2", "--q", "2"],
+], ids=["verify", "polys", "small"])
+def test_a_closed_stdout_exits_1_quietly(argv):
+    # the reader of stdout is gone before the first byte: a large output
+    # fails as it is written, a small one at the flush after the command
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout holds a buffer
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qwitt.cli", *argv], env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1 and proc.stderr == ""
 
 
 # sha256 of the output of ``qwitt polys --law mul``, recorded before

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qwitt import indwitt, rings, universal, witt
+from qwitt import indwitt, rings, suites, universal, witt
 from qwitt.errors import BudgetExceeded, NotInGhostImage
 from qwitt.exprs import MAX_BITS
 from qwitt.mpoly import Q, xvar, yvar
@@ -706,26 +706,45 @@ def test_threads_racing_on_new_shapes_compile_each_once(monkeypatch):
     assert len(compiles) == len(shapes)
 
 
-# A `qwitt verify --suite all` process, counting the generated methods it
-# compiles on stderr; every compiled class and method is named once.
-COUNT_COMPILES = (
-    "import sys; from qwitt import witt; from qwitt.cli import main; made = []; "
-    "real = witt._kernel_source; "
-    "witt._kernel_source = lambda *key: made.append(key) or real(*key); "
-    "code = main(sys.argv[1:]); "
-    "print(len(made), len(set(made)), file=sys.stderr); "
-    "sys.exit(code)")
+# A `qwitt verify --suite all` run in which every process, the forked suite
+# workers too, appends to the file argv[1] a line "pid run (names, ...)" for
+# the share of the suites it runs and "pid made key" for each generated
+# method it compiles.
+COUNT_COMPILES = """
+import os, sys
+from qwitt import suites, witt
+from qwitt.cli import main
+
+def logged(what, real):
+    def hook(*args):
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{os.getpid()} {what} {args!r}\\n")
+        return real(*args)
+    return hook
+
+witt._kernel_source = logged("made", witt._kernel_source)
+suites._run_share = logged("run", suites._run_share)
+sys.exit(main(sys.argv[2:]))
+"""
 
 
-def test_a_verify_process_compiles_only_what_it_runs():
+def test_a_verify_process_compiles_only_what_it_runs(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", COUNT_COMPILES, "verify", "--suite", "all",
-                           "--budget", "500", "--seed", "1"],
+    log = tmp_path / "log"
+    proc = subprocess.run([sys.executable, "-c", COUNT_COMPILES, str(log), "verify", "--suite",
+                           "all", "--budget", "500", "--seed", "1"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and json.loads(proc.stdout)["passed"] is True, proc.stderr
-    methods, distinct = map(int, proc.stderr.split()[-2:])
-    # its 8 shapes have 189 methods, 3 * (5 + |S|) each
-    assert methods == distinct <= 98
+    runs, made = {}, {}
+    for line in log.read_text().splitlines():
+        pid, what, args = line.split(" ", 2)
+        (runs if what == "run" else made).setdefault(pid, []).append(args)
+    # one process for each share of the suites, each counted on its own
+    assert len(runs) == min(suites._cpus(), len(suites.SUITES)), runs
+    assert all(len(shares) == 1 for shares in runs.values()) and set(made) <= set(runs)
+    for keys in made.values():
+        # its 8 shapes have 189 methods, 3 * (5 + |S|) each
+        assert len(keys) == len(set(keys)) <= 98
 
 
 # {1, 37}: its term a_1^37 has an exponent above witt.FREE_EXPONENT

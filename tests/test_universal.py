@@ -6,10 +6,10 @@ import os
 
 import pytest
 
-from qwitt.errors import IntegralityViolation
+from qwitt.errors import BudgetExceeded, IntegralityViolation
 from qwitt.mpoly import MPoly, Q, xvar, yvar
-from qwitt.rings import ZP_Q, ZP_ZERO, zp_sub, ZP_ONE
-from qwitt.truncset import TruncationSet
+from qwitt.rings import ZP_Q, ZP_ZERO, zp_add, zp_pow, zp_scale, zp_sub, ZP_ONE
+from qwitt.truncset import TruncationSet, divisors
 from qwitt import universal
 from qwitt.universal import (
     Family,
@@ -40,6 +40,24 @@ def test_diagonal_weights():
     for fam in (Family.classical(), Family.qdef(), Family.qbar(), Family.lenart(3)):
         for n in S12:
             assert fam.ghost_weight(n, n) == MPoly.const(n)
+
+
+def test_qbar_weights_sum_the_powers_of_g_within_a_term_budget():
+    # w(n, d) = d * (g^0 + ... + g^(n/d-1)), on {1,...,24} as a derivation there needs
+    for g in (zp_sub(ZP_ONE, ZP_Q), ZP_Q, (1, -2, 0, 3), (2,), (1,), (-1,), ZP_ZERO):
+        fam = Family.qbar(g)
+        for n in range(1, 25):
+            for d in divisors(n):
+                powers = ZP_ZERO
+                for j in range(n // d):
+                    powers = zp_add(powers, zp_pow(g, j))
+                assert fam.ghost_weight(n, d) == MPoly.from_zpoly(zp_scale(d, powers)), (g, n, d)
+    # (m - 1) * deg(g) + 1 terms, at most universal.WEIGHT_TERMS = 1024
+    assert len(Family.qbar(ZP_Q).ghost_weight(1024, 1).terms()) == 1024
+    assert Family.qbar((1,)).ghost_weight(1 << 24, 1) == MPoly.const(1 << 24)
+    for g, m, terms in ((ZP_Q, 1025, 1025), ((1, -2, 0, 3), 343, 1027), (ZP_Q, 1000003, 1000003)):
+        with pytest.raises(BudgetExceeded, match=f"{terms} terms"):
+            Family.qbar(g).ghost_weight(m, 1)
 
 
 def test_invert_identity_round_trip():
