@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import indwitt, onedim, qdeform, suites, systems, universal, witt
+from . import universal, witt
 from .errors import BudgetExceeded, Error
 from .exprs import INPUT_BITS, INPUT_BUDGET, read_int
 from .rings import Z, ZQ, parse_ring
@@ -141,6 +141,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    from . import qdeform
     if args.action == "lenart-iso":
         tset = qdeform.lenart_set(args.p)
         data = _read_json(args.infile)
@@ -166,6 +167,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_ringlaw(args) -> int:
+    from . import onedim
     ring = parse_ring(args.ring)
     law = onedim.RingLaw1D(
         ring, onedim.parse_poly(ring, args.F), onedim.parse_poly(ring, args.G)
@@ -184,6 +186,7 @@ def cmd_ringlaw(args) -> int:
 
 
 def _parse_system(text: str, setpart: str) -> systems.ProjSystem:
+    from . import systems
     top = TruncationSet.parse(setpart)
     if text.startswith("witt:"):
         return systems.WittSystem(parse_ring(text.split(":", 1)[1]), top)
@@ -199,6 +202,7 @@ def _parse_system(text: str, setpart: str) -> systems.ProjSystem:
 
 
 def cmd_systems(args) -> int:
+    from . import systems
     if args.action == "verify":
         instance = args.instance
         desc, setpart = instance.rsplit(":", 1)
@@ -229,6 +233,7 @@ def cmd_systems(args) -> int:
 
 
 def _parse_ind_system(text: str, tset: TruncationSet) -> indwitt.IndSystem:
+    from . import indwitt
     if text == "const:z":
         return indwitt.constant_system(Z, tset, identity_lift=True)
     if text == "const:zq":
@@ -252,19 +257,17 @@ def _ind_vec_json(v: indwitt.IndVector) -> dict:
     }
 
 
-def _ind_vec_in(sys_obj: indwitt.IndSystem, data) -> indwitt.IndVector:
-    coords = witt.indexed_from_json(data, "coords", sys_obj.tset, sys_obj.ring)
-    return indwitt.make(sys_obj, coords)
-
-
 def cmd_indwitt(args) -> int:
+    from . import indwitt
     tset = TruncationSet.parse(args.set)
     sys_obj = _parse_ind_system(args.system, tset)
     op = args.op
     data = _read_json(args.infile) if args.infile else {}
 
     def vec(field="a", system=sys_obj):
-        return _ind_vec_in(system, _vector_field(data, field))
+        coords = witt.indexed_from_json(_vector_field(data, field), "coords", system.tset,
+                                        system.ring)
+        return indwitt.make(system, coords)
 
     if op in ("add", "mul"):
         fn = indwitt.ind_add if op == "add" else indwitt.ind_mul
@@ -305,6 +308,7 @@ def cmd_indwitt(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suites
     names = args.suite.split(",") if args.suite != "all" else "all"
     reports = suites.run_suites(names, budget=args.budget, seed=args.seed)
     payload = {

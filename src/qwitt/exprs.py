@@ -70,8 +70,9 @@ def tokenize(text: str) -> list[tuple[str, object]]:
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
 
     def peek(self):
@@ -79,6 +80,8 @@ class _Parser:
 
     def take(self):
         tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ValueError(f"unexpected end of expression {self.text!r}")
         self.pos += 1
         return tok
 
@@ -130,7 +133,7 @@ class _Parser:
 
 def parse(text: str):
     """Parse ``text`` into an AST of nested tuples."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     node = parser.expr()
     if parser.peek() != ("end", None):
         raise ValueError(f"trailing input in expression {text!r}")

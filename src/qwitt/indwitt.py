@@ -22,10 +22,10 @@ only what a lift actually touches is built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import witt
 from .errors import CrossRingError, NotInImage, UnsupportedRingOperation
+from .report import FrozenRecord
 from .rings import Ring, Z, ZQ, zp_from_int, zp_subst_qpow
 from .truncset import TruncationSet, divisors, factorization, prime_factors, v_p
 from .universal import Family
@@ -222,10 +222,8 @@ def qpow_system(tset: TruncationSet) -> ConstantIndSystem:
 # Vectors and the ring structure.
 
 
-@dataclass(frozen=True)
-class IndVector:
-    system: IndSystem
-    coords: tuple
+class IndVector(FrozenRecord):
+    __slots__ = ("system", "coords")  # an IndSystem, and one coordinate per n in S
 
     def coord(self, n: int):
         return self.coords[self.system.tset.index(n)]

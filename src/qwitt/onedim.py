@@ -11,11 +11,10 @@ polynomial ring and by seeded sampling otherwise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import exprs
 from .errors import NotInNormalForm, UnsupportedRingOperation
-from .report import Report
+from .report import Record, Report
 from .rings import DualRing, Ring, ZqRing, ZRing
 
 _VARS = ("x", "y", "z")
@@ -161,13 +160,10 @@ def parse_poly(ring: Ring, text: str) -> RingPoly:
     )
 
 
-@dataclass
-class RingLaw1D:
+class RingLaw1D(Record):
     """A candidate one-dimensional law: addition F and multiplication G."""
 
-    ring: Ring
-    F: RingPoly
-    G: RingPoly
+    __slots__ = ("ring", "F", "G")  # a Ring, and F and G as RingPolys
 
     @staticmethod
     def twisted(ring: Ring, r) -> "RingLaw1D":

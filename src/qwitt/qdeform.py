@@ -9,12 +9,10 @@ family with the one-parameter deformation at twist 1 - g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rings, universal, witt
 from .errors import CertificationError, IntegralityViolation, PDividesQ
 from .mpoly import MPoly, Q, xvar, yvar
-from .report import Report
+from .report import Record, Report
 from .truncset import TruncationSet
 from .universal import Family
 
@@ -188,18 +186,13 @@ def _derive_alpha(g, tset: TruncationSet, r: MPoly) -> dict[int, MPoly]:
     )
 
 
-@dataclass
-class QbarIdentification:
+class QbarIdentification(Record):
     """A certified isomorphism from the twisted-ghost family at g to the
     deformation family at twist r = 1 - g, with its inverse and the sign
     twin at r = g - 1."""
 
-    g: tuple[int, ...]
-    tset: TruncationSet
-    r: tuple[int, ...]
-    alpha: dict[int, MPoly]
-    alpha_inv: dict[int, MPoly]
-    report: Report
+    # g and r in Z[q]; alpha and alpha_inv as {n: MPoly}; the Report of its checks
+    __slots__ = ("g", "tset", "r", "alpha", "alpha_inv", "report")
 
 
 def _check_hom(rep: Report, label: str, alpha: dict[int, MPoly],

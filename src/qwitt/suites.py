@@ -13,7 +13,7 @@ import random
 import sys
 import threading
 
-from . import indwitt, onedim, qdeform, systems, universal, witt
+from . import universal, witt
 from . import rings as ring_mod
 from .errors import Error, NotInImage
 from .mpoly import MPoly, Q, xvar, yvar
@@ -162,6 +162,7 @@ def suite_mpoly(budget: int = 500, seed: int = 1729) -> Report:
 
 
 def suite_universal(budget: int = 0, seed: int = 1729) -> Report:
+    from . import qdeform
     rep = Report("universal")
     families = [Family.classical(), Family.qdef(), Family.qbar(), Family.lenart(2)]
     sets = [TruncationSet.make(e) for e in ([2], [3], [4], [6], [2, 9], [12])]
@@ -341,6 +342,7 @@ def _display_sigma_p(fam_coeff: MPoly, p: int) -> MPoly:
 
 
 def suite_qdeform(budget: int = 200, seed: int = 1729) -> Report:
+    from . import qdeform
     rep = Report("qdeform")
     rng = random.Random(seed)
     qmp = MPoly.var(Q)
@@ -452,6 +454,7 @@ def suite_qdeform(budget: int = 200, seed: int = 1729) -> Report:
 
 
 def suite_onedim(budget: int = 100, seed: int = 1729) -> Report:
+    from . import onedim
     rep = Report("onedim")
     rng = random.Random(seed)
     ok = True
@@ -509,6 +512,7 @@ def suite_onedim(budget: int = 100, seed: int = 1729) -> Report:
 
 
 def suite_systems(budget: int = 200, seed: int = 1729) -> Report:
+    from . import systems
     rep = Report("systems")
     rng = random.Random(seed)
     s2 = TruncationSet.make([2])
@@ -592,6 +596,7 @@ def suite_systems(budget: int = 200, seed: int = 1729) -> Report:
 
 
 def suite_indwitt(budget: int = 200, seed: int = 1729) -> Report:
+    from . import indwitt
     rep = Report("indwitt")
     rng = random.Random(seed)
     s2 = TruncationSet.make([2])

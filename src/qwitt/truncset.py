@@ -9,11 +9,11 @@ isomorphism, so they live here, away from any ring arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import BudgetExceeded
 from .exprs import read_int
+from .report import FrozenRecord
 
 # The largest element a truncation set may have.  Divisors are found by
 # trial division up to sqrt(n), which for the largest prime below 2^32,
@@ -81,14 +81,25 @@ def v_p(n: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class TruncationSet:
+class TruncationSet(FrozenRecord):
     """A finite divisor-stable set of positive integers, sorted ascending.
 
     Always contains 1.  Instances are immutable and safe to share.
     """
 
-    elements: tuple[int, ...]
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: tuple[int, ...]):
+        object.__setattr__(self, "elements", elements)
+        if not elements or elements[0] != 1:
+            raise ValueError("a truncation set must contain 1")
+        if list(elements) != sorted(set(elements)):
+            raise ValueError("elements must be strictly increasing")
+        known = set(elements)
+        for n in elements:
+            for d in divisors(n):
+                if d not in known:
+                    raise ValueError(f"{n} is present but its divisor {d} is not")
 
     @staticmethod
     def make(elems) -> "TruncationSet":
@@ -121,18 +132,6 @@ class TruncationSet:
         except ValueError as exc:
             raise ValueError(f"cannot parse truncation set {text!r}") from exc
         return TruncationSet.make(items)
-
-    def __post_init__(self):
-        elems = self.elements
-        if not elems or elems[0] != 1:
-            raise ValueError("a truncation set must contain 1")
-        if list(elems) != sorted(set(elems)):
-            raise ValueError("elements must be strictly increasing")
-        known = set(elems)
-        for n in elems:
-            for d in divisors(n):
-                if d not in known:
-                    raise ValueError(f"{n} is present but its divisor {d} is not")
 
     def __contains__(self, n: int) -> bool:
         return n in self.elements

@@ -30,17 +30,15 @@ sources.  Readers may be concurrent; writers go through an atomic replace.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
-import tempfile
 import threading
-from dataclasses import dataclass
 
 from . import rings
 from .errors import BudgetExceeded, CertificationError, IntegralityViolation
 from .exprs import MAX_BITS, read_int
 from .mpoly import MPoly, Q, xvar, yvar
+from .report import FrozenRecord
 from .truncset import TruncationSet, divisors
 
 WEIGHT_TERMS = 1 << 10  # the most terms of a qbar ghost weight
@@ -59,17 +57,19 @@ def _geometric_sum(g: tuple, m: int) -> tuple:
     return total
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(FrozenRecord):
     """A deformation family tag plus its parameters.
 
     ``g`` (coefficient tuple) is the base-change polynomial for ``qbar``;
     ``q`` is the fixed deformation integer for ``lenart``.
     """
 
-    tag: str
-    g: tuple[int, ...] | None = None
-    q: int | None = None
+    __slots__ = ("tag", "g", "q")
+
+    def __init__(self, tag: str, g: tuple[int, ...] | None = None, q: int | None = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "q", q)
 
     @staticmethod
     def classical() -> "Family":
@@ -155,16 +155,11 @@ class Family:
         raise ValueError(f"unknown family tag {self.tag!r}")
 
 
-@dataclass(frozen=True)
-class UniversalPolySet:
+class UniversalPolySet(FrozenRecord):
     """All structure polynomials of one family on one truncation set."""
 
-    family: Family
-    tset: TruncationSet
-    sigma: dict[int, MPoly]
-    pi: dict[int, MPoly]
-    neg: dict[int, MPoly]
-    frob: dict[int, dict[int, MPoly]]
+    # sigma, pi and neg are {n: MPoly} over S; frob is {m: {v: MPoly}}, v in S/m
+    __slots__ = ("family", "tset", "sigma", "pi", "neg", "frob")
 
     def law(self, kind: str):
         if kind == "add":
@@ -298,6 +293,8 @@ def _cache_file(family: Family, tset: TruncationSet) -> str | None:
 def _code_tag() -> bytes:
     """The sha256 of the package's sources, which every entry's hash covers,
     so an entry that other code wrote fails its hash."""
+    import hashlib
+
     h = hashlib.sha256()
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):
@@ -308,6 +305,8 @@ def _code_tag() -> bytes:
 
 
 def _digest(blob: bytes) -> bytes:
+    import hashlib
+
     return hashlib.sha256(_code_tag() + blob).hexdigest().encode()
 
 
@@ -352,6 +351,8 @@ def _disk_store(ps: UniversalPolySet) -> None:
             **{k: [getattr(ps, k)[n].to_rows() for n in s] for k in _LAWS},
             "frob": [[ps.frob[m][v].to_rows() for v in s.quotient(m)] for m in s],
         }, separators=(",", ":")).encode()
+        import tempfile
+
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:

@@ -61,7 +61,6 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from threading import Lock
 
@@ -73,15 +72,18 @@ from .errors import (
 )
 from .exprs import FREE_EXPONENT
 from .mpoly import MPoly
+from .report import FrozenRecord
 from .rings import Ring, ZRing, ZqRing, ZP_Q, _zp_pack, _zp_unpack, bounded_int_pow, zp_add
 from .truncset import TruncationSet, divisors
 from .universal import Family
 
 
-@dataclass(frozen=True)
-class WittVector:
-    context: "WittCoeffRing"
-    coords: tuple
+class WittVector(FrozenRecord):
+    __slots__ = ("context", "coords")
+
+    def __init__(self, context: "WittCoeffRing", coords: tuple):  # one coordinate per n in S
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def family(self) -> Family:

@@ -267,6 +267,21 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+# An expression that ends where the grammar needs more is named, with its
+# text, not as a token None.
+UNFINISHED = [
+    (["polys", "--family", "qbar:1+", "--set", "1,2", "--law", "add"], "'1+'"),
+    (["polys", "--family", "qbar:(1", "--set", "1,2", "--law", "add"], "'(1'"),
+    (["ringlaw", "verify", "--ring", "z", "--F", "x*y*", "--G", "x*y"], "'x*y*'"),
+]
+
+
+@pytest.mark.parametrize("argv, text", UNFINISHED, ids=[row[1] for row in UNFINISHED])
+def test_an_unfinished_expression_is_named_as_such(capsys, argv, text):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: unexpected end of expression {text}\n"
+
+
 def test_missing_input_fields_are_usage_errors(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
@@ -677,3 +692,29 @@ def test_polys_output_matches_its_golden_digests(capsys):
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == POLYS_GOLDEN[("qbar", "1,2,4,8")]
+
+
+# What ``import qwitt.cli`` must not load: every command pays for its start-up,
+# so the modules of one command are imported inside it, and only the disk
+# cache needs hashlib.  ``dataclasses`` brings inspect, ast, dis and tokenize.
+NOT_AT_START = ["dataclasses", "inspect", "hashlib", "qwitt.suites", "qwitt.systems",
+                "qwitt.indwitt", "qwitt.onedim", "qwitt.qdeform"]
+STARTUP = """import json, sys
+start = set(sys.modules)
+import qwitt
+package = set(sys.modules) - start
+import qwitt.cli
+print(json.dumps([sorted(package), sorted(set(sys.modules) - start)]))
+"""
+
+
+def test_the_cli_starts_with_only_what_every_command_needs():
+    # a fresh interpreter, as pytest's has imported everything; modules that
+    # the interpreter itself loaded at start are not the package's doing
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    package, cli = json.loads(proc.stdout)
+    assert "qwitt.cli" in cli and "dataclasses" not in package
+    assert [name for name in NOT_AT_START if name in cli] == []
