@@ -570,6 +570,7 @@ LIMITED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1
 P = "100000007"
 ONE_ZERO = {"a": {"coords": {"1": "1", P: "0"}}, "b": {"coords": {"1": "0", P: "0"}}}
 ZEROS = {str(n): "0" for n in (2, 4, 8, 16, 32)}
+Z248 = {str(n): "0" for n in (2, 4, 8)}
 WIDE = {"a": {"coords": {"1": "2^16000000", **ZEROS}}, "b": {"coords": {"1": "0", **ZEROS}}}
 
 
@@ -596,6 +597,9 @@ def _eval(family, ring, tset, op="add"):
 #   term a_1^32 on the divisors of 32 takes 512M bits; over zmod the
 #   coordinate is reduced as it is read.
 # - subsets: ``systems verify`` walked all 2^(|S|-1) subsets of S.
+# - split-width: a_1 = 10^100000 on {1,2,4,8} over Z[q] takes a slot width
+#   of about 2.7M bits, where the mask of the one digit check took time
+#   quadratic in the width (17 s; under 3 s once built by doubling).
 BOUNDED = [
     ("modulus-eval", _eval("classical", "zmod:100000000000000000039", "1,2", "neg"),
      {"a": {"coords": {"1": "3", "2": "1"}}},
@@ -621,6 +625,9 @@ BOUNDED = [
     ("input-bits-zq", _eval("classical", "zq", "32"), WIDE, 1, 2),
     ("input-bits-zmod", _eval("classical", "zmod:7", "32"), WIDE,
      {"coords": {"1": str(pow(2, 16000000, 7)), **ZEROS}}, 2),
+    ("split-width-zq", _eval("qdef", "zq", "1,2,4,8"),
+     {"a": {"coords": {"1": "10^100000", **Z248}}, "b": {"coords": {"1": "0", **Z248}}},
+     {"coords": {"1": "1" + "0" * 100000, **Z248}}, 8),
     ("subsets-1-24", ["systems", "verify", "--instance",
                       "witt:z:" + ",".join(map(str, range(1, 25))), "--budget", "2"], None, 1, 2),
     ("subsets-720720", ["systems", "verify", "--instance", "witt:zmod:3:720720", "--budget", "2"],

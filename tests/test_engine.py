@@ -914,3 +914,47 @@ def test_split_reads_what_zp_unpack_reads(s, data):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(witt, "_SIGNED", formats)
             assert _outcome(witt._split, cs, s, ns) == want
+
+
+def _split_cases(s):
+    """(polys, ns) for :func:`witt._split` at width s: one long coordinate
+    next to short and empty ones, in every position, with and without the
+    check, and failing digits in short coordinates after a long one, one of
+    them with more balanced digits than its bit length gives."""
+    top = 1 << (s - 4)  # 7*top < 2^(s-1): passes the check of each n below
+    long = tuple((-1) ** i * (top - i) for i in range(40))
+    cases = [([long, (), (1,), (0, 0, -3)], None),
+             ([(), (-top,), long, ()], None),
+             ([(2,), (), (-1, 1), long], None),
+             ([long, (), (5,), (top - 1, 0, -top)], (1, 2, 3, 6)),
+             ([(), long[:3], (1,) * 9, long], (1, 2, 4, 5)),
+             ([(7,), long, ()], (1, 3, 7))]
+    half = 1 << (s - 1)
+    big = -(-half // 3)  # 3*big >= 2^(s-1): fails the check of 3, passes that of 2
+    cases += [([long, (1, 2), (0, big)], (1, 2, 3)),  # names 3
+              ([long, (0, big), (0, -big), ()], (1, 2, 3, 6)),  # names 3, not 2 or 6
+              ([long, (big,), (big,)], (1, 3, 5)),  # names 3, the first to fail
+              ([long, (top,), (big // 2,)], (1, 2, 5)),  # fails the one check only: no error
+              # bit length 2s-1, three balanced digits: one more than its block
+              ([long, (-1, -half, 1), (3,)], (1, 2, 3)),  # names 2
+              ([(5,), long, (-1, -half, 1)], (1, 2, 3))]  # names 3, the last block
+    return cases
+
+
+@pytest.mark.parametrize("s", [8, 16, 32, 64, 80])
+def test_split_reads_coordinates_of_very_different_lengths(s):
+    # each integer has a block of its own length, so a long coordinate must
+    # not shift or pad the short ones, nor hide a failing digit after it, and
+    # a digit that carries out of its block must not hide the first failure
+    named = []
+    for polys, ns in _split_cases(s):
+        cs = tuple(rings._zp_pack(p, s) for p in polys)
+        want = _split_reference(cs, s, ns)
+        assert want == tuple(polys) or isinstance(want, str)
+        named.append(want if isinstance(want, str) else None)
+        for formats in (witt._SIGNED, {}):  # struct reads, and _zp_unpack per integer
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(witt, "_SIGNED", formats)
+                assert _outcome(witt._split, cs, s, ns) == want, (polys, ns)
+    assert named[-6:] == [str(witt._unreachable(n)) for n in (3, 3, 3)] + [None] + [
+        str(witt._unreachable(n)) for n in (2, 3)]

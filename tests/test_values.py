@@ -8,7 +8,7 @@ import pytest
 
 from qwitt import indwitt, onedim, qdeform, witt
 from qwitt.report import Check, Report
-from qwitt.rings import Z
+from qwitt.rings import Z, ZQ, parse_ring
 from qwitt.truncset import TruncationSet
 from qwitt.universal import Family, UniversalPolySet, derive
 
@@ -136,3 +136,40 @@ def test_reprs_read_as_before():
     assert repr(ident.report).startswith(
         "Report(name='qbar[-q+1] ~ qdef[q] on 1', checks=[Check(name='fixes-first-coordinate', "
         "passed=True, detail=''), ")
+
+
+def _op_results():
+    """(name, the result of an op, and the context and coordinates that the
+    context's own op gives) for add, mul, neg and F_2 over Z, Z/6 and Z[q]."""
+    tset = TruncationSet.make([4])
+    out = []
+    for ring, family, coords in ((Z, Family.classical(), ([3, 1, -2], [2, 5, 7])),
+                                 (parse_ring("zmod:6"), Family.lenart(2), ([3, 1, 4], [2, 5, 1])),
+                                 (ZQ, Family.qdef(), ([(1, 2), (), (0, -1)], [(3,), (1, 1), ()]))):
+        a, b = (witt.make(family, tset, ring, c) for c in coords)
+        ctx, x, y = a.context, a.coords, b.coords
+        for op, v, want in (("add", witt.add(a, b), (ctx, ctx.add(x, y))),
+                            ("mul", witt.mul(a, b), (ctx, ctx.mul(x, y))),
+                            ("neg", witt.neg(a), (ctx, ctx.neg(x))),
+                            ("frob2", witt.frobenius(a, 2),
+                             (ctx.on(tset.quotient(2)), ctx.frobenius(2, x)))):
+            out.append((f"{op}-{ring.descriptor}", v, *want))
+    return out
+
+
+@pytest.mark.parametrize("v, ctx, coords", [pytest.param(*row[1:], id=row[0]) for row in _op_results()])
+def test_op_results_are_the_vectors_of_their_coordinates(v, ctx, coords):
+    # add, mul, neg and frobenius build their result without __init__
+    same = witt.WittVector(ctx, coords)
+    assert type(v) is witt.WittVector and v == same and hash(v) == hash(same)
+    assert len({v, same}) == 1 and v != (ctx, coords)
+    for field in ("context", "coords"):
+        with pytest.raises(AttributeError):
+            setattr(v, field, None)
+        with pytest.raises(AttributeError):
+            delattr(v, field)
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    back = pickle.loads(pickle.dumps(v))
+    assert back == v and back.context is ctx  # contexts come back interned
+    assert repr(v) == repr(same) and repr(v).startswith(f"W[{ctx.family.label()};{ctx.tset}](")
