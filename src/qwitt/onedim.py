@@ -13,11 +13,12 @@ from __future__ import annotations
 import random
 
 from . import exprs
-from .errors import NotInNormalForm, UnsupportedRingOperation
+from .errors import BudgetExceeded, NotInNormalForm, UnsupportedRingOperation
 from .report import Record, Report
 from .rings import DualRing, Ring, ZqRing, ZRing
 
 _VARS = ("x", "y", "z")
+MUL_PAIRS = 1 << 20  # the most term pairs of a product; composing (x+y+1)^10 makes 276,276
 
 
 class RingPoly:
@@ -71,6 +72,8 @@ class RingPoly:
         return self.add(other.neg())
 
     def mul(self, other: "RingPoly") -> "RingPoly":
+        if len(self._t) * len(other._t) > MUL_PAIRS:
+            raise BudgetExceeded(f"a law product passes the budget of {MUL_PAIRS} term pairs")
         ring = self.ring
         out: dict = {}
         for k1, v1 in self._t.items():

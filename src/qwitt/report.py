@@ -44,7 +44,7 @@ class Record:
 
 class FrozenRecord(Record):
     """A :class:`Record` that refuses assignment, hashed by its fields.  Those
-    built on every Witt op set their fields in their own, faster ``__init__``."""
+    built on every Witt op set their fields through their slots' own setters."""
 
     __slots__ = ()
 

@@ -851,8 +851,9 @@ def parse_ring(text: str) -> Ring:
     if text.startswith("zmod:"):
         return ZModRing(exprs.read_int(text.split(":", 1)[1]))
     if text.startswith("twist:"):
-        rest = text[len("twist:"):]
-        base_desc, elem = rest.rsplit(":", 1)
+        base_desc, sep, elem = text[len("twist:"):].rpartition(":")
+        if not sep:
+            raise ValueError(f"expected twist:<base>:<element>, got {text!r}")
         base = parse_ring(base_desc)
         return TwistedRing(base, base.from_str(elem))
     if text.startswith("witt:"):
@@ -860,7 +861,9 @@ def parse_ring(text: str) -> Ring:
         from .truncset import TruncationSet
         from .universal import Family
 
-        rest, setpart = text[len("witt:"):].rsplit(":", 1)
+        rest, sep, setpart = text[len("witt:"):].rpartition(":")
+        if not sep:
+            raise ValueError(f"expected witt:[<family>@]<base>:<set>, got {text!r}")
         label, base_desc = "", rest
         if rest.startswith(("qdef", "qbar", "lenart")):
             label, _, base_desc = rest.partition("@")

@@ -90,7 +90,7 @@ class TruncationSet(FrozenRecord):
     __slots__ = ("elements",)
 
     def __init__(self, elements: tuple[int, ...]):
-        object.__setattr__(self, "elements", elements)
+        _set_elements(self, elements)
         if not elements or elements[0] != 1:
             raise ValueError("a truncation set must contain 1")
         if list(elements) != sorted(set(elements)):
@@ -217,4 +217,5 @@ def _prime_complement(elements: tuple[int, ...], n: int) -> TruncationSet:
     return TruncationSet(tuple(v for v in elements if v % n != 0))
 
 
+_set_elements = TruncationSet.elements.__set__
 ONE_SET = TruncationSet((1,))

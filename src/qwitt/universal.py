@@ -67,9 +67,9 @@ class Family(FrozenRecord):
     __slots__ = ("tag", "g", "q")
 
     def __init__(self, tag: str, g: tuple[int, ...] | None = None, q: int | None = None):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "q", q)
+        _set_tag(self, tag)
+        _set_g(self, g)
+        _set_q(self, q)
 
     @staticmethod
     def classical() -> "Family":
@@ -153,6 +153,11 @@ class Family(FrozenRecord):
         if self.tag == "qbar":
             return MPoly.from_zpoly(self._qbar_alpha())
         raise ValueError(f"unknown family tag {self.tag!r}")
+
+
+_set_tag = Family.tag.__set__
+_set_g = Family.g.__set__
+_set_q = Family.q.__set__
 
 
 class UniversalPolySet(FrozenRecord):

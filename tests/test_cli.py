@@ -282,6 +282,13 @@ def test_an_unfinished_expression_is_named_as_such(capsys, argv, text):
     assert capsys.readouterr().err == f"usage error: unexpected end of expression {text}\n"
 
 
+@pytest.mark.parametrize("ring, form", [("twist:z", "twist:<base>:<element>"),
+                                        ("witt:z", "witt:[<family>@]<base>:<set>")])
+def test_a_malformed_ring_descriptor_names_its_format(capsys, ring, form):
+    assert main(["ringlaw", "verify", "--ring", ring, "--F", "x+y", "--G", "x*y"]) == 2
+    assert capsys.readouterr().err == f"usage error: expected {form}, got {ring!r}\n"
+
+
 def test_missing_input_fields_are_usage_errors(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
@@ -597,6 +604,8 @@ def _eval(family, ring, tset, op="add"):
 #   term a_1^32 on the divisors of 32 takes 512M bits; over zmod the
 #   coordinate is reduced as it is read.
 # - subsets: ``systems verify`` walked all 2^(|S|-1) subsets of S.
+# - ringlaw-compose: the law checks substitute G = (x+y+1)^60 into itself,
+#   and the products of its powers had no bound on their terms.
 # - split-width: a_1 = 10^100000 on {1,2,4,8} over Z[q] takes a slot width
 #   of about 2.7M bits, where the mask of the one digit check took time
 #   quadratic in the width (17 s; under 3 s once built by doubling).
@@ -632,6 +641,8 @@ BOUNDED = [
                       "witt:z:" + ",".join(map(str, range(1, 25))), "--budget", "2"], None, 1, 2),
     ("subsets-720720", ["systems", "verify", "--instance", "witt:zmod:3:720720", "--budget", "2"],
      None, 1, 2),
+    ("ringlaw-compose", ["ringlaw", "verify", "--ring", "z", "--F", "x+y", "--G", "(x+y+1)^60"],
+     None, 1, 5),
 ]
 
 

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from qwitt import indwitt, onedim, qdeform, witt
+from qwitt import indwitt, onedim, qdeform, systems, witt
 from qwitt.report import Check, Report
 from qwitt.rings import Z, ZQ, parse_ring
 from qwitt.truncset import TruncationSet
@@ -139,27 +139,43 @@ def test_reprs_read_as_before():
 
 
 def _op_results():
-    """(name, the result of an op, and the context and coordinates that the
-    context's own op gives) for add, mul, neg and F_2 over Z, Z/6 and Z[q]."""
-    tset = TruncationSet.make([4])
+    """(name, the value a public builder returns, and the context and
+    coordinates it must hold) over Z, Z/6 and Z[q]: the four ring ops and
+    int_scale against the context's own ops; the rest against coordinates
+    read off their input."""
+    tset, low = TruncationSet.make([4]), TruncationSet.make([2])
     out = []
     for ring, family, coords in ((Z, Family.classical(), ([3, 1, -2], [2, 5, 7])),
                                  (parse_ring("zmod:6"), Family.lenart(2), ([3, 1, 4], [2, 5, 1])),
                                  (ZQ, Family.qdef(), ([(1, 2), (), (0, -1)], [(3,), (1, 1), ()]))):
         a, b = (witt.make(family, tset, ring, c) for c in coords)
-        ctx, x, y = a.context, a.coords, b.coords
-        for op, v, want in (("add", witt.add(a, b), (ctx, ctx.add(x, y))),
-                            ("mul", witt.mul(a, b), (ctx, ctx.mul(x, y))),
-                            ("neg", witt.neg(a), (ctx, ctx.neg(x))),
-                            ("frob2", witt.frobenius(a, 2),
-                             (ctx.on(tset.quotient(2)), ctx.frobenius(2, x)))):
-            out.append((f"{op}-{ring.descriptor}", v, *want))
+        ctx, x, y, z = a.context, a.coords, b.coords, ring.zero()
+        f = witt.frobenius(a, 2)
+        rows = [("add", witt.add(a, b), (ctx, ctx.add(x, y))),
+                ("mul", witt.mul(a, b), (ctx, ctx.mul(x, y))),
+                ("neg", witt.neg(a), (ctx, ctx.neg(x))),
+                ("frob2", f, (ctx.on(low), ctx.frobenius(2, x))),
+                ("int_scale", witt.int_scale(3, a), (ctx, ctx.int_scale(3, x))),
+                ("verschiebung", witt.verschiebung(f, 2, tset), (ctx, (z, *f.coords))),
+                ("project", witt.project(a, low), (ctx.on(low), x[:2])),
+                ("section", witt.section(witt.project(a, low), tset), (ctx, (*x[:2], z))),
+                ("map_coords", witt.map_coords(a, lambda c: c, ring), (ctx, x)),
+                ("vector_from_json", witt.vector_from_json(family, tset, ring,
+                                                           witt.vector_to_json(a)), (ctx, x))]
+        if ring.torsion_free:
+            rows.append(("unghost", witt.unghost(family, tset, ring, witt.ghost(a)), (ctx, x)))
+        else:
+            last = list(witt.enumerate_vectors(family, tset, ring))[-1]
+            rows.append(("enumerate_vectors", last, (ctx, (ring.from_int(5),) * 3)))
+        out += [(f"{op}-{ring.descriptor}", v, *want) for op, v, want in rows]
+    a = witt.make(Family.classical(), TruncationSet.make([6]), Z, [3, 1, -2, 5])
+    iso = systems.NestingIso(TruncationSet.make([2]), TruncationSet.make([3]), Z)
+    out.append(("nesting_backward-z", iso.backward(iso.forward(a)), a.context, a.coords))
     return out
 
 
 @pytest.mark.parametrize("v, ctx, coords", [pytest.param(*row[1:], id=row[0]) for row in _op_results()])
 def test_op_results_are_the_vectors_of_their_coordinates(v, ctx, coords):
-    # add, mul, neg and frobenius build their result without __init__
     same = witt.WittVector(ctx, coords)
     assert type(v) is witt.WittVector and v == same and hash(v) == hash(same)
     assert len({v, same}) == 1 and v != (ctx, coords)
