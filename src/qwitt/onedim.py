@@ -96,13 +96,17 @@ class RingPoly:
     def substitute(self, mapping: dict[str, "RingPoly"]) -> "RingPoly":
         ring = self.ring
         acc = RingPoly.zero(ring)
+        powers: dict = {}  # (name, e) -> the substituted power, made once
         for key, c in self._t.items():
             term = RingPoly.const(ring, c)
             for name, e in zip(_VARS, key):
                 if not e:
                     continue
-                sub = mapping.get(name, RingPoly.var(ring, name))
-                term = term.mul(sub.pow(e))
+                power = powers.get((name, e))
+                if power is None:
+                    sub = mapping.get(name, RingPoly.var(ring, name))
+                    power = powers[name, e] = sub.pow(e)
+                term = term.mul(power)
             acc = acc.add(term)
         return acc
 

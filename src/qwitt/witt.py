@@ -37,8 +37,10 @@ holds those values and comes in three kinds:
   with the divisions, and over ``zmod`` the reduction mod m, inline.  Over
   Z[q] a whole op is packed once: every input coordinate is evaluated at
   q = 2^s, the rows run on the packed integers at the weights packed too,
-  and :func:`_split` unpacks the results, with s from 1-norm bounds on
-  everything the op computes.  Every quotient's digits are checked, since
+  and the results are unpacked, with s from 1-norm bounds on everything
+  the op computes: at 8, 16, 32 or 64 bits on a little-endian host by one
+  ``struct`` read of all their digits, written into the method, and at any
+  other width by :func:`_split`.  Every quotient's digits are checked, since
   the packed integer can be divisible by n when the polynomial is not;
   :class:`_PackedLoops` proves that the checks catch exactly those cases.
   Each method of a shape's classes is generated and compiled on its first
@@ -566,7 +568,11 @@ def _kernel_source(shape, kind: str, name: str) -> str:
     ``add``, ``mul``, ``neg`` or ``frob<m>`` for an m in S.  The text is
     built from the shape's integers alone; the values are read from the
     objects, as the flat weights w0, w1, ... (their 1-norms v0, v1, ...),
-    T and M."""
+    T and M.  A ``Packed`` method reads its results' digits itself where
+    :func:`_split` has a ``struct`` format for s: it lays the blocks out
+    as _split does, takes all their digits with one ``struct`` read,
+    checks them with one masked add, and calls :func:`_check_each` only
+    when that fails; at any other s it returns through _split."""
     rows = _positioned(shape)
     size, count = len(rows), sum(len(t) for _, _, t in rows)
 
@@ -597,6 +603,22 @@ def _kernel_source(shape, kind: str, name: str) -> str:
 
     def bound(row, xs):  # the bound G_n on the 1-norm of a ghost component
         return ghost(row, [f"n{x}" for x in xs], "v")
+
+    def read(m, ns):  # the digits of c0, ..., c(m-1) at s, as _split reads them
+        last, j = f"e{m - 1}", 1 if ns is None else ns[-1].bit_length()
+        lines = ["code = R.get(s)",
+                 f"if code is None: return S(({listed('c', m)}), s, {ns})",
+                 "e0 = c0.bit_length() // s + 1"]
+        lines += [f"e{k} = e{k - 1} + c{k}.bit_length() // s + 1" for k in range(1, m)]
+        lines += ["z = c0" + "".join(f" + (c{k} << s*e{k - 1})" for k in range(1, m)),
+                  f"bias, low, outside = B(s, {last} + 1, {j})",
+                  f"d = D({last}, code)(((z + bias) ^ bias).to_bytes(({last} + 1)*s >> 3, "
+                  "'little'))",
+                  "out = (" + "".join(f"d[{f'e{k - 1}' if k else ''}:e{k}] if c{k} else (), "
+                                      for k in range(m)) + ")"]
+        if ns is not None:
+            lines.append(f"if (z + low) & outside: K(out, s, {ns})")
+        return lines + ["return out"]
 
     # the op: its arguments, the rows at which it takes ghost components,
     # and the rows sub it inverts them over (None: the ghost, which
@@ -658,11 +680,11 @@ def _kernel_source(shape, kind: str, name: str) -> str:
         lines += [f"{x}{k} = P({x}{k}, s)" for x in args for k in range(size)]
         if sub is None:
             lines += [f"c{k} = {g}" for k, g in enumerate(gs)]
-            lines.append(f"return S(({listed('c', size)}), s, None)")
+            lines += read(size, None)
         else:
             ns = tuple(n for _, n, _ in sub)
             lines += invert(sub, gs, lambda k, n: f"F(s, ({listed('c', k)}), {ns[:k]}, {n})")
-            lines.append(f"return S(({listed('c', len(sub))}), s, {ns})")
+            lines += read(len(sub), ns)
     return "\n".join([f"def {name}(self, {', '.join(args)}):"] + ["    " + line for line in lines])
 
 
@@ -768,8 +790,8 @@ def _packed_at(weights, twist, constant: bool):
 
 
 # The slot widths of the Z[q] ops up to 64 bits: s is rounded up to 8, 16,
-# 32 or 64 (_ALIGNED[s]), so that :func:`_split` reads every slot as one
-# machine integer.
+# 32 or 64 (_ALIGNED[s]), so that every slot is read as one machine
+# integer, by :func:`_split` or by the generated methods.
 _ALIGNED = (8,) * 9 + (16,) * 8 + (32,) * 16 + (64,) * 32
 # the struct formats of the widths, for little-endian bytes
 _SIGNED = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
@@ -828,7 +850,12 @@ def _split(cs, s: int, ns) -> tuple:
     up to the first such c are its digits, and :func:`_check_each` names
     the same n as on whole expansions.  At any other width each integer is
     checked against the same mask and read by :func:`_zp_unpack`, which
-    skips runs of zeros."""
+    skips runs of zeros.
+
+    The generated Z[q] methods read their results at 8 to 64 bits in the
+    same layout, inline, with one ``struct`` read of all the blocks
+    (:func:`_kernel_source`).  This function reads for them at the other
+    widths, and for :class:`_PackedLoops` and :func:`_failed`."""
     j = 1 if ns is None else ns[-1].bit_length()
     code = _SIGNED.get(s)
     if code is None:
@@ -876,7 +903,8 @@ def _failed(s: int, cs, ns, n: int) -> NotInGhostImage:
 
 # the names the generated methods read besides their arguments
 _KERNEL_GLOBALS = {"U": _unreachable, "L": _ALIGNED, "P": _zp_pack, "S": _split,
-                   "F": _failed, "E": bounded_int_pow}
+                   "F": _failed, "E": bounded_int_pow, "R": _SIGNED, "B": _biases,
+                   "D": _reader, "K": _check_each}
 
 
 class WittCoeffRing(Ring):

@@ -824,6 +824,46 @@ def test_generated_zq_ops_match_the_reference_methods(elems, fam, xs, ys, k, bum
     assert _zq_outcomes(ctx, a, b, k, bump) == _zq_outcomes(ref, a, b, k, bump)
 
 
+LONG = tuple((-1) ** i * (i + 1) for i in range(40))
+# (a, b) on {1,2,3,6}: zero coordinates, a long coordinate next to short
+# ones, negative multi-digit coefficients, and digits from one bit to past
+# 64 bits
+INLINE_CASES = [
+    (((1,), (), (), ()), ((), (-1,), (), ())),
+    (((-1, 1), (), (), ()), ((), (), (1,), ())),
+    (((-300, 7, -(2**11)), (), (0, -5), (1,)), ((2,), (-(2**9) + 1, -1), (), (-3, 0, 4))),
+    ((LONG, (), (-1,), (0, 0, -2)), ((), (-2,), LONG[:5], ())),
+    (((2**9,), (), (1, -(2**9), 0, 2), (-3,)), ((-1, 1), LONG[:3], (), (2**9, 2**9))),
+]
+
+
+def test_generated_zq_ops_read_their_digits_inline(monkeypatch):
+    # up to 64 bits a generated op reads all its results' digits with one
+    # struct read and never calls _split; above, it returns through _split;
+    # either way it gives what _PackedLoops gives, errors included
+    split_widths, real = [], witt._split
+    monkeypatch.setitem(witt._KERNEL_GLOBALS, "S",
+                        lambda cs, s, ns: split_widths.append(s) or real(cs, s, ns))
+    seen = set()
+    for family, q in ZQ_FAMILIES:
+        ctx = witt.WittCoeffRing(ZQ, TruncationSet.make([1, 2, 3, 6]), family, q)
+        ref = _reference_twin(ctx)
+        widths = _widths(monkeypatch, ctx)
+        for k, (a, b) in enumerate(INLINE_CASES):
+            bump = BUMPS[k % len(BUMPS)]
+            assert _zq_outcomes(ctx, a, b, k, bump) == _zq_outcomes(ref, a, b, k, bump)
+        seen.update(widths)
+    assert {8, 16, 32, 64} <= seen and max(seen) > 64
+    assert split_widths and min(split_widths) > 64
+
+
+def _patch_kernel_name(monkeypatch, attr, key, value):
+    """Set witt.<attr> and the name ``key`` that the generated methods read
+    it by (witt._KERNEL_GLOBALS) to value, for one test."""
+    monkeypatch.setattr(witt, attr, value)
+    monkeypatch.setitem(witt._KERNEL_GLOBALS, key, value)
+
+
 def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
     # on {1,3,9}, the vector (1, 2-q, -2) of ghost components leaves 1-q
     # in row 3 at s = 8, where it packs to -255 and divides by 3; row 9
@@ -833,10 +873,11 @@ def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
     ctx = witt.WittCoeffRing(ZQ, s139)
     widths, each = _widths(monkeypatch, ctx), []
     real = witt._check_each
-    monkeypatch.setattr(witt, "_check_each", lambda *args: each.append(args) or real(*args))
+    _patch_kernel_name(monkeypatch, "_check_each", "K",
+                       lambda *args: each.append(args) or real(*args))
     gs = ((1,), (2, -1), (-2,))
-    for formats in (witt._SIGNED, {}):  # one masked add on all digits, and one per integer
-        monkeypatch.setattr(witt, "_SIGNED", formats)
+    for formats in (witt._SIGNED, {}):  # the inline read of all digits, and _split
+        _patch_kernel_name(monkeypatch, "_SIGNED", "R", formats)
         widths.clear()
         each.clear()
         with pytest.raises(NotInGhostImage, match="component 3 ") as got:
@@ -848,13 +889,17 @@ def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
 def test_exact_ops_pass_the_check_on_all_digits(monkeypatch):
     # the slack makes the one check pass whenever every division is exact,
     # so the check of each n never runs on a result, in the generated ops
-    # or in _PackedLoops
+    # or in _PackedLoops; it does run where a quotient is not exact, so the
+    # refusal is seen to reach the code that reads the digits
     def refuse(*args):
-        raise AssertionError("the check of each n ran on exact quotients")
+        raise AssertionError("the check of each n ran")
 
-    monkeypatch.setattr(witt, "_check_each", refuse)
-    for formats in (witt._SIGNED, {}):  # one masked add on all digits, and one per integer
-        monkeypatch.setattr(witt, "_SIGNED", formats)
+    _patch_kernel_name(monkeypatch, "_check_each", "K", refuse)
+    inexact = witt.WittCoeffRing(ZQ, TruncationSet.make([9]))  # as in the test above
+    for formats in (witt._SIGNED, {}):  # the inline read of all digits, and _split
+        _patch_kernel_name(monkeypatch, "_SIGNED", "R", formats)
+        with pytest.raises(AssertionError, match="check of each n ran"):
+            inexact.unghost(((1,), (2, -1), (-2,)))
         rng = random.Random(10)
         for elems in ((1, 2), (1, 2, 4), (1, 2, 3, 6), tuple(range(1, 13))):
             tset = TruncationSet.make(elems)
