@@ -96,17 +96,19 @@ class RingPoly:
     def substitute(self, mapping: dict[str, "RingPoly"]) -> "RingPoly":
         ring = self.ring
         acc = RingPoly.zero(ring)
-        powers: dict = {}  # (name, e) -> the substituted power, made once
+        # name -> [sub^0, sub^1, ...]: each power is made once, from the one below it, as pow does
+        chains = {name: [RingPoly.const(ring, ring.one())] for name in _VARS}
         for key, c in self._t.items():
             term = RingPoly.const(ring, c)
             for name, e in zip(_VARS, key):
                 if not e:
                     continue
-                power = powers.get((name, e))
-                if power is None:
+                chain = chains[name]
+                if len(chain) <= e:
                     sub = mapping.get(name, RingPoly.var(ring, name))
-                    power = powers[name, e] = sub.pow(e)
-                term = term.mul(power)
+                    while len(chain) <= e:
+                        chain.append(chain[-1].mul(sub))
+                term = term.mul(chain[e])
             acc = acc.add(term)
         return acc
 

@@ -39,10 +39,11 @@ holds those values and comes in three kinds:
   q = 2^s, the rows run on the packed integers at the weights packed too,
   and the results are unpacked, with s from 1-norm bounds on everything
   the op computes: at 8, 16, 32 or 64 bits on a little-endian host by one
-  ``struct`` read of all their digits, written into the method, and at any
-  other width by :func:`_split`.  Every quotient's digits are checked, since
-  the packed integer can be divisible by n when the polynomial is not;
-  :class:`_PackedLoops` proves that the checks catch exactly those cases.
+  ``struct`` read of all their digits (:func:`_read`), and at any other
+  width by :func:`_split`, one ``_zp_unpack`` each.  Every quotient's
+  digits are checked, since the packed integer can be divisible by n when
+  the polynomial is not; :class:`_PackedLoops` proves that the checks
+  catch exactly those cases.
   Each method of a shape's classes is generated and compiled on its first
   use, once per process, so a process compiles only the ops it runs;
 - integer loops: a set whose rows have more than ``KERNEL_MAX_TERMS``
@@ -456,14 +457,15 @@ class _PackedLoops(_LoopKernels):
     ||twist||_1 * G_a * G_b for mul, the rows at m*v for F_m), and in the
     inversion ||acc_n||_1 <= A_n = G_n + sum ||w||_1 * C_d^(n/d), with
     C_d = A_d // d >= ||c_d||_1.  The width is s = max C_n.bit_length() +
-    1 + j, j = max(S).bit_length(); up to 64 bits it is rounded up to 8,
-    16, 32 or 64, which :func:`_split` reads as machine integers.  Then
-    A_n < n*(C_n + 1) <= n*2^bitlen(C_n) < 2^(s-1), as n < 2^j, so every
-    coefficient of acc_n is below 2^(s-1) in size, and the balanced
-    base-2^s digits of the packed acc_n are its coefficients, because such
-    expansions are unique.  The
-    ghost, which divides nothing, takes s = max G_n.bit_length() + 2,
-    keeping its digits below 2^(s-2) in size as :func:`_split` needs.
+    1 + j, j = max(S).bit_length().  Then A_n < n*(C_n + 1) <=
+    n*2^bitlen(C_n) < 2^(s-1), as n < 2^j, so every coefficient of acc_n
+    is below 2^(s-1) in size, and the balanced base-2^s digits of the
+    packed acc_n are its coefficients, because such expansions are unique.
+    The ghost, which divides nothing, takes s = max G_n.bit_length() + 2,
+    keeping its digits below 2^(s-2) in size, as :func:`_read` needs.  Up
+    to 64 bits s is rounded up to 8, 16, 32 or 64, as the generated
+    methods round it.  _split needs no rounding, but the packed sizes, and
+    so where the size checks of powers raise BudgetExceeded, depend on s.
 
     The packed acc_n can be divisible by n when acc_n is not (1 - q packs
     to -255 at s = 8, a multiple of 3, 5 and 17), so each digit d of each
@@ -473,19 +475,10 @@ class _PackedLoops(_LoopKernels):
     the packed acc_n, hence its coefficients, so n divides acc_n.  The
     first n where the division or the check fails is thus the first where
     the coefficientwise division fails, and NotInGhostImage names it, as
-    over any other ring.
-
-    One check stands for the check of each n: every digit of every
-    quotient must lie in [-2^(s-1-i), 2^(s-1-i)), i <= j the bit length of
-    the largest n of the result (S, or S/m for F_m).  It implies the check
-    of each n, as n*2^(s-1-i) < 2^(s-1) for every such n.  It passes
-    whenever every division is exact, because each digit is then a
-    coefficient of c_n and |d| <= ||c_n||_1 <= C_n < 2^(s-1-j).  So it
-    fails only where some division is not exact, and only then does the
-    check of each n run, in order, to name the first (:func:`_check_each`).
-    Where the packed division of row n fails, the quotients before it are
-    checked in the same way first (:func:`_failed` in the generated
-    methods), since one of them may be the first to fail coefficientwise.
+    over any other ring.  Where the packed division of row n fails, the
+    quotients before it are checked first (:func:`_failed` in the
+    generated methods), since one of them may be the first to fail
+    coefficientwise.
     """
 
     __slots__ = ("at",)
@@ -557,6 +550,49 @@ def _power(x: str, e: int) -> str:
 _ARGS = {"ghost": "x", "unghost": "g", "add": "ab", "mul": "ab", "neg": "a"}
 
 
+def _listed(x: str, k: int) -> str:  # "x0, x1, ..., x(k-1), "
+    return "".join(f"{x}{j}, " for j in range(k))
+
+
+def _read(m: int, ns) -> list:
+    """The lines that end a generated Z[q] method, which read the digits
+    of its results c0, ..., c(m-1) packed at q = 2^s.  With ``ns`` the c's
+    are the quotients of a ghost inversion at rows ns and their digits are
+    checked; without, their digits are below 2^(s-2) in size.  At any s
+    without a ``struct`` format in _SIGNED they return through
+    :func:`_split`, the reference the tests hold this read to.
+
+    At 8, 16, 32 or 64 bits on a little-endian host, each c takes a block
+    of c.bit_length() // s + 1 slots, its digit count when its digits are
+    below 2^(s-2) in size, and the blocks are laid end to end in one
+    integer z with a spare slot on top.  Adding 2^(s-1) in every slot and
+    XOR-ing it back turns each digit into its s-bit two's complement, so
+    one ``to_bytes`` and one ``struct`` read take all the digits.  One
+    masked add checks that every digit lies in [-2^(s-1-j), 2^(s-1-j)), j
+    the bit length of max(ns).  That implies the check of each n, and
+    passes whenever every division is exact, as then |d| <= C_n <
+    2^(s-1-j) (:class:`_PackedLoops`); only when it fails does
+    :func:`_check_each` run, to name the first failing n.  A c with more
+    balanced digits than its block carries its top one into the next
+    block, and the top of its own block is then -2^(s-1), which fails
+    every n's check, so _check_each names the same n as on whole
+    expansions."""
+    last, j = f"e{m - 1}", 1 if ns is None else ns[-1].bit_length()
+    lines = ["code = R.get(s)",
+             f"if code is None: return S(({_listed('c', m)}), s, {ns})",
+             "e0 = c0.bit_length() // s + 1"]
+    lines += [f"e{k} = e{k - 1} + c{k}.bit_length() // s + 1" for k in range(1, m)]
+    lines += ["z = c0" + "".join(f" + (c{k} << s*e{k - 1})" for k in range(1, m)),
+              f"bias, low, outside = B(s, {last} + 1, {j})",
+              f"d = D({last}, code)(((z + bias) ^ bias).to_bytes(({last} + 1)*s >> 3, "
+              "'little'))",
+              "out = (" + "".join(f"d[{f'e{k - 1}' if k else ''}:e{k}] if c{k} else (), "
+                                  for k in range(m)) + ")"]
+    if ns is not None:
+        lines.append(f"if (z + low) & outside: K(out, s, {ns})")
+    return lines + ["return out"]
+
+
 def _kernel_source(shape, kind: str, name: str) -> str:
     """The source of one method of one kernel class of a shape.  The
     classes are ``Plain``, the :class:`_Kernels` of a context over Z; its
@@ -568,16 +604,10 @@ def _kernel_source(shape, kind: str, name: str) -> str:
     ``add``, ``mul``, ``neg`` or ``frob<m>`` for an m in S.  The text is
     built from the shape's integers alone; the values are read from the
     objects, as the flat weights w0, w1, ... (their 1-norms v0, v1, ...),
-    T and M.  A ``Packed`` method reads its results' digits itself where
-    :func:`_split` has a ``struct`` format for s: it lays the blocks out
-    as _split does, takes all their digits with one ``struct`` read,
-    checks them with one masked add, and calls :func:`_check_each` only
-    when that fails; at any other s it returns through _split."""
+    T and M.  A ``Packed`` method ends in the lines of :func:`_read`,
+    which read its results' digits."""
     rows = _positioned(shape)
     size, count = len(rows), sum(len(t) for _, _, t in rows)
-
-    def listed(x, k):  # "x0, x1, ..., x(k-1), "
-        return "".join(f"{x}{j}, " for j in range(k))
 
     def ghost(row, xs, w="w"):  # the ghost component of a row at the sum of the vectors xs
         def total(fmt):
@@ -604,22 +634,6 @@ def _kernel_source(shape, kind: str, name: str) -> str:
     def bound(row, xs):  # the bound G_n on the 1-norm of a ghost component
         return ghost(row, [f"n{x}" for x in xs], "v")
 
-    def read(m, ns):  # the digits of c0, ..., c(m-1) at s, as _split reads them
-        last, j = f"e{m - 1}", 1 if ns is None else ns[-1].bit_length()
-        lines = ["code = R.get(s)",
-                 f"if code is None: return S(({listed('c', m)}), s, {ns})",
-                 "e0 = c0.bit_length() // s + 1"]
-        lines += [f"e{k} = e{k - 1} + c{k}.bit_length() // s + 1" for k in range(1, m)]
-        lines += ["z = c0" + "".join(f" + (c{k} << s*e{k - 1})" for k in range(1, m)),
-                  f"bias, low, outside = B(s, {last} + 1, {j})",
-                  f"d = D({last}, code)(((z + bias) ^ bias).to_bytes(({last} + 1)*s >> 3, "
-                  "'little'))",
-                  "out = (" + "".join(f"d[{f'e{k - 1}' if k else ''}:e{k}] if c{k} else (), "
-                                      for k in range(m)) + ")"]
-        if ns is not None:
-            lines.append(f"if (z + low) & outside: K(out, s, {ns})")
-        return lines + ["return out"]
-
     # the op: its arguments, the rows at which it takes ghost components,
     # and the rows sub it inverts them over (None: the ghost, which
     # inverts nothing)
@@ -642,10 +656,10 @@ def _kernel_source(shape, kind: str, name: str) -> str:
     if kind != "Packed":
         # an op over Z: the rows at the weights, the result reduced mod M
         reduce = kind == "Reduced"
-        lines += [f"{listed('w', count)}= self.W"] if count else []
+        lines += [f"{_listed('w', count)}= self.W"] if count else []
         lines += ["T = self.T"] if name == "mul" else []
         lines += ["M = self.M"] if reduce else []
-        lines += [listed(x, size) + f"= {x}" for x in args]
+        lines += [_listed(x, size) + f"= {x}" for x in args]
         if sub is None:
             lines += [f"c{k} = {g}" for k, g in enumerate(gs)]
         else:
@@ -655,13 +669,12 @@ def _kernel_source(shape, kind: str, name: str) -> str:
     else:
         # an op over Z[q]: the 1-norms of the inputs, the ghost bounds G
         # and, inverting, the bounds A_n and C_n; the width (from G, or
-        # from C); the packed inputs, the rows, and one split of the
-        # results
+        # from C); the packed inputs, the rows, and the read of the results
         bounds = components(True)
-        lines += [f"{listed('v', count)}= self.W"] if count else []
+        lines += [f"{_listed('v', count)}= self.W"] if count else []
         lines += ["t = self.T"] if name == "mul" else []
         for x in args:
-            lines.append(listed(x, size) + f"= {x}")
+            lines.append(_listed(x, size) + f"= {x}")
             lines += [f"n{x}{k} = sum(map(abs, {x}{k}))" for k in range(size)]
         if sub is None:  # the ghost: no division, so no check
             lines += [f"A{k} = {bound}" for k, bound in enumerate(bounds)]
@@ -672,19 +685,19 @@ def _kernel_source(shape, kind: str, name: str) -> str:
                 + (f"; C{k} = A{k}" if n == 1 else f"; C{k} = A{k} // {n}")
                 for (k, n, terms), bound in zip(sub, bounds)]
             top, slack = "C", rows[-1][1].bit_length()
-        lines += [f"s = max(0, {listed(top, len(bounds))}).bit_length() + {1 + slack}",
+        lines += [f"s = max(0, {_listed(top, len(bounds))}).bit_length() + {1 + slack}",
                   "if s < 65: s = L[s]",
                   "k = self.at(s)"]
-        lines += [f"{listed('w', count)}= k.W"] if count else []
+        lines += [f"{_listed('w', count)}= k.W"] if count else []
         lines += ["T = k.T"] if name == "mul" else []
         lines += [f"{x}{k} = P({x}{k}, s)" for x in args for k in range(size)]
         if sub is None:
             lines += [f"c{k} = {g}" for k, g in enumerate(gs)]
-            lines += read(size, None)
+            lines += _read(size, None)
         else:
             ns = tuple(n for _, n, _ in sub)
-            lines += invert(sub, gs, lambda k, n: f"F(s, ({listed('c', k)}), {ns[:k]}, {n})")
-            lines += read(len(sub), ns)
+            lines += invert(sub, gs, lambda k, n: f"F(s, ({_listed('c', k)}), {ns[:k]}, {n})")
+            lines += _read(len(sub), ns)
     return "\n".join([f"def {name}(self, {', '.join(args)}):"] + ["    " + line for line in lines])
 
 
@@ -790,8 +803,8 @@ def _packed_at(weights, twist, constant: bool):
 
 
 # The slot widths of the Z[q] ops up to 64 bits: s is rounded up to 8, 16,
-# 32 or 64 (_ALIGNED[s]), so that every slot is read as one machine
-# integer, by :func:`_split` or by the generated methods.
+# 32 or 64 (_ALIGNED[s]), so that the generated methods read every slot as
+# one machine integer (:func:`_read`).
 _ALIGNED = (8,) * 9 + (16,) * 8 + (32,) * 16 + (64,) * 32
 # the struct formats of the widths, for little-endian bytes
 _SIGNED = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
@@ -799,18 +812,11 @@ _SIGNED = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else 
 
 @lru_cache(maxsize=256)
 def _biases(s: int, slots: int, j: int) -> tuple:
-    """For ``slots`` slots of s bits: 2^(s-1) in every slot, 2^(s-1-j) in
-    every slot, and the mask of every bit outside the low s-j bits of each
-    slot (a negative integer, so it holds the bits above the slots too).
-    The repunit, 1 in every slot, is doubled from one slot, in time linear
-    in s*slots; dividing 2^(s*slots) - 1 by 2^s - 1 would take time
-    quadratic in s, seconds once s passes a million bits."""
-    ones, k = 1, 1
-    for bit in bin(slots)[3:]:
-        ones |= ones << s * k
-        k *= 2
-        if bit == "1":
-            ones, k = ones << s | 1, k + 1
+    """For ``slots`` slots of s bits, s a width of _SIGNED: 2^(s-1) in
+    every slot, 2^(s-1-j) in every slot, and the mask of every bit outside
+    the low s-j bits of each slot (a negative integer, so it holds the bits
+    above the slots too), for the generated read (:func:`_read`)."""
+    ones = ((1 << s * slots) - 1) // ((1 << s) - 1)  # 1 in every slot
     low = ones << (s - 1 - j)
     return ones << (s - 1), low, ~((low << 1) - ones)
 
@@ -823,65 +829,17 @@ def _reader(k: int, code: str):
 
 
 def _split(cs, s: int, ns) -> tuple:
-    """The Z[q] elements packed at q = 2^s in the integers cs.  With ``ns``
-    (ascending, below 2^(s-1)) the cs are the quotients of a ghost
-    inversion at rows ns, and their digits are checked; without, their
-    digits are known to be below 2^(s-2) in size.
-
-    Digits below 2^(s-2) in size make the expansion of a nonzero c exactly
-    c.bit_length() // s + 1 digits long, so each c is read as that many
-    digits, and 0 as none.  With j the bit length of max(ns), every digit
-    lies in [-2^(s-1-j), 2^(s-1-j)) if and only if adding 2^(s-1-j) in
-    every slot leaves no bit outside the low s-j bits of a slot, and then
-    max(ns)*|d| < 2^(s-1), the check of each quotient.  Only when that one
-    check fails does :func:`_check_each` look for the first n whose own
-    check fails (see :class:`_PackedLoops`).
-
-    At 8, 16, 32 or 64 bits on a little-endian host each integer takes a
-    block of its own digit count, not of the longest one's, and the blocks
-    are laid end to end in one integer x, with a spare slot on top.  Adding
-    2^(s-1) in every slot makes each digit d nonnegative, d + 2^(s-1);
-    XOR-ing it back turns that into the s-bit two's complement of d, so one
-    ``to_bytes`` lays out all the digits, one masked add checks them, and
-    one ``struct`` read per integer takes its block.  Where a c has more
-    balanced digits than its block (its bits over s, plus one), the top
-    one carries into the next block, and the digit below it, the top of
-    the block, is -2^(s-1), which fails the check of every n: so the blocks
-    up to the first such c are its digits, and :func:`_check_each` names
-    the same n as on whole expansions.  At any other width each integer is
-    checked against the same mask and read by :func:`_zp_unpack`, which
-    skips runs of zeros.
-
-    The generated Z[q] methods read their results at 8 to 64 bits in the
-    same layout, inline, with one ``struct`` read of all the blocks
-    (:func:`_kernel_source`).  This function reads for them at the other
-    widths, and for :class:`_PackedLoops` and :func:`_failed`."""
-    j = 1 if ns is None else ns[-1].bit_length()
-    code = _SIGNED.get(s)
-    if code is None:
-        bits = list(map(int.bit_length, cs))
-        size = max(bits) // s + 2
-        _, low, outside = _biases(s, size, j)
-        if ns is not None and any((c + low) & outside for c in cs):
-            _check_each([_zp_unpack(c, s, size) for c in cs], s, ns)
-        return tuple(_zp_unpack(c, s, b // s + 1) for c, b in zip(cs, bits))
-    x = at = 0
-    sizes = []  # the digit count of each integer
-    for c in cs:
-        x += c << at
-        k = c.bit_length() // s + 1
-        sizes.append(k)
-        at += k * s
-    bias, low, outside = _biases(s, at // s + 1, j)
-    width = s >> 3
-    raw = ((x + bias) ^ bias).to_bytes((at >> 3) + width, "little")
-    out, at = [], 0
-    for c, k in zip(cs, sizes):
-        out.append(_reader(k, code)(raw, at) if c else ())
-        at += k * width
-    if ns is not None and (x + low) & outside:
+    """The Z[q] elements packed at q = 2^s in the integers cs, each read
+    whole by ``_zp_unpack`` (a c has at most c.bit_length() // s + 2
+    balanced digits).  With ``ns`` (ascending, below 2^(s-1)) the cs are
+    the quotients of a ghost inversion at rows ns, and :func:`_check_each`
+    checks their digits.  The reference read of the row loops, of
+    :func:`_failed`, and of the generated methods at any s that
+    :func:`_read` has no ``struct`` format for."""
+    out = tuple(_zp_unpack(c, s, c.bit_length() // s + 2) for c in cs)
+    if ns is not None:
         _check_each(out, s, ns)
-    return tuple(out)
+    return out
 
 
 def _check_each(blocks, s: int, ns) -> None:

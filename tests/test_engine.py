@@ -6,6 +6,7 @@ The explicit polynomials from ``universal.derive``, evaluated with
 integer lift), are the independent oracle they are compared with.
 """
 
+import functools
 import json
 import operator
 import os
@@ -779,7 +780,7 @@ def test_terms_above_the_free_exponent_check_their_size_first():
 # the cap each op of a Z[q] context is one generated method; the same
 # context, built as a set above the cap would be, runs ``_PackedLoops``,
 # which computes the same bounds and width, runs the row loops on the
-# packed integers and ends in the same split.
+# packed integers and reads the results with _split.
 
 
 def _reference_twin(ctx):
@@ -857,13 +858,6 @@ def test_generated_zq_ops_read_their_digits_inline(monkeypatch):
     assert split_widths and min(split_widths) > 64
 
 
-def _patch_kernel_name(monkeypatch, attr, key, value):
-    """Set witt.<attr> and the name ``key`` that the generated methods read
-    it by (witt._KERNEL_GLOBALS) to value, for one test."""
-    monkeypatch.setattr(witt, attr, value)
-    monkeypatch.setitem(witt._KERNEL_GLOBALS, key, value)
-
-
 def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
     # on {1,3,9}, the vector (1, 2-q, -2) of ghost components leaves 1-q
     # in row 3 at s = 8, where it packs to -255 and divides by 3; row 9
@@ -873,11 +867,12 @@ def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
     ctx = witt.WittCoeffRing(ZQ, s139)
     widths, each = _widths(monkeypatch, ctx), []
     real = witt._check_each
-    _patch_kernel_name(monkeypatch, "_check_each", "K",
-                       lambda *args: each.append(args) or real(*args))
+    counted = lambda *args: each.append(args) or real(*args)  # noqa: E731
+    monkeypatch.setattr(witt, "_check_each", counted)  # as _split calls it
+    monkeypatch.setitem(witt._KERNEL_GLOBALS, "K", counted)  # as the inline read does
     gs = ((1,), (2, -1), (-2,))
     for formats in (witt._SIGNED, {}):  # the inline read of all digits, and _split
-        _patch_kernel_name(monkeypatch, "_SIGNED", "R", formats)
+        monkeypatch.setitem(witt._KERNEL_GLOBALS, "R", formats)
         widths.clear()
         each.clear()
         with pytest.raises(NotInGhostImage, match="component 3 ") as got:
@@ -887,53 +882,67 @@ def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
 
 
 def test_exact_ops_pass_the_check_on_all_digits(monkeypatch):
-    # the slack makes the one check pass whenever every division is exact,
-    # so the check of each n never runs on a result, in the generated ops
-    # or in _PackedLoops; it does run where a quotient is not exact, so the
-    # refusal is seen to reach the code that reads the digits
+    # the slack makes the one check of the inline read pass whenever every
+    # division is exact, so the check of each n never runs on a result
+    # there; it does run where a quotient is not exact, so the refusal is
+    # seen to reach the code that reads the digits.  _split, which the {}
+    # fallback and _PackedLoops read through, checks each n always: there
+    # the same ops must give what the inline read gives
     def refuse(*args):
         raise AssertionError("the check of each n ran")
 
-    _patch_kernel_name(monkeypatch, "_check_each", "K", refuse)
+    def results(ops, a, b):
+        out = [ops.unghost(ops.ghost(ops.mul(ops.add(a, b), ops.neg(b))))]
+        out += [ops.frobenius(m, a) for m in ops.tset]
+        assert ops.try_div_int(ops.int_scale(6, a), 6) == a
+        return out
+
+    rng, cases = random.Random(10), []
+    for elems in ((1, 2), (1, 2, 4), (1, 2, 3, 6), tuple(range(1, 13))):
+        tset = TruncationSet.make(elems)
+        for family, q in ZQ_FAMILIES:
+            ctx = witt.WittCoeffRing(ZQ, tset, family, q)
+            twin = _reference_twin(ctx)
+            for _ in range(3):
+                a, b = ([tuple(rng.choice([-(2**40), -3, -1, 0, 1, 2, 3, 2**40])
+                               for _ in range(rng.randrange(4))) for _ in tset]
+                        for _ in "ab")
+                cases.append((ctx, twin, tuple(map(ZQ.check, a)), tuple(map(ZQ.check, b))))
+    twins = [results(twin, a, b) for _, twin, a, b in cases]
+    monkeypatch.setitem(witt._KERNEL_GLOBALS, "R", {})  # the generated ops return through _split
+    fallback = [results(ctx, a, b) for ctx, _, a, b in cases]
+    monkeypatch.setitem(witt._KERNEL_GLOBALS, "R", witt._SIGNED)
+    monkeypatch.setitem(witt._KERNEL_GLOBALS, "K", refuse)  # the inline read's, not _split's
     inexact = witt.WittCoeffRing(ZQ, TruncationSet.make([9]))  # as in the test above
-    for formats in (witt._SIGNED, {}):  # the inline read of all digits, and _split
-        _patch_kernel_name(monkeypatch, "_SIGNED", "R", formats)
-        with pytest.raises(AssertionError, match="check of each n ran"):
-            inexact.unghost(((1,), (2, -1), (-2,)))
-        rng = random.Random(10)
-        for elems in ((1, 2), (1, 2, 4), (1, 2, 3, 6), tuple(range(1, 13))):
-            tset = TruncationSet.make(elems)
-            for family, q in ZQ_FAMILIES:
-                ctx = witt.WittCoeffRing(ZQ, tset, family, q)
-                twin = _reference_twin(ctx)
-                for _ in range(3):
-                    a, b = ([tuple(rng.choice([-(2**40), -3, -1, 0, 1, 2, 3, 2**40])
-                                   for _ in range(rng.randrange(4))) for _ in tset]
-                            for _ in "ab")
-                    a, b = tuple(map(ZQ.check, a)), tuple(map(ZQ.check, b))
-                    for ops in (ctx, twin):
-                        ops.unghost(ops.ghost(ops.mul(ops.add(a, b), ops.neg(b))))
-                        for m in tset:
-                            ops.frobenius(m, a)
-                        assert ops.try_div_int(ops.int_scale(6, a), 6) == a
+    with pytest.raises(AssertionError, match="check of each n ran"):
+        inexact.unghost(((1,), (2, -1), (-2,)))
+    assert [results(ctx, a, b) for ctx, _, a, b in cases] == fallback == twins
 
 
-def _split_reference(cs, s, ns):
-    """What :func:`witt._split` returns, one integer at a time."""
-    out = []
-    for k, c in enumerate(cs):
-        digits = rings._zp_unpack(c, s, c.bit_length() // s + 2)
-        if ns is not None and ns[k] * max(map(abs, digits), default=0) >= 1 << (s - 1):
-            return str(witt._unreachable(ns[k]))
-        out.append(digits)
-    return tuple(out)
+@functools.lru_cache(maxsize=None)
+def _generated_read(m: int, ns):
+    """The read that ends a generated Z[q] method of m results at rows ns
+    (witt._read), compiled by itself against the methods' globals:
+    ``read(s, c0, ..., c(m-1))``."""
+    lines = [f"def read(s, {witt._listed('c', m)}):"] + ["    " + x for x in witt._read(m, ns)]
+    body = {}
+    exec(compile("\n".join(lines), "<read>", "exec"), witt._KERNEL_GLOBALS, body)
+    return body["read"]
+
+
+def _assert_reads(cs, s, ns, want):
+    """_split, and at the widths it reads itself the generated read, give
+    want for the integers cs."""
+    assert _outcome(witt._split, cs, s, ns) == want
+    if s <= 64:
+        assert _outcome(_generated_read(len(cs), ns), s, *cs) == want
 
 
 @settings(max_examples=300)
 @given(st.sampled_from([8, 16, 32, 64, 65, 72, 97, 128]), st.data())
 @example(8, None).via("the smallest width, one block of zeros")
 def test_split_reads_what_zp_unpack_reads(s, data):
-    ns = None
+    ns, failing = None, None
     if data is None:
         polys, ns = [(), (0,) * 30 + (-128 // 4,), (-1,)], (1, 2, 4)
     else:
@@ -952,13 +961,9 @@ def test_split_reads_what_zp_unpack_reads(s, data):
             k, half = data.draw(st.integers(0, count - 1)), 1 << (s - 1)
             size = data.draw(st.integers(-(-half // ns[k]), half))  # n*size >= 2^(s-1)
             polys[k] += (-size if size == half else data.draw(st.sampled_from([-1, 1])) * size,)
+            failing = ns[k]  # the digits before it pass every check
     cs = tuple(rings._zp_pack(p, s) for p in polys)
-    want = _split_reference(cs, s, ns)
-    assert want == tuple(polys) or isinstance(want, str)
-    for formats in (witt._SIGNED, {}):  # memoryview.cast, and _zp_unpack per integer
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(witt, "_SIGNED", formats)
-            assert _outcome(witt._split, cs, s, ns) == want
+    _assert_reads(cs, s, ns, tuple(polys) if failing is None else str(witt._unreachable(failing)))
 
 
 def _split_cases(s):
@@ -994,12 +999,9 @@ def test_split_reads_coordinates_of_very_different_lengths(s):
     named = []
     for polys, ns in _split_cases(s):
         cs = tuple(rings._zp_pack(p, s) for p in polys)
-        want = _split_reference(cs, s, ns)
+        want = _outcome(witt._split, cs, s, ns)
         assert want == tuple(polys) or isinstance(want, str)
         named.append(want if isinstance(want, str) else None)
-        for formats in (witt._SIGNED, {}):  # struct reads, and _zp_unpack per integer
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(witt, "_SIGNED", formats)
-                assert _outcome(witt._split, cs, s, ns) == want, (polys, ns)
-    assert named[-6:] == [str(witt._unreachable(n)) for n in (3, 3, 3)] + [None] + [
+        _assert_reads(cs, s, ns, want)
+    assert named == [None] * 6 + [str(witt._unreachable(n)) for n in (3, 3, 3)] + [None] + [
         str(witt._unreachable(n)) for n in (2, 3)]
