@@ -96,13 +96,6 @@ def _shift(v: Var) -> int:
     return shift
 
 
-def _monomial(v: Var, e: int) -> int:
-    """The key of v^e, for 0 < e < 2^(_W-1)."""
-    if e >= _LIMIT:
-        raise BudgetExceeded(f"the exponent {e} of {var_name(v)} is not below 2^{_W - 1}")
-    return e << _shift(v)
-
-
 # The bitwise or of a polynomial's keys, reduce(_or, keys, 0), has in each
 # slot at least the largest exponent there and less than twice it, below
 # 2^(_W-1) as each exponent is.  The sum of two such bounds carries nothing
@@ -163,11 +156,23 @@ class MPoly:
 
     @staticmethod
     def var(v: Var, exp: int = 1) -> "MPoly":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp == 0:
-            return MPoly.const(1)
-        return MPoly({_monomial(v, exp): 1})
+        return MPoly.term(1, ((v, exp),))
+
+    @staticmethod
+    def term(c: int, exps) -> "MPoly":
+        """c times the product of v^e over the pairs (v, e) of ``exps``: what
+        ``*`` of the powers :meth:`var` gives, checks included, in one step."""
+        key = 0
+        for v, e in exps:
+            if e < 0:
+                raise ValueError("negative exponent")
+            if e >= _LIMIT:
+                raise BudgetExceeded(f"the exponent {e} of {var_name(v)} is not below 2^{_W - 1}")
+            if e:
+                key += e << _shift(v)
+                if key & _GUARD:
+                    raise _overflow()
+        return MPoly({key: c}) if c else _ZERO
 
     @staticmethod
     def from_zpoly(coeffs) -> "MPoly":

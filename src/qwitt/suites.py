@@ -113,50 +113,48 @@ def suite_rings(budget: int = 1000, seed: int = 1729) -> Report:
     return rep
 
 
+_RAND_VARS = (xvar(1), xvar(2), yvar(1), Q)
+
+
+def _rand_poly(rng) -> MPoly:
+    """A sum of 1 to 4 terms c * x1^a * x2^b * y1^c * q^d, c from -4 to 4 and
+    each exponent from 0 to 2, drawn in that order."""
+    out = MPoly.zero()
+    for _ in range(rng.randint(1, 4)):
+        c = rng.randint(-4, 4)
+        out = out + MPoly.term(c, [(v, rng.randint(0, 2)) for v in _RAND_VARS])
+    return out
+
+
 def suite_mpoly(budget: int = 500, seed: int = 1729) -> Report:
     rep = Report("mpoly")
     rng = random.Random(seed)
     zm = ZModRing(6)
-
-    def rand_poly():
-        out = MPoly.zero()
-        for _ in range(rng.randint(1, 4)):
-            mono = MPoly.const(rng.randint(-4, 4))
-            for v in (xvar(1), xvar(2), yvar(1), Q):
-                e = rng.randint(0, 2)
-                if e:
-                    mono = mono * MPoly.var(v, e)
-            out = out + mono
-        return out
-
-    names = [xvar(1), xvar(2), yvar(1), Q]
     ok_hom = True
     ok_sub = True
     for _ in range(budget):
-        p, r = rand_poly(), rand_poly()
-        assign = {v: zm.random(rng) for v in names}
-        if (p + r).eval(zm, assign) != zm.add(p.eval(zm, assign), r.eval(zm, assign)):
+        p, r = _rand_poly(rng), _rand_poly(rng)
+        assign = {v: zm.random(rng) for v in _RAND_VARS}
+        at_p, at_r = p.eval(zm, assign), r.eval(zm, assign)
+        if (p + r).eval(zm, assign) != zm.add(at_p, at_r):
             ok_hom = False
-        if (p * r).eval(zm, assign) != zm.mul(p.eval(zm, assign), r.eval(zm, assign)):
+        if (p * r).eval(zm, assign) != zm.mul(at_p, at_r):
             ok_hom = False
-        submap = {xvar(1): rand_poly()}
-        composed = p.substitute(submap).eval(zm, assign)
-        direct = p.eval(
-            zm, {**assign, xvar(1): submap[xvar(1)].eval(zm, assign)}
-        )
-        if composed != direct:
+        sub = _rand_poly(rng)
+        composed = p.substitute({xvar(1): sub}).eval(zm, assign)
+        if composed != p.eval(zm, {**assign, xvar(1): sub.eval(zm, assign)}):
             ok_sub = False
     rep.add("eval-is-ring-hom", ok_hom)
     rep.add("substitute-then-eval", ok_sub)
     ok = True
     for _ in range(100):
-        p = rand_poly()
+        p = _rand_poly(rng)
         k = rng.randint(1, 12)
         if (k * p).try_div_int(k) != p:
             ok = False
     rep.add("div-int-roundtrip", ok)
     rep.add("json-roundtrip", all(
-        MPoly.from_json(rp.to_json()) == rp for rp in (rand_poly() for _ in range(50))
+        MPoly.from_json(rp.to_json()) == rp for rp in (_rand_poly(rng) for _ in range(50))
     ))
     return rep
 
@@ -335,9 +333,7 @@ def _display_sigma_p(fam_coeff: MPoly, p: int) -> MPoly:
     out = MPoly.var(xvar(p)) + MPoly.var(yvar(p))
     for v in range(1, p):
         c = math.comb(p, v) // p
-        out = out - fam_coeff * MPoly.const(c) * MPoly.var(xvar(1), v) * MPoly.var(
-            yvar(1), p - v
-        )
+        out = out - fam_coeff * MPoly.term(c, [(xvar(1), v), (yvar(1), p - v)])
     return out
 
 
@@ -367,16 +363,11 @@ def suite_qdeform(budget: int = 200, seed: int = 1729) -> Report:
         qd = universal.derive(Family.qdef(), s)
         if qd.sigma[p] != _display_sigma_p(MPoly.var(Q, p - 1), p):
             ok = False
-        if qd.pi[1] != qmp * MPoly.var(xvar(1)) * MPoly.var(yvar(1)):
+        if qd.pi[1] != MPoly.term(1, [(Q, 1), (xvar(1), 1), (yvar(1), 1)]):
             ok = False
-        expect_pi = (
-            MPoly.const(p) * qmp * MPoly.var(xvar(p)) * MPoly.var(yvar(p))
-            + MPoly.var(Q, p)
-            * (
-                MPoly.var(xvar(1), p) * MPoly.var(yvar(p))
-                + MPoly.var(xvar(p)) * MPoly.var(yvar(1), p)
-            )
-        )
+        expect_pi = (MPoly.term(p, [(Q, 1), (xvar(p), 1), (yvar(p), 1)])
+                     + MPoly.term(1, [(Q, p), (xvar(1), p), (yvar(p), 1)])
+                     + MPoly.term(1, [(Q, p), (xvar(p), 1), (yvar(1), p)]))
         if qd.pi[p] != expect_pi:
             ok = False
     rep.add("qdef-prime-tables", ok)
@@ -389,14 +380,10 @@ def suite_qdeform(budget: int = 200, seed: int = 1729) -> Report:
         r = MPoly.from_zpoly(qdeform.r_poly(p))
         if qb.sigma[p] != _display_sigma_p(h, p):
             ok = False
-        expect_pi = (
-            MPoly.const(p) * qmp * MPoly.var(xvar(p)) * MPoly.var(yvar(p))
-            + qmp * h * (
-                MPoly.var(xvar(1), p) * MPoly.var(yvar(p))
-                + MPoly.var(yvar(1), p) * MPoly.var(xvar(p))
-            )
-            + qmp * h * r * MPoly.var(xvar(1), p) * MPoly.var(yvar(1), p)
-        )
+        expect_pi = (MPoly.term(p, [(Q, 1), (xvar(p), 1), (yvar(p), 1)])
+                     + qmp * h * (MPoly.term(1, [(xvar(1), p), (yvar(p), 1)])
+                                  + MPoly.term(1, [(yvar(1), p), (xvar(p), 1)]))
+                     + qmp * h * r * MPoly.term(1, [(xvar(1), p), (yvar(1), p)]))
         if qb.pi[p] != expect_pi:
             ok = False
     rep.add("qbar-prime-tables", ok)

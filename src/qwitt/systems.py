@@ -98,23 +98,24 @@ class WittSystem(ProjSystem):
     def ring(self, s):
         return self._point if s == ONE_SET else self.context.on(s)
 
-    def _vec(self, s, a) -> WittVector:
-        return WittVector(self.context.on(s), (a,) if s == ONE_SET else tuple(a))
-
-    def _unwrap(self, v: WittVector):
-        return v.coords[0] if v.tset == ONE_SET else v.coords
+    # The maps run on coordinate tuples, but an element of the one-point
+    # ring A is not a 1-tuple; only {1} has one element.
+    def _move(self, s, a, kind, into, m=1):
+        coords = self.context.on(s)._move((a,) if s == ONE_SET else a, kind, into, m)[1]
+        return coords[0] if len(coords) == 1 else coords
 
     def proj(self, s_from, s_to, a):
-        return self._unwrap(witt.project(self._vec(s_from, a), s_to))
+        return self._move(s_from, a, "project", s_to)
 
     def frob(self, p, s, a):
-        return self._unwrap(witt.frobenius(self._vec(s, a), p))
+        coords = self.context.on(s)._frob(p)[1]((a,) if s == ONE_SET else a)
+        return coords[0] if len(coords) == 1 else coords
 
     def versch(self, p, s, a):
-        return self._unwrap(witt.verschiebung(self._vec(s.quotient(p), a), p, s))
+        return self._move(s.quotient(p), a, "versch", s, p)
 
     def section(self, s_from, s_to, a):
-        return self._unwrap(witt.section(self._vec(s_from, a), s_to))
+        return self._move(s_from, a, "section", s_to)
 
 
 class ConstantSystem(ProjSystem):
@@ -166,30 +167,30 @@ class NestedWittSystem(ProjSystem):
         self.base = base
         self.family = family
         self.context = WittCoeffRing(base, top.product(t2), family, q)
+        self._bigsets = {}  # the elements of S -> S*T2
         self.has_versch = True
         self.label = f"nested:{family.label()}:{base.descriptor}:{top}*{t2}"
 
-    def _bigset(self, s: TruncationSet) -> TruncationSet:
-        return s.product(self.t2)
+    def _bigset(self, s: TruncationSet) -> TruncationSet:  # S*T2
+        big = self._bigsets.get(s.elements)
+        if big is None:
+            big = self._bigsets[s.elements] = s.product(self.t2)
+        return big
 
     def ring(self, s):
         return self.context.on(self._bigset(s))
 
-    def _vec(self, s, a) -> WittVector:
-        return WittVector(self.ring(s), tuple(a))
-
     def proj(self, s_from, s_to, a):
-        return witt.project(self._vec(s_from, a), self._bigset(s_to)).coords
+        return self.ring(s_from)._move(a, "project", self._bigset(s_to))[1]
 
     def frob(self, p, s, a):
-        return witt.frobenius(self._vec(s, a), p).coords
+        return self.ring(s)._frob(p)[1](a)
 
     def versch(self, p, s, a):
-        sub = s.quotient(p)
-        return witt.verschiebung(self._vec(sub, a), p, self._bigset(s)).coords
+        return self.ring(s.quotient(p))._move(a, "versch", self._bigset(s), p)[1]
 
     def section(self, s_from, s_to, a):
-        return witt.section(self._vec(s_from, a), self._bigset(s_to)).coords
+        return self.ring(s_from)._move(a, "section", self._bigset(s_to))[1]
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,8 @@ torsion-free cover of the ring and each coordinate is reduced at the end.
 The result is what the universal structure polynomials of
 :mod:`qwitt.universal` give, because they have integer coefficients; they
 are never evaluated here and stay the independent oracle of the tests.
-Verschiebung is the certified coordinate shift.
+Verschiebung is the certified coordinate shift; it, projection and section
+are index maps that each context checks and builds once per target set.
 
 Each ghost component, and each step of the inversion, is one row
 acc +- sum_j w_j * x_j^e_j over the divisors of n.  The *shape* of S (per
@@ -166,7 +167,8 @@ def teichmuller(family: Family, tset: TruncationSet, ring: Ring, c, q=None) -> W
 
 
 def random_vector(family, tset, ring, rng, q=None) -> WittVector:
-    return make(family, tset, ring, [ring.random(rng) for _ in tset], q)
+    ctx = WittCoeffRing(ring, tset, family, q)
+    return WittVector(ctx, ctx.random(rng))
 
 
 # ----------------------------------------------------------------------
@@ -901,6 +903,8 @@ class WittCoeffRing(Ring):
         weights = _weights(family, shape, self.lift, qval)
         twist = _weight(self.lift, family.twist(), qval)
         self._frobs = {}  # m -> self._frob(m)
+        self._ons = {}  # the elements of a set T -> self.on(T)
+        self._maps = {}  # (kind, m, the elements of T) -> a set-change map into T
         self._subgroups = {}  # (p, e) -> the coordinate tuples of p^e * W_S(A)
         if isinstance(self.lift, ZRing):
             # the kernels of S at the folded weights, each reducing mod m
@@ -929,7 +933,38 @@ class WittCoeffRing(Ring):
 
     def on(self, tset: TruncationSet) -> "WittCoeffRing":
         """The context with the same family, ring and q on another set."""
-        return _law(self.family, tset, self.base, self.qval)
+        ctx = self._ons.get(tset.elements)
+        if ctx is None:
+            ctx = self._ons[tset.elements] = _law(self.family, tset, self.base, self.qval)
+        return ctx
+
+    def _move(self, a: tuple, kind: str, into: TruncationSet, m: int = 1):
+        """The context on ``into``, and the image there of the coordinate tuple
+        ``a`` under a set-change map: "project" drops the coordinates outside
+        ``into``, "section" zero-fills those outside S, and "versch" is V_m,
+        coordinate n taken from n/m where m divides n and zero elsewhere.
+
+        A map is the target context and, for each n in ``into``, the index
+        of the coordinate of S it takes, len(S) for a zero; it is checked
+        and built on first use, once per context.
+        """
+        key = (kind, m, into.elements)
+        entry = self._maps.get(key)
+        if entry is None:
+            s = self.tset
+            if kind == "project" and not into.is_subset(s):
+                raise CrossRingError(f"{into} is not a subset of {s}")
+            if kind == "section" and not s.is_subset(into):
+                raise CrossRingError(f"{s} is not a subset of {into}")
+            if kind == "versch" and m not in into:
+                raise CrossRingError(f"{m} is not in {into}")
+            if kind == "versch" and into.quotient(m) != s:
+                raise CrossRingError(f"vector over {s} is not in the domain of V_{m} into {into}")
+            at = {n: i for i, n in enumerate(s)}
+            entry = self._maps[key] = (self.on(into), tuple(
+                at.get(n // m, len(s)) if n % m == 0 else len(s) for n in into))
+        ctx, index = entry
+        return ctx, tuple(map((*a, self.base.zero()).__getitem__, index))
 
     # --- the engine ---------------------------------------------------
     # _setup binds add, mul, neg, ghost and unghost from the kernels; what
@@ -938,6 +973,8 @@ class WittCoeffRing(Ring):
         """The context on S/m, and F_m on coordinate tuples."""
         entry = self._frobs.get(m)
         if entry is None:
+            if m not in self.tset:
+                raise CrossRingError(f"{m} is not in {self.tset}")
             sub = self.on(self.tset.quotient(m))
             entry = self._frobs[m] = (sub, self._kernels.frob(m))
         return entry
@@ -1155,43 +1192,23 @@ def unghost(family: Family, tset: TruncationSet, ring: Ring, xs, q=None) -> Witt
 
 def frobenius(a: WittVector, m: int) -> WittVector:
     """F_m into the quotient set S/m."""
-    ctx = a.context
-    if m not in ctx.tset:
-        raise CrossRingError(f"{m} is not in {ctx.tset}")
-    quot, frob = ctx._frob(m)
+    quot, frob = a.context._frob(m)
     return WittVector(quot, frob(a.coords))
 
 
 def verschiebung(a: WittVector, m: int, into: TruncationSet) -> WittVector:
     """V_m from S/m back into S: the certified coordinate shift."""
-    if m not in into:
-        raise CrossRingError(f"{m} is not in {into}")
-    if into.quotient(m) != a.tset:
-        raise CrossRingError(
-            f"vector over {a.tset} is not in the domain of V_{m} into {into}"
-        )
-    z = a.ring.zero()
-    coords = tuple(
-        a.coord(n // m) if n % m == 0 else z for n in into
-    )
-    return WittVector(a.context.on(into), coords)
+    return WittVector(*a.context._move(a.coords, "versch", into, m))
 
 
 def project(a: WittVector, sub: TruncationSet) -> WittVector:
     """Drop coordinates outside ``sub`` (a ring homomorphism)."""
-    if not sub.is_subset(a.tset):
-        raise CrossRingError(f"{sub} is not a subset of {a.tset}")
-    coords = tuple(a.coord(n) for n in sub)
-    return WittVector(a.context.on(sub), coords)
+    return WittVector(*a.context._move(a.coords, "project", sub))
 
 
 def section(a: WittVector, into: TruncationSet) -> WittVector:
     """Zero-fill the missing coordinates (a map of sets, not rings)."""
-    if not a.tset.is_subset(into):
-        raise CrossRingError(f"{a.tset} is not a subset of {into}")
-    z = a.ring.zero()
-    coords = tuple(a.coord(n) if n in a.tset else z for n in into)
-    return WittVector(a.context.on(into), coords)
+    return WittVector(*a.context._move(a.coords, "section", into))
 
 
 def map_coords(a: WittVector, fn, ring: Ring) -> WittVector:
@@ -1223,24 +1240,13 @@ def exact_sequence_check(
 ) -> bool:
     """Full-enumeration check of 0 -> W_{S/p} -> W_S -> W_{S(p)} -> 0."""
     ctx = WittCoeffRing(ring, tset, family, q)
-    sub = ctx.on(tset.quotient(p))
-    comp = tset.prime_complement(p)
-    image = set()
-    seen = 0
-    for w in sub._tuples(budget):
-        image.add(verschiebung(WittVector(sub, w), p, tset).coords)
-        seen += 1
-    if len(image) != seen:
+    sub, comp = ctx.on(tset.quotient(p)), ctx.on(tset.prime_complement(p))
+    image = [sub._move(w, "versch", tset, p)[1] for w in sub._tuples(budget)]
+    if len(set(image)) != len(image):
         return False  # V_p not injective
-    kernel = set()
-    projected = set()
-    for w in ctx._tuples(budget):
-        pw = project(WittVector(ctx, w), comp)
-        projected.add(pw.coords)
-        if is_zero(pw):
-            kernel.add(w)
-    full_target = set(ctx.on(comp)._tuples(budget))
-    return kernel == image and projected == full_target
+    projected = {w: ctx._move(w, "project", comp.tset)[1] for w in ctx._tuples(budget)}
+    kernel = {w for w, pw in projected.items() if comp.is_zero(pw)}
+    return kernel == set(image) and set(projected.values()) == set(comp._tuples(budget))
 
 
 # ----------------------------------------------------------------------

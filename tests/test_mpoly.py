@@ -327,3 +327,24 @@ def test_an_exponent_at_the_top_of_a_slot_does_not_wrap():
     half = MPoly.var(xvar(1), (top + 1) // 2 - 1)
     assert (half * half * y).terms() == [(((xvar(1), top - 1), (yvar(1), 1)), 1)]
     assert (big * y).div_exact_var(yvar(1)) == big
+
+
+def test_a_term_is_the_product_of_its_powers():
+    top = (1 << (mpoly._W - 1)) - 1
+    rng = random.Random(78)
+    names = [xvar(1), xvar(2), yvar(1), yvar(3), Q]
+    for _ in range(200):
+        c = rng.randint(-5, 5)
+        exps = [(v, rng.randint(0, 3)) for v in rng.sample(names, rng.randint(0, 5))]
+        exps += [(exps[0][0], 2)] if exps and rng.random() < 0.3 else []  # a repeated variable
+        want = MPoly.const(c)
+        for v, e in exps:
+            want = want * MPoly.var(v, e)
+        assert MPoly.term(c, exps) == want and MPoly.term(c, exps).terms() == want.terms()
+    assert MPoly.term(3, []) == MPoly.const(3) and MPoly.term(0, [(Q, 2)]).is_zero()
+    with pytest.raises(ValueError):
+        MPoly.term(1, [(Q, -1)])
+    with pytest.raises(BudgetExceeded):  # x^top * x, refused as the product is
+        MPoly.term(1, [(xvar(1), top), (xvar(1), 1)])
+    with pytest.raises(BudgetExceeded):
+        MPoly.term(1, [(xvar(1), top + 1)])

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qwitt.errors import NotInGhostImage
+from qwitt.errors import CrossRingError, NotInGhostImage
 from qwitt.rings import Z, ZQ, ZModRing, parse_ring
 from qwitt.truncset import ONE_SET, TruncationSet
 from qwitt.universal import Family
@@ -209,3 +209,87 @@ def test_exactness_stops_enumerating_past_the_budget(monkeypatch):
     assert systems._check_exactness(systems.WittSystem(ZModRing(7), s), s, 2,
                                     random.Random(1), 3)
     assert pulled == [systems.ENUM_BUDGET + 1]  # then sampled, never listed in full
+
+
+S12 = TruncationSet.make([12])
+S5 = TruncationSet.make([5])
+# (ring, family, q) of the differential test of the system maps
+MAP_CASES = [
+    ("z", "classical", None), ("z", "qdef", 2), ("zmod:4", "classical", None),
+    ("zmod:4", "qdef", 2), ("zq", "classical", None), ("zq", "qdef", 2), ("zq", "qbar", None),
+]
+
+
+def _by_definition(kind, a, s_from, s_to, zero, m=1):
+    """The coordinates over ``s_to`` that project, section and V_m give
+    ``a`` over ``s_from``, read off the definitions one index at a time."""
+    out = []
+    for n in s_to:
+        if kind == "versch":
+            out.append(a[s_from.index(n // m)] if n % m == 0 else zero)
+        else:
+            out.append(a[s_from.index(n)] if n in s_from else zero)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("desc, label, q", MAP_CASES)
+def test_system_maps_on_tuples_match_the_vector_maps(desc, label, q):
+    # every pair of subsets of {1,2,3,4,6,12}, in W_S(A) and in the nested
+    # W_{S*{1,5}}(A): the system maps on coordinate tuples, witt's maps on
+    # vectors, and the definitions give the same coordinates, and refuse
+    # the same targets with the same error
+    base, fam, rng = parse_ring(desc), Family.parse(label), random.Random(75)
+    ws, nested = systems.WittSystem(base, S12, fam, q), systems.NestedWittSystem(S12, S5, base, fam, q)
+    zero = base.zero()
+    for sys_, big in ((ws, lambda s: s), (nested, lambda s: s.product(S5))):
+        point = sys_ is ws  # its maps unwrap the coordinate of W_{1}(A)
+        wrap = (lambda s, a: (a,) if s == ONE_SET else a) if point else (lambda s, a: a)
+        unwrap = (lambda c: c[0] if len(c) == 1 else c) if point else (lambda c: c)
+
+        def vec(s, a):
+            return witt.WittVector(sys_.context.on(big(s)), wrap(s, a))
+
+        for s_from in S12.sub_sets():
+            a = sys_.context.on(big(s_from)).random(rng)
+            x = unwrap(a)  # the element of the system's ring at s_from
+            for s_to in S12.sub_sets():
+                for kind, ok, system_map, vector_map in (
+                    ("project", s_to.is_subset(s_from), sys_.proj, witt.project),
+                    ("section", s_from.is_subset(s_to), sys_.section, witt.section),
+                ):
+                    if not ok:
+                        with pytest.raises(CrossRingError):
+                            system_map(s_from, s_to, x)
+                        with pytest.raises(CrossRingError):
+                            vector_map(vec(s_from, x), big(s_to))
+                        continue
+                    got = system_map(s_from, s_to, x)
+                    want = vector_map(vec(s_from, x), big(s_to))
+                    assert want.tset == big(s_to)
+                    assert wrap(s_to, got) == want.coords
+                    assert want.coords == _by_definition(kind, a, big(s_from), big(s_to), zero)
+            for m in S12.elements[1:]:
+                if m not in s_from:
+                    with pytest.raises(CrossRingError):
+                        sys_.frob(m, s_from, x)
+                    with pytest.raises(CrossRingError):
+                        witt.frobenius(vec(s_from, x), m)
+                    continue
+                low = s_from.quotient(m)
+                want = witt.frobenius(vec(s_from, x), m)
+                assert wrap(low, sys_.frob(m, s_from, x)) == want.coords
+                assert want.tset == big(low)
+                b = sys_.context.on(big(low)).random(rng)
+                got = sys_.versch(m, s_from, unwrap(b))
+                want = witt.verschiebung(vec(low, unwrap(b)), m, big(s_from))
+                assert wrap(s_from, got) == want.coords
+                assert want.coords == _by_definition("versch", b, big(low), big(s_from), zero, m)
+
+
+def test_vector_verschiebung_refuses_a_wrong_domain():
+    a = witt.make(CL, S2, Z, [1, 2])
+    with pytest.raises(CrossRingError):
+        witt.verschiebung(a, 5, S6)  # 5 is not in {1,2,3,6}
+    with pytest.raises(CrossRingError):
+        witt.verschiebung(a, 2, S6)  # {1,2,3,6}/2 is {1,3}, not {1,2}
+    assert witt.verschiebung(a, 3, S6).coords == (0, 0, 1, 2)

@@ -1,5 +1,6 @@
 """Witt vector arithmetic: frozen values, ghost oracle, F/V, exactness."""
 
+import pickle
 import random
 
 import pytest
@@ -276,3 +277,53 @@ def test_resolving_a_q_binding_twice_changes_nothing():
         once = witt.resolve_q(QD, ring, q)
         assert witt.resolve_q(QD, ring, once) == once
     assert witt.resolve_q(QD, parse_ring("twist:zmod:7:3"), 2) == 2
+
+
+S12 = TruncationSet.make([12])
+FAMILIES = ["classical", "qdef", "qbar", "lenart:2"]
+
+
+@pytest.mark.parametrize("desc", ["z", "zmod:6", "zq", "dual"])
+@pytest.mark.parametrize("label", FAMILIES)
+def test_contexts_keep_one_set_change_map_per_target(desc, label):
+    base, fam = parse_ring(desc), Family.parse(label)
+    q = 2 if fam.uses_q() and desc != "zq" else None  # over zq, q is symbolic
+    ctx = witt.WittCoeffRing(base, S12, fam, q)
+    assert ctx.on(S12) is ctx
+    for s2 in S12.sub_sets():
+        assert ctx.on(s2) is witt.WittCoeffRing(base, s2, fam, q)
+        assert ctx.on(s2).on(S12) is ctx
+    # fill the maps of every context on a subset: projections, sections
+    # and V_m between all the subsets that have them
+    rng = random.Random(76)
+    for s in S12.sub_sets():
+        v = witt.random_vector(fam, s, base, rng, q)
+        for t in S12.sub_sets():
+            if t.is_subset(s):
+                witt.project(v, t)
+            if s.is_subset(t):
+                witt.section(v, t)
+            for m in t.elements[1:]:
+                if t.quotient(m) == s:
+                    witt.verschiebung(v, m, t)
+    assert pickle.loads(pickle.dumps(ctx)) is ctx  # no map travels with it
+    for s in S12.sub_sets():
+        maps = ctx.on(s)._maps
+        assert maps
+        for (kind, m, elements), (target, index) in maps.items():
+            # each entry is the map into its own target set, and no other
+            assert target is ctx.on(TruncationSet(elements))
+            assert len(index) == len(elements)
+        targets = [(kind, m, id(target)) for (kind, m, _), (target, _) in maps.items()]
+        assert len(set(targets)) == len(maps)
+
+
+def test_random_vector_draws_what_make_checks():
+    for desc in ("z", "zmod:6", "zq", "dual", "twist:z:2", "witt:zmod:4:1,2"):
+        ring = parse_ring(desc)
+        r1, r2 = random.Random(77), random.Random(77)
+        for fam, q in ((CL, None), (QD, 2)):
+            for _ in range(20):
+                got = witt.random_vector(fam, S6, ring, r1, q)
+                assert got == witt.make(fam, S6, ring, [ring.random(r2) for _ in S6], q)
+        assert r1.getstate() == r2.getstate()
