@@ -22,6 +22,7 @@ only what a lift actually touches is built.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from . import witt
 from .errors import CrossRingError, NotInImage, UnsupportedRingOperation
@@ -278,9 +279,10 @@ def ind_ghost(v: IndVector) -> tuple:
     return tuple(out)
 
 
-def _div_law(sys: IndSystem, n: int):
-    """The classical engine on W_{div(n)}(A_n)."""
-    return witt._law(_CLASSICAL, TruncationSet.make([n]), sys.ring(n), None)
+@cache
+def _div_law(ring: Ring, n: int):
+    """The classical engine on W_{div(n)}(A_n), A_n = ``ring``; built once per ring and n."""
+    return witt._law(_CLASSICAL, TruncationSet.make([n]), ring, None)
 
 
 def _pushed(v: IndVector, n: int) -> tuple:
@@ -295,7 +297,7 @@ def _binary_op(v: IndVector, w: IndVector, kind: str) -> IndVector:
     _same(v, w)
     sys = v.system
     coords = [
-        getattr(_div_law(sys, n), kind)(_pushed(v, n), _pushed(w, n))[-1]
+        getattr(_div_law(sys.ring(n), n), kind)(_pushed(v, n), _pushed(w, n))[-1]
         for n in sys.tset
     ]
     return IndVector(sys, tuple(coords))
@@ -311,7 +313,7 @@ def ind_mul(v: IndVector, w: IndVector) -> IndVector:
 
 def ind_neg(v: IndVector) -> IndVector:
     sys = v.system
-    coords = [_div_law(sys, n).neg(_pushed(v, n))[-1] for n in sys.tset]
+    coords = [_div_law(sys.ring(n), n).neg(_pushed(v, n))[-1] for n in sys.tset]
     return IndVector(sys, tuple(coords))
 
 
@@ -339,7 +341,7 @@ def ind_frobenius(v: IndVector, n: int) -> IndVector:
     if n not in sys.tset:
         raise CrossRingError(f"{n} is not in {sys.tset}")
     coords = [
-        _div_law(sys, n * nu).frobenius(n, _pushed(v, n * nu))[-1]
+        _div_law(sys.ring(n * nu), n * nu).frobenius(n, _pushed(v, n * nu))[-1]
         for nu in sys.tset.quotient(n)
     ]
     return IndVector(sys.shift(n), tuple(coords))

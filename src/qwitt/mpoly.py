@@ -35,6 +35,7 @@ from itertools import chain
 from threading import Lock
 
 from .errors import BudgetExceeded, UnsupportedRingOperation
+from .rings import ZModRing, ZRing
 
 # A variable is a (kind, index) pair; the parameter q is ('q', 0).
 Var = tuple[str, int]
@@ -106,6 +107,30 @@ _or = operator.or_
 
 def _overflow() -> BudgetExceeded:
     return BudgetExceeded(f"a product's exponents could reach 2^{_W - 1}")
+
+
+def _product(a: dict, b: dict, bound: int) -> dict:
+    """The terms of the product of the term dicts a and b, whose keys' ors sum to
+    ``bound``, or BudgetExceeded if that has a bit in _GUARD; in the order of ``*``."""
+    if bound & _GUARD:
+        raise _overflow()
+    # one monomial times anything: its keys stay distinct, in order
+    if len(b) == 1:
+        ((k2, c2),) = b.items()
+        return {k1 + k2: c1 * c2 for k1, c1 in a.items()}
+    if len(a) == 1:
+        ((k1, c1),) = a.items()
+        return {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 + k2
+            s = out.get(key, 0) + c1 * c2
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
 
 
 _RANKS: tuple = (0, [], [])  # _ranks() of the first slots given out
@@ -226,45 +251,23 @@ class MPoly:
                 return _ZERO
             return MPoly({key: other * c for key, c in self._t.items()})
         a, b = self._t, other._t
-        # one monomial times anything: its keys stay distinct, in order
-        if len(b) == 1:
-            ((k2, c2),) = b.items()
-            if (reduce(_or, a, 0) + k2) & _GUARD:
-                raise _overflow()
-            return MPoly({k1 + k2: c1 * c2 for k1, c1 in a.items()})
-        if len(a) == 1:
-            ((k1, c1),) = a.items()
-            if (k1 + reduce(_or, b, 0)) & _GUARD:
-                raise _overflow()
-            return MPoly({k1 + k2: c1 * c2 for k2, c2 in b.items()})
-        if (reduce(_or, a, 0) + reduce(_or, b, 0)) & _GUARD:
-            raise _overflow()
-        out: dict = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                key = k1 + k2
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return MPoly(out)
+        return MPoly(_product(a, b, reduce(_or, a, 0) + reduce(_or, b, 0)))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "MPoly":
         if e < 0:
             raise ValueError("negative exponent")
-        result = MPoly.const(1)
-        base = self
-        while e:
+        if not e:
+            return MPoly.const(1)
+        result, base = None, self
+        while True:
             if e & 1:
-                result = result * base
-            base_needed = e >> 1
-            if base_needed:
-                base = base * base
-            e = base_needed
-        return result
+                result = base if result is None else result * base
+            e >>= 1
+            if not e:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MPoly) and self._t == other._t
@@ -275,18 +278,18 @@ class MPoly:
     def substitute(self, mapping: dict[Var, "MPoly"]) -> "MPoly":
         """Replace variables by polynomials; unmapped variables persist.
 
-        Each term is its unmapped part, kept packed, times the powers of
-        the mapped polynomials in variable order, and the terms accumulate
-        in one dict, in the order repeated ``+`` would give them.
+        Each term's unmapped part, kept packed, is multiplied as ``*`` does
+        by the powers of the mapped polynomials in variable order, and the
+        terms accumulate in one dict, in the order repeated ``+`` gives them.
         """
         # the mapped variables that have a slot (no key holds any other)
         order = [(_SHIFTS[v], mapping[v]) for v in sorted(mapping) if v in _SHIFTS]
         mapped = sum(_MASK << shift for shift, _ in order)
         out: dict = {}
-        cache: dict[tuple[int, int], MPoly] = {}
+        cache: dict[tuple[int, int], tuple] = {}  # (shift, e) -> the terms of sub**e, their or
         for key, c in self._t.items():
             rest = key & mapped
-            term = MPoly({key - rest: c})
+            term = {key - rest: c}
             for shift, sub in order:
                 if not rest:
                     break
@@ -295,10 +298,10 @@ class MPoly:
                     rest -= e << shift
                     factor = cache.get((shift, e))
                     if factor is None:
-                        factor = sub**e
-                        cache[(shift, e)] = factor
-                    term = term * factor
-            for k, tc in term._t.items():
+                        t = (sub**e)._t
+                        factor = cache[(shift, e)] = t, reduce(_or, t, 0)
+                    term = _product(term, factor[0], reduce(_or, term, 0) + factor[1])
+            for k, tc in term.items():
                 s = out.get(k, 0) + tc
                 if s:
                     out[k] = s
@@ -329,9 +332,11 @@ class MPoly:
         The Z-action covers all coefficients, so a constant term is the
         only thing that requires the ring to be unital.  The factors of a
         monomial are multiplied in slot order, which the ring's
-        commutativity makes immaterial.
+        commutativity makes immaterial.  Over z and zmod the products and
+        the sum are taken in their cover Z, and reduced once at the end.
         """
-        acc = ring.zero()
+        lift, down = ring.cover() if isinstance(ring, (ZRing, ZModRing)) else (ring, None)
+        acc, mul, add, scale = lift.zero(), lift.mul, lift.add, lift.int_scale
         powers: dict[int, object] = {}  # v^e of each variable v and exponent e, by its key
         for key, c in self._t.items():
             val = None
@@ -346,15 +351,15 @@ class MPoly:
                     if v not in assign:
                         raise ValueError(f"no value assigned to {var_name(v)}")
                     p = powers[mono] = ring.pow(assign[v], mono >> shift)
-                val = p if val is None else ring.mul(val, p)
+                val = p if val is None else mul(val, p)
             if val is None:
                 if not ring.unital:
                     raise UnsupportedRingOperation(
                         "constant term cannot be evaluated in a non-unital ring"
                     )
                 val = ring.one()
-            acc = ring.add(acc, ring.int_scale(c, val))
-        return acc
+            acc = add(acc, scale(c, val))
+        return acc if down is None else down(acc)
 
     # --- serialization -----------------------------------------------------
     def to_rows(self) -> list:

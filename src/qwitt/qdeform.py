@@ -128,7 +128,7 @@ def lenart_iso(p: int, q: int, a: witt.WittVector) -> witt.WittVector:
     ring = a.ring
     a1, ap = a.coords
     corrected = ring.add(ap, ring.int_scale(c, ring.pow(a1, p)))
-    return witt.make(Family.classical(), a.tset, ring, [a1, corrected])
+    return _vector(None, a, (a1, corrected))
 
 
 def lenart_iso_inverse(p: int, q: int, a: witt.WittVector) -> witt.WittVector:
@@ -140,7 +140,19 @@ def lenart_iso_inverse(p: int, q: int, a: witt.WittVector) -> witt.WittVector:
     ring = a.ring
     a1, ap = a.coords
     corrected = ring.sub(ap, ring.int_scale(c, ring.pow(a1, p)))
-    return witt.make(Family.lenart(q), a.tset, ring, [a1, corrected])
+    return _vector(q, a, (a1, corrected))
+
+
+_TARGETS: dict = {}  # (q, a source context's descriptor) -> the target context
+
+
+def _vector(q: int | None, a: witt.WittVector, coords: tuple) -> witt.WittVector:
+    """The vector of lenart:q, or classical if q is None, on a's set and ring."""
+    ctx = _TARGETS.get((q, a.context.descriptor))
+    if ctx is None:
+        family = Family.classical() if q is None else Family.lenart(q)
+        ctx = _TARGETS[q, a.context.descriptor] = witt.WittCoeffRing(a.ring, a.tset, family)
+    return witt.WittVector(ctx, coords)
 
 
 def lenart_frobenius_defect(p: int, q: int) -> witt.WittVector | None:

@@ -6,7 +6,7 @@ import pytest
 
 from qwitt.errors import NotInImage
 from qwitt.rings import Z, ZQ, zp_from_int
-from qwitt.truncset import TruncationSet
+from qwitt.truncset import TruncationSet, divisors
 from qwitt.universal import Family
 from qwitt import indwitt as iw
 from qwitt import witt
@@ -43,6 +43,32 @@ def test_constant_system_reduces_to_plain_witt():
         b = iw.make(sys.restrict(sub), [1, 5])
         assert iw.ind_verschiebung(sys, b, 2).coords == \
             witt.verschiebung(witt.make(CL, sub, Z, [1, 5]), 2, S6).coords
+
+
+def test_ring_ops_are_the_classical_law_at_each_divisor_set():
+    # coordinate n of a sum, product or negative is the last coordinate of
+    # the classical op on W_{div(n)}(A_n) at the coordinates pushed into
+    # A_n, a context built here for each n and each system; the systems
+    # are the indwitt suite's, and shift views of two of them
+    rng = random.Random(82)
+    systems = [iw.constant_system(Z, S4), iw.trivial_system(Z, S4), iw.chain_system(S2),
+               iw.constant_system(Z, S2, identity_lift=True),
+               iw.constant_system(Z, S4, identity_lift=True), iw.qpow_system(S2),
+               iw.qpow_system(S4), iw.constant_system(Z, S6)]
+    systems += [systems[2].shift(2), systems[6].shift(2)]
+    for sys in systems:
+        for _ in range(20):
+            v, w = iw.random_vector(sys, rng), iw.random_vector(sys, rng)
+            got = zip(sys.tset, iw.ind_add(v, w).coords, iw.ind_mul(v, w).coords,
+                      iw.ind_neg(v).coords)
+            for n, add, mul, neg in got:
+                div = TruncationSet.make([n])
+                a, b = (witt.make(CL, div, sys.ring(n),
+                                  [sys.push(d, n, u.coord(d)) for d in divisors(n)])
+                        for u in (v, w))
+                assert add == witt.add(a, b).coords[-1]
+                assert mul == witt.mul(a, b).coords[-1]
+                assert neg == witt.neg(a).coords[-1]
 
 
 def test_trivial_system_ghost():

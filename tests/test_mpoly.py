@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,14 +89,27 @@ def test_substitute_then_eval_is_composed_assignment():
         assert lhs == rhs
 
 
-def _substitute_by_repeated_addition(p, mapping):
-    # the loop substitute ran before it accumulated in place: the oracle
+def _pow_from_one(p, e):
+    result, base = MPoly.const(1), p
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def _substitute_by_term_products(p, mapping):
+    # the route substitute took before it ran on packed terms, the oracle:
+    # each term's unmapped part as a one-term polynomial, times the power of
+    # each mapped polynomial by *, in variable order, and the terms summed by +
     acc = MPoly.zero()
     for key, c in p.terms():
-        term = MPoly.const(c)
+        term = MPoly.term(c, [(v, e) for v, e in key if v not in mapping])
         for v, e in key:
-            sub = mapping.get(v)
-            term = term * (MPoly.var(v, e) if sub is None else sub**e)
+            if v in mapping:
+                term = term * _pow_from_one(mapping[v], e)
         acc = acc + term
     return acc
 
@@ -109,7 +123,7 @@ def test_substitute_keeps_the_terms_and_order_of_repeated_addition():
         for mapping in ({xvar(1): inner}, {xvar(1): inner, yvar(1): -inner},
                         {Q: other, xvar(2): MPoly.zero()}):
             got = p.substitute(mapping)
-            want = _substitute_by_repeated_addition(p, mapping)
+            want = _substitute_by_term_products(p, mapping)
             assert list(got.terms()) == list(want.terms())
 
 
@@ -156,12 +170,6 @@ def test_rows_round_trip_in_the_order_of_to_json():
 def test_malformed_rows_are_refused(row, error):
     with pytest.raises(error):
         MPoly.from_rows([[1, "y1", 1], row])
-
-
-def test_pow_matches_repeated_mul():
-    p = X1 + 2 * Y1
-    assert p**3 == p * p * p
-    assert p**0 == MPoly.const(1)
 
 
 @pytest.mark.parametrize("name", ["x01", "y007", "x0", "x", "x١", "x²", "z1",
@@ -348,3 +356,114 @@ def test_a_term_is_the_product_of_its_powers():
         MPoly.term(1, [(xvar(1), top), (xvar(1), 1)])
     with pytest.raises(BudgetExceeded):
         MPoly.term(1, [(xvar(1), top + 1)])
+
+
+# --- the structure operations against their term-by-term routes -----------
+# substitute, ** and eval run on packed (key, coeff) pairs; the oracles are
+# the routes they took before: _substitute_by_term_products, _pow_from_one,
+# and ring ops for every factor and term.
+
+def _outcome(route):
+    """The terms a route gives, in order, or BudgetExceeded if it raises that."""
+    try:
+        return route().terms()
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+# the mapped candidates carry small exponents; the large variables, never
+# mapped, carry exponents up to the top of a slot, so that a product of a
+# term and a mapped polynomial holding them can pass it
+_MAPPED = st.sampled_from([Q, xvar(1), xvar(2), yvar(1)])
+_TOPS = [1, (1 << (mpoly._W - 2)) - 1, 1 << (mpoly._W - 2), (1 << (mpoly._W - 1)) - 1]
+_EXPS = st.one_of(st.tuples(_MAPPED, st.integers(1, 3)),
+                  st.tuples(_LARGE, st.sampled_from(_TOPS)))
+
+
+def _polys(exps):
+    monomials = st.lists(exps, max_size=3, unique_by=lambda pair: pair[0])
+    return st.lists(st.tuples(st.integers(-3, 3), monomials), max_size=5).map(
+        lambda terms: sum((MPoly.term(c, e) for c, e in terms), MPoly.zero()))
+
+
+_POLY = _polys(_EXPS)
+
+
+@settings(max_examples=300)
+@given(_POLY, st.dictionaries(_MAPPED, _POLY, max_size=3))
+def test_substitute_matches_the_one_term_product_route(p, mapping):
+    assert _outcome(lambda: p.substitute(mapping)) == _outcome(
+        lambda: _substitute_by_term_products(p, mapping))
+
+
+def test_substitute_cancels_and_refuses_as_the_one_term_product_route():
+    top = (1 << (mpoly._W - 1)) - 1
+    x, y, q = MPoly.var(xvar(1)), MPoly.var(yvar(1)), MPoly.var(Q)
+    big = MPoly.var(xvar(40), top)
+    cases = [(x + y, {yvar(1): -x}),  # cancels to zero
+             (x * y - q * y + x, {yvar(1): x - q, Q: x}),  # cancels in part
+             (3 * x * y * y + q, {yvar(1): MPoly.zero()}),  # a zero factor
+             (big * y, {yvar(1): x}),  # fits: the mapped part holds no x40
+             (big * y + q, {yvar(1): MPoly.var(xvar(40)) + x}),  # passes the top bit
+             # the power of the mapped polynomial fits, its product with the term does not
+             (MPoly.var(xvar(40), 1 << (mpoly._W - 2)) * y * y,
+              {yvar(1): MPoly.var(xvar(40), (1 << (mpoly._W - 3)) + 1)})]
+    outcomes = []
+    for p, mapping in cases:
+        got = _outcome(lambda: p.substitute(mapping))
+        assert got == _outcome(lambda: _substitute_by_term_products(p, mapping))
+        outcomes.append(got)
+    assert outcomes[0] == [] and outcomes[2] == [(((Q, 1),), 1)]
+    assert outcomes[3] != BudgetExceeded
+    assert outcomes[4] is BudgetExceeded and outcomes[5] is BudgetExceeded
+
+
+@settings(max_examples=100)
+@given(_TERMS)
+def test_pow_matches_repeated_mul(t):
+    # ** squares from the operand itself: the terms of squaring from 1
+    p, _ = _both(t)
+    for e in (0, 1, 2, 3, 5, 8):
+        want = MPoly.const(1)
+        for _ in range(e):
+            want = want * p
+        got = p**e
+        assert got == want
+        assert got.terms() == _pow_from_one(p, e).terms()
+    assert (p**1) is p
+
+
+def _eval_by_ring_ops(p, ring, assign):
+    acc = ring.zero()
+    for key, c in p.terms():
+        val = ring.one()
+        for v, e in key:
+            val = ring.mul(val, ring.pow(assign[v], e))
+        acc = ring.add(acc, ring.int_scale(c, val))
+    return acc
+
+
+@settings(max_examples=200)
+@given(_polys(st.tuples(_SMALL, st.integers(1, 3))),
+       st.lists(st.integers(-50, 50), min_size=8, max_size=8))
+def test_eval_over_z_and_zmod_matches_the_ring_loop(p, values):
+    names = [Q, xvar(1), xvar(2), xvar(3), xvar(12), yvar(1), yvar(2), yvar(7)]
+    assign = dict(zip(names, values))
+    for ring in (Z, ZModRing(6)):
+        # the same ring, but not one whose cover is Z: the ring-op loop
+        loop = TwistedRing(ring, 1)
+        want = _eval_by_ring_ops(p, ring, assign)
+        assert p.eval(ring, assign) == want == p.eval(loop, assign)
+    with pytest.raises(ValueError):
+        (p + MPoly.var(xvar(5))).eval(Z, assign)
+
+
+def test_eval_over_zmod_takes_each_power_through_the_ring():
+    # x^(2^20) as an int has a million bits; pow(x, 2^20, 7) does not
+    zm = ZModRing(7)
+    exps = [(1 << 20) + k for k in range(8)]
+    p = sum((MPoly.var(xvar(1), e) for e in exps), MPoly.const(5))
+    start = time.perf_counter()
+    got = p.eval(zm, {xvar(1): 3})
+    assert time.perf_counter() - start < 0.1
+    assert got == (5 + sum(pow(3, e, 7) for e in exps)) % 7

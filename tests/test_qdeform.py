@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from qwitt.errors import PDividesQ
-from qwitt.rings import Z, ZQ, ZP_ONE, ZP_Q, ZP_ZERO, zp_eval_int, zp_mul, zp_neg, zp_pow, zp_sub
+from qwitt.errors import CertificationError, PDividesQ
+from qwitt.rings import (Z, ZQ, ZModRing, ZP_ONE, ZP_Q, ZP_ZERO, zp_eval_int, zp_mul, zp_neg,
+                         zp_pow, zp_sub)
 from qwitt.truncset import TruncationSet
 from qwitt.universal import Family
 from qwitt import qdeform, witt
@@ -55,6 +56,36 @@ def test_lenart_iso_is_ring_iso():
             fa = qdeform.lenart_iso(p, q, witt.random_vector(fam, s, Z, rng))
             back = qdeform.lenart_iso(p, q, qdeform.lenart_iso_inverse(p, q, fa))
             assert back.coords == fa.coords
+
+
+def test_lenart_iso_builds_what_make_builds():
+    # both maps return vectors of the interned target context, equal to the
+    # witt.make route on the same coordinates, over z and zmod
+    rng = random.Random(51)
+    for ring in (Z, ZModRing(6)):
+        for p, q in ((2, 3), (3, 2), (5, 2)):
+            s = TruncationSet.make([p])
+            for _ in range(20):
+                a = witt.random_vector(Family.lenart(q), s, ring, rng)
+                fa = qdeform.lenart_iso(p, q, a)
+                assert fa == witt.make(Family.classical(), s, ring, fa.coords)
+                assert fa.context is witt.WittCoeffRing(ring, s)
+                back = qdeform.lenart_iso_inverse(p, q, fa)
+                assert back == a and back.context is a.context
+            # the same classical vector, carried to another integer q
+            other = qdeform.lenart_iso_inverse(p, q + p, fa)
+            assert other.context is witt.WittCoeffRing(ring, s, Family.lenart(q + p))
+    a = witt.make(Family.lenart(3), S2, Z, [2, 5])
+    with pytest.raises(CertificationError):  # a wrong family
+        qdeform.lenart_iso(2, 5, a)
+    with pytest.raises(CertificationError):
+        qdeform.lenart_iso_inverse(2, 3, a)
+    with pytest.raises(CertificationError):  # a wrong set
+        qdeform.lenart_iso(3, 3, a)
+    with pytest.raises(ValueError, match="p=4"):  # p not a prime
+        qdeform.lenart_iso(4, 3, a)
+    with pytest.raises(ValueError, match="p=4"):
+        qdeform.lenart_iso_inverse(4, 3, witt.make(Family.classical(), S2, Z, [2, 5]))
 
 
 def test_lenart_frobenius_defect():
