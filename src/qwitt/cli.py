@@ -59,15 +59,21 @@ def _poly_payload(poly, fmt: str):
 # ----------------------------------------------------------------------
 
 
+def _index(op: str, tset: TruncationSet) -> int:
+    """The m of ``name:m``, which must be in tset: a usage error otherwise."""
+    m = read_int(op.split(":", 1)[1])
+    if m not in tset:
+        raise ValueError(f"{m} is not in {tset}")
+    return m
+
+
 def cmd_polys(args) -> int:
     family = Family.parse(args.family)
     tset = TruncationSet.parse(args.set)
     ps = universal.derive(family, tset)
     law = args.law
     if law.startswith("frob:"):
-        m = read_int(law.split(":", 1)[1])
-        if m not in tset:
-            raise ValueError(f"{m} is not in {tset}")
+        m = _index(law, tset)
         polys = {str(v): ps.frob[m][v] for v in tset.quotient(m)}
     elif law in ("add", "mul", "neg"):
         polys = {str(n): ps.law(law)[n] for n in tset}
@@ -115,14 +121,16 @@ def cmd_eval(args) -> int:
     elif op == "neg":
         _emit(witt.vector_to_json(witt.neg(vec())))
     elif op.startswith("frob:"):
-        m = read_int(op.split(":", 1)[1])
+        m = _index(op, tset)
         _emit(witt.vector_to_json(witt.frobenius(vec(), m)))
     elif op.startswith("ver:"):
-        m = read_int(op.split(":", 1)[1])
+        m = _index(op, tset)
         a = vec("a", tset.quotient(m))
         _emit(witt.vector_to_json(witt.verschiebung(a, m, tset)))
     elif op.startswith("project:"):
         sub = TruncationSet.parse(op.split(":", 1)[1])
+        if not sub.is_subset(tset):
+            raise ValueError(f"{sub} is not a subset of {tset}")
         _emit(witt.vector_to_json(witt.project(vec(), sub)))
     elif op == "teich":
         if "value" not in data:
@@ -204,8 +212,9 @@ def _parse_system(text: str, setpart: str) -> systems.ProjSystem:
 def cmd_systems(args) -> int:
     from . import systems
     if args.action == "verify":
-        instance = args.instance
-        desc, setpart = instance.rsplit(":", 1)
+        desc, sep, setpart = args.instance.rpartition(":")
+        if not sep:
+            raise ValueError(f"expected <instance>:<set>, got {args.instance!r}")
         sys_obj = _parse_system(desc, setpart)
         if sys_obj.has_versch:
             rep = systems.verify_rfv(sys_obj, budget=args.budget, seed=args.seed)
@@ -285,10 +294,10 @@ def cmd_indwitt(args) -> int:
             }
         )
     elif op.startswith("frob:"):
-        n = read_int(op.split(":", 1)[1])
+        n = _index(op, tset)
         _emit(_ind_vec_json(indwitt.ind_frobenius(vec(), n)))
     elif op.startswith("ver:"):
-        n = read_int(op.split(":", 1)[1])
+        n = _index(op, tset)
         sub = sys_obj.restrict(tset.quotient(n))
         _emit(_ind_vec_json(indwitt.ind_verschiebung(sys_obj, vec("a", sub), n)))
     elif op == "dwork-test":

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -287,6 +286,34 @@ def test_an_unfinished_expression_is_named_as_such(capsys, argv, text):
 def test_a_malformed_ring_descriptor_names_its_format(capsys, ring, form):
     assert main(["ringlaw", "verify", "--ring", ring, "--F", "x+y", "--G", "x*y"]) == 2
     assert capsys.readouterr().err == f"usage error: expected {form}, got {ring!r}\n"
+
+
+def test_a_malformed_system_instance_names_its_format(capsys):
+    assert main(["systems", "verify", "--instance", "witt"]) == 2
+    assert capsys.readouterr().err == "usage error: expected <instance>:<set>, got 'witt'\n"
+
+
+# an index or a subset outside the set is a usage error in every command
+OUTSIDE = [
+    ("polys-frob", ["polys", "--family", "classical", "--law", "frob:5"], "5 is not in 1,2"),
+    ("eval-frob", ["eval", "--family", "classical", "--ring", "z", "--op", "frob:5"],
+     "5 is not in 1,2"),
+    ("eval-ver", ["eval", "--family", "classical", "--ring", "z", "--op", "ver:5"],
+     "5 is not in 1,2"),
+    ("eval-project", ["eval", "--family", "classical", "--ring", "z", "--op", "project:1,3"],
+     "1,3 is not a subset of 1,2"),
+    ("indwitt-frob", ["indwitt", "frob:5", "--system", "const:z"], "5 is not in 1,2"),
+    ("indwitt-ver", ["indwitt", "ver:5", "--system", "const:z"], "5 is not in 1,2"),
+]
+
+
+@pytest.mark.parametrize("argv, text", [pytest.param(*row[1:], id=row[0]) for row in OUTSIDE])
+def test_an_index_outside_the_set_is_a_usage_error(tmp_path, capsys, argv, text):
+    if argv[0] != "polys":
+        (tmp_path / "in.json").write_text(json.dumps({"a": {"coords": {"1": "3", "2": "1"}}}))
+        argv = [*argv, "--in", str(tmp_path / "in.json")]
+    assert main([*argv, "--set", "1,2"]) == 2
+    assert capsys.readouterr().err == f"usage error: {text}\n"
 
 
 def test_missing_input_fields_are_usage_errors(tmp_path, capsys):
@@ -648,13 +675,12 @@ BOUNDED = [
 
 @pytest.mark.parametrize("argv, data, expected, seconds",
                          [pytest.param(*row[1:], id=row[0]) for row in BOUNDED])
-def test_bounded_command_exits_in_time(tmp_path, argv, data, expected, seconds):
+def test_bounded_command_exits_in_time(tmp_path, argv, data, expected, seconds, src_env):
     if data is not None:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data))
         argv = [*argv, "--in", str(path)]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=src_env,
                           capture_output=True, text=True, timeout=seconds)
     assert "internal error" not in proc.stderr, proc.stderr
     if expected == 1:
@@ -670,15 +696,14 @@ def test_bounded_command_exits_in_time(tmp_path, argv, data, expected, seconds):
     ["polys", "--family", "classical", "--set", "1,2,3,4,5,6,7,8", "--law", "mul"],
     ["deform", "lenart-defect", "--p", "2", "--q", "2"],
 ], ids=["verify", "polys", "small"])
-def test_a_closed_stdout_exits_1_quietly(argv):
+def test_a_closed_stdout_exits_1_quietly(argv, src_env):
     # the reader of stdout is gone before the first byte: a large output
     # fails as it is written, a small one at the flush after the command
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    env.pop("PYTHONUNBUFFERED", None)  # stdout holds a buffer
+    src_env.pop("PYTHONUNBUFFERED", None)  # stdout holds a buffer
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run([sys.executable, "-m", "qwitt.cli", *argv], env=env, stdout=write,
+        proc = subprocess.run([sys.executable, "-m", "qwitt.cli", *argv], env=src_env, stdout=write,
                               stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(write)
@@ -699,14 +724,13 @@ POLYS_GOLDEN = {
 }
 
 
-def test_polys_output_matches_its_golden_digests(capsys):
+def test_polys_output_matches_its_golden_digests(capsys, src_env):
     for (family, tset), digest in POLYS_GOLDEN.items():
         assert main(["polys", "--family", family, "--set", tset, "--law", "mul"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, tset)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     argv = ["polys", "--family", "qbar", "--set", "1,2,4,8", "--law", "mul"]
-    proc = subprocess.run([sys.executable, "-m", "qwitt.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "qwitt.cli", *argv], env=src_env,
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == POLYS_GOLDEN[("qbar", "1,2,4,8")]
@@ -726,11 +750,10 @@ print(json.dumps([sorted(package), sorted(set(sys.modules) - start)]))
 """
 
 
-def test_the_cli_starts_with_only_what_every_command_needs():
+def test_the_cli_starts_with_only_what_every_command_needs(src_env):
     # a fresh interpreter, as pytest's has imported everything; modules that
     # the interpreter itself loaded at start are not the package's doing
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", STARTUP], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", STARTUP], env=src_env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     package, cli = json.loads(proc.stdout)

@@ -1,6 +1,5 @@
 """Every demo runs to completion through the public API."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +15,7 @@ def test_demos_exist():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+def test_demo_exits_cleanly(demo, tmp_path, src_env):
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=src_env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,161 +1,34 @@
-"""The ghost-route engine against the structure polynomials.
+"""The ghost-route engine: its kernels, how they compile, and their bounds.
 
 Witt arithmetic and the inductive-system ops run on the ghost route only.
-The explicit polynomials from ``universal.derive``, evaluated with
-``MPoly.eval`` in the coefficient ring itself (over ``zmod`` with no
-integer lift), are the independent oracle they are compared with.
+Each of its fast routes is held against a reference -- the structure
+polynomials from ``universal.derive``, evaluated with ``MPoly.eval`` in
+the coefficient ring itself (over ``zmod`` with no integer lift), and the
+row and ring loops -- by the rows of the table in test_differential.py,
+which run here under the names of the tests they replaced.
 """
 
-import functools
 import json
-import operator
-import os
 import random
 import subprocess
 import sys
 import threading
 import time
 import types
-from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from test_differential import (BUMPS, DIVISOR_STABLE, S2, S6, S12, Z_FAMILIES, ZQ_FAMILIES, LoopZ,
+                               LoopZq, bind, check, outcome, poly_values, reduced,
+                               results, row_loops)
 
 from qwitt import indwitt, rings, suites, universal, witt
 from qwitt.errors import BudgetExceeded, NotInGhostImage
 from qwitt.exprs import MAX_BITS
-from qwitt.mpoly import Q, xvar, yvar
-from qwitt.rings import (DUAL, Z, ZQ, Ring, TwistedRing, ZModRing, ZqRing, ZRing,
-                         parse_ring)
+from qwitt.rings import Z, ZQ, ZModRing, parse_ring
 from qwitt.truncset import TruncationSet, divisors
 from qwitt.universal import Family
 
-S6 = TruncationSet.make([6])
-S12 = TruncationSet.make([12])
-S2 = TruncationSet.make([2])
-
-FAMILIES = {
-    "classical": Family.classical(),
-    "qdef": Family.qdef(),
-    "qbar": Family.qbar(),
-    "qbar:q": Family.qbar((0, 1)),
-    "lenart:2": Family.lenart(2),
-}
-
-# (ring, q binding for the q-families, truncation set)
-RINGS = [
-    (Z, 2, S12),
-    (ZModRing(8), 3, S12),
-    (ZQ, None, S12),
-    (DUAL, (2, 1), S12),
-    (parse_ring("twist:z:2"), 3, S12),  # non-unital, q named by an integer
-    (parse_ring("twist:zmod:9:3"), 2, S12),
-    (TwistedRing(ZQ, (2,)), (0, 1), S12),  # non-unital, bound to its element q
-    (parse_ring("witt:z:1,2"), 2, S6),
-    (parse_ring("witt:zmod:4:1,2"), 3, S6),
-    (witt.WittCoeffRing(ZModRing(7), S2, Family.qdef(), q=3), (2, 5), S6),
-]
-
-
-def _cases():
-    for fname, family in FAMILIES.items():
-        for ring, q, tset in RINGS:
-            yield pytest.param(family, ring, q if family.uses_q() else None, tset,
-                               id=f"{fname}-{ring.descriptor}")
-
-
-def _polys(ps, family, tset, op):
-    if op == "ghost":
-        return [universal.ghost_poly(family, tset, n) for n in tset]
-    if isinstance(op, int):
-        return [ps.frob[op][v] for v in tset.quotient(op)]
-    return [ps.law(op)[n] for n in tset]
-
-
-def _assign(tset, qval, *banks):
-    out = {} if qval is None else {Q: qval}
-    for var, coords in zip((xvar, yvar), banks):
-        out.update({var(d): c for d, c in zip(tset, coords)})
-    return out
-
-
-@pytest.mark.parametrize("family, ring, q, tset", _cases())
-def test_engine_matches_polynomial_oracle(family, ring, q, tset):
-    rng = random.Random(2024)
-    ps = universal.derive(family, tset)
-    for _ in range(3):
-        a = witt.random_vector(family, tset, ring, rng, q)
-        b = witt.random_vector(family, tset, ring, rng, q)
-
-        def want(op, *banks):
-            assign = _assign(tset, a.qval, a.coords, *banks)
-            return tuple(p.eval(ring, assign) for p in _polys(ps, family, tset, op))
-
-        assert witt.add(a, b).coords == want("add", b.coords)
-        assert witt.mul(a, b).coords == want("mul", b.coords)
-        assert witt.neg(a).coords == want("neg")
-        assert witt.ghost(a) == want("ghost")
-        for m in tset:
-            assert witt.frobenius(a, m).coords == want(m)
-
-
-# ----------------------------------------------------------------------
-# Inductive systems: the per-index polynomial evaluation that the engine
-# replaced, kept here as the oracle.
-
-
-def _ind_assign(at, *vecs):
-    sys = vecs[0].system
-    return {
-        var(d): sys.push(d, at, v.coord(d))
-        for var, v in zip((xvar, yvar), vecs)
-        for d in _divisors(at)
-    }
-
-
-def _ind_oracle(op, *vecs):
-    sys = vecs[0].system
-    polys = universal.derive(Family.classical(), sys.tset).law(op)
-    return tuple(polys[k].eval(sys.ring(k), _ind_assign(k, *vecs)) for k in sys.tset)
-
-
-def _ind_frobenius_oracle(v, n):
-    sys = v.system
-    bank = universal.derive(Family.classical(), sys.tset).frob[n]
-    return tuple(
-        bank[nu].eval(sys.ring(n * nu), _ind_assign(n * nu, v))
-        for nu in sys.tset.quotient(n)
-    )
-
-
-def _divisors(n):
-    return TruncationSet.make([n]).elements
-
-
-SYSTEMS = {
-    "const": indwitt.constant_system(Z, S12, identity_lift=True),
-    "const-zmod": indwitt.constant_system(ZModRing(6), S12),
-    "trivial": indwitt.trivial_system(Z, S12),
-    "chain": indwitt.chain_system(S12),
-    "qpow": indwitt.qpow_system(S12),
-}
-
-
-@pytest.mark.parametrize("name", SYSTEMS)
-def test_indwitt_ops_match_polynomial_oracle(name):
-    sys = SYSTEMS[name]
-    rng = random.Random(7)
-    for _ in range(3):
-        v = indwitt.random_vector(sys, rng)
-        w = indwitt.random_vector(sys, rng)
-        assert indwitt.ind_add(v, w).coords == _ind_oracle("add", v, w)
-        assert indwitt.ind_mul(v, w).coords == _ind_oracle("mul", v, w)
-        assert indwitt.ind_neg(v).coords == _ind_oracle("neg", v)
-        for n in sys.tset:
-            assert indwitt.ind_frobenius(v, n).coords == _ind_frobenius_oracle(v, n)
-
-
-# ----------------------------------------------------------------------
+bind(globals())
 
 
 def test_arithmetic_never_derives(monkeypatch):
@@ -197,84 +70,6 @@ def test_arithmetic_never_derives(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The packed Z[q] route against the generic row loop.  ``LoopZq`` is Z[q]
-# as a plain ring, neither ``ZRing`` nor ``ZqRing``: a context over it
-# runs every op through ``witt._ghost`` and ``witt._invert``, ring
-# operations on coefficient tuples, never through a packed integer.  That
-# loop is the reference here; the polynomial oracle above checks it in
-# turn over ``dual``, twisted and Witt rings.
-
-
-class LoopZq(Ring):
-    descriptor = "zq:loop"
-    unital = torsion_free = supports_div_int = True
-    zero, one, from_int, is_zero, eq = (ZqRing.zero, ZqRing.one, ZqRing.from_int,
-                                        ZqRing.is_zero, ZqRing.eq)
-    add, neg, mul, int_scale, pow, try_div_int, to_str = map(staticmethod, (
-        rings.zp_add, rings.zp_neg, rings.zp_mul, rings.zp_scale, rings.zp_pow,
-        rings.zp_divexact, rings.zp_to_str))
-
-
-ZQ_FAMILIES = [
-    (Family.classical(), None),
-    (Family.qdef(), None),  # q is the generator
-    (Family.qdef(), (3,)),
-    (Family.qdef(), (-1, 2)),
-    (Family.qbar(), None),
-    (Family.qbar((1, -2, 0, 3)), None),
-    (Family.lenart(2), None),
-]
-COEFF = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
-ZQ_ELEMENT = st.lists(COEFF, max_size=5).map(tuple)  # leading negatives included
-
-
-def _engine_results(ctx, a, b):
-    out = [ctx.add(a, b), ctx.mul(a, b), ctx.neg(a), ctx.ghost(a), ctx.ghost(b),
-           ctx.unghost(ctx.ghost(b)), ctx.try_div_int(a, -3),
-           ctx.try_div_int(ctx.add(a, a), 2)]
-    out += [ctx.frobenius(m, a) for m in ctx.tset]
-    try:
-        out.append(ctx.unghost(a))
-    except NotInGhostImage as exc:
-        out.append(str(exc))
-    return out
-
-
-@settings(max_examples=120)
-@given(
-    st.sampled_from(range(len(ZQ_FAMILIES))),
-    st.sets(st.integers(1, 12)),
-    st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
-    st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
-)
-# A digit reaches |n*d| = 2^(s-1) - 1: on {1,3}, unghost of a = (1, -2)
-# has the bound A_3 = 2 + 1^3 = 3, so s = 3, and c_3 = -3/3 = -1 is a digit
-# with |3*(-1)| = 3; the ghost of b = (1, 2) is (1, 7) with s = 4.  The
-# same with monomials, and at s = 71: A_3 = 2^70 - 1 with c_3 = -(2^70-1)/3,
-# and the ghost (3, 2^70 - 1).  On {1}, try_div_int of (15,) by -3 has
-# s = 5 and the quotient digit -5.
-@example(0, {3}, [(1,), (-2,)] + [()] * 10, [(1,), (2,)] + [()] * 10)
-@example(0, {3}, [(0, 1), (0, 0, 0, -2)] + [()] * 10, [(0, 1), (0, 0, 0, 2)] + [()] * 10)
-@example(0, {3}, [(1,), (-(2**70) + 2,)] + [()] * 10,
-         [(3,), ((2**70 - 28) // 3,)] + [()] * 10)
-@example(0, set(), [(15,)] + [()] * 11, [(1,)] * 12)
-# rows whose result equalled their own slot bound when Z[q] packed row by row
-@example(0, {2}, [(-1,), (-1,)] + [()] * 10, [(1,), (1,)] + [()] * 10)
-@example(0, {2}, [(-3,), (-3,)] + [()] * 10, [(3,), (3,)] + [()] * 10)
-@example(6, {4}, [(1, 1, 1, 1, 1)] * 12, [(-1, 1, -1, 1, -1)] * 12)
-@example(5, {12}, [(2**70, -(2**70))] * 12, [(0, 0, 0, 0, 1)] * 12)
-def test_packed_zq_rows_match_the_generic_loop(fam, picked, xs, ys):
-    family, q = ZQ_FAMILIES[fam]
-    tset = TruncationSet.make(picked | {1})
-    a = tuple(ZQ.check(x) for x in xs[:len(tset)])
-    b = tuple(ZQ.check(y) for y in ys[:len(tset)])
-    packed = witt.WittCoeffRing(ZQ, tset, family, q)
-    symbolic = q is None and family.uses_q()
-    loop = witt.WittCoeffRing(LoopZq(), tset, family, rings.ZP_Q if symbolic else q)
-    assert type(packed) is witt.WittCoeffRing and type(loop._kernels) is witt._RingKernels
-    assert _engine_results(packed, a, b) == _engine_results(loop, a, b)
-
-
 def test_packed_rows_are_kept_for_a_bounded_number_of_widths():
     # above 64 bits the widths are not rounded: x_1 = 2^(8k) puts about
     # 2^(32k) in ghost row 4, so each k brings a new width and, at the
@@ -340,77 +135,6 @@ def test_ghost_and_mul_of_a_high_monomial_stay_fast():
 
 
 # ----------------------------------------------------------------------
-# The integer route against the generic row loop.  ``LoopZ`` is Z as a
-# plain ring: a context over it runs every op through ring operations,
-# never through the integer loops that a context over Z runs.
-
-
-class LoopZ(Ring):
-    descriptor = "z:loop"
-    unital = torsion_free = supports_div_int = reduced = True
-    zero, one, from_int, is_zero, try_div_int, check, to_str = (
-        ZRing.zero, ZRing.one, ZRing.from_int, ZRing.is_zero, ZRing.try_div_int,
-        ZRing.check, ZRing.to_str)
-    add, sub, neg, mul, int_scale, pow, eq = map(staticmethod, (
-        operator.add, operator.sub, operator.neg, operator.mul, operator.mul,
-        operator.pow, operator.eq))
-
-
-Z_FAMILIES = [
-    (Family.classical(), None),
-    (Family.qdef(), 3),
-    (Family.qdef(), -1),
-    (Family.qbar(), 2),
-    (Family.lenart(2), None),
-]
-Z_RINGS = [Z, ZModRing(4), ZModRing(6), ZModRing(9)]
-Z_COEFF = st.one_of(st.integers(-3, 3), st.integers(2**70 - 9, 2**70 + 9),
-                    st.integers(-(2**70) - 9, -(2**70) + 9))
-
-
-def _integer_engine_results(ctx, a, b, gs, divides):
-    out = [ctx.add(a, b), ctx.mul(a, b), ctx.neg(a), ctx.ghost(a), ctx.ghost(b)]
-    out += [ctx.frobenius(m, a) for m in ctx.tset]
-    for g in (gs, a):  # the ghost of b over Z, and a, mostly not a ghost vector
-        try:
-            out.append(ctx.unghost(g))
-        except NotInGhostImage as exc:
-            out.append(str(exc))
-    if divides:
-        out += [ctx.try_div_int(a, -3), ctx.try_div_int(ctx.add(a, a), 2),
-                ctx.try_div_int(ctx.int_scale(6, b), 6)]
-    return out
-
-
-@settings(max_examples=120)
-@given(
-    st.sampled_from(range(len(Z_FAMILIES))),
-    st.sampled_from(range(len(Z_RINGS))),
-    st.sets(st.integers(1, 12)),
-    st.lists(Z_COEFF, min_size=12, max_size=12),
-    st.lists(Z_COEFF, min_size=12, max_size=12),
-)
-# on {1,3}: a = (1, -2) has the ghost (1, -1), whose row 3 leaves -2, not
-# a multiple of 3; the ghost of b = (1, 2) is (1, 7)
-@example(0, 0, {3}, [1, -2] + [0] * 10, [1, 2] + [0] * 10)
-@example(1, 3, {12}, [2**70] * 12, [-(2**70) - 9] * 12)
-def test_integer_rows_match_the_generic_loop(fam, ring_at, picked, xs, ys):
-    family, q = Z_FAMILIES[fam]
-    ring = Z_RINGS[ring_at]
-    tset = TruncationSet.make(picked | {1})
-    a = tuple(ring.check(x) for x in xs[:len(tset)])
-    b = tuple(ring.check(y) for y in ys[:len(tset)])
-    ctx = witt.WittCoeffRing(ring, tset, family, q)
-    # the same integer q as the context's cover, so every step agrees over Z
-    loop = witt.WittCoeffRing(LoopZ(), tset, family, ctx.qval)
-    assert ctx.add.__self__ is ctx._kernels and type(loop._kernels) is witt._RingKernels
-    assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]  # compiled
-    down = ctx.down or (lambda c: c)
-    want = [tuple(map(down, r)) if isinstance(r, tuple) else r
-            for r in _integer_engine_results(loop, a, b, loop.ghost(b), ring is Z)]
-    assert _integer_engine_results(ctx, a, b, loop.ghost(b), ring is Z) == want
-
-
 def test_integer_contexts_never_call_the_generic_row(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the generic row loop was called")
@@ -462,74 +186,10 @@ def test_every_cover_binds_its_kernels(monkeypatch, desc):
             made.clear()
             got = witt.frobenius(a, m).coords
             assert made == [(ctx._kernels, m)]
-            assert got == tuple(p.eval(ring, _assign(S6, None, a.coords))
-                                for p in _polys(ps, family, S6, m))
+            assert got == poly_values([ps.frob[m][v] for v in S6.quotient(m)], a, a)
 
 
 # ----------------------------------------------------------------------
-# The compiled kernels against the row loops they replace.
-
-
-def _divisor_stable_subsets(top: int) -> list:
-    """Every divisor-stable subset of {1, ..., top}, as ascending tuples."""
-    out = [()]
-    for n in range(1, top + 1):
-        out += [s + (n,) for s in out if set(divisors(n)[:-1]) <= set(s)]
-    return out[1:]
-
-
-DIVISOR_STABLE = _divisor_stable_subsets(12)
-# (ring, family, q): the kernels' weights, twist and modulus come from
-# these contexts; over zq at the weights packed at q = 2^s
-KERNEL_CONTEXTS = [
-    (Z, Family.classical(), None),
-    (Z, Family.qdef(), -2),
-    (ZModRing(4), Family.qbar(), 3),
-    (ZModRing(9), Family.lenart(2), None),
-    (ZQ, Family.qdef(), 3),  # an integer q
-    (ZQ, Family.qdef(), None),  # the generator q
-    (ZQ, Family.qbar((1, -2, 0, 3)), None),
-]
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except NotInGhostImage as exc:
-        return str(exc)
-
-
-def _kernel_results(k, tset, a, b, gs) -> list:
-    out = [_outcome(op, *args) for op, args in (
-        (k.add, (a, b)), (k.mul, (a, b)), (k.neg, (a,)), (k.ghost, (a,)),
-        (k.unghost, (gs,)), (k.unghost, (a,)))]
-    return out + [_outcome(k.frob(m), a) for m in tset]
-
-
-@settings(max_examples=200)
-@given(
-    st.sampled_from(DIVISOR_STABLE),
-    st.sampled_from(range(len(KERNEL_CONTEXTS))),
-    st.integers(2, 90),
-    st.lists(Z_COEFF, min_size=12, max_size=12),
-    st.lists(Z_COEFF, min_size=12, max_size=12),
-)
-# the unghost of a = (1, -2) on {1,3} fails at 3 (row 3 leaves -2); a
-# ghost vector whose row 4 is odd fails at 2 first on {1,2,4}
-@example((1, 3), 0, 2, [1, -2] + [0] * 10, [1, 2] + [0] * 10)
-@example((1, 2, 4), 3, 2, [1, 0, 3] + [0] * 9, [0] * 12)
-@example(DIVISOR_STABLE[-1], 6, 90, [2**70] * 12, [-(2**70) - 9] * 12)
-def test_kernels_match_the_row_loops(elems, at, s, xs, ys):
-    ring, family, q = KERNEL_CONTEXTS[at]
-    tset = TruncationSet.make(elems)
-    ctx = witt.WittCoeffRing(ring, tset, family, q)
-    kern = ctx._kernels.at(s) if ring is ZQ else ctx._kernels
-    shape = witt._shape(tset)
-    compiled = witt._compile_kernels(shape)(kern.W, kern.T, kern.M)
-    loop = witt._LoopKernels(shape, kern.W, kern.T, kern.M)
-    a, b = tuple(xs[:len(tset)]), tuple(ys[:len(tset)])
-    gs = witt._LoopKernels(shape, kern.W, kern.T, None).ghost(b)  # a ghost vector
-    assert _kernel_results(compiled, tset, a, b, gs) == _kernel_results(loop, tset, a, b, gs)
 
 
 def test_divisor_stable_subsets_of_one_to_twelve():
@@ -567,18 +227,11 @@ def test_sets_on_each_side_of_the_term_cap(monkeypatch, side):
             assert ctx._factory.func is witt._LoopKernels
             assert ctx._factory.packed.func is witt._PackedLoops
         loop = witt.WittCoeffRing(LoopZq() if ring is ZQ else LoopZ(), tset, family, ctx.qval)
-        down = ctx.down or (lambda c: c)
-        want = [tuple(map(down, r)) for r in (
-            loop.add(a.coords, b.coords), loop.mul(a.coords, b.coords), loop.neg(a.coords),
-            loop.frobenius(2, a.coords), loop.ghost(a.coords))]
-        assert [ctx.add(a.coords, b.coords), ctx.mul(a.coords, b.coords), ctx.neg(a.coords),
-                ctx.frobenius(2, a.coords), ctx.ghost(a.coords)] == want
-        if ring is ZQ:  # a ghost vector, and the same with each bump at each row
-            gs = ctx.ghost(b.coords)
-            bumped = [gs] + [gs[:k] + (rings.zp_add(gs[k], bump),) + gs[k + 1:]
-                             for bump in BUMPS for k in range(len(gs))]
-            assert [_outcome(ctx.unghost, g) for g in bumped] == [
-                _outcome(loop.unghost, g) for g in bumped]
+        gs = ctx.ghost(b.coords)  # over zq, a ghost vector and the same with each bump at each row
+        bumped = [gs] + [gs[:k] + (rings.zp_add(gs[k], bump),) + gs[k + 1:]
+                         for bump in BUMPS for k in range(len(gs))] if ring is ZQ else []
+        args = ((2,), a.coords, b.coords, *bumped)  # of the F_m, F_2 alone
+        assert results(ctx._kernels, *args) == reduced(ctx._kernels.M, loop._kernels, *args)
     # the set compiles once below the cap and never above it; F_2's target
     # S/2 is below the cap either way
     assert compiles.count(witt._shape(tset)) == (side == "below")
@@ -729,12 +382,11 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-def test_a_verify_process_compiles_only_what_it_runs(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+def test_a_verify_process_compiles_only_what_it_runs(tmp_path, src_env):
     log = tmp_path / "log"
     proc = subprocess.run([sys.executable, "-c", COUNT_COMPILES, str(log), "verify", "--suite",
                            "all", "--budget", "500", "--seed", "1"],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=src_env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and json.loads(proc.stdout)["passed"] is True, proc.stderr
     runs, made = {}, {}
     for line in log.read_text().splitlines():
@@ -761,74 +413,30 @@ def test_terms_above_the_free_exponent_check_their_size_first():
     far = (0,) * (1 << 16) + (1,)  # q^65536: its 1-norm is 1, packed it passes
     for ring, a in ((Z, (big, 0)), (ZQ, ((big,), ())), (ZQ, (far, ()))):
         ctx = witt.WittCoeffRing(ring, S37)
-        for ops in (ctx, _reference_twin(ctx)):  # the generated methods and the loops
-            for op, args in ((ops.ghost, (a,)), (ops.add, (a, a)), (ops.mul, (a, a)),
-                             (ops.frobenius, (1, a)), (ops.unghost, (a,))):
+        for k in (ctx._kernels, row_loops(ctx)):  # the generated methods and the loops
+            for op, args in ((k.ghost, (a,)), (k.add, (a, a)), (k.mul, (a, a)),
+                             (k.frob(1), (a,)), (k.unghost, (a,))):
                 with pytest.raises(BudgetExceeded, match="budget 16777216"):
                     op(*args)
     # 1 and -1 to any power take 1 bit: the unit of {1, p} multiplies at once
     p = TruncationSet.make([100000007])
     for ring in (Z, ZModRing(4), ZQ):
         ctx = witt.WittCoeffRing(ring, p)
-        for ops in (ctx, _reference_twin(ctx)):
-            one = ops.one()
-            assert ops.mul(one, one) == one
+        one = ctx.one()
+        for k in (ctx._kernels, row_loops(ctx)):
+            assert k.mul(one, one) == one
 
 
 # ----------------------------------------------------------------------
-# The generated Z[q] ops against the same protocol written as loops.  Below
-# the cap each op of a Z[q] context is one generated method; the same
-# context, built as a set above the cap would be, runs ``_PackedLoops``,
-# which computes the same bounds and width, runs the row loops on the
-# packed integers and reads the results with _split.
+# The generated Z[q] ops against ``_PackedLoops``, in the row of
+# test_generated_zq_ops_match_the_reference_methods, on chosen inputs.
 
-
-def _reference_twin(ctx):
-    """ctx built as above the cap: its ops are ``_PackedLoops``.  The twin
-    is not interned."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(witt, "KERNEL_MAX_TERMS", -1)
-        return witt._Law(ctx.family, ctx.tset, ctx.base, ctx.qval)
-
-
-BUMPS = [(1,), (0, 1), (1, -1)]  # 1 - q packs to a multiple of 3, 5 and 17 at s = 8, ..., 64
-
-
-def _zq_outcomes(ctx, a, b, k, bump) -> list:
-    out = _engine_results(ctx, a, b)
-    gs = list(ctx.ghost(b))  # a ghost vector, moved off the image at row k
-    gs[k % len(gs)] = rings.zp_add(gs[k % len(gs)], bump)
-    return out + [_outcome(ctx.unghost, gs)]
-
-
-@settings(max_examples=200)
-@given(
-    st.sampled_from(DIVISOR_STABLE),
-    st.sampled_from(range(len(ZQ_FAMILIES))),
-    st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
-    st.lists(ZQ_ELEMENT, min_size=12, max_size=12),
-    st.integers(0, 11),
-    st.sampled_from(BUMPS),
-)
-@example((1, 3), 0, [(1,), (-2,)] + [()] * 10, [(1,), (2,)] + [()] * 10, 1, (1, -1))
-@example((1, 2, 4), 1, [(0, 1), (1, -1), (2,)] + [()] * 9, [(1, 1)] * 12, 1, (0, 1))
-@example(DIVISOR_STABLE[-1], 5, [(2**70, -(2**70))] * 12, [(0, 0, 0, 0, 1)] * 12, 9, (1, -1))
-def test_generated_zq_ops_match_the_reference_methods(elems, fam, xs, ys, k, bump):
-    family, q = ZQ_FAMILIES[fam]
-    tset = TruncationSet.make(elems)
-    ctx = witt.WittCoeffRing(ZQ, tset, family, q)
-    assert isinstance(ctx._kernels, witt._KERNEL_CACHE[witt._shape(tset)].packed)
-    ref = _reference_twin(ctx)
-    assert type(ref._kernels) is witt._PackedLoops and ref._factory.func is witt._LoopKernels
-    a = tuple(ZQ.check(x) for x in xs[:len(tset)])
-    b = tuple(ZQ.check(y) for y in ys[:len(tset)])
-    assert _zq_outcomes(ctx, a, b, k, bump) == _zq_outcomes(ref, a, b, k, bump)
-
-
+GENERATED = "test_engine::test_generated_zq_ops_match_the_reference_methods"
 LONG = tuple((-1) ** i * (i + 1) for i in range(40))
 # (a, b) on {1,2,3,6}: zero coordinates, a long coordinate next to short
 # ones, negative multi-digit coefficients, and digits from one bit to past
 # 64 bits
+S1236 = TruncationSet.make([6])
 INLINE_CASES = [
     (((1,), (), (), ()), ((), (-1,), (), ())),
     (((-1, 1), (), (), ()), ((), (), (1,), ())),
@@ -846,13 +454,10 @@ def test_generated_zq_ops_read_their_digits_inline(monkeypatch):
     monkeypatch.setitem(witt._KERNEL_GLOBALS, "S",
                         lambda cs, s, ns: split_widths.append(s) or real(cs, s, ns))
     seen = set()
-    for family, q in ZQ_FAMILIES:
-        ctx = witt.WittCoeffRing(ZQ, TruncationSet.make([1, 2, 3, 6]), family, q)
-        ref = _reference_twin(ctx)
-        widths = _widths(monkeypatch, ctx)
+    for fam, (family, q) in enumerate(ZQ_FAMILIES):
+        widths = _widths(monkeypatch, witt.WittCoeffRing(ZQ, S1236, family, q))
         for k, (a, b) in enumerate(INLINE_CASES):
-            bump = BUMPS[k % len(BUMPS)]
-            assert _zq_outcomes(ctx, a, b, k, bump) == _zq_outcomes(ref, a, b, k, bump)
+            check(GENERATED, S1236.elements, fam, a, b, k, BUMPS[k % len(BUMPS)])
         seen.update(widths)
     assert {8, 16, 32, 64} <= seen and max(seen) > 64
     assert split_widths and min(split_widths) > 64
@@ -878,7 +483,7 @@ def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
         with pytest.raises(NotInGhostImage, match="component 3 ") as got:
             ctx.unghost(gs)
         assert widths == [8] and len(each) == 1
-        assert _outcome(_reference_twin(ctx).unghost, gs) == str(got.value)
+        assert outcome(row_loops(ctx).unghost, gs) == f"NotInGhostImage: {got.value}"
 
 
 def test_exact_ops_pass_the_check_on_all_digits(monkeypatch):
@@ -891,103 +496,56 @@ def test_exact_ops_pass_the_check_on_all_digits(monkeypatch):
     def refuse(*args):
         raise AssertionError("the check of each n ran")
 
-    def results(ops, a, b):
-        out = [ops.unghost(ops.ghost(ops.mul(ops.add(a, b), ops.neg(b))))]
-        out += [ops.frobenius(m, a) for m in ops.tset]
-        assert ops.try_div_int(ops.int_scale(6, a), 6) == a
-        return out
+    def exact(k, tset, a, b):  # exact ops on the kernels of a context, or on its row loops
+        assert k.unghost(k.ghost(a)) == a  # what try_div_int(6a, 6) unghosts
+        return [k.unghost(k.ghost(k.mul(k.add(a, b), k.neg(b))))] + [k.frob(m)(a) for m in tset]
 
     rng, cases = random.Random(10), []
     for elems in ((1, 2), (1, 2, 4), (1, 2, 3, 6), tuple(range(1, 13))):
         tset = TruncationSet.make(elems)
         for family, q in ZQ_FAMILIES:
             ctx = witt.WittCoeffRing(ZQ, tset, family, q)
-            twin = _reference_twin(ctx)
             for _ in range(3):
                 a, b = ([tuple(rng.choice([-(2**40), -3, -1, 0, 1, 2, 3, 2**40])
                                for _ in range(rng.randrange(4))) for _ in tset]
                         for _ in "ab")
-                cases.append((ctx, twin, tuple(map(ZQ.check, a)), tuple(map(ZQ.check, b))))
-    twins = [results(twin, a, b) for _, twin, a, b in cases]
+                cases.append((ctx, tuple(map(ZQ.check, a)), tuple(map(ZQ.check, b))))
+    twins = [exact(row_loops(ctx), ctx.tset, a, b) for ctx, a, b in cases]
     monkeypatch.setitem(witt._KERNEL_GLOBALS, "R", {})  # the generated ops return through _split
-    fallback = [results(ctx, a, b) for ctx, _, a, b in cases]
+    fallback = [exact(ctx._kernels, ctx.tset, a, b) for ctx, a, b in cases]
     monkeypatch.setitem(witt._KERNEL_GLOBALS, "R", witt._SIGNED)
     monkeypatch.setitem(witt._KERNEL_GLOBALS, "K", refuse)  # the inline read's, not _split's
     inexact = witt.WittCoeffRing(ZQ, TruncationSet.make([9]))  # as in the test above
     with pytest.raises(AssertionError, match="check of each n ran"):
         inexact.unghost(((1,), (2, -1), (-2,)))
-    assert [results(ctx, a, b) for ctx, _, a, b in cases] == fallback == twins
+    assert [exact(ctx._kernels, ctx.tset, a, b) for ctx, a, b in cases] == fallback == twins
 
 
-@functools.lru_cache(maxsize=None)
-def _generated_read(m: int, ns):
-    """The read that ends a generated Z[q] method of m results at rows ns
-    (witt._read), compiled by itself against the methods' globals:
-    ``read(s, c0, ..., c(m-1))``."""
-    lines = [f"def read(s, {witt._listed('c', m)}):"] + ["    " + x for x in witt._read(m, ns)]
-    body = {}
-    exec(compile("\n".join(lines), "<read>", "exec"), witt._KERNEL_GLOBALS, body)
-    return body["read"]
-
-
-def _assert_reads(cs, s, ns, want):
-    """_split, and at the widths it reads itself the generated read, give
-    want for the integers cs."""
-    assert _outcome(witt._split, cs, s, ns) == want
-    if s <= 64:
-        assert _outcome(_generated_read(len(cs), ns), s, *cs) == want
-
-
-@settings(max_examples=300)
-@given(st.sampled_from([8, 16, 32, 64, 65, 72, 97, 128]), st.data())
-@example(8, None).via("the smallest width, one block of zeros")
-def test_split_reads_what_zp_unpack_reads(s, data):
-    ns, failing = None, None
-    if data is None:
-        polys, ns = [(), (0,) * 30 + (-128 // 4,), (-1,)], (1, 2, 4)
-    else:
-        if data.draw(st.booleans()):
-            ns = tuple(sorted(data.draw(st.sets(st.integers(1, 40), min_size=1, max_size=6))))
-        # digits that pass the check (below 2^(s-1-j), j the bit length of
-        # max(ns)), or below 2^(s-2) with no check; runs of zeros
-        top = 1 << (s - 1 - (ns[-1].bit_length() if ns else 1))
-        digit = st.one_of(st.just(0), st.sampled_from([-top, top - 1, -1, 1]),
-                          st.integers(-top, top - 1))
-        runs = st.lists(st.one_of(digit.map(lambda d: (d,)),
-                                  st.integers(1, 40).map(lambda n: (0,) * n)), max_size=8)
-        count = len(ns) if ns else data.draw(st.integers(1, 6))
-        polys = [rings.zp_trim(sum(data.draw(runs), ())) for _ in range(count)]
-        if ns and data.draw(st.booleans()):  # one digit that fails its own n's check
-            k, half = data.draw(st.integers(0, count - 1)), 1 << (s - 1)
-            size = data.draw(st.integers(-(-half // ns[k]), half))  # n*size >= 2^(s-1)
-            polys[k] += (-size if size == half else data.draw(st.sampled_from([-1, 1])) * size,)
-            failing = ns[k]  # the digits before it pass every check
-    cs = tuple(rings._zp_pack(p, s) for p in polys)
-    _assert_reads(cs, s, ns, tuple(polys) if failing is None else str(witt._unreachable(failing)))
+SPLIT = "test_engine::test_split_reads_what_zp_unpack_reads"
 
 
 def _split_cases(s):
-    """(polys, ns) for :func:`witt._split` at width s: one long coordinate
-    next to short and empty ones, in every position, with and without the
-    check, and failing digits in short coordinates after a long one, one of
-    them with more balanced digits than its bit length gives."""
+    """(polys, ns, the n named) for :func:`witt._split` at width s: one long
+    coordinate next to short and empty ones, in every position, with and
+    without the check, and failing digits in short coordinates after a long
+    one, one of them with more balanced digits than its bit length gives."""
     top = 1 << (s - 4)  # 7*top < 2^(s-1): passes the check of each n below
     long = tuple((-1) ** i * (top - i) for i in range(40))
-    cases = [([long, (), (1,), (0, 0, -3)], None),
-             ([(), (-top,), long, ()], None),
-             ([(2,), (), (-1, 1), long], None),
-             ([long, (), (5,), (top - 1, 0, -top)], (1, 2, 3, 6)),
-             ([(), long[:3], (1,) * 9, long], (1, 2, 4, 5)),
-             ([(7,), long, ()], (1, 3, 7))]
+    cases = [([long, (), (1,), (0, 0, -3)], None, None),
+             ([(), (-top,), long, ()], None, None),
+             ([(2,), (), (-1, 1), long], None, None),
+             ([long, (), (5,), (top - 1, 0, -top)], (1, 2, 3, 6), None),
+             ([(), long[:3], (1,) * 9, long], (1, 2, 4, 5), None),
+             ([(7,), long, ()], (1, 3, 7), None)]
     half = 1 << (s - 1)
     big = -(-half // 3)  # 3*big >= 2^(s-1): fails the check of 3, passes that of 2
-    cases += [([long, (1, 2), (0, big)], (1, 2, 3)),  # names 3
-              ([long, (0, big), (0, -big), ()], (1, 2, 3, 6)),  # names 3, not 2 or 6
-              ([long, (big,), (big,)], (1, 3, 5)),  # names 3, the first to fail
-              ([long, (top,), (big // 2,)], (1, 2, 5)),  # fails the one check only: no error
+    cases += [([long, (1, 2), (0, big)], (1, 2, 3), 3),
+              ([long, (0, big), (0, -big), ()], (1, 2, 3, 6), 3),  # not 2 or 6
+              ([long, (big,), (big,)], (1, 3, 5), 3),  # the first to fail
+              ([long, (top,), (big // 2,)], (1, 2, 5), None),  # fails the one check only
               # bit length 2s-1, three balanced digits: one more than its block
-              ([long, (-1, -half, 1), (3,)], (1, 2, 3)),  # names 2
-              ([(5,), long, (-1, -half, 1)], (1, 2, 3))]  # names 3, the last block
+              ([long, (-1, -half, 1), (3,)], (1, 2, 3), 2),
+              ([(5,), long, (-1, -half, 1)], (1, 2, 3), 3)]  # the last block
     return cases
 
 
@@ -996,12 +554,5 @@ def test_split_reads_coordinates_of_very_different_lengths(s):
     # each integer has a block of its own length, so a long coordinate must
     # not shift or pad the short ones, nor hide a failing digit after it, and
     # a digit that carries out of its block must not hide the first failure
-    named = []
-    for polys, ns in _split_cases(s):
-        cs = tuple(rings._zp_pack(p, s) for p in polys)
-        want = _outcome(witt._split, cs, s, ns)
-        assert want == tuple(polys) or isinstance(want, str)
-        named.append(want if isinstance(want, str) else None)
-        _assert_reads(cs, s, ns, want)
-    assert named == [None] * 6 + [str(witt._unreachable(n)) for n in (3, 3, 3)] + [None] + [
-        str(witt._unreachable(n)) for n in (2, 3)]
+    for polys, ns, named in _split_cases(s):
+        check(SPLIT, s, polys, ns, named)

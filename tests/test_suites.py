@@ -3,20 +3,20 @@ suites in forked workers changes no output."""
 
 import json
 import os
-import random
 import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
+from test_differential import bind
 
 from qwitt import suites
 from qwitt.cli import main
 from qwitt.errors import Error
-from qwitt.mpoly import MPoly, Q, xvar, yvar
 from qwitt.report import Report
+
+bind(globals())  # the mpoly suite's draw against the product construction, a row there
 
 # The suite checks that stand in for module tests deleted or cut down
 # because they repeated them (CHANGES.md lists which test each replaces):
@@ -52,8 +52,6 @@ def test_suite_passes(name):
 # ----------------------------------------------------------------------
 # The suites dealt to forked workers, against the serial loop.  ``_cpus``
 # is set by each test, so that both paths run on any host.
-
-ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 @pytest.fixture
@@ -153,9 +151,9 @@ sys.exit(main(["verify", "--suite", "truncset,killed", "--budget", "2"]))
 """
 
 
-def test_a_killed_worker_is_an_internal_error():
+def test_a_killed_worker_is_an_internal_error(src_env):
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER], env=ENV, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER], env=src_env, capture_output=True,
                           text=True, timeout=60)
     assert time.perf_counter() - start < 10
     assert proc.returncode == 1 and proc.stdout == "", proc.stderr
@@ -174,9 +172,9 @@ print(len(suites.run_suites(["truncset", "rings"], budget=2, seed=1)))
 """
 
 
-def test_output_buffered_before_the_fork_is_written_once():
-    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}  # stdout holds a buffer
-    proc = subprocess.run([sys.executable, "-c", BUFFERED], env=env, capture_output=True,
+def test_output_buffered_before_the_fork_is_written_once(src_env):
+    src_env.pop("PYTHONUNBUFFERED", None)  # stdout holds a buffer
+    proc = subprocess.run([sys.executable, "-c", BUFFERED], env=src_env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "before the fork\n2\n", proc.stderr
 
@@ -191,34 +189,11 @@ sys.exit(main(["verify", "--suite", "truncset,rings,mpoly,onedim", "--budget", "
 """
 
 
-def test_the_workers_leave_no_resource_unclosed():
+def test_the_workers_leave_no_resource_unclosed(src_env):
     # development mode shows every warning, and a fork from a threaded
     # process warns from Python 3.12 on
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-                           "-c", FORKED_VERIFY], env=ENV, capture_output=True, text=True,
+                           "-c", FORKED_VERIFY], env=src_env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert len(json.loads(proc.stdout)["reports"]) == 4
-
-
-def _rand_poly_by_products(rng):
-    """The mpoly suite's draw as it was first written: each monomial built
-    from up to four products."""
-    out = MPoly.zero()
-    for _ in range(rng.randint(1, 4)):
-        mono = MPoly.const(rng.randint(-4, 4))
-        for v in (xvar(1), xvar(2), yvar(1), Q):
-            e = rng.randint(0, 2)
-            if e:
-                mono = mono * MPoly.var(v, e)
-        out = out + mono
-    return out
-
-
-@pytest.mark.parametrize("seed", [1, 1729, -5, 123456])
-def test_mpoly_suite_draws_the_polynomials_of_the_product_construction(seed):
-    r1, r2 = random.Random(seed), random.Random(seed)
-    for _ in range(200):
-        got, want = suites._rand_poly(r1), _rand_poly_by_products(r2)
-        assert got == want and got.terms() == want.terms()
-    assert r1.getstate() == r2.getstate()
