@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -22,6 +23,19 @@ from qwitt.universal import Family
 def _isolated_cache():
     yield
     universal.set_cache_dir(None)
+
+
+@pytest.fixture
+def json_in(tmp_path):
+    """Writes its argument as JSON to a new file in tmp_path and returns the
+    file's path, for --in."""
+    paths = (tmp_path / f"in{k}.json" for k in itertools.count())
+
+    def write(data) -> str:
+        path = next(paths)
+        path.write_text(json.dumps(data))
+        return str(path)
+    return write
 
 
 def run(capsys, *argv):
@@ -50,65 +64,53 @@ def test_polys_lenart_requires_integer(capsys):
     assert code == 2
 
 
-def test_eval_add_and_roundtrip(tmp_path, capsys):
+def test_eval_add_and_roundtrip(json_in, capsys):
     payload = {
         "a": {"coords": {"1": "1", "2": "1"}},
         "b": {"coords": {"1": "1", "2": "1"}},
     }
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(payload))
     code, data = run(capsys, "eval", "--family", "classical", "--set", "1,2",
-                     "--ring", "z", "--op", "add", "--in", str(path))
+                     "--ring", "z", "--op", "add", "--in", json_in(payload))
     assert code == 0
     assert data == {"coords": {"1": "2", "2": "1"}}
 
 
-def test_eval_qdef_mul_over_zq(tmp_path, capsys):
+def test_eval_qdef_mul_over_zq(json_in, capsys):
     payload = {
         "a": {"coords": {"1": "1", "2": "q"}},
         "b": {"coords": {"1": "2", "2": "1"}},
     }
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(payload))
     code, data = run(capsys, "eval", "--family", "qdef", "--set", "1,2",
-                     "--ring", "zq", "--op", "mul", "--in", str(path))
+                     "--ring", "zq", "--op", "mul", "--in", json_in(payload))
     assert code == 0
     assert data["coords"]["1"] == "2*q"
 
 
-def test_eval_ghost_unghost_roundtrip(tmp_path, capsys):
+def test_eval_ghost_unghost_roundtrip(json_in, capsys):
     vec = {"coords": {"1": "3", "2": "-2", "3": "1", "6": "4"}}
-    path = tmp_path / "v.json"
-    path.write_text(json.dumps({"a": vec}))
     code, data = run(capsys, "eval", "--family", "classical", "--set", "1,2,3,6",
-                     "--ring", "z", "--op", "ghost", "--in", str(path))
+                     "--ring", "z", "--op", "ghost", "--in", json_in({"a": vec}))
     assert code == 0
-    path2 = tmp_path / "g.json"
-    path2.write_text(json.dumps(data))
     code, back = run(capsys, "eval", "--family", "classical", "--set", "1,2,3,6",
-                     "--ring", "z", "--op", "unghost", "--in", str(path2))
+                     "--ring", "z", "--op", "unghost", "--in", json_in(data))
     assert code == 0
     assert back == vec
 
 
-def test_eval_unghost_domain_error(tmp_path, capsys):
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps({"ghost": {"1": "1", "2": "2"}}))
+def test_eval_unghost_domain_error(json_in, capsys):
     code = main(["eval", "--family", "classical", "--set", "1,2", "--ring", "z",
-                 "--op", "unghost", "--in", str(path)])
+                 "--op", "unghost", "--in", json_in({"ghost": {"1": "1", "2": "2"}})])
     assert code == 1
 
 
-def test_eval_q_binding_over_zmod(tmp_path, capsys):
+def test_eval_q_binding_over_zmod(json_in, capsys):
     payload = {
         "a": {"coords": {"1": "1", "2": "0"}},
         "b": {"coords": {"1": "1", "2": "0"}},
     }
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(payload))
     code, data = run(capsys, "eval", "--family", "qdef", "--set", "1,2",
                      "--ring", "zmod:6", "--q", "2", "--op", "add",
-                     "--in", str(path))
+                     "--in", json_in(payload))
     assert code == 0
     # a2 + b2 - q*a1*b1 = -2 = 4 mod 6
     assert data["coords"]["2"] == "4"
@@ -116,16 +118,14 @@ def test_eval_q_binding_over_zmod(tmp_path, capsys):
 
 @pytest.mark.parametrize("family, q", [("classical", None), ("qdef", 2)])
 @pytest.mark.parametrize("op", ["add", "mul"])
-def test_eval_over_non_unital_twist(tmp_path, capsys, family, q, op):
+def test_eval_over_non_unital_twist(json_in, capsys, family, q, op):
     payload = {
         "a": {"coords": {"1": "3", "2": "1"}},
         "b": {"coords": {"1": "2", "2": "-1"}},
     }
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(payload))
     qarg = [] if q is None else ["--q", str(q)]
     code, data = run(capsys, "eval", "--family", family, "--set", "1,2",
-                     "--ring", "twist:z:2", *qarg, "--op", op, "--in", str(path))
+                     "--ring", "twist:z:2", *qarg, "--op", op, "--in", json_in(payload))
     assert code == 0
     ring, tset = parse_ring("twist:z:2"), TruncationSet.make([2])
     a = witt.make(Family.parse(family), tset, ring, [3, 1], q)
@@ -133,29 +133,27 @@ def test_eval_over_non_unital_twist(tmp_path, capsys, family, q, op):
     assert data == witt.vector_to_json(getattr(witt, op)(a, b))
 
 
-def test_eval_over_a_q_witt_ring(tmp_path, capsys):
+def test_eval_over_a_q_witt_ring(json_in, capsys):
     # the descriptor a q-family Witt ring prints is accepted by --ring
     el = {"coords": {"1": "1", "2": "1"}}
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"a": {"coords": {"1": el, "3": el}},
-                                "b": {"coords": {"1": el, "3": el}}}))
+    path = json_in({"a": {"coords": {"1": el, "3": el}},
+                    "b": {"coords": {"1": el, "3": el}}})
     code, data = run(capsys, "eval", "--family", "classical", "--set", "1,3",
                      "--ring", "witt:qdef(q=3)@zmod:7:1,2", "--op", "mul",
-                     "--in", str(path))
+                     "--in", path)
     assert code == 0
     assert data == {"coords": {"1": {"coords": {"1": "3", "2": "3"}},
                                "3": {"coords": {"1": "0", "2": "2"}}}}
 
 
-def test_deform_lenart_iso(tmp_path, capsys):
-    path = tmp_path / "v.json"
-    path.write_text(json.dumps({"coords": {"1": "2", "2": "5"}}))
+def test_deform_lenart_iso(json_in, capsys):
+    path = json_in({"coords": {"1": "2", "2": "5"}})
     code, data = run(capsys, "deform", "lenart-iso", "--p", "2", "--q", "3",
-                     "--in", str(path))
+                     "--in", path)
     assert code == 0
     assert data == {"coords": {"1": "2", "2": "9"}}
     code2 = main(["deform", "lenart-iso", "--p", "2", "--q", "2",
-                  "--in", str(path)])
+                  "--in", path])
     assert code2 == 1  # the prime divides the deformation integer
 
 
@@ -189,61 +187,47 @@ def test_systems_verify_and_exit_codes(capsys):
     assert code == 1 and data["passed"] is False
 
 
-def test_systems_auer_roundtrip(tmp_path, capsys):
+def test_systems_auer_roundtrip(json_in, capsys):
     vec = {"coords": {"1": "1", "2": "2", "3": "3", "6": "4"}}
-    path = tmp_path / "v.json"
-    path.write_text(json.dumps(vec))
     code, nested = run(capsys, "systems", "auer", "--t1", "1,2", "--t2", "1,3",
-                       "--ring", "z", "--in", str(path))
+                       "--ring", "z", "--in", json_in(vec))
     assert code == 0
-    path2 = tmp_path / "n.json"
-    path2.write_text(json.dumps(nested))
     code, back = run(capsys, "systems", "auer", "--t1", "1,2", "--t2", "1,3",
-                     "--ring", "z", "--in", str(path2), "--backward")
+                     "--ring", "z", "--in", json_in(nested), "--backward")
     assert code == 0 and back == vec
 
 
-def test_indwitt_ops(tmp_path, capsys):
-    path = tmp_path / "v.json"
-    path.write_text(json.dumps({"coords": {"1": "1", "2": "2", "4": "0"}}))
+def test_indwitt_ops(json_in, capsys):
     code, data = run(capsys, "indwitt", "ghost", "--system", "triv:z",
-                     "--set", "1,2,4", "--in", str(path))
+                     "--set", "1,2,4", "--in", json_in({"coords": {"1": "1", "2": "2", "4": "0"}}))
     assert code == 0 and data["ghost"] == {"1": "1", "2": "4", "4": "0"}
     code, data = run(capsys, "indwitt", "lambda", "--system", "const:z",
                      "--set", "1,2", "--n", "1", "--elem", "2")
     assert code == 0 and data["coords"] == {"1": "2", "2": "-1"}
-    path2 = tmp_path / "g.json"
-    path2.write_text(json.dumps({"ghost": {"1": "3", "2": "5"}}))
+    path2 = json_in({"ghost": {"1": "3", "2": "5"}})
     code, data = run(capsys, "indwitt", "dwork-test", "--system", "const:z",
-                     "--set", "1,2", "--in", str(path2))
+                     "--set", "1,2", "--in", path2)
     assert code == 0 and data["in_image"] is True
     code, data = run(capsys, "indwitt", "dwork-invert", "--system", "const:z",
-                     "--set", "1,2", "--in", str(path2))
+                     "--set", "1,2", "--in", path2)
     assert code == 0 and data["coords"] == {"1": "3", "2": "-2"}
-    path3 = tmp_path / "bad.json"
-    path3.write_text(json.dumps({"ghost": {"1": "3", "2": "4"}}))
     code = main(["indwitt", "dwork-invert", "--system", "const:z",
-                 "--set", "1,2", "--in", str(path3)])
+                 "--set", "1,2", "--in", json_in({"ghost": {"1": "3", "2": "4"}})])
     assert code == 1
 
 
-def test_eval_teich_ver_project(tmp_path, capsys):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({"value": "3"}))
+def test_eval_teich_ver_project(json_in, capsys):
     code, data = run(capsys, "eval", "--family", "classical", "--set", "1,2,3,6",
-                     "--ring", "z", "--op", "teich", "--in", str(path))
+                     "--ring", "z", "--op", "teich", "--in", json_in({"value": "3"}))
     assert code == 0
     assert data == {"coords": {"1": "3", "2": "0", "3": "0", "6": "0"}}
-    path2 = tmp_path / "v.json"
-    path2.write_text(json.dumps({"a": {"coords": {"1": "5", "3": "-1"}}}))
+    path2 = json_in({"a": {"coords": {"1": "5", "3": "-1"}}})
     code, data = run(capsys, "eval", "--family", "classical", "--set", "1,2,3,6",
-                     "--ring", "z", "--op", "ver:2", "--in", str(path2))
+                     "--ring", "z", "--op", "ver:2", "--in", path2)
     assert code == 0
     assert data == {"coords": {"1": "0", "2": "5", "3": "0", "6": "-1"}}
-    path3 = tmp_path / "w.json"
-    path3.write_text(json.dumps({"a": data}))
     code, data = run(capsys, "eval", "--family", "classical", "--set", "1,2,3,6",
-                     "--ring", "z", "--op", "project:1,3", "--in", str(path3))
+                     "--ring", "z", "--op", "project:1,3", "--in", json_in({"a": data}))
     assert code == 0
     assert data == {"coords": {"1": "0", "3": "0"}}
 
@@ -308,32 +292,29 @@ OUTSIDE = [
 
 
 @pytest.mark.parametrize("argv, text", [pytest.param(*row[1:], id=row[0]) for row in OUTSIDE])
-def test_an_index_outside_the_set_is_a_usage_error(tmp_path, capsys, argv, text):
+def test_an_index_outside_the_set_is_a_usage_error(json_in, capsys, argv, text):
     if argv[0] != "polys":
-        (tmp_path / "in.json").write_text(json.dumps({"a": {"coords": {"1": "3", "2": "1"}}}))
-        argv = [*argv, "--in", str(tmp_path / "in.json")]
+        argv = [*argv, "--in", json_in({"a": {"coords": {"1": "3", "2": "1"}}})]
     assert main([*argv, "--set", "1,2"]) == 2
     assert capsys.readouterr().err == f"usage error: {text}\n"
 
 
-def test_missing_input_fields_are_usage_errors(tmp_path, capsys):
-    empty = tmp_path / "empty.json"
-    empty.write_text("{}")
-    partial = tmp_path / "partial.json"
-    partial.write_text(json.dumps({"ghost": {"1": "3"}, "coords": {"1": "3"}}))
+def test_missing_input_fields_are_usage_errors(json_in, capsys):
+    empty = json_in({})
+    partial = json_in({"ghost": {"1": "3"}, "coords": {"1": "3"}})
     cases = [
         (["eval", "--family", "classical", "--set", "1,2", "--ring", "z",
-          "--op", "teich", "--in", str(empty)], "'value'"),
+          "--op", "teich", "--in", empty], "'value'"),
         (["eval", "--family", "classical", "--set", "1,2", "--ring", "z",
-          "--op", "unghost", "--in", str(empty)], "'ghost'"),
+          "--op", "unghost", "--in", empty], "'ghost'"),
         (["eval", "--family", "classical", "--set", "1,2", "--ring", "z",
-          "--op", "unghost", "--in", str(partial)], "index 2"),
+          "--op", "unghost", "--in", partial], "index 2"),
         (["indwitt", "neg", "--system", "const:z", "--set", "1,2",
-          "--in", str(partial)], "index 2"),
+          "--in", partial], "index 2"),
         (["indwitt", "dwork-test", "--system", "const:z", "--set", "1,2",
-          "--in", str(empty)], "'ghost'"),
+          "--in", empty], "'ghost'"),
         (["indwitt", "dwork-invert", "--system", "const:z", "--set", "1,2",
-          "--in", str(partial)], "index 2"),
+          "--in", partial], "index 2"),
     ]
     for argv, field in cases:
         assert main(argv) == 2
@@ -342,7 +323,7 @@ def test_missing_input_fields_are_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fault", [KeyError(3), RuntimeError("boom")])
-def test_internal_faults_are_reported_as_internal_errors(tmp_path, monkeypatch,
+def test_internal_faults_are_reported_as_internal_errors(json_in, monkeypatch,
                                                          capsys, fault):
     from qwitt import witt
 
@@ -350,26 +331,24 @@ def test_internal_faults_are_reported_as_internal_errors(tmp_path, monkeypatch,
         raise fault
 
     monkeypatch.setattr(witt, "add", broken)
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"a": {"coords": {"1": "1"}},
-                                "b": {"coords": {"1": "2"}}}))
+    path = json_in({"a": {"coords": {"1": "1"}},
+                    "b": {"coords": {"1": "2"}}})
     code = main(["eval", "--family", "classical", "--set", "1", "--ring", "z",
-                 "--op", "add", "--in", str(path)])
+                 "--op", "add", "--in", path])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"internal error: {type(fault).__name__}: ")
     assert "Traceback" not in err
 
 
-def test_results_longer_than_the_conversion_limit_are_printed(tmp_path, capsys):
+def test_results_longer_than_the_conversion_limit_are_printed(json_in, capsys):
     # coordinate 2 of the sum is a2 + b2 - a1*b1, with 6001 digits: more than
     # CPython's default 4300-digit limit on int-to-str conversion
     big = str(10**3000)
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({"a": {"coords": {"1": big, "2": big}},
-                                "b": {"coords": {"1": big, "2": big}}}))
+    path = json_in({"a": {"coords": {"1": big, "2": big}},
+                    "b": {"coords": {"1": big, "2": big}}})
     code, data = run(capsys, "eval", "--family", "classical", "--set", "1,2",
-                     "--ring", "z", "--op", "add", "--in", str(path))
+                     "--ring", "z", "--op", "add", "--in", path)
     assert code == 0
     assert data["coords"]["1"] == "2" + "0" * 3000
     assert data["coords"]["2"] == "-" + "9" * 2999 + "8" + "0" * 3000
@@ -377,18 +356,17 @@ def test_results_longer_than_the_conversion_limit_are_printed(tmp_path, capsys):
         str(10**5000)
 
 
-def test_inputs_over_the_budget_exit_1(tmp_path, capsys):
+def test_inputs_over_the_budget_exit_1(json_in, capsys):
     from qwitt.cli import INPUT_BUDGET
 
     huge = "9" * (INPUT_BUDGET + 1)
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"a": {"coords": {"1": huge}},
-                                "b": {"coords": {"1": "1"}}}))
+    path = json_in({"a": {"coords": {"1": huge}},
+                    "b": {"coords": {"1": "1"}}})
     cases = [
         ["eval", "--family", "classical", "--set", "1", "--ring", "z",
-         "--op", "add", "--in", str(path)],
+         "--op", "add", "--in", path],
         ["eval", "--family", "qdef", "--set", "1", "--ring", "zq",
-         "--q", huge, "--op", "neg", "--in", str(path)],
+         "--q", huge, "--op", "neg", "--in", path],
     ]
     for argv in cases:
         assert main(argv) == 1
@@ -396,11 +374,9 @@ def test_inputs_over_the_budget_exit_1(tmp_path, capsys):
         assert err.startswith("error:") and str(INPUT_BUDGET) in err
 
 
-def test_huge_exponents_exit_1(tmp_path, capsys):
-    path = tmp_path / "pow.json"
-    path.write_text(json.dumps({"a": {"coords": {"1": "2^99999999999"}}}))
+def test_huge_exponents_exit_1(json_in, capsys):
     code = main(["eval", "--family", "classical", "--set", "1", "--ring", "z",
-                 "--op", "neg", "--in", str(path)])
+                 "--op", "neg", "--in", json_in({"a": {"coords": {"1": "2^99999999999"}}})])
     assert code == 1
     assert "budget" in capsys.readouterr().err
 
@@ -530,11 +506,10 @@ OPTIONS = [
 ]
 
 
-def _option_run(tmp_path, capsys, argv, value):
-    path = tmp_path / "iso.json"
-    path.write_text(json.dumps({"a": {"coords": {"1": "2", "3": "1", "5": "1"}}}))
+def _option_run(json_in, capsys, argv, value):
+    path = json_in({"a": {"coords": {"1": "2", "3": "1", "5": "1"}}})
     try:
-        code = main([a.replace("{in}", str(path)).replace("{}", value) for a in argv])
+        code = main([a.replace("{in}", path).replace("{}", value) for a in argv])
     except SystemExit as exc:  # argparse refuses the option
         code = exc.code
     return code, capsys.readouterr().out
@@ -545,57 +520,53 @@ def _option_id(case):
 
 
 @pytest.mark.parametrize("argv, kind", OPTIONS, ids=_option_id)
-def test_integer_options_read_ascii_digits(tmp_path, capsys, argv, kind):
-    code, want = _option_run(tmp_path, capsys, argv, "3")
+def test_integer_options_read_ascii_digits(json_in, capsys, argv, kind):
+    code, want = _option_run(json_in, capsys, argv, "3")
     assert code == 0 and want
     for same in (" 3 ", "03"):
-        assert _option_run(tmp_path, capsys, argv, same) == (0, want)
+        assert _option_run(json_in, capsys, argv, same) == (0, want)
     bad = ["\u0661\u0660", "1_0", "+3", "\uff12"]  # Arabic-Indic 10, fullwidth 2
     if kind == "signed":
         for value in ("0", "-7"):
-            assert _option_run(tmp_path, capsys, argv, value)[0] in (0, 1)
+            assert _option_run(json_in, capsys, argv, value)[0] in (0, 1)
     else:
         bad += ["0", "-7"]
     for value in bad:
-        assert _option_run(tmp_path, capsys, argv, value) == (2, ""), value
+        assert _option_run(json_in, capsys, argv, value) == (2, ""), value
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 10**30])
 @pytest.mark.parametrize("action", ["lenart-defect", "lenart-iso"])
-def test_lenart_constructions_need_a_prime_p(tmp_path, capsys, action, p):
+def test_lenart_constructions_need_a_prime_p(json_in, capsys, action, p):
     args = ["deform", action, "--p", str(p), "--q", "3"]
     if action == "lenart-iso":
-        path = tmp_path / "a.json"
-        path.write_text(json.dumps({"coords": {"1": "2", "2": "5"}}))
-        args += ["--in", str(path)]
+        args += ["--in", json_in({"coords": {"1": "2", "2": "5"}})]
     assert main(args) == 2
     assert f"p={p}" in capsys.readouterr().err
 
 
-def test_sets_with_a_huge_element_exit_1_at_once(tmp_path, capsys, monkeypatch):
+def test_sets_with_a_huge_element_exit_1_at_once(json_in, capsys, monkeypatch):
     # a prime this large took minutes to trial-divide before the element bound
     p = "1000000000000000003"
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"a": {"coords": {"1": 1, p: 0}}})))
-    path = tmp_path / "a.json"
-    path.write_text(json.dumps({"coords": {"1": "2", p: "5"}}))
+    path = json_in({"coords": {"1": "2", p: "5"}})
     for argv in (["eval", "--family", "classical", "--ring", "z", "--set", p, "--op", "neg",
                   "--in", "-"],
-                 ["deform", "lenart-iso", "--p", p, "--q", "2", "--in", str(path)]):
+                 ["deform", "lenart-iso", "--p", p, "--q", "2", "--in", path]):
         start = time.perf_counter()
         assert main(argv) == 1
         assert time.perf_counter() - start < 2
         assert "above 4294967296" in capsys.readouterr().err
 
 
-def test_lenart_constructions_at_a_prime_p(tmp_path, capsys):
+def test_lenart_constructions_at_a_prime_p(json_in, capsys):
     code, data = run(capsys, "deform", "lenart-defect", "--p", "3", "--q", "3")
     assert code == 0 and data["defect"] is not None
     code, data = run(capsys, "deform", "lenart-defect", "--p", "1000000000000000003",
                      "--q", "2")
     assert code == 0 and data["defect"] is None
-    path = tmp_path / "a.json"
-    path.write_text(json.dumps({"coords": {"1": "2", "3": "5"}}))
-    code, data = run(capsys, "deform", "lenart-iso", "--p", "3", "--q", "2", "--in", str(path))
+    path = json_in({"coords": {"1": "2", "3": "5"}})
+    code, data = run(capsys, "deform", "lenart-iso", "--p", "3", "--q", "2", "--in", path)
     assert code == 0 and data == {"coords": {"1": "2", "3": "13"}}  # 5 + (2^2-1)/3 * 2^3
 
 
@@ -675,11 +646,9 @@ BOUNDED = [
 
 @pytest.mark.parametrize("argv, data, expected, seconds",
                          [pytest.param(*row[1:], id=row[0]) for row in BOUNDED])
-def test_bounded_command_exits_in_time(tmp_path, argv, data, expected, seconds, src_env):
+def test_bounded_command_exits_in_time(json_in, argv, data, expected, seconds, src_env):
     if data is not None:
-        path = tmp_path / "in.json"
-        path.write_text(json.dumps(data))
-        argv = [*argv, "--in", str(path)]
+        argv = [*argv, "--in", json_in(data)]
     proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=src_env,
                           capture_output=True, text=True, timeout=seconds)
     assert "internal error" not in proc.stderr, proc.stderr

@@ -1,10 +1,10 @@
 """The ghost-route engine: its kernels, how they compile, and their bounds.
 
 Witt arithmetic and the inductive-system ops run on the ghost route only.
-Each of its fast routes is held against a reference -- the structure
+Each of its fast routes is held against a reference: the structure
 polynomials from ``universal.derive``, evaluated with ``MPoly.eval`` in
-the coefficient ring itself (over ``zmod`` with no integer lift), and the
-row and ring loops -- by the rows of the table in test_differential.py,
+the coefficient ring itself (over ``zmod`` with no integer lift), here;
+the row and ring loops, by the rows of the table in test_differential.py,
 which run here under the names of the tests they replaced.
 """
 
@@ -15,20 +15,106 @@ import sys
 import threading
 import time
 import types
+from functools import lru_cache
 
 import pytest
-from test_differential import (BUMPS, DIVISOR_STABLE, S2, S6, S12, Z_FAMILIES, ZQ_FAMILIES, LoopZ,
-                               LoopZq, bind, check, outcome, poly_values, reduced,
-                               results, row_loops)
+from hypothesis import example, given, settings, strategies as st
+from test_differential import (BUMPS, DIVISOR_STABLE, Z_FAMILIES, ZQ_FAMILIES, LoopZ, LoopZq,
+                               bind, check, outcome, reduced, results, row_loops)
 
 from qwitt import indwitt, rings, suites, universal, witt
 from qwitt.errors import BudgetExceeded, NotInGhostImage
 from qwitt.exprs import MAX_BITS
-from qwitt.rings import Z, ZQ, ZModRing, parse_ring
+from qwitt.mpoly import Q, xvar, yvar
+from qwitt.rings import DUAL, Z, ZQ, TwistedRing, ZModRing, parse_ring
 from qwitt.truncset import TruncationSet, divisors
 from qwitt.universal import Family
 
 bind(globals())
+
+S2, S6, S12 = (TruncationSet.make([n]) for n in (2, 6, 12))
+ORACLE_FAMILIES = {
+    "classical": Family.classical(),
+    "qdef": Family.qdef(),
+    "qbar": Family.qbar(),
+    "qbar:q": Family.qbar((0, 1)),
+    "lenart:2": Family.lenart(2),
+}
+# (ring, q binding for the q-families, truncation set)
+ORACLE_RINGS = [
+    (Z, 2, S12),
+    (ZModRing(8), 3, S12),
+    (ZQ, None, S12),
+    (DUAL, (2, 1), S12),
+    (parse_ring("twist:z:2"), 3, S12),  # non-unital, q named by an integer
+    (parse_ring("twist:zmod:9:3"), 2, S12),
+    (TwistedRing(ZQ, (2,)), (0, 1), S12),  # non-unital, bound to its element q
+    (parse_ring("witt:z:1,2"), 2, S6),
+    (parse_ring("witt:zmod:4:1,2"), 3, S6),
+    (witt.WittCoeffRing(ZModRing(7), S2, Family.qdef(), q=3), (2, 5), S6),
+]
+
+
+def poly_values(polys, a, *vecs) -> tuple:
+    """The polynomials evaluated in a's ring itself (over zmod with no
+    integer lift), at a's q, x_d and y_d the coordinates of the vectors."""
+    assign = {} if a.qval is None else {Q: a.qval}
+    for var, v in zip((xvar, yvar), vecs):
+        assign.update({var(d): c for d, c in zip(a.tset, v.coords)})
+    return tuple(p.eval(a.ring, assign) for p in polys)
+
+
+@pytest.mark.parametrize("family, ring, q, tset", [
+    pytest.param(family, ring, q if family.uses_q() else None, tset,
+                 id=f"{fname}-{ring.descriptor}")
+    for fname, family in ORACLE_FAMILIES.items() for ring, q, tset in ORACLE_RINGS])
+def test_engine_matches_polynomial_oracle(family, ring, q, tset):
+    rng = random.Random(2024)
+    ps = universal.derive(family, tset)
+    for _ in range(3):
+        a = witt.random_vector(family, tset, ring, rng, q)
+        b = witt.random_vector(family, tset, ring, rng, q)
+        for op, vecs in (("add", (a, b)), ("mul", (a, b)), ("neg", (a,))):
+            assert getattr(witt, op)(*vecs).coords == poly_values(
+                [ps.law(op)[n] for n in tset], a, *vecs)
+        assert witt.ghost(a) == poly_values(
+            [universal.ghost_poly(family, tset, n) for n in tset], a, a)
+        for m in tset:
+            assert witt.frobenius(a, m).coords == poly_values(
+                [ps.frob[m][v] for v in tset.quotient(m)], a, a)
+
+
+# Inductive systems: the per-index polynomial evaluation that the engine
+# replaced, kept here as the oracle.
+def _ind_oracle(poly, sys_, at, *vecs):
+    assign = {var(d): sys_.push(d, at, v.coord(d))
+              for var, v in zip((xvar, yvar), vecs) for d in divisors(at)}
+    return poly.eval(sys_.ring(at), assign)
+
+
+IND_SYSTEMS = {
+    "const": indwitt.constant_system(Z, S12, identity_lift=True),
+    "const-zmod": indwitt.constant_system(ZModRing(6), S12),
+    "trivial": indwitt.trivial_system(Z, S12),
+    "chain": indwitt.chain_system(S12),
+    "qpow": indwitt.qpow_system(S12),
+}
+
+
+@pytest.mark.parametrize("name", IND_SYSTEMS)
+def test_indwitt_ops_match_polynomial_oracle(name):
+    sys_ = IND_SYSTEMS[name]
+    rng = random.Random(7)
+    ps = universal.derive(Family.classical(), sys_.tset)
+    for _ in range(3):
+        v = indwitt.random_vector(sys_, rng)
+        w = indwitt.random_vector(sys_, rng)
+        for op, vecs in (("add", (v, w)), ("mul", (v, w)), ("neg", (v,))):
+            assert getattr(indwitt, f"ind_{op}")(*vecs).coords == tuple(
+                _ind_oracle(ps.law(op)[k], sys_, k, *vecs) for k in sys_.tset)
+        for n in sys_.tset:
+            assert indwitt.ind_frobenius(v, n).coords == tuple(
+                _ind_oracle(ps.frob[n][nu], sys_, n * nu, v) for nu in sys_.tset.quotient(n))
 
 
 def test_arithmetic_never_derives(monkeypatch):
@@ -483,7 +569,8 @@ def test_one_check_on_all_digits_falls_back_to_each_n(monkeypatch):
         with pytest.raises(NotInGhostImage, match="component 3 ") as got:
             ctx.unghost(gs)
         assert widths == [8] and len(each) == 1
-        assert outcome(row_loops(ctx).unghost, gs) == f"NotInGhostImage: {got.value}"
+        assert outcome(NotInGhostImage, row_loops(ctx).unghost, gs) == (
+            f"NotInGhostImage: {got.value}")
 
 
 def test_exact_ops_pass_the_check_on_all_digits(monkeypatch):
@@ -521,7 +608,59 @@ def test_exact_ops_pass_the_check_on_all_digits(monkeypatch):
     assert [exact(ctx._kernels, ctx.tset, a, b) for ctx, a, b in cases] == fallback == twins
 
 
-SPLIT = "test_engine::test_split_reads_what_zp_unpack_reads"
+@lru_cache(maxsize=None)
+def _generated_read(m: int, ns):
+    """The read that ends a generated Z[q] method of m results at rows ns
+    (witt._read), compiled by itself against the methods' globals:
+    ``read(s, c0, ..., c(m-1))``."""
+    lines = [f"def read(s, {witt._listed('c', m)}):"] + ["    " + x for x in witt._read(m, ns)]
+    body = {}
+    exec(compile("\n".join(lines), "<read>", "exec"), witt._KERNEL_GLOBALS, body)
+    return body["read"]
+
+
+def _assert_reads(s, polys, ns, failing):
+    """_split, and at the widths it reads itself the generated read, read
+    the polys packed at width s: the polys, or the refusal of the first n
+    whose digit fails, ``failing``."""
+    cs = tuple(rings._zp_pack(p, s) for p in polys)
+    want = tuple(polys) if failing is None else f"NotInGhostImage: {witt._unreachable(failing)}"
+    assert outcome(NotInGhostImage, witt._split, cs, s, ns) == want
+    if s <= 64:
+        assert outcome(NotInGhostImage, _generated_read(len(cs), ns), s, *cs) == want
+
+
+@st.composite
+def _packed_rows(draw):
+    """(s, polys, ns, failing) for _split at width s: digits that pass the
+    check (below 2^(s-1-j), j the bit length of max(ns)), or below 2^(s-2)
+    with no check, with runs of zeros; and maybe one digit that fails its
+    own n's check, the n named."""
+    s = draw(st.sampled_from([8, 16, 32, 64, 65, 72, 97, 128]))
+    ns = failing = None
+    if draw(st.booleans()):
+        ns = tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=6))))
+    top = 1 << (s - 1 - (ns[-1].bit_length() if ns else 1))
+    digit = st.one_of(st.just(0), st.sampled_from([-top, top - 1, -1, 1]),
+                      st.integers(-top, top - 1))
+    runs = st.lists(st.one_of(digit.map(lambda d: (d,)),
+                              st.integers(1, 40).map(lambda n: (0,) * n)), max_size=8)
+    count = len(ns) if ns else draw(st.integers(1, 6))
+    polys = [rings.zp_trim(sum(draw(runs), ())) for _ in range(count)]
+    if ns and draw(st.booleans()):  # one digit that fails its own n's check
+        k, half = draw(st.integers(0, count - 1)), 1 << (s - 1)
+        size = draw(st.integers(-(-half // ns[k]), half))  # n*size >= 2^(s-1)
+        polys[k] += (-size if size == half else draw(st.sampled_from([-1, 1])) * size,)
+        failing = ns[k]  # the digits before it pass every check
+    return s, polys, ns, failing
+
+
+@settings(max_examples=300)
+@given(_packed_rows())
+@example((8, [(), (0,) * 30 + (-128 // 4,), (-1,)], (1, 2, 4), None)).via(
+    "the smallest width, one block of zeros")
+def test_split_reads_what_zp_unpack_reads(case):
+    _assert_reads(*case)
 
 
 def _split_cases(s):
@@ -555,4 +694,4 @@ def test_split_reads_coordinates_of_very_different_lengths(s):
     # not shift or pad the short ones, nor hide a failing digit after it, and
     # a digit that carries out of its block must not hide the first failure
     for polys, ns, named in _split_cases(s):
-        check(SPLIT, s, polys, ns, named)
+        _assert_reads(s, polys, ns, named)

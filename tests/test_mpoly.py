@@ -1,9 +1,9 @@
 """Sparse polynomial arithmetic: canonical form, exactness, evaluation.
 
-The packed keys, substitute, ** and eval against tuple keys and ring-op
-loops, and the seeded round trips and homomorphisms, are rows of the
+The packed keys, substitute and ** against tuple keys are rows of the
 table in test_differential.py, run here under the names of the tests
-they replaced.
+they replaced.  The seeded tests draw the mpoly suite's polynomials,
+``suites._rand_poly``.
 """
 
 import json
@@ -11,14 +11,16 @@ import random
 import time
 
 import pytest
-from test_differential import bind, check
+from hypothesis import given, settings, strategies as st
+from test_differential import SMALL, bind, check, mpolys
 
-from qwitt import mpoly
+from qwitt import mpoly, suites
 from qwitt.errors import BudgetExceeded, UnsupportedRingOperation
 from qwitt.mpoly import MPoly, Q, parse_var, xvar, yvar
 from qwitt.rings import Z, ZQ, TwistedRing, ZModRing
 
 X1, X2, Y1, Y2 = MPoly.var(xvar(1)), MPoly.var(xvar(2)), MPoly.var(yvar(1)), MPoly.var(yvar(2))
+SUBSTITUTE = "test_mpoly::test_substitute_matches_the_one_term_product_route"
 bind(globals())
 
 
@@ -50,8 +52,6 @@ def test_eval_examples():
     assert p.eval(ZQ, {Q: q_el, xvar(1): (1,), yvar(1): (1,)}) == q_el
     p2 = 2 * X2 + X1 * X1
     assert p2.eval(Z, {xvar(1): 1, xvar(2): 1}) == 3
-    with pytest.raises(ValueError, match="no value assigned to x5"):
-        (p2 + MPoly.var(xvar(5))).eval(Z, {xvar(1): 1, xvar(2): 1})
 
 
 def test_eval_constant_needs_unit():
@@ -62,11 +62,73 @@ def test_eval_constant_needs_unit():
     assert (X1 * Y1).eval(tw, {xvar(1): 3, yvar(1): 5}) == 30
 
 
+def test_eval_is_ring_hom():
+    rng = random.Random(20)
+    zm = ZModRing(9)
+    names = [xvar(1), xvar(2), yvar(1), Q]
+    for _ in range(500):
+        p, r = suites._rand_poly(rng), suites._rand_poly(rng)
+        assign = {v: zm.random(rng) for v in names}
+        assert (p + r).eval(zm, assign) == zm.add(p.eval(zm, assign), r.eval(zm, assign))
+        assert (p * r).eval(zm, assign) == zm.mul(p.eval(zm, assign), r.eval(zm, assign))
+
+
+def test_substitute_then_eval_is_composed_assignment():
+    rng = random.Random(21)
+    zm = ZModRing(6)
+    names = [xvar(1), xvar(2), yvar(1), Q]
+    for _ in range(500):
+        p = suites._rand_poly(rng)
+        inner = suites._rand_poly(rng)
+        assign = {v: zm.random(rng) for v in names}
+        lhs = p.substitute({xvar(1): inner}).eval(zm, assign)
+        rhs = p.eval(zm, {**assign, xvar(1): inner.eval(zm, assign)})
+        assert lhs == rhs
+
+
+def test_substitute_keeps_the_terms_and_order_of_repeated_addition():
+    # eval and the ghost weights walk the terms in dict order, so the
+    # in-place accumulation must leave that order as it was
+    rng = random.Random(23)
+    for _ in range(300):
+        p, inner, other = suites._rand_poly(rng), suites._rand_poly(rng), suites._rand_poly(rng)
+        for mapping in ({xvar(1): inner}, {xvar(1): inner, yvar(1): -inner},
+                        {Q: other, xvar(2): MPoly.zero()}):
+            check(SUBSTITUTE, p, mapping)
+
+
+def test_div_round_trip():
+    rng = random.Random(22)
+    for _ in range(200):
+        p = suites._rand_poly(rng)
+        k = rng.randint(1, 12)
+        assert (k * p).try_div_int(k) == p
+
+
 def test_canonical_equality_and_zero():
     assert X1 - X1 == MPoly.zero()
     assert (X1 + Y1) - Y1 == X1
     assert MPoly.const(0).is_zero()
     assert not (X1 * 0 + MPoly.const(1)).is_zero()
+
+
+def test_json_round_trip():
+    rng = random.Random(23)
+    for _ in range(100):
+        p = suites._rand_poly(rng)
+        assert MPoly.from_json(p.to_json()) == p
+
+
+def test_rows_round_trip_in_the_order_of_to_json():
+    rng = random.Random(29)
+    for _ in range(100):
+        p = suites._rand_poly(rng)
+        rows = p.to_rows()
+        assert MPoly.from_rows(rows) == p
+        assert [[int(m["coeff"]), *(x for pair in m["exps"].items() for x in pair)]
+                for m in p.to_json()["monomials"]] == rows
+    p = 3 * MPoly.var(xvar(10), 2) * MPoly.var(Q) - MPoly.var(xvar(2)) + MPoly.const(5)
+    assert p.to_rows() == [[5], [3, "q", 1, "x10", 2], [-1, "x2", 1]]
 
 
 @pytest.mark.parametrize("row, error", [
@@ -97,8 +159,6 @@ def test_canonical_variable_names_read_back():
     p = MPoly.from_json(data)
     assert p == 3 * MPoly.var(xvar(1), 2) * MPoly.var(yvar(10)) * MPoly.var(Q, 4)
     assert json.dumps(p.to_json(), sort_keys=True) == json.dumps(data, sort_keys=True)
-    p = 3 * MPoly.var(xvar(10), 2) * MPoly.var(Q) - MPoly.var(xvar(2)) + MPoly.const(5)
-    assert p.to_rows() == [[5], [3, "q", 1, "x10", 2], [-1, "x2", 1]]
 
 
 def test_an_exponent_at_the_top_of_a_slot_does_not_wrap():
@@ -144,9 +204,6 @@ def test_a_term_is_the_product_of_its_powers():
         MPoly.term(1, [(xvar(1), top + 1)])
 
 
-SUBSTITUTE = "test_mpoly::test_substitute_matches_the_one_term_product_route"
-
-
 def test_substitute_cancels_and_refuses_as_the_one_term_product_route():
     top = (1 << (mpoly._W - 1)) - 1
     x, y, q = MPoly.var(xvar(1)), MPoly.var(yvar(1)), MPoly.var(Q)
@@ -160,9 +217,33 @@ def test_substitute_cancels_and_refuses_as_the_one_term_product_route():
              (MPoly.var(xvar(40), 1 << (mpoly._W - 2)) * y * y,
               {yvar(1): MPoly.var(xvar(40), (1 << (mpoly._W - 3)) + 1)})]
     outcomes = [check(SUBSTITUTE, p, mapping) for p, mapping in cases]
-    assert outcomes[0] == [[]] and outcomes[2] == [[(((Q, 1),), 1)]]
+    assert outcomes[0] == [] and outcomes[2] == [(((Q, 1),), 1)]
     refused = [str(got).startswith("BudgetExceeded") for got in outcomes]
     assert refused == [False] * 4 + [True] * 2
+
+
+def _eval_by_ring_ops(p, ring, assign):
+    acc = ring.zero()
+    for key, c in p.terms():
+        val = ring.one()
+        for v, e in key:
+            val = ring.mul(val, ring.pow(assign[v], e))
+        acc = ring.add(acc, ring.int_scale(c, val))
+    return acc
+
+
+@settings(max_examples=200)
+@given(mpolys(st.tuples(SMALL, st.integers(1, 3))),
+       st.lists(st.integers(-50, 50), min_size=8, max_size=8))
+def test_eval_over_z_and_zmod_matches_the_ring_loop(p, values):
+    names = [Q, xvar(1), xvar(2), xvar(3), xvar(12), yvar(1), yvar(2), yvar(7)]
+    assign = dict(zip(names, values))
+    for ring in (Z, ZModRing(6)):
+        # the same ring, but not one whose cover is Z: the ring-op loop
+        want = _eval_by_ring_ops(p, ring, assign)
+        assert p.eval(ring, assign) == want == p.eval(TwistedRing(ring, 1), assign)
+    with pytest.raises(ValueError):
+        (p + MPoly.var(xvar(5))).eval(Z, assign)
 
 
 def test_eval_over_zmod_takes_each_power_through_the_ring():

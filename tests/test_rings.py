@@ -1,10 +1,4 @@
-"""Coefficient-ring instances: exactness, flags, divisibility, twists.
-
-The Kronecker Z[q] products and packing against the schoolbook product,
-square-and-multiply and the slotwise loops are rows of the table in
-test_differential.py, run here under the names of the tests they
-replaced.
-"""
+"""Coefficient-ring instances: exactness, flags, divisibility, twists."""
 
 import math
 import random
@@ -12,27 +6,30 @@ import time
 import tracemalloc
 
 import pytest
-from test_differential import bind, schoolbook_mul
+from hypothesis import example, given, settings, strategies as st
+from test_differential import zq_elements
 
 from qwitt.errors import BudgetExceeded, NonUniqueQuotient, UnsupportedRingOperation
 from qwitt.truncset import MAX_ELEMENT
 from qwitt.rings import (
+    _ZP_LEAF,
     DUAL,
     Z,
     ZQ,
     ZP_KRONECKER_MIN_LEN,
+    ZP_ONE,
     UNITS_BUDGET,
     TwistedRing,
     ZModRing,
     _zp_pack,
+    _zp_pow_series,
     _zp_unpack,
     parse_ring,
     zp_mul,
     zp_pow,
     zp_to_str,
+    zp_trim,
 )
-
-bind(globals())
 
 INSTANCES = [Z, ZQ, DUAL, ZModRing(6), ZModRing(4), ZModRing(9), TwistedRing(Z, 2)]
 
@@ -181,6 +178,56 @@ def test_cross_ring_element_rejected():
         DUAL.check((1, 2, 3))
 
 
+# --- the Z[q] kernel against the schoolbook oracle --------------------
+
+
+def schoolbook_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return zp_trim(out)
+
+
+def square_and_multiply_pow(a, e):
+    result = ZP_ONE
+    base = a
+    while e:
+        if e & 1:
+            result = schoolbook_mul(result, base)
+        base = schoolbook_mul(base, base)
+        e >>= 1
+    return result
+
+
+@settings(max_examples=150)
+@given(zq_elements(2 * ZP_KRONECKER_MIN_LEN + 4), zq_elements(2 * ZP_KRONECKER_MIN_LEN + 4))
+@example((), (1, 2))
+@example((5,), (-7,))
+@example((1, -1), (0, 0, -3))
+@example((1,) * ZP_KRONECKER_MIN_LEN, (-(2**64),) * ZP_KRONECKER_MIN_LEN)
+@example((0,) * ZP_KRONECKER_MIN_LEN, (1,) * ZP_KRONECKER_MIN_LEN)
+@example((1,) * (ZP_KRONECKER_MIN_LEN - 1), (-1,) * 40)
+def test_zp_mul_matches_schoolbook(a, b):
+    assert zp_mul(a, b) == schoolbook_mul(a, b)
+    assert zp_mul(b, a) == schoolbook_mul(a, b)
+
+
+@settings(max_examples=150)
+@given(zq_elements(12), st.integers(0, 8))
+@example((), 0)
+@example((), 3)
+@example((0, 0), 2)
+@example((-4,), 7)
+@example((0, 0, 1), 8)
+@example((3, 0, -(2**70)), 5)
+def test_zp_pow_matches_square_and_multiply(a, e):
+    assert zp_pow(a, e) == square_and_multiply_pow(a, e)
+
+
 def test_zp_mul_at_the_slot_bound_borrows_correctly():
     # max|a| * max|b| * min(len) = 15 = 2^4 - 1 fills a 5-bit slot, one
     # short of where the signed digits would wrap; alternating signs make
@@ -198,6 +245,17 @@ def test_zp_mul_at_the_slot_bound_borrows_correctly():
     a, b = tuple(big * c for c in alternating), tuple(-big * c for c in alternating)
     assert zp_mul(a, b) == schoolbook_mul(a, b)
     assert zp_mul(a, b)[n - 1] == -15 * big * big
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+       st.sampled_from([-(2**40), -2, -1, 1, 3]), st.integers(2, 40))
+@example([1], 1, 300)  # (1+q)^300, past ZP_SERIES_MIN_BITS per coefficient
+@example([-1, 2], 3, 150)
+def test_zp_pow_series_matches_square_and_multiply(rest, b0, e):
+    b = zp_trim([b0] + rest)
+    assert _zp_pow_series(b, e) == square_and_multiply_pow(b, e)
+    assert zp_pow((0,) + b, e) == square_and_multiply_pow((0,) + b, e)
 
 
 def test_zp_pow_of_a_high_monomial_is_instant():
@@ -232,6 +290,74 @@ def test_powers_within_the_budget_are_computed():
     assert ZQ.from_str("q^1000000")[-1] == 1
     assert ZQ.from_str("(1+q)^1000") == zp_pow((1, 1), 1000)
     assert Z.from_str("0^0 + 7^0") == 2
+
+
+def slotwise_pack(a, s):
+    """The packing every length used before long tuples were split in
+    halves: one coefficient at a time."""
+    x = gap = 0
+    for c in reversed(a):
+        gap += s
+        if c:
+            x = (x << gap) + c
+            gap = 0
+    return x << gap
+
+
+def slotwise_unpack(x, s, n):
+    """The unpacking every length used before long integers were split in
+    halves: one slot at a time, each shift costing what is left of x."""
+    mask, half, full = (1 << s) - 1, 1 << (s - 1), 1 << s
+    out = []
+    i = 0
+    while i < n:
+        c = x & mask
+        if not c:
+            if not x:
+                break
+            run = min(((x & -x).bit_length() - 1) // s, n - i)
+            out += [0] * run
+            x >>= s * run
+            i += run
+            continue
+        x >>= s
+        if c >= half:
+            c -= full
+            x += 1
+        out.append(c)
+        i += 1
+    return zp_trim(out)
+
+
+@st.composite
+def balanced_digits(draw):
+    """(digits, s, n): balanced base-2^s digits with runs of zeros and
+    extreme values, over lengths on both sides of the split size, and a
+    count n of slots to read back that may be short of them or past them."""
+    s = draw(st.sampled_from([1, 2, 3, 7, 30, 31, 64]))
+    half = 1 << (s - 1)
+    digit = st.one_of(st.just(0), st.just(-half), st.just(half - 1),
+                      st.integers(-half, half - 1))
+    run = st.lists(digit, max_size=2 * _ZP_LEAF) | st.lists(st.just(0), max_size=3 * _ZP_LEAF)
+    digits = draw(st.lists(run, max_size=6).map(lambda rs: [d for r in rs for d in r]))
+    # the top digit is not 0; at s = 1 the digits are -1 and 0
+    digits.append(draw(st.sampled_from([-half, -1] + [1, half - 1] * (s > 1))))
+    n = len(digits) + draw(st.sampled_from([0, 0, 1, 5, -1, -_ZP_LEAF]))
+    return tuple(digits), s, max(n, 1)
+
+
+@settings(max_examples=200)
+@given(balanced_digits())
+@example(((0,) * _ZP_LEAF + (-1,), 1, _ZP_LEAF + 1))
+@example(((0,) * 2 * _ZP_LEAF + (-4,), 3, 2 * _ZP_LEAF + 1))
+@example(((15,) * 3 * _ZP_LEAF + (1,), 5, 3 * _ZP_LEAF))
+def test_zp_pack_and_unpack_match_the_slotwise_loops(case):
+    digits, s, n = case
+    x = _zp_pack(digits, s)
+    assert x == slotwise_pack(digits, s)
+    assert _zp_unpack(x, s, n) == slotwise_unpack(x, s, n)
+    if n >= len(digits):
+        assert _zp_unpack(x, s, n) == zp_trim(digits)
 
 
 def test_a_long_dense_tuple_packs_and_unpacks_in_near_linear_time():

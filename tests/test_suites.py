@@ -3,20 +3,19 @@ suites in forked workers changes no output."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
 
 import pytest
-from test_differential import bind
 
 from qwitt import suites
 from qwitt.cli import main
 from qwitt.errors import Error
+from qwitt.mpoly import MPoly, Q, xvar, yvar
 from qwitt.report import Report
-
-bind(globals())  # the mpoly suite's draw against the product construction, a row there
 
 # The suite checks that stand in for module tests deleted or cut down
 # because they repeated them (CHANGES.md lists which test each replaces):
@@ -197,3 +196,25 @@ def test_the_workers_leave_no_resource_unclosed(src_env):
                           timeout=60)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert len(json.loads(proc.stdout)["reports"]) == 4
+
+
+def _rand_poly_by_products(rng):
+    """The mpoly suite's draw as it was first written: each monomial built
+    from up to four products."""
+    out = MPoly.zero()
+    for _ in range(rng.randint(1, 4)):
+        mono = MPoly.const(rng.randint(-4, 4))
+        for v in (xvar(1), xvar(2), yvar(1), Q):
+            e = rng.randint(0, 2)
+            if e:
+                mono = mono * MPoly.var(v, e)
+        out = out + mono
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 1729, -5, 123456])
+def test_mpoly_suite_draws_the_polynomials_of_the_product_construction(seed):
+    r1, r2 = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        got, want = suites._rand_poly(r1), _rand_poly_by_products(r2)
+        assert got.terms() == want.terms() and r1.getstate() == r2.getstate()

@@ -4,15 +4,13 @@ import json
 import random
 
 import pytest
-from test_differential import bind
+from test_differential import outcome
 
 from qwitt.errors import CrossRingError, NotInGhostImage
 from qwitt.rings import Z, ZQ, ZModRing, parse_ring
 from qwitt.truncset import ONE_SET, TruncationSet
 from qwitt.universal import Family
 from qwitt import cli, systems, witt
-
-bind(globals())  # the system maps on tuples against witt's, a row of test_differential.py
 
 S2 = TruncationSet.make([2])
 S3 = TruncationSet.make([3])
@@ -212,6 +210,77 @@ def test_exactness_stops_enumerating_past_the_budget(monkeypatch):
     assert systems._check_exactness(systems.WittSystem(ZModRing(7), s), s, 2,
                                     random.Random(1), 3)
     assert pulled == [systems.ENUM_BUDGET + 1]  # then sampled, never listed in full
+
+
+S12, S5 = TruncationSet.make([12]), TruncationSet.make([5])
+# (ring, family, q) of the differential test of the system maps
+MAP_CASES = [
+    ("z", "classical", None), ("z", "qdef", 2), ("zmod:4", "classical", None),
+    ("zmod:4", "qdef", 2), ("zq", "classical", None), ("zq", "qdef", 2), ("zq", "qbar", None),
+]
+
+
+def _big(sys_, s):  # the set of the system's vectors at s
+    return s.product(S5) if isinstance(sys_, systems.NestedWittSystem) else s
+
+
+def _system_maps(sys_, rng):
+    """Every map of sys_ from a subset of {1,2,3,4,6,12}, as (kind, source,
+    tuple, target, m): project and section to every subset, F_m and V_m
+    for m > 1, targets outside a map's domain included.  The tuples are
+    drawn at each source and at each S/m, in that order."""
+    for s in S12.sub_sets():
+        a = sys_.context.on(_big(sys_, s)).random(rng)
+        yield from ((kind, s, a, to, 1) for to in S12.sub_sets() for kind in ("proj", "section"))
+        for m in S12.elements[1:]:
+            yield "frob", s, a, s.quotient(m) if m in s else s, m
+            if m in s:
+                low = s.quotient(m)
+                yield "versch", low, sys_.context.on(_big(sys_, low)).random(rng), s, m
+
+
+def _system_map(sys_, kind, s, a, to, m):
+    # the maps of W_S(A) take and give the coordinate of W_{1}(A) bare
+    point = isinstance(sys_, systems.WittSystem)
+    args = (s, to) if kind in ("proj", "section") else (m, s if kind == "frob" else to)
+    value = getattr(sys_, kind)(*args, a[0] if point and s == ONE_SET else a)
+    return _big(sys_, to), (value,) if point and to == ONE_SET else value
+
+
+def _vector_map(sys_, kind, s, a, to, m):
+    v = witt.WittVector(sys_.context.on(_big(sys_, s)), a)
+    if kind in ("frob", "versch"):
+        out = witt.frobenius(v, m) if kind == "frob" else witt.verschiebung(v, m, _big(sys_, to))
+    else:
+        out = (witt.project if kind == "proj" else witt.section)(v, _big(sys_, to))
+    return out.tset, out.coords
+
+
+def _by_definition(sys_, kind, s, a, to, m):
+    """The target set and coordinates of project, section or V_m of a,
+    read off the definitions one index at a time."""
+    source, zero = _big(sys_, s), sys_.base.zero()
+    return _big(sys_, to), tuple(a[source.index(n // m)] if n % m == 0 and n // m in source
+                                 else zero for n in _big(sys_, to))
+
+
+@pytest.mark.parametrize("desc, label, q", MAP_CASES)
+def test_system_maps_on_tuples_match_the_vector_maps(desc, label, q):
+    # every pair of subsets of {1,2,3,4,6,12}, in W_S(A) and in the nested
+    # W_{S*{1,5}}(A): the system maps on coordinate tuples, witt's maps on
+    # vectors, and the definitions give the same coordinates, and the maps
+    # refuse each target outside their domain with the same CrossRingError
+    base, fam, rng = parse_ring(desc), Family.parse(label), random.Random(75)
+    for sys_ in (systems.WittSystem(base, S12, fam, q),
+                 systems.NestedWittSystem(S12, S5, base, fam, q)):
+        for kind, s, a, to, m in _system_maps(sys_, rng):
+            got = outcome(CrossRingError, _system_map, sys_, kind, s, a, to, m)
+            assert got == outcome(CrossRingError, _vector_map, sys_, kind, s, a, to, m)
+            if not {"proj": to.is_subset(s), "section": s.is_subset(to), "frob": m in s}.get(
+                    kind, True):
+                assert isinstance(got, str), (kind, s, to, m)  # refused
+            elif kind != "frob":
+                assert got == _by_definition(sys_, kind, s, a, to, m)
 
 
 def test_vector_verschiebung_refuses_a_wrong_domain():
