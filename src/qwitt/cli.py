@@ -139,7 +139,7 @@ def cmd_eval(args) -> int:
         _emit(witt.vector_to_json(witt.teichmuller(family, tset, ring, value, q)))
     elif op == "ghost":
         gh = witt.ghost(vec())
-        _emit({"ghost": {str(n): ring.to_json(x) for n, x in zip(tset, gh)}})
+        _emit(witt.indexed_to_json(gh, "ghost", tset, lambda n: ring))
     elif op == "unghost":
         xs = [_input(ring, x) for x in witt.indexed_from_json(data, "ghost", tset, lambda n: ring)]
         _emit(witt.vector_to_json(witt.unghost(family, tset, ring, xs, q)))
@@ -154,11 +154,11 @@ def cmd_deform(args) -> int:
         tset = qdeform.lenart_set(args.p)
         data = _read_json(args.infile)
         if args.inverse:
-            a = witt.vector_from_json(Family.classical(), tset, Z, data.get("a", data))
+            a = witt.vector_from_json(Family.classical(), tset, Z, _vector_field(data, "a"))
             out = qdeform.lenart_iso_inverse(args.p, args.q, a)
         else:
             family = Family.lenart(args.q)
-            a = witt.vector_from_json(family, tset, Z, data.get("a", data))
+            a = witt.vector_from_json(family, tset, Z, _vector_field(data, "a"))
             out = qdeform.lenart_iso(args.p, args.q, a)
         _emit(witt.vector_to_json(out))
         return 0
@@ -230,12 +230,12 @@ def cmd_systems(args) -> int:
         data = _read_json(args.infile)
         if args.backward:
             nested = witt.vector_from_json(
-                Family.classical(), t1, iso.nested_ring, data.get("a", data)
+                Family.classical(), t1, iso.nested_ring, _vector_field(data, "a")
             )
             _emit(witt.vector_to_json(iso.backward(nested)))
         else:
             big = t1.product(t2)
-            a = witt.vector_from_json(Family.classical(), big, ring, data.get("a", data))
+            a = witt.vector_from_json(Family.classical(), big, ring, _vector_field(data, "a"))
             _emit(witt.vector_to_json(iso.forward(a)))
         return 0
     raise ValueError(f"unknown systems action {args.action!r}")
@@ -257,13 +257,7 @@ def _parse_ind_system(text: str, tset: TruncationSet) -> indwitt.IndSystem:
 
 
 def _ind_vec_json(v: indwitt.IndVector) -> dict:
-    sys_obj = v.system
-    return {
-        "coords": {
-            str(n): sys_obj.ring(n).to_json(c)
-            for n, c in zip(sys_obj.tset, v.coords)
-        }
-    }
+    return witt.indexed_to_json(v.coords, "coords", v.system.tset, v.system.ring)
 
 
 def cmd_indwitt(args) -> int:
@@ -284,15 +278,7 @@ def cmd_indwitt(args) -> int:
     elif op == "neg":
         _emit(_ind_vec_json(indwitt.ind_neg(vec())))
     elif op == "ghost":
-        v = vec()
-        gh = indwitt.ind_ghost(v)
-        _emit(
-            {
-                "ghost": {
-                    str(n): sys_obj.ring(n).to_json(x) for n, x in zip(tset, gh)
-                }
-            }
-        )
+        _emit(witt.indexed_to_json(indwitt.ind_ghost(vec()), "ghost", tset, sys_obj.ring))
     elif op.startswith("frob:"):
         n = _index(op, tset)
         _emit(_ind_vec_json(indwitt.ind_frobenius(vec(), n)))

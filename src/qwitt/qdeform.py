@@ -179,8 +179,14 @@ def lenart_frobenius_defect(p: int, q: int) -> witt.WittVector | None:
 # The twisted-ghost family as a deformation at twist 1 - g.
 
 
-def _rename_to_y(poly: MPoly, tset: TruncationSet) -> MPoly:
-    return poly.substitute({xvar(d): MPoly.var(yvar(d)) for d in tset})
+def _bind(coords: dict[int, MPoly]) -> dict:
+    """The substitution x_d -> coords[d]."""
+    return {xvar(d): p for d, p in coords.items()}
+
+
+def _qdef_at(t: MPoly, tset: TruncationSet) -> universal.UniversalPolySet:
+    """The deformation family's laws on S with q bound to t."""
+    return universal.substitute_q(universal.derive(Family.qdef(), tset), t, Family.qdef())
 
 
 def _derive_alpha(g, tset: TruncationSet, r: MPoly) -> dict[int, MPoly]:
@@ -210,16 +216,13 @@ class QbarIdentification(Record):
 def _check_hom(rep: Report, label: str, alpha: dict[int, MPoly],
                src_set, dst_set, tset: TruncationSet) -> None:
     """alpha must intertwine both laws: alpha(op(X,Y)) = op'(alpha X, alpha Y)."""
-    axs = {xvar(d): alpha[d] for d in tset}
-    ays = {yvar(d): _rename_to_y(alpha[d], tset) for d in tset}
-    both = {**axs, **ays}
+    to_y = {xvar(d): MPoly.var(yvar(d)) for d in tset}
+    both = {**_bind(alpha), **{yvar(d): p.substitute(to_y) for d, p in alpha.items()}}
     for kind in ("sigma", "pi"):
-        src = getattr(src_set, kind)
+        src = _bind(getattr(src_set, kind))
         dst = getattr(dst_set, kind)
         for n in tset:
-            lhs = alpha[n].substitute({xvar(d): src[d] for d in tset})
-            rhs = dst[n].substitute(both)
-            rep.add(f"{label}:{kind}:{n}", lhs == rhs)
+            rep.add(f"{label}:{kind}:{n}", alpha[n].substitute(src) == dst[n].substitute(both))
 
 
 def qbar_to_qdef_iso(g, tset: TruncationSet) -> QbarIdentification:
@@ -237,42 +240,31 @@ def qbar_to_qdef_iso(g, tset: TruncationSet) -> QbarIdentification:
     rep = Report(f"qbar[{rings.zp_to_str(g)}] ~ qdef[{rings.zp_to_str(rz)}] on {tset}")
 
     qbar_set = universal.derive(Family.qbar(g), tset)
-    qdef_at_r = universal.substitute_q(universal.derive(Family.qdef(), tset), r,
-                                       Family.qdef())
+    qdef_at_r = _qdef_at(r, tset)
     alpha = _derive_alpha(g, tset, r)
+    at_alpha = _bind(alpha)
     rep.add("fixes-first-coordinate", alpha[1] == MPoly.var(xvar(1)))
     _check_hom(rep, "hom", alpha, qbar_set, qdef_at_r, tset)
 
+    # alpha on each S/m, m > 1, for the Frobenius and Verschiebung checks
+    alpha_on = {m: _derive_alpha(g, tset.quotient(m), r) for m in tset if m != 1}
     # Frobenius: alpha_{S/m}(F_m(a)) = F_m(alpha_S(a))
-    for m in tset:
-        if m == 1:
-            continue
-        sub = tset.quotient(m)
-        alpha_sub = _derive_alpha(g, sub, r)
-        for v in sub:
-            lhs = alpha_sub[v].substitute({xvar(d): qbar_set.frob[m][d] for d in sub})
-            rhs = qdef_at_r.frob[m][v].substitute({xvar(d): alpha[d] for d in tset})
+    for m, alpha_sub in alpha_on.items():
+        at_frob = _bind(qbar_set.frob[m])
+        for v in alpha_sub:
+            lhs = alpha_sub[v].substitute(at_frob)
+            rhs = qdef_at_r.frob[m][v].substitute(at_alpha)
             rep.add(f"frobenius:{m}:{v}", lhs == rhs)
-
     # Verschiebung: alpha_S(shift_m(a)) = shift_m(alpha_{S/m}(a))
-    for m in tset:
-        if m == 1:
-            continue
-        sub = tset.quotient(m)
-        alpha_sub = _derive_alpha(g, sub, r)
-        shift = {
-            xvar(d): (MPoly.var(xvar(d // m)) if d % m == 0 else MPoly.zero())
-            for d in tset
-        }
+    for m, alpha_sub in alpha_on.items():
+        shift = universal._shift_map(m, tset)
         for n in tset:
-            lhs = alpha[n].substitute(shift)
             rhs = alpha_sub[n // m] if n % m == 0 else MPoly.zero()
-            rep.add(f"verschiebung:{m}:{n}", lhs == rhs)
+            rep.add(f"verschiebung:{m}:{n}", alpha[n].substitute(shift) == rhs)
 
     # two-sided inverse by the reverse inversion
-    fam = Family.qbar(g)
     beta = universal.invert_ghost_weights(
-        fam.ghost_weight,
+        Family.qbar(g).ghost_weight,
         tset,
         {
             n: universal.ghost_poly(Family.qdef(), tset, n, "x").substitute({Q: r})
@@ -280,18 +272,14 @@ def qbar_to_qdef_iso(g, tset: TruncationSet) -> QbarIdentification:
         },
         "(reverse identification)",
     )
+    at_beta = _bind(beta)
     for n in tset:
-        roundtrip = alpha[n].substitute({xvar(d): beta[d] for d in tset})
-        rep.add(f"alpha-after-beta:{n}", roundtrip == MPoly.var(xvar(n)))
-        roundtrip2 = beta[n].substitute({xvar(d): alpha[d] for d in tset})
-        rep.add(f"beta-after-alpha:{n}", roundtrip2 == MPoly.var(xvar(n)))
+        rep.add(f"alpha-after-beta:{n}", alpha[n].substitute(at_beta) == MPoly.var(xvar(n)))
+        rep.add(f"beta-after-alpha:{n}", beta[n].substitute(at_alpha) == MPoly.var(xvar(n)))
 
     # sign twin: coordinatewise -1 lands in the family at twist g - 1
     neg_alpha = {n: -alpha[n] for n in tset}
-    qdef_at_negr = universal.substitute_q(
-        universal.derive(Family.qdef(), tset), -r, Family.qdef()
-    )
-    _check_hom(rep, "sign-twin", neg_alpha, qbar_set, qdef_at_negr, tset)
+    _check_hom(rep, "sign-twin", neg_alpha, qbar_set, _qdef_at(-r, tset), tset)
 
     if not rep.passed:
         raise CertificationError(
@@ -313,20 +301,16 @@ def certify_twist_candidate(g, tset: TruncationSet, candidate) -> bool:
     rz = rings.zp_sub(rings.ZP_ONE, g)
     closed_form = candidate in (rz, rings.zp_neg(rz))
 
-    witnessed = False
     qbar_set = universal.derive(Family.qbar(g), tset)
-    cand_poly = MPoly.from_zpoly(candidate)
-    cand_set = universal.substitute_q(
-        universal.derive(Family.qdef(), tset), cand_poly, Family.qdef()
-    )
-    for u in (1, -1):
-        try:
-            base = _derive_alpha(g, tset, MPoly.from_zpoly(rz))
-        except IntegralityViolation:
-            continue
-        scaled = {n: u * base[n] for n in tset}
+    cand_set = _qdef_at(MPoly.from_zpoly(candidate), tset)
+    try:
+        base = _derive_alpha(g, tset, MPoly.from_zpoly(rz))  # the same for either sign
+    except IntegralityViolation:
+        base = None
+    witnessed = False
+    for u in (1, -1) if base is not None else ():
         rep = Report("candidate")
-        _check_hom(rep, "cand", scaled, qbar_set, cand_set, tset)
+        _check_hom(rep, "cand", {n: u * base[n] for n in tset}, qbar_set, cand_set, tset)
         if rep.passed:
             witnessed = True
             break

@@ -160,6 +160,9 @@ _set_g = Family.g.__set__
 _set_q = Family.q.__set__
 
 
+_LAWS = ("sigma", "pi", "neg")  # the banks before "frob", each {n: MPoly} over S
+
+
 class UniversalPolySet(FrozenRecord):
     """All structure polynomials of one family on one truncation set."""
 
@@ -176,15 +179,38 @@ class UniversalPolySet(FrozenRecord):
         raise ValueError(f"unknown law {kind!r}")
 
 
+def _ghost_sum(weights, n: int, coords) -> MPoly:
+    """The sum over d | n of weights(n, d) * coords[d]^(n/d)."""
+    acc = MPoly.zero()
+    for d in divisors(n):
+        acc = acc + weights(n, d) * coords[d] ** (n // d)
+    return acc
+
+
 def ghost_poly(family: Family, tset: TruncationSet, n: int, bank: str = "x") -> MPoly:
     """The n-th ghost component of the generic vector in the given bank."""
     if n not in tset:
         raise ValueError(f"{n} is not in {tset}")
     mk = xvar if bank == "x" else yvar
-    acc = MPoly.zero()
-    for d in divisors(n):
-        acc = acc + family.ghost_weight(n, d) * MPoly.var(mk(d), n // d)
-    return acc
+    return _ghost_sum(family.ghost_weight, n, {d: MPoly.var(mk(d)) for d in divisors(n)})
+
+
+def _law_targets(family: Family, tset: TruncationSet) -> tuple[dict, dict]:
+    """The ghost polynomials gx of S in the x bank, and the ghost targets
+    of the laws by name: gx + gy for sigma, twist*gx*gy for pi, -gx for neg."""
+    gx = {n: ghost_poly(family, tset, n, "x") for n in tset}
+    gy = {n: ghost_poly(family, tset, n, "y") for n in tset}
+    twist = family.twist()
+    return gx, {
+        "sigma": {n: gx[n] + gy[n] for n in tset},
+        "pi": {n: twist * gx[n] * gy[n] for n in tset},
+        "neg": {n: -gx[n] for n in tset},
+    }
+
+
+def _shift_map(m: int, tset: TruncationSet) -> dict:
+    """The coordinate shift V_m on S: x_d -> x_(d/m) when m | d, else 0."""
+    return {xvar(d): MPoly.var(xvar(d // m)) if d % m == 0 else MPoly.zero() for d in tset}
 
 
 def invert_ghost_weights(
@@ -232,11 +258,7 @@ def _check_verschiebung_shift(family: Family, tset: TruncationSet, gx: dict) -> 
     for m in tset:
         if m == 1:
             continue
-        shift_map = {}
-        for d in tset:
-            shift_map[xvar(d)] = (
-                MPoly.var(xvar(d // m)) if d % m == 0 else MPoly.zero()
-            )
+        shift_map = _shift_map(m, tset)
         for n in tset:
             lhs = gx[n].substitute(shift_map)
             rhs = MPoly.const(m) * gx[n // m] if n % m == 0 else MPoly.zero()
@@ -248,13 +270,8 @@ def _check_verschiebung_shift(family: Family, tset: TruncationSet, gx: dict) -> 
 
 
 def _derive_uncached(family: Family, tset: TruncationSet) -> UniversalPolySet:
-    gx = {n: ghost_poly(family, tset, n, "x") for n in tset}
-    gy = {n: ghost_poly(family, tset, n, "y") for n in tset}
-    twist = family.twist()
-
-    sigma = ghost_invert_sym(family, tset, {n: gx[n] + gy[n] for n in tset})
-    pi = ghost_invert_sym(family, tset, {n: twist * gx[n] * gy[n] for n in tset})
-    neg = ghost_invert_sym(family, tset, {n: -gx[n] for n in tset})
+    gx, targets = _law_targets(family, tset)
+    sigma, pi, neg = (ghost_invert_sym(family, tset, targets[k]) for k in _LAWS)
 
     frob: dict[int, dict[int, MPoly]] = {}
     for m in tset:
@@ -313,9 +330,6 @@ def _digest(blob: bytes) -> bytes:
     import hashlib
 
     return hashlib.sha256(_code_tag() + blob).hexdigest().encode()
-
-
-_LAWS = ("sigma", "pi", "neg")  # the banks of an entry before "frob", each by position in S
 
 
 def _disk_load(family: Family, tset: TruncationSet) -> UniversalPolySet | None:
@@ -387,20 +401,22 @@ def derive(family: Family, tset: TruncationSet) -> UniversalPolySet:
 # Derived constructions and certificates.
 
 
+def _map_polys(fn, ps: UniversalPolySet, family: Family) -> UniversalPolySet:
+    """fn applied to every polynomial of every bank of ``ps``, as a set of ``family``."""
+    laws = ({n: fn(p) for n, p in getattr(ps, k).items()} for k in _LAWS)
+    frob = {m: {v: fn(p) for v, p in bank.items()} for m, bank in ps.frob.items()}
+    return UniversalPolySet(family, ps.tset, *laws, frob)
+
+
+def _same_laws(a: UniversalPolySet, b: UniversalPolySet) -> bool:
+    """Whether a and b have the same sigma, pi and Frobenius banks."""
+    return a.sigma == b.sigma and a.pi == b.pi and a.frob == b.frob
+
+
 def substitute_q(ps: UniversalPolySet, value, new_family: Family) -> UniversalPolySet:
     """Substitute q -> value (an MPoly) in every polynomial of ``ps``."""
     sub = {Q: value}
-    return UniversalPolySet(
-        new_family,
-        ps.tset,
-        {n: p.substitute(sub) for n, p in ps.sigma.items()},
-        {n: p.substitute(sub) for n, p in ps.pi.items()},
-        {n: p.substitute(sub) for n, p in ps.neg.items()},
-        {
-            m: {v: p.substitute(sub) for v, p in bank.items()}
-            for m, bank in ps.frob.items()
-        },
-    )
+    return _map_polys(lambda p: p.substitute(sub), ps, new_family)
 
 
 def base_change_qbar(g, tset: TruncationSet) -> UniversalPolySet:
@@ -419,21 +435,11 @@ def base_change_qbar(g, tset: TruncationSet) -> UniversalPolySet:
 def roundtrip_certificate(family: Family, tset: TruncationSet) -> bool:
     """Re-check symbolically that the derived laws solve their ghost equations."""
     ps = derive(family, tset)
-    gx = {n: ghost_poly(family, tset, n, "x") for n in tset}
-    gy = {n: ghost_poly(family, tset, n, "y") for n in tset}
-    twist = family.twist()
-    for n in tset:
-        add_ghost = MPoly.zero()
-        mul_ghost = MPoly.zero()
-        for d in divisors(n):
-            w = family.ghost_weight(n, d)
-            add_ghost = add_ghost + w * (ps.sigma[d] ** (n // d))
-            mul_ghost = mul_ghost + w * (ps.pi[d] ** (n // d))
-        if add_ghost != gx[n] + gy[n]:
-            return False
-        if mul_ghost != twist * gx[n] * gy[n]:
-            return False
-    return True
+    _, targets = _law_targets(family, tset)
+    return all(
+        _ghost_sum(family.ghost_weight, n, getattr(ps, k)) == targets[k][n]
+        for n in tset for k in ("sigma", "pi")
+    )
 
 
 def power_coords(family: Family, tset: TruncationSet, e: int) -> dict[int, MPoly]:
@@ -472,9 +478,7 @@ def frobenius_mod_p_certificate(family: Family, tset: TruncationSet, p: int) -> 
     twist_pow = family.twist() ** (p - 1)
     ghost_diff = {}
     for v in sub:
-        gpow = MPoly.zero()
-        for d in divisors(v):
-            gpow = gpow + family.ghost_weight(v, d) * (power[d] ** (v // d))
+        gpow = _ghost_sum(family.ghost_weight, v, power)
         gv = ghost_poly(family, sub, v, "x")
         if gpow != twist_pow * (gv**p):
             return False  # iterated product disagrees with the ghost form
@@ -512,33 +516,14 @@ def q_scaling_transform(poly: MPoly) -> MPoly:
 
 def qdef_matches_scaled_classical(tset: TruncationSet) -> bool:
     """Certify that the q-deformed laws are the q-scaled classical laws."""
-    cl = derive(Family.classical(), tset)
-    qd = derive(Family.qdef(), tset)
-    for n in tset:
-        if q_scaling_transform(cl.sigma[n]) != qd.sigma[n]:
-            return False
-        if q_scaling_transform(cl.pi[n]) != qd.pi[n]:
-            return False
-    for m in tset:
-        for v in tset.quotient(m):
-            if q_scaling_transform(cl.frob[m][v]) != qd.frob[m][v]:
-                return False
-    return True
+    scaled = _map_polys(q_scaling_transform, derive(Family.classical(), tset), Family.qdef())
+    return _same_laws(scaled, derive(Family.qdef(), tset))
 
 
 def specializes_to_classical(family: Family, tset: TruncationSet) -> bool:
     """Certify that q -> 1 collapses the family's laws to the classical ones."""
-    ps = derive(family, tset)
-    cl = derive(Family.classical(), tset)
-    one = MPoly.const(1)
-    at1 = substitute_q(ps, one, Family.classical())
-    return (
-        all(at1.sigma[n] == cl.sigma[n] for n in tset)
-        and all(at1.pi[n] == cl.pi[n] for n in tset)
-        and all(
-            at1.frob[m][v] == cl.frob[m][v] for m in tset for v in tset.quotient(m)
-        )
-    )
+    at1 = substitute_q(derive(family, tset), MPoly.const(1), Family.classical())
+    return _same_laws(at1, derive(Family.classical(), tset))
 
 
 def frobenius_composition_certificate(family: Family, tset: TruncationSet) -> bool:

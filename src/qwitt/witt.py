@@ -1090,9 +1090,7 @@ class WittCoeffRing(Ring):
         return super().from_str(text)
 
     def to_json(self, a):
-        return {
-            "coords": {str(n): self.base.to_json(c) for n, c in zip(self.tset, a)}
-        }
+        return indexed_to_json(a, "coords", self.tset, lambda n: self.base)
 
     def from_json(self, value):
         coords = indexed_from_json(value, "coords", self.tset, lambda n: self.base)
@@ -1255,6 +1253,11 @@ def exact_sequence_check(
 
 def vector_to_json(a: WittVector) -> dict:
     return a.context.to_json(a.coords)
+
+
+def indexed_to_json(xs, field: str, tset: TruncationSet, ring_at) -> dict:
+    """{field: {str(n): x_n}}, each x_n, n in S, in the JSON form of ring_at(n)."""
+    return {field: {str(n): ring_at(n).to_json(x) for n, x in zip(tset, xs)}}
 
 
 def indexed_from_json(data, field: str, tset: TruncationSet, ring_at) -> list:

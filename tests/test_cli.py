@@ -705,6 +705,32 @@ def test_polys_output_matches_its_golden_digests(capsys, src_env):
     assert hashlib.sha256(proc.stdout).hexdigest() == POLYS_GOLDEN[("qbar", "1,2,4,8")]
 
 
+# sha256 of the output of ``qwitt deform certify-qbar --set 1,2,3,6``, recorded
+# before the identification derived alpha once on each S/m.  The order of
+# the checks (every frobenius:m:v, then every verschiebung:m:n) is part of
+# these bytes.
+CERTIFY_QBAR_GOLDEN = {
+    "q": "e2fab59efec28efd7d8a840eb51ed0aea86258c32fdf60384bab8864bbf81bd1",
+    "0": "a694f3f9dcb0235d75dde96ea34c366cead7b95783c1ae8fc070e0080f86038c",
+    "1-q": "0a5704a16e4736afaf8bfa638ddd30e5d4e01ee147d260ecbdf9e99155c0e8ff",
+}
+
+
+def test_certify_qbar_output_matches_its_golden_digests(capsys):
+    for g, digest in CERTIFY_QBAR_GOLDEN.items():
+        assert main(["deform", "certify-qbar", "--g", g, "--set", "1,2,3,6"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, g
+
+
+def test_indexed_json_is_read_back_as_written():
+    ring, tset = parse_ring("zq"), TruncationSet.make([6])
+    xs = [ring.from_str(text) for text in ("1-q", "0", "q^2", "-3")]
+    data = witt.indexed_to_json(xs, "ghost", tset, lambda n: ring)
+    assert data == {"ghost": {"1": "-q+1", "2": "0", "3": "q^2", "6": "-3"}}
+    assert witt.indexed_from_json(data, "ghost", tset, lambda n: ring) == xs
+
+
 # What ``import qwitt.cli`` must not load: every command pays for its start-up,
 # so the modules of one command are imported inside it, and only the disk
 # cache needs hashlib.  ``dataclasses`` brings inspect, ast, dis and tokenize.

@@ -119,6 +119,23 @@ def test_qbar_identification_base_case():
     assert ident.report.passed
 
 
+@pytest.mark.parametrize("family, law, n, check", [
+    (Family.qbar(ZP_Q), "sigma", 2, "hom:sigma:2"),
+    (Family.qbar(ZP_Q), "frob:2", 1, "frobenius:2:1"),
+    (Family.qdef(), "frob:3", 2, "frobenius:3:2"),
+    (Family.qdef(), "pi", 6, "sign-twin:pi:6"),
+], ids=["qbar-sigma", "qbar-frob", "qdef-frob", "qdef-pi"])
+def test_qbar_identification_refuses_a_changed_polynomial(plant, family, law, n, check):
+    # the identification at g = q reads the twisted-ghost set at q and the
+    # deformation set, at twist 1 - q and at its sign twin q - 1
+    s6 = TruncationSet.make([6])
+    assert qdeform.qbar_to_qdef_iso(ZP_Q, s6).report.passed
+    plant(family, s6, law, n)
+    with pytest.raises(CertificationError) as refused:
+        qdeform.qbar_to_qdef_iso(ZP_Q, s6)
+    assert check in str(refused.value).split(": ", 1)[1].split(", ")
+
+
 def test_twist_candidate_search():
     # exactly the two unit multiples of 1 - g survive
     for g, goods in (

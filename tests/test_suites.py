@@ -48,6 +48,16 @@ def test_suite_passes(name):
     assert not missing, f"suite {name} no longer checks {sorted(missing)}"
 
 
+def test_a_raising_r_poly_is_a_failed_check_not_an_aborted_run(monkeypatch):
+    from qwitt import qdeform
+    from qwitt.errors import IntegralityViolation
+
+    def refuse(p):
+        raise IntegralityViolation(f"h - q^{p - 1} was not divisible by {p}")
+    monkeypatch.setattr(qdeform, "r_poly", refuse)
+    assert suites.suite_universal().failures == ["r-integrality"]
+
+
 # ----------------------------------------------------------------------
 # The suites dealt to forked workers, against the serial loop.  ``_cpus``
 # is set by each test, so that both paths run on any host.

@@ -149,6 +149,47 @@ def test_structure_polys_have_zero_constant_term():
             assert ps.pi[n].constant_term() == 0
 
 
+CL, QD = Family.classical(), Family.qdef()
+SPECIALIZES = universal.specializes_to_classical
+SCALED = universal.qdef_matches_scaled_classical
+MOD_P = universal.frobenius_mod_p_certificate
+
+# Each certificate refuses when one polynomial that it reads is changed (the
+# plant fixture): (the certificate and its arguments, and the family, set,
+# law and index of the changed polynomial).
+REFUSALS = {
+    "roundtrip-sigma": ((roundtrip_certificate, QD, S6), QD, S6, "sigma", 6),
+    "roundtrip-pi": ((roundtrip_certificate, CL, S6), CL, S6, "pi", 1),
+    "specializes-sigma": ((SPECIALIZES, QD, S6), QD, S6, "sigma", 2),
+    "specializes-pi": ((SPECIALIZES, Family.qbar(), S6), Family.qbar(), S6, "pi", 6),
+    "specializes-frob": ((SPECIALIZES, QD, S6), QD, S6, "frob:2", 3),
+    "specializes-classical-frob": ((SPECIALIZES, QD, S6), CL, S6, "frob:3", 2),
+    "scaled-sigma": ((SCALED, S6), CL, S6, "sigma", 3),
+    "scaled-pi": ((SCALED, S6), QD, S6, "pi", 2),
+    "scaled-frob": ((SCALED, S6), QD, S6, "frob:6", 1),
+    "scaled-classical-frob": ((SCALED, S6), CL, S6, "frob:2", 3),
+    "mod-p-frob": ((MOD_P, CL, S6, 2), CL, S6, "frob:2", 3),
+    "mod-p-qdef-frob": ((MOD_P, QD, S6, 2), QD, S6, "frob:2", 1),
+    # the p-th power coordinates come from the product law on S/p
+    "mod-p-power": ((MOD_P, CL, S6, 2), CL, S3, "pi", 3),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_each_certificate_refuses_a_changed_polynomial(plant, case):
+    (certificate, *args), family, tset, law, n = REFUSALS[case]
+    assert certificate(*args)
+    plant(family, tset, law, n)
+    assert not certificate(*args)
+
+
+def test_the_mod_p_certificate_holds_the_power_to_its_ghost_form(plant):
+    # 6*x1 in pi[3] on {1, 3} leaves the coordinatewise difference even and
+    # the ghost difference over 2 integral: only the ghost form refuses it
+    plant(CL, S3, "pi", 3, times=6)
+    assert not MOD_P(CL, S6, 2)
+
+
 @pytest.fixture
 def cache_dir(tmp_path):
     universal.set_cache_dir(str(tmp_path))
