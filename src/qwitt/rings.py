@@ -251,6 +251,20 @@ def zp_to_str(a) -> str:
     return text
 
 
+def randint(rng, a: int, b: int) -> int:
+    """rng.randint(a, b): the same draw, with rng left in the same state, by
+    CPython's rejection loop on getrandbits (Random._randbelow_with_getrandbits)
+    inline, without the three Python frames of randint."""
+    n = b - a + 1
+    if n < 1:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 # ----------------------------------------------------------------------
 
 
@@ -472,7 +486,7 @@ class ZRing(Ring):
         return a
 
     def random(self, rng):
-        return rng.randint(-9, 9)
+        return randint(rng, -9, 9)
 
     def to_str(self, a):
         return str(a)
@@ -575,7 +589,7 @@ class ZModRing(Ring):
         return a % self.m
 
     def random(self, rng):
-        return rng.randrange(self.m)
+        return randint(rng, 0, self.m - 1)
 
     def to_str(self, a):
         return str(a % self.m)
@@ -642,8 +656,7 @@ class ZqRing(Ring):
         return zp_trim(a)
 
     def random(self, rng):
-        deg = rng.randrange(3)
-        return zp_trim([rng.randint(-3, 3) for _ in range(deg + 1)])
+        return zp_trim([randint(rng, -3, 3) for _ in range(randint(rng, 0, 2) + 1)])
 
     def constants(self):
         return {"q": ZP_Q}
@@ -713,7 +726,7 @@ class DualRing(Ring):
         return a
 
     def random(self, rng):
-        return (rng.randint(-9, 9), rng.randint(-9, 9))
+        return (randint(rng, -9, 9), randint(rng, -9, 9))
 
     def constants(self):
         return {"eps": self.EPS}

@@ -18,7 +18,7 @@ from . import rings as ring_mod
 from .errors import Error, IntegralityViolation, NotInImage
 from .mpoly import MPoly, Q, xvar, yvar
 from .report import Report
-from .rings import DUAL, Z, ZQ, ZModRing, TwistedRing, ZP_ONE, ZP_Q, ZP_ZERO
+from .rings import DUAL, Z, ZQ, ZModRing, TwistedRing, ZP_ONE, ZP_Q, ZP_ZERO, randint
 from .truncset import TruncationSet
 from .universal import Family
 
@@ -98,7 +98,7 @@ def suite_rings(budget: int = 1000, seed: int = 1729) -> Report:
     for ring in (Z, ZQ, DUAL, witt.WittCoeffRing(Z, TruncationSet.make([2]))):
         for _ in range(50):
             a = ring.random(rng)
-            k = rng.randint(1, 12)
+            k = randint(rng, 1, 12)
             quot = ring.try_div_int(ring.int_scale(k, a), k)
             if quot is None or not ring.eq(quot, a):
                 ok = False
@@ -120,9 +120,9 @@ def _rand_poly(rng) -> MPoly:
     """A sum of 1 to 4 terms c * x1^a * x2^b * y1^c * q^d, c from -4 to 4 and
     each exponent from 0 to 2, drawn in that order."""
     out = MPoly.zero()
-    for _ in range(rng.randint(1, 4)):
-        c = rng.randint(-4, 4)
-        out = out + MPoly.term(c, [(v, rng.randint(0, 2)) for v in _RAND_VARS])
+    for _ in range(randint(rng, 1, 4)):
+        c = randint(rng, -4, 4)
+        out = out + MPoly.term(c, [(v, randint(rng, 0, 2)) for v in _RAND_VARS])
     return out
 
 
@@ -149,7 +149,7 @@ def suite_mpoly(budget: int = 500, seed: int = 1729) -> Report:
     ok = True
     for _ in range(100):
         p = _rand_poly(rng)
-        k = rng.randint(1, 12)
+        k = randint(rng, 1, 12)
         if (k * p).try_div_int(k) != p:
             ok = False
     rep.add("div-int-roundtrip", ok)
@@ -553,7 +553,7 @@ def suite_systems(budget: int = 200, seed: int = 1729) -> Report:
     ok = True
     cs = systems.ConstantSystem(Z, s6)
     for _ in range(max(10, budget // 10)):
-        a = rng.randint(-20, 20)
+        a = randint(rng, -20, 20)
         try:
             systems.alpha(cs, s6, a)
         except Error:
@@ -688,7 +688,7 @@ def suite_indwitt(budget: int = 200, seed: int = 1729) -> Report:
         return a if n == 1 else ring_mod.zp_from_int(a)
 
     for _ in range(max(5, budget // 20)):
-        a = rng.randint(-9, 9)
+        a = randint(rng, -9, 9)
         via_lam = indwitt.induced_lift(sysA, chain2, hom, 1, a, via="lambda")
         direct = indwitt.induced_lift(sysA, chain2, hom, 1, a, via="direct")
         if via_lam.coords != direct.coords:
@@ -707,7 +707,7 @@ def suite_indwitt(budget: int = 200, seed: int = 1729) -> Report:
     ok = True
     sys6 = indwitt.constant_system(Z, TruncationSet.make([6]), identity_lift=True)
     for _ in range(5):
-        a = rng.randint(-9, 9)
+        a = randint(rng, -9, 9)
         v = indwitt.dwork_lift(sys6, 1, a)
         via_2 = indwitt.nested_transition(
             sys6, 2, 6, indwitt.nested_transition(sys6, 1, 2, v)

@@ -312,12 +312,22 @@ def _cache_file(family: Family, tset: TruncationSet) -> str | None:
 
 
 @functools.cache
+def _sha256():
+    """The sha256 constructor of the interpreter's builtin module: the private
+    CPython ``_sha256`` up to 3.11, ``_sha2`` from 3.12 (as ``random`` does for
+    sha512); ``hashlib`` only where neither exists, as it loads OpenSSL."""
+    for name in ("_sha256", "_sha2", "hashlib"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+
+
+@functools.cache
 def _code_tag() -> bytes:
     """The sha256 of the package's sources, which every entry's hash covers,
     so an entry that other code wrote fails its hash."""
-    import hashlib
-
-    h = hashlib.sha256()
+    h = _sha256()()
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
@@ -327,9 +337,7 @@ def _code_tag() -> bytes:
 
 
 def _digest(blob: bytes) -> bytes:
-    import hashlib
-
-    return hashlib.sha256(_code_tag() + blob).hexdigest().encode()
+    return _sha256()(_code_tag() + blob).hexdigest().encode()
 
 
 def _disk_load(family: Family, tset: TruncationSet) -> UniversalPolySet | None:
@@ -516,7 +524,11 @@ def q_scaling_transform(poly: MPoly) -> MPoly:
 
 def qdef_matches_scaled_classical(tset: TruncationSet) -> bool:
     """Certify that the q-deformed laws are the q-scaled classical laws."""
-    scaled = _map_polys(q_scaling_transform, derive(Family.classical(), tset), Family.qdef())
+    classical = derive(Family.classical(), tset)
+    try:
+        scaled = _map_polys(q_scaling_transform, classical, Family.qdef())
+    except IntegralityViolation:  # a classical polynomial with a constant term
+        return False
     return _same_laws(scaled, derive(Family.qdef(), tset))
 
 

@@ -754,3 +754,27 @@ def test_the_cli_starts_with_only_what_every_command_needs(src_env):
     package, cli = json.loads(proc.stdout)
     assert "qwitt.cli" in cli and "dataclasses" not in package
     assert [name for name in NOT_AT_START if name in cli] == []
+
+
+# One disk store after the start-up: the builtin sha256 hashes it, and
+# hashlib, with the OpenSSL that it loads, stays out.
+STORE = """import json, os, sys, tempfile
+start = set(sys.modules)
+import qwitt.cli
+from qwitt import universal
+from qwitt.truncset import TruncationSet
+with tempfile.TemporaryDirectory() as cache:
+    universal.set_cache_dir(cache)
+    universal.derive(universal.Family.classical(), TruncationSet.make([2]))
+    stored = len(os.listdir(cache))
+print(json.dumps([stored, sorted(set(sys.modules) - start)]))
+"""
+
+
+def test_a_disk_store_loads_no_openssl(src_env):
+    proc = subprocess.run([sys.executable, "-c", STORE], env=src_env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    stored, loaded = json.loads(proc.stdout)
+    assert stored == 1
+    assert [name for name in ("_hashlib", "hashlib") if name in loaded] == []

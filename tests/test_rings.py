@@ -25,6 +25,7 @@ from qwitt.rings import (
     _zp_pow_series,
     _zp_unpack,
     parse_ring,
+    randint,
     zp_mul,
     zp_pow,
     zp_to_str,
@@ -108,6 +109,26 @@ def test_div_int_round_trip():
             a = ring.random(rng)
             k = rng.randint(1, 12)
             assert ring.eq(ring.try_div_int(ring.int_scale(k, a), k), a)
+
+
+# Every range the library draws from: the rings' random elements, the suites'
+# draws, and (0, m-1) for each modulus a suite draws from.
+DRAW_RANGES = [(-9, 9), (-3, 3), (0, 2), (1, 12), (1, 4), (-4, 4), (-20, 20),
+               *((0, m - 1) for m in (2, 3, 4, 6, 9))]
+
+
+@pytest.mark.parametrize("seed", [1, 1729, -5, 123456])
+def test_the_draw_helper_draws_what_randint_draws(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for a, b in DRAW_RANGES * 200:
+        assert randint(ours, a, b) == theirs.randint(a, b)
+        assert ours.getstate() == theirs.getstate()
+    for a, b in ((0, -1), (3, 1)):
+        with pytest.raises(ValueError):
+            randint(ours, a, b)
+        with pytest.raises(ValueError):
+            theirs.randint(a, b)
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_twist_composition():

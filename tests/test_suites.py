@@ -16,6 +16,8 @@ from qwitt.cli import main
 from qwitt.errors import Error
 from qwitt.mpoly import MPoly, Q, xvar, yvar
 from qwitt.report import Report
+from qwitt.truncset import TruncationSet
+from qwitt.universal import Family
 
 # The suite checks that stand in for module tests deleted or cut down
 # because they repeated them (CHANGES.md lists which test each replaces):
@@ -56,6 +58,16 @@ def test_a_raising_r_poly_is_a_failed_check_not_an_aborted_run(monkeypatch):
         raise IntegralityViolation(f"h - q^{p - 1} was not divisible by {p}")
     monkeypatch.setattr(qdeform, "r_poly", refuse)
     assert suites.suite_universal().failures == ["r-integrality"]
+
+
+def test_a_classical_law_with_a_constant_term_is_a_failed_check_not_an_error(plant, capsys):
+    # 1 added to sigma[2] on {1,2,3,6}: its q-scaling does not divide by q
+    plant(Family.classical(), TruncationSet.make([6]), "sigma", 2, const=True)
+    code = main(["verify", "--suite", "all", "--budget", "2", "--seed", "1"])
+    out, err = capsys.readouterr()
+    reports = {r["suite"]: r for r in json.loads(out)["reports"]}
+    assert code == 1 and err == "" and list(reports) == list(suites.SUITES)
+    assert "qdef-is-scaled-classical" in reports["universal"]["failures"]
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -333,3 +334,19 @@ def test_the_code_tag_is_the_hash_of_the_package_sources():
         with open(os.path.join(pkg, name), "rb") as fh:
             h.update(name.encode() + b"\0" + fh.read())
     assert universal._code_tag() == h.digest()
+
+
+def test_without_the_builtin_sha256_hashlib_gives_the_same_digests(monkeypatch):
+    blob = b'{"family":"classical"}'
+    builtin = universal._sha256(), universal._code_tag(), universal._digest(blob)
+    for name in ("_sha256", "_sha2"):  # None in sys.modules: their import fails
+        monkeypatch.setitem(sys.modules, name, None)
+    universal._sha256.cache_clear()
+    try:
+        assert universal._sha256() is hashlib.sha256
+        assert universal._code_tag.__wrapped__() == builtin[1]
+        assert universal._digest(blob) == builtin[2]
+    finally:
+        monkeypatch.undo()
+        universal._sha256.cache_clear()
+    assert universal._sha256() is builtin[0]
