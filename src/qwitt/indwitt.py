@@ -318,6 +318,8 @@ def ind_neg(v: IndVector) -> IndVector:
 
 
 def ind_pow(v: IndVector, e: int) -> IndVector:
+    if e < 1:
+        raise ValueError("power must be at least 1")
     acc = v
     for _ in range(e - 1):
         acc = ind_mul(acc, v)

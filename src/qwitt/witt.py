@@ -909,13 +909,13 @@ class WittCoeffRing(Ring):
         if isinstance(self.lift, ZRing):
             # the kernels of S at the folded weights, each reducing mod m
             # over zmod (whose cover is Z)
-            self._factory = _kernel_factory(shape)
-            k = self._factory(tuple(map(_fold, weights)), _fold(twist),
-                              None if self.down is None else base.m)
+            factory = _kernel_factory(shape)
+            k = factory(tuple(map(_fold, weights)), _fold(twist),
+                        None if self.down is None else base.m)
         elif isinstance(self.lift, ZqRing):
             # the packed ops, at the 1-norms of the weights
-            self._factory = _kernel_factory(shape)
-            k = self._factory.packed(tuple(map(_norm, weights)), _norm(twist), None)
+            factory = _kernel_factory(shape)
+            k = factory.packed(tuple(map(_norm, weights)), _norm(twist), None)
             k.at = _packed_at(weights, twist, qval is None or len(qval) < 2)
         else:
             # the ring loops, each weight the ring map it acts by

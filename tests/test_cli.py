@@ -5,9 +5,11 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -679,48 +681,122 @@ def test_a_closed_stdout_exits_1_quietly(argv, src_env):
     assert proc.returncode == 1 and proc.stderr == ""
 
 
-# sha256 of the output of ``qwitt polys --law mul``, recorded before
-# monomial keys were packed into integers.  The slots of the packed keys
-# follow the order in which a process first uses each variable, so pytest's
-# long-lived process and a fresh one lay them out differently; the output
-# must not show it.
-POLYS_GOLDEN = {
-    ("classical", "1,2,3,4,5,6,7,8"):
-        "8b10995a10c935a49afaeb697474a8c31fb4e209b016fda42a8e79c559a1b540",
-    ("qbar", "1,2,4,8"): "18e8ae07359477f7540b393c2ea5e4e0190a034c1ea94fbb4133db3a9a9bc414",
-    ("qdef", "1,2,3,4,5,6"): "76924d808c3bbe9263c41e78c637cce7a16f0bceec1fa5ed71a8b07473a1386d",
-    ("lenart:2", "1,2,3,6"): "2b5e492bb6aa5d26c1cded8b5ca35a0e590201fb17fe902bf227836a34ae10fd",
+def _indexed(elems, nonzero: dict) -> dict:
+    """{str(n): x_n} on ``elems``: ``nonzero``'s x_n, and "0" at every other n."""
+    return {str(n): nonzero.get(n, "0") for n in elems}
+
+
+def _pair(elems, a: dict, b: dict, **more) -> dict:
+    return {"a": {"coords": _indexed(elems, a)}, "b": {"coords": _indexed(elems, b)}, **more}
+
+
+def _alone(line: str, digest: str):
+    return [(line, None)], digest
+
+
+S1236, S16 = (1, 2, 3, 6), range(1, 17)
+ZQ_OPS = "eval --family qdef --set 1,2,3,6 --ring zq --op"
+Q2_OPS = "eval --family qdef --q 2 --set 1,2,3,6 --ring"
+LOOPS = "eval --family qdef --set " + ",".join(map(str, S16)) + " --ring zq --op"
+# Over zq on {1,2,3,6}, three sizes of input whose ops take slot widths 8,
+# 16, 32 and 64, read inline, and 65 and 67, read by _split.
+ZQ_SIZES = [
+    _pair(S1236, {1: "q", 6: "-1"}, {2: "-1", 3: "1"}),
+    _pair(S1236, {1: "1-q", 2: "3", 3: "q^2"}, {1: "2*q^2-5", 3: "1", 6: "q"}),
+    _pair(S1236, {1: "2^9*(1-q)", 2: "q^3-300", 6: "7"}, {1: "2^9+q", 3: "-2^9*q^2", 6: "1"}),
+]
+# On {1,...,16}, above the kernel cap: the row loops and _split, at aligned
+# widths (16 and 32 bits) and above 64 bits.
+LOOP_SIZES = [
+    _pair(S16, {1: "q", 2: "-1", 3: "1-q", 5: "2", 16: "q^2"}, {1: "1", 2: "q", 4: "-1", 7: "3"}),
+    _pair(S16, {1: "2^9*(1-q)", 2: "q^3-300", 6: "7", 16: "q"}, {1: "2^9+q", 3: "-2^9*q^2", 12: "1"}),
+]
+Q2_IN = _pair(S1236, {1: "3", 2: "1", 3: "4", 6: "5"}, {1: "2", 2: "5", 6: "1"}, value="7")
+
+# sha256 of what each row's commands print to stdout, one after another:
+# (shell line, input passed with --in or None), where "a | b" runs b on what
+# a prints and keeps only b's output.  Polys was recorded before monomial keys
+# were packed into integers, certify-qbar before the identification derived
+# alpha once on each S/m (the order of its checks is part of its bytes), and
+# each eval row before a rewrite of the Witt ops or of the Z[q] kernels.
+GOLDEN = {
+    "polys-classical": _alone("polys --family classical --set 1,2,3,4,5,6,7,8 --law mul",
+                              "8b10995a10c935a49afaeb697474a8c31fb4e209b016fda42a8e79c559a1b540"),
+    "polys-qbar": _alone("polys --family qbar --set 1,2,4,8 --law mul",
+                         "18e8ae07359477f7540b393c2ea5e4e0190a034c1ea94fbb4133db3a9a9bc414"),
+    "polys-qdef": _alone("polys --family qdef --set 1,2,3,4,5,6 --law mul",
+                         "76924d808c3bbe9263c41e78c637cce7a16f0bceec1fa5ed71a8b07473a1386d"),
+    "polys-lenart:2": _alone("polys --family lenart:2 --set 1,2,3,6 --law mul",
+                             "2b5e492bb6aa5d26c1cded8b5ca35a0e590201fb17fe902bf227836a34ae10fd"),
+    "certify-qbar-q": _alone("deform certify-qbar --g q --set 1,2,3,6",
+                             "e2fab59efec28efd7d8a840eb51ed0aea86258c32fdf60384bab8864bbf81bd1"),
+    "certify-qbar-0": _alone("deform certify-qbar --g 0 --set 1,2,3,6",
+                             "a694f3f9dcb0235d75dde96ea34c366cead7b95783c1ae8fc070e0080f86038c"),
+    "certify-qbar-1-q": _alone("deform certify-qbar --g 1-q --set 1,2,3,6",
+                               "0a5704a16e4736afaf8bfa638ddd30e5d4e01ee147d260ecbdf9e99155c0e8ff"),
+    # the Z[q] kernels at an aligned slot width (32 bits, coordinates of 4 to
+    # 23 digits) and at a generic one (489 bits)
+    "zq-products": ([
+        ("eval --family qbar --set 1,2,3,6 --ring zq --op mul",
+         _pair(S1236, {1: "1-q", 2: "2*q^2", 3: "-3", 6: "q"}, {1: "q+1", 3: "q^3-1", 6: "2"})),
+        ("eval --family qdef --set 1,2,4 --ring zq --op mul",
+         _pair((1, 2, 4), {1: "2^60*(1-q)", 2: "q", 4: "3"}, {1: "2^60+q", 4: "-q^2"})),
+    ], "9b99b54eb892b591bca3c655add7cb148ade4702de818836c104c025c4cef847"),
+    "zq-ops": ([(f"{ZQ_OPS} {op}", data) for data in ZQ_SIZES
+                for op in ("add", "neg", "frob:2", "frob:3", "ghost")],
+               "04280a9721f34338c85798bb540d7d654c1520b220d5ab7d2266da9041dd5217"),
+    # every op that builds a Witt value, over z and zmod:6 at q = 2
+    "z-zmod6-ops": ([(f"{Q2_OPS} {ring} --op {op}", Q2_IN) for ring in ("z", "zmod:6")
+                     for op in ("add", "mul", "neg", "frob:2", "frob:3", "ver:2", "project:1,2",
+                                "teich", "ghost")]
+                    + [(f"{Q2_OPS} z --op ghost | {Q2_OPS} z --op unghost", Q2_IN)],
+                    "8a3f67eddcc4cd500741790f3ce0d8d1cdf94e2a7d1b2bb847307d789cc38b09"),
+    "zq-loops-1-16": ([(line, data) for data in LOOP_SIZES
+                       for line in (f"{LOOPS} add", f"{LOOPS} mul",
+                                    f"{LOOPS} ghost | {LOOPS} unghost")],
+                      "0b5a4970cab461c73b55706bf43dcf7b4a1361348f3e7dfef39c7d64f1bbdb1c"),
 }
 
 
-def test_polys_output_matches_its_golden_digests(capsys, src_env):
-    for (family, tset), digest in POLYS_GOLDEN.items():
-        assert main(["polys", "--family", family, "--set", tset, "--law", "mul"]) == 0
+def _stdout(capsys, json_in, line: str, data) -> str:
+    for command in line.split(" | "):
+        argv = command.split() + ([] if data is None else ["--in", json_in(data)])
+        assert main(argv) == 0, argv
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, tset)
-    argv = ["polys", "--family", "qbar", "--set", "1,2,4,8", "--law", "mul"]
-    proc = subprocess.run([sys.executable, "-m", "qwitt.cli", *argv], env=src_env,
+        data = json.loads(out)
+    return out
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_output_matches_its_golden_digest(capsys, json_in, name):
+    lines, digest = GOLDEN[name]
+    out = "".join(_stdout(capsys, json_in, line, data) for line, data in lines)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_polys_output_matches_its_golden_digests(src_env):
+    # the slots of packed monomial keys follow the order in which a process
+    # first uses each variable, so pytest's long-lived process and a fresh
+    # one lay them out differently; the output must not show it
+    [(line, _)], digest = GOLDEN["polys-qbar"]
+    proc = subprocess.run([sys.executable, "-m", "qwitt.cli", *line.split()], env=src_env,
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == POLYS_GOLDEN[("qbar", "1,2,4,8")]
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
-# sha256 of the output of ``qwitt deform certify-qbar --set 1,2,3,6``, recorded
-# before the identification derived alpha once on each S/m.  The order of
-# the checks (every frobenius:m:v, then every verschiebung:m:n) is part of
-# these bytes.
-CERTIFY_QBAR_GOLDEN = {
-    "q": "e2fab59efec28efd7d8a840eb51ed0aea86258c32fdf60384bab8864bbf81bd1",
-    "0": "a694f3f9dcb0235d75dde96ea34c366cead7b95783c1ae8fc070e0080f86038c",
-    "1-q": "0a5704a16e4736afaf8bfa638ddd30e5d4e01ee147d260ecbdf9e99155c0e8ff",
-}
+def test_a_non_ghost_vector_above_the_kernel_cap_is_refused_at_3(json_in, capsys):
+    # its packed division by 3 is exact at 8 bits, so that _split's check
+    # must refuse it
+    path = json_in({"ghost": _indexed(S16, {3: "1-q"})})
+    assert main(f"{LOOPS} unghost --in {path}".split()) == 1
+    assert "component 3 " in capsys.readouterr().err
 
 
-def test_certify_qbar_output_matches_its_golden_digests(capsys):
-    for g, digest in CERTIFY_QBAR_GOLDEN.items():
-        assert main(["deform", "certify-qbar", "--g", g, "--set", "1,2,3,6"]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, g
+def test_ci_holds_no_golden_digest():
+    # golden bytes live in GOLDEN alone, where a local Tier-1 run sees them
+    ci = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+    assert re.findall(r"\b[0-9a-f]{64}\b", ci.read_text()) == []
 
 
 def test_indexed_json_is_read_back_as_written():

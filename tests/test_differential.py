@@ -242,6 +242,13 @@ def _zq(reference, elems, fam, xs, ys, *bumped):
     return (ctx._kernels, tset, a, b, *gs), (reference(ctx), tset, a, b, *gs)
 
 
+def compiled(ctx) -> bool:
+    """Whether the kernels of ``ctx`` are of a class that the compiled
+    factory of its set's shape makes, the one in ``witt._KERNEL_CACHE``."""
+    k, factory = ctx._kernels, witt._KERNEL_CACHE[witt._shape(ctx.tset)]
+    return type(k) is factory.packed or type(k) is type(factory(k.W, k.T, k.M))
+
+
 def _integer(fam, ring_at, picked, xs, ys):
     # a context over z or zmod against the context over LoopZ, at the same
     # integer q as the context's cover, so that every step agrees over Z
@@ -252,7 +259,7 @@ def _integer(fam, ring_at, picked, xs, ys):
     ctx = witt.WittCoeffRing(ring, tset, family, q)
     loop = witt.WittCoeffRing(LoopZ(), tset, family, ctx.qval)
     assert ctx.add.__self__ is ctx._kernels and type(loop._kernels) is witt._RingKernels
-    assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]  # compiled
+    assert compiled(ctx)
     args = (tset, a, b, *_ghosts(loop.ghost, a, b, Z))
     return (ctx._kernels, *args), (ctx._kernels.M, loop._kernels, *args)
 

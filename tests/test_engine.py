@@ -20,7 +20,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_differential import (BUMPS, DIVISOR_STABLE, Z_FAMILIES, ZQ_FAMILIES, LoopZ, LoopZq,
-                               bind, check, outcome, reduced, results, row_loops)
+                               bind, check, compiled, outcome, reduced, results, row_loops)
 
 from qwitt import indwitt, rings, suites, universal, witt
 from qwitt.errors import BudgetExceeded, NotInGhostImage
@@ -235,7 +235,7 @@ def test_integer_contexts_never_call_the_generic_row(monkeypatch):
             a = witt.random_vector(family, tset, ring, rng, q)
             b = witt.random_vector(family, tset, ring, rng, q)
             ctx = a.context
-            assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]
+            assert compiled(ctx)
             assert ctx.add.__self__ is ctx._kernels
             witt.sub(witt.mul(a, b), witt.int_scale(3, b))
             for m in tset:
@@ -308,10 +308,9 @@ def test_sets_on_each_side_of_the_term_cap(monkeypatch, side):
         b = witt.random_vector(family, tset, ring, rng, q)
         ctx = a.context
         if side == "below":
-            assert ctx._factory is witt._KERNEL_CACHE[witt._shape(tset)]
+            assert compiled(ctx)
         else:
-            assert ctx._factory.func is witt._LoopKernels
-            assert ctx._factory.packed.func is witt._PackedLoops
+            assert type(ctx._kernels) is (witt._PackedLoops if ring is ZQ else witt._LoopKernels)
         loop = witt.WittCoeffRing(LoopZq() if ring is ZQ else LoopZ(), tset, family, ctx.qval)
         gs = ctx.ghost(b.coords)  # over zq, a ghost vector and the same with each bump at each row
         bumped = [gs] + [gs[:k] + (rings.zp_add(gs[k], bump),) + gs[k + 1:]
@@ -373,9 +372,10 @@ def test_each_shape_compiles_once_into_one_source(monkeypatch):
     assert witt.unghost(Family.qdef(), S6, ZQ, witt.ghost(qdef)) == qdef
     keys = [key for key, _ in made]
     assert len(keys) == len(set(keys))  # each (shape, class, method) once
-    assert classical.context._factory is qbar.context._factory is qdef.context._factory
+    assert compiled(classical.context)
+    assert type(qbar.context._kernels) is type(classical.context._kernels)
     assert classical.context._kernels.W != qbar.context._kernels.W
-    assert type(qdef.context._kernels) is classical.context._factory.packed
+    assert type(qdef.context._kernels) is witt._KERNEL_CACHE[shape].packed
     text = dict(made)
     assert "def frob6(self, x):" in text[(shape, "Packed", "frob6")]
     # compiled methods replace their descriptors on the class; the rest wait

@@ -94,6 +94,15 @@ def test_add_zero_neutral():
             assert iw.eq(iw.ind_add(v, z), v)
 
 
+def test_powers_below_1_are_refused():
+    v = iw.make(iw.constant_system(Z, S2), [3, 1])
+    assert iw.ind_pow(v, 1).coords == (3, 1)
+    assert iw.ind_pow(v, 2).coords == iw.ind_mul(v, v).coords
+    for e in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            iw.ind_pow(v, e)
+
+
 def test_ghost_naturality_of_frobenius():
     rng = random.Random(83)
     for sys in (iw.constant_system(Z, S6), iw.chain_system(S6)):

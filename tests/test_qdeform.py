@@ -98,13 +98,6 @@ def test_lenart_frobenius_defect():
     assert qdeform.lenart_frobenius_defect(5, 2) is None
 
 
-def test_qbar_identification_certifies():
-    for g in (ZP_ZERO, ZP_Q, zp_sub(ZP_ONE, ZP_Q)):
-        for s in (S2, S3):
-            ident = qdeform.qbar_to_qdef_iso(g, s)
-            assert ident.r == zp_sub(ZP_ONE, g)
-
-
 def test_qbar_identification_base_case():
     # even at g = 1 - q (the base twisted-ghost family against the plain
     # deformation, both with twist q) the identification is nontrivial:

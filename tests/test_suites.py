@@ -19,9 +19,9 @@ from qwitt.report import Report
 from qwitt.truncset import TruncationSet
 from qwitt.universal import Family
 
-# The suite checks that stand in for module tests deleted or cut down
-# because they repeated them (CHANGES.md lists which test each replaces):
-# each must stay in its suite's report.
+# The suite checks that stand in for module tests and acceptance criteria
+# deleted or cut down because they repeated them (CHANGES.md lists which
+# test each replaces): each must stay in its suite's report.
 COVERING = {
     "truncset": ["quotient-by-1", "quotient-composes", "prime-splitting", "product-quotient",
                  "sub-sets-brute-force"],
@@ -31,10 +31,10 @@ COVERING = {
                   "qdef-is-scaled-classical", "specialize-q-to-1", "frobenius-mod-p",
                   "base-change-two-routes"],
     "witt": ["exact-sequences"],
-    "qdeform": ["h-and-r", "qdef-prime-tables", "qbar-prime-tables", "lenart-defect",
-                "qbar-identification"],
-    "onedim": ["classifier-roundtrip", "inverse-failure-detected", "twisted-isos-closed-form",
-               "iso-symmetry", "aut-trivial-for-nonzerodivisor"],
+    "qdeform": ["h-and-r", "qdef-prime-tables", "qbar-prime-tables", "lenart-iso",
+                "lenart-defect", "qbar-identification"],
+    "onedim": ["classifier-roundtrip", "dual-number-law", "inverse-failure-detected",
+               "twisted-isos-closed-form", "iso-symmetry", "aut-trivial-for-nonzerodivisor"],
     "systems": ["rfv-witt-zmod3", "rfv-witt-z-1236", "rf-const-z", "rf-const-zq-id-lift-fails",
                 "lenart-2-congruence-fails", "alpha-iso-witt-z", "nesting-iso"],
     "indwitt": ["dwork-image", "frobenius-power-congruence"],
