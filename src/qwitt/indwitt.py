@@ -111,18 +111,11 @@ class _Restrict(IndSystem):
         self.tset = t
         self.has_lifts = base.has_lifts
         self.label = f"{base.label}|{t}"
+        # the same rings and maps, on fewer indices
+        self.ring, self.push, self.lift = base.ring, base.push, base.lift
 
     def key(self):
         return self.base.key() + (("restrict", self.tset.elements),)
-
-    def ring(self, n):
-        return self.base.ring(n)
-
-    def push(self, d, n, a):
-        return self.base.push(d, n, a)
-
-    def lift(self, p, n, a):
-        return self.base.lift(p, n, a)
 
 
 # ----------------------------------------------------------------------

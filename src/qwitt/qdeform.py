@@ -104,55 +104,54 @@ def lenart_set(p: int) -> TruncationSet:
     return TruncationSet.make([p])
 
 
-def _lenart_correction(p: int, q: int) -> int:
-    if q % p == 0:
-        raise PDividesQ(f"{p} divides {q}: the families are not isomorphic there")
-    num = q ** (p - 1) - 1
-    if num % p:
-        raise IntegralityViolation(f"(q^(p-1)-1)/p was not exact for p={p}, q={q}")
-    return num // p
-
-
 def lenart_iso(p: int, q: int, a: witt.WittVector) -> witt.WittVector:
     """The ring isomorphism (a_1, a_p) -> (a_1, a_p + (q^(p-1)-1)/p * a_1^p)
     from the integer-q family on {1, p} to the classical one.
 
     Defined exactly when p does not divide q; raises PDividesQ otherwise.
     """
-    _check_prime(p)
     if a.family != Family.lenart(q):
         raise CertificationError(f"vector family {a.family.label()} is not lenart:{q}")
-    if a.tset.elements != (1, p):
-        raise CertificationError(f"the explicit formula lives on {{1,{p}}}")
-    c = _lenart_correction(p, q)
-    ring = a.ring
-    a1, ap = a.coords
-    corrected = ring.add(ap, ring.int_scale(c, ring.pow(a1, p)))
-    return _vector(None, a, (a1, corrected))
+    return _lenart_shift(p, q, a, None, 1)
 
 
 def lenart_iso_inverse(p: int, q: int, a: witt.WittVector) -> witt.WittVector:
     """Inverse of :func:`lenart_iso`: subtract the same correction term."""
-    _check_prime(p)
     if a.family != Family.classical():
         raise CertificationError("expected a classical vector")
-    c = _lenart_correction(p, q)
-    ring = a.ring
-    a1, ap = a.coords
-    corrected = ring.sub(ap, ring.int_scale(c, ring.pow(a1, p)))
-    return _vector(q, a, (a1, corrected))
+    return _lenart_shift(p, q, a, q, -1)
 
 
 _TARGETS: dict = {}  # (q, a source context's descriptor) -> the target context
 
 
-def _vector(q: int | None, a: witt.WittVector, coords: tuple) -> witt.WittVector:
-    """The vector of lenart:q, or classical if q is None, on a's set and ring."""
-    ctx = _TARGETS.get((q, a.context.descriptor))
+def _lenart_shift(p: int, q: int, a: witt.WittVector, target_q: int | None,
+                  sign: int) -> witt.WittVector:
+    """(a_1, a_p + sign * c * a_1^p), c = (q^(p-1) - 1)/p, as a vector of
+    lenart:target_q (classical if target_q is None) on a's set and ring.
+
+    The target context is built first, so that its budget checks run before
+    any power; c is 0 at q = 1, and at q = -1 for odd p, and then a_1^p is
+    not computed.
+    """
+    _check_prime(p)
+    if a.tset.elements != (1, p):
+        raise CertificationError(f"the explicit formula lives on {{1,{p}}}")
+    if q % p == 0:
+        raise PDividesQ(f"{p} divides {q}: the families are not isomorphic there")
+    key = (target_q, a.context.descriptor)
+    ctx = _TARGETS.get(key)
     if ctx is None:
-        family = Family.classical() if q is None else Family.lenart(q)
-        ctx = _TARGETS[q, a.context.descriptor] = witt.WittCoeffRing(a.ring, a.tset, family)
-    return witt.WittVector(ctx, coords)
+        family = Family.classical() if target_q is None else Family.lenart(target_q)
+        ctx = _TARGETS[key] = witt.WittCoeffRing(a.ring, a.tset, family)
+    c, rest = divmod(rings.Z.pow(q, p - 1) - 1, p)
+    if rest:
+        raise IntegralityViolation(f"(q^(p-1)-1)/p was not exact for p={p}, q={q}")
+    ring = a.ring
+    a1, ap = a.coords
+    if c:
+        ap = ring.add(ap, ring.int_scale(sign * c, ring.pow(a1, p)))
+    return witt.WittVector(ctx, (a1, ap))
 
 
 def lenart_frobenius_defect(p: int, q: int) -> witt.WittVector | None:

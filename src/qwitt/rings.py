@@ -205,10 +205,13 @@ def _zp_pow_series(b, e: int) -> tuple:
 
 
 def zp_subst_qpow(a, p: int):
-    """a(q^p): spread coefficients p slots apart."""
+    """a(q^p): spread coefficients p slots apart; BudgetExceeded when that
+    would take more than exprs.MAX_BITS coefficients."""
     if not a:
         return ZP_ZERO
-    out = [0] * ((len(a) - 1) * p + 1)
+    if (n := (len(a) - 1) * p + 1) > exprs.MAX_BITS:
+        raise BudgetExceeded(f"q -> q^{p} would take {n} coefficients (budget {exprs.MAX_BITS})")
+    out = [0] * n
     for i, c in enumerate(a):
         out[i * p] = c
     return zp_trim(out)
@@ -433,7 +436,7 @@ def bounded_int_pow(x: int, e: int) -> int:
     """x**e, or BudgetExceeded when it could take more than exprs.MAX_BITS bits."""
     bits = e * x.bit_length()
     if bits > exprs.MAX_BITS and not -1 <= x <= 1:
-        raise BudgetExceeded(f"a ghost term would take {bits} bits (budget {exprs.MAX_BITS})")
+        raise BudgetExceeded(f"a power would take {bits} bits (budget {exprs.MAX_BITS})")
     return x ** e
 
 
@@ -461,7 +464,7 @@ class ZRing(Ring):
     neg = operator.neg
     mul = operator.mul
     int_scale = operator.mul
-    pow = operator.pow
+    pow = staticmethod(bounded_int_pow)
     eq = operator.eq
 
     def is_zero(self, a):
@@ -743,6 +746,14 @@ class DualRing(Ring):
         return f"{c}{joiner}{eps}"
 
 
+# The operations a twisted ring takes from its base: all but the product,
+# the unit, the power estimate and the cover.  Elements are written in the
+# base ring's notation.
+_BASE_OPS = ("zero", "add", "neg", "sub", "int_scale", "is_zero", "bits", "eq",
+             "try_div_int", "is_divisible_mod", "enumerate", "check", "random",
+             "from_str", "to_str")
+
+
 class TwistedRing(Ring):
     """Same additive group as ``base``, multiplication ``x * y = r*x*y``.
 
@@ -765,6 +776,8 @@ class TwistedRing(Ring):
         self.reduced = isinstance(base, (ZRing, ZqRing)) and not base.is_zero(self.r)
         self._one = self._find_inverse()
         self.unital = self._one is not None
+        for name in _BASE_OPS:
+            setattr(self, name, getattr(base, name))
 
     def _find_inverse(self):
         base, r = self.base, self.r
@@ -780,9 +793,6 @@ class TwistedRing(Ring):
             return None
         return None
 
-    def zero(self):
-        return self.base.zero()
-
     def one(self):
         if self._one is None:
             raise UnsupportedRingOperation(
@@ -790,56 +800,19 @@ class TwistedRing(Ring):
             )
         return self._one
 
-    def add(self, a, b):
-        return self.base.add(a, b)
-
-    def neg(self, a):
-        return self.base.neg(a)
-
     def mul(self, a, b):
         return self.base.mul(self.r, self.base.mul(a, b))
-
-    def int_scale(self, k, a):
-        return self.base.int_scale(k, a)
-
-    def is_zero(self, a):
-        return self.base.is_zero(a)
-
-    def bits(self, a):
-        return self.base.bits(a)
 
     def pow_bits(self, a, e):
         # a^e is r^(e-1) * a^e in the base, which (r*a)^e bounds
         return self.base.pow_bits(self.base.mul(self.r, a), e)
 
-    def eq(self, a, b):
-        return self.base.eq(a, b)
-
-    def try_div_int(self, a, k):
-        return self.base.try_div_int(a, k)
-
-    def is_divisible_mod(self, a, p, e):
-        return self.base.is_divisible_mod(a, p, e)
-
-    def enumerate(self):
-        return self.base.enumerate()
-
     def cover(self):
         base, reduce = self.base.cover()
         return (self, None) if reduce is None else (TwistedRing(base, self.r), reduce)
 
-    def check(self, a):
-        return self.base.check(a)
-
-    def random(self, rng):
-        return self.base.random(rng)
-
-    def from_str(self, text):
-        # elements are written in the base ring's notation
-        return self.base.from_str(text)
-
-    def to_str(self, a):
-        return self.base.to_str(a)
+    def __reduce__(self):  # rebuilt from (base, r), which binds the base's operations again
+        return TwistedRing, (self.base, self.r)
 
 
 Z = ZRing()

@@ -44,9 +44,6 @@ class ProjSystem:
     has_versch: bool = False
     label: str = "?"
 
-    def subsets(self) -> list[TruncationSet]:
-        return self.top.sub_sets()
-
     def ring(self, s: TruncationSet) -> Ring:
         raise NotImplementedError
 
@@ -258,7 +255,7 @@ def alpha_inverse(sys: ProjSystem, s: TruncationSet, w: WittVector):
 
 
 def _sites_rf(sys: ProjSystem):
-    subs = sys.subsets()
+    subs = sys.top.sub_sets()
     congr, natural, commute = [], [], []
     for s in subs:
         for p in s.primes():
@@ -326,7 +323,7 @@ def verify_rfv(sys: ProjSystem, budget: int = 200, seed: int = 1729) -> Report:
         rep.add("verschiebung-present", False, "system has no Verschiebung maps")
         return rep
     rng = random.Random(seed + 1)
-    subs = sys.subsets()
+    subs = sys.top.sub_sets()
     sites = []
     for s in subs:
         for p in s.primes():

@@ -184,13 +184,12 @@ def _weight(ring: Ring, poly: MPoly, qval) -> tuple:
     Only the Z-action and the product of the ring are used, so the weight
     exists in non-unital rings too.
     """
-    pow_ = bounded_int_pow if isinstance(ring, ZRing) else ring.pow  # Z's pow is unchecked
     c0, w = 0, None  # the constant term, and the rest of p(q) in the ring
     for key, c in poly.terms():
         if not key:
             c0 = c
             continue
-        term = ring.int_scale(c, pow_(qval, key[0][1]))
+        term = ring.int_scale(c, ring.pow(qval, key[0][1]))
         w = term if w is None else ring.add(w, term)
     if w is not None and c0 and ring.unital:  # fold the constant in: one product per use
         w, c0 = ring.add(w, ring.from_int(c0)), 0

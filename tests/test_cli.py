@@ -575,6 +575,7 @@ def test_lenart_constructions_at_a_prime_p(json_in, capsys):
 LIMITED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                 "from qwitt.cli import main; sys.exit(main(sys.argv[1:]))")
 P = "100000007"
+P10 = "1000000007"
 ONE_ZERO = {"a": {"coords": {"1": "1", P: "0"}}, "b": {"coords": {"1": "0", P: "0"}}}
 ZEROS = {str(n): "0" for n in (2, 4, 8, 16, 32)}
 Z248 = {str(n): "0" for n in (2, 4, 8)}
@@ -609,6 +610,12 @@ def _eval(family, ring, tset, op="add"):
 # - split-width: a_1 = 10^100000 on {1,2,4,8} over Z[q] takes a slot width
 #   of about 2.7M bits, where the mask of the one digit check took time
 #   quadratic in the width (17 s; under 3 s once built by doubling).
+# - z-power: Z's power was Python's unchecked ``**``, so the ghost of (3, 0)
+#   on {1, p} in const:z, and the inverse of that ghost, computed 3^p.
+# - lenart-shift: c = (q^(p-1) - 1)/p and a_1^p were computed unchecked, also
+#   where c is 0 (q = 1, and q = -1 for odd p).
+# - qpow-subst: q -> q^p spread a Z[q] element over p times its degree
+#   coefficients, in the lift of 1 + 2q and in the congruences of (q, 0).
 BOUNDED = [
     ("modulus-eval", _eval("classical", "zmod:100000000000000000039", "1,2", "neg"),
      {"a": {"coords": {"1": "3", "2": "1"}}},
@@ -643,6 +650,21 @@ BOUNDED = [
      None, 1, 2),
     ("ringlaw-compose", ["ringlaw", "verify", "--ring", "z", "--F", "x+y", "--G", "(x+y+1)^60"],
      None, 1, 5),
+    ("z-power-ghost", ["indwitt", "ghost", "--system", "const:z", "--set", f"1,{P10}"],
+     {"a": {"coords": {"1": "3", P10: "0"}}}, 1, 2),
+    ("z-power-dwork-invert", ["indwitt", "dwork-invert", "--system", "const:z",
+                              "--set", f"1,{P10}"], {"ghost": {"1": "3", P10: "0"}}, 1, 2),
+    ("lenart-shift-q-1", ["deform", "lenart-iso", "--p", "4294967291", "--q", "-1"],
+     {"a": {"coords": {"1": "3", "4294967291": "0"}}},
+     {"coords": {"1": "3", "4294967291": "0"}}, 2),
+    ("lenart-shift-q1", ["deform", "lenart-iso", "--p", P10, "--q", "1"],
+     {"a": {"coords": {"1": "2", P10: "0"}}}, {"coords": {"1": "2", P10: "0"}}, 2),
+    ("lenart-shift-inverse", ["deform", "lenart-iso", "--inverse", "--p", P10, "--q", "2"],
+     {"a": {"coords": {"1": "2", P10: "0"}}}, 1, 2),
+    ("qpow-subst-lambda", ["indwitt", "lambda", "--system", "qpow", "--set", f"1,{P10}",
+                           "--n", "1", "--elem", "1+2*q"], None, 1, 2),
+    ("qpow-subst-dwork-test", ["indwitt", "dwork-test", "--system", "qpow", "--set", f"1,{P10}"],
+     {"ghost": {"1": "q", P10: "0"}}, 1, 2),
 ]
 
 

@@ -1,6 +1,8 @@
 """Coefficient-ring instances: exactness, flags, divisibility, twists."""
 
+import ast
 import math
+import pathlib
 import random
 import time
 import tracemalloc
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_differential import zq_elements
 
+import qwitt
 from qwitt.errors import BudgetExceeded, NonUniqueQuotient, UnsupportedRingOperation
 from qwitt.truncset import MAX_ELEMENT
 from qwitt.rings import (
@@ -435,6 +438,34 @@ def test_generic_pow_of_a_large_exponent_is_quick_or_refused():
     assert DUAL.pow((1, 1), 10**6) == (1, 10**6)
     assert DUAL.pow((0, 0), 10**9) == (0, 0)
     assert time.perf_counter() - t < 1
-    for ring, a in ((DUAL, (2, 0)), (DUAL, (1, 1)), (TwistedRing(Z, 2), 1)):
+    for ring, a in ((DUAL, (2, 0)), (DUAL, (1, 1)), (TwistedRing(Z, 2), 1), (Z, 3)):
         with pytest.raises(BudgetExceeded):
             ring.pow(a, 100000007)
+
+
+def _forwards(fn: ast.FunctionDef) -> bool:
+    """Whether the whole body (after a docstring) is
+    ``return self.<attr>.<fn's name>(<fn's arguments, in order>)``."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call) or call.keywords:
+        return False
+    f = call.func
+    return (isinstance(f, ast.Attribute) and f.attr == fn.name
+            and isinstance(f.value, ast.Attribute) and isinstance(f.value.value, ast.Name)
+            and f.value.value.id == "self"
+            and [getattr(a, "id", None) for a in call.args] == [a.arg for a in fn.args.args[1:]])
+
+
+def test_no_method_only_forwards_to_an_attribute():
+    # an attribute's operation is bound once (as a twisted ring binds its
+    # base's), not wrapped in a method that only calls it
+    found = []
+    for path in sorted(pathlib.Path(qwitt.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                found += [f"{path.name}:{cls.name}.{fn.name}" for fn in cls.body
+                          if isinstance(fn, ast.FunctionDef) and _forwards(fn)]
+    assert found == []

@@ -318,6 +318,25 @@ def test_contexts_keep_one_set_change_map_per_target(desc, label):
         assert len(set(targets)) == len(maps)
 
 
+@pytest.mark.parametrize("desc", ["twist:z:2", "twist:zmod:6:5", "twist:zq:q", "twist:dual:1+eps",
+                                  "twist:witt:zmod:4:1,2:(1,3)"])
+def test_twisted_rings_pickle_back_to_equal_rings(desc):
+    # a twisted ring binds its base's operations; it pickles as (base, r)
+    ring = parse_ring(desc)
+    back = pickle.loads(pickle.dumps(ring))
+    assert back == ring and back.r == ring.r and back.unital == ring.unital
+    rng = random.Random(78)
+    for _ in range(20):
+        a, b = ring.random(rng), ring.random(rng)
+        for op in ("add", "sub", "mul", "eq"):
+            assert getattr(back, op)(a, b) == getattr(ring, op)(a, b)
+        assert back.neg(a) == ring.neg(a) and back.int_scale(3, a) == ring.int_scale(3, a)
+        assert back.from_str(back.to_str(a)) == ring.from_str(ring.to_str(a)) == a
+    for fam, q in ((CL, None), (QD, ring.random(rng))):
+        ctx = witt.WittCoeffRing(ring, S6, fam, q)
+        assert pickle.loads(pickle.dumps(ctx)) is ctx
+
+
 def test_random_vector_draws_what_make_checks():
     for desc in ("z", "zmod:6", "zq", "dual", "twist:z:2", "witt:zmod:4:1,2"):
         ring = parse_ring(desc)
